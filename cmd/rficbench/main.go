@@ -15,19 +15,14 @@
 //
 // With -lp-compare the harness runs the pivot-level benchmark
 // (internal/lp/benchharness): the circuit named by -lp-circuit (a Table 1
-// name, "large"/"largeN", or a .rfic path) is solved under every simplex
-// core (-lp-cores) × pivot rule (-lp-rules) × warm/cold LP mode × worker
-// count, the per-run simplex counters are printed as a table (and recorded
-// via -stats-out), and the run exits non-zero when any cell's layout
-// deviates from the rest, when a warm run spends more pivots than its cold
-// baseline, or when the default rule's warm-start pivot reduction falls
-// below -lp-min-speedup. With -lp-golden every cell's layout is additionally
-// compared byte-for-byte against a committed golden file — CI points it at
-// the dense-era goldens so the sparse rewrite is provably layout-preserving.
-// With -lp-cores sparse,dense and -lp-core-floor the run also fails when the
-// sparse core's wall-clock time per pivot is not at least floor× cheaper
-// than the dense tableau's. CI runs these as the pivot-regression and
-// sparse-core guards.
+// name, "large"/"largeN", or a .rfic path) is solved with warm-started and
+// with cold LP re-solves at each worker count, the per-run simplex counters
+// are printed as a table (and recorded via -stats-out), and the run exits
+// non-zero when any cell's layout deviates from the rest, when a warm run
+// spends more pivots than its cold baseline, or when the warm-start pivot
+// reduction falls below -lp-min-speedup. With -lp-golden every cell's layout
+// is additionally compared byte-for-byte against a committed golden file.
+// CI runs these as the pivot-regression and golden-layout guards.
 //
 // With -cachebench the harness replays a seeded request mix — repeated
 // solves of a small circuit pool, near-duplicate perturbations of pool
@@ -86,7 +81,6 @@
 //	rficbench -figure11b
 //	rficbench -shardguard -shard-size 6 -shard-tol 0.1
 //	rficbench -lp-compare -lp-circuit large -lp-phase1 -lp-min-speedup 1.5
-//	rficbench -lp-compare -lp-circuit large -lp-phase1 -lp-cores sparse,dense -lp-core-floor 1.3
 //	rficbench -lp-compare -lp-circuit mini.rfic -lp-golden testdata/golden/mini.lpcompare.layout
 //	rficbench -cachebench -cache-requests 48 -stats-out cache-stats.jsonl
 //	rficbench -table1 -cpuprofile cpu.pprof -memprofile mem.pprof
@@ -116,7 +110,6 @@ import (
 	"rficlayout/internal/faultinject"
 	"rficlayout/internal/geom"
 	"rficlayout/internal/layout"
-	"rficlayout/internal/lp"
 	"rficlayout/internal/lp/benchharness"
 	"rficlayout/internal/manual"
 	"rficlayout/internal/netlist"
@@ -137,15 +130,12 @@ func main() {
 	shardTol := flag.Float64("shard-tol", 0.1, "allowed fractional score regression of the sharded run in -shardguard")
 	guardScale := flag.Int("guard-scale", 1, "size multiplier of the synthetic circuit used by -shardguard")
 	statsOut := flag.String("stats-out", "", "append one JSON line of solve stats per job to this file")
-	lpCompare := flag.Bool("lp-compare", false, "run the pivot-level LP benchmark: pivot rules x warm/cold x worker counts on one circuit")
+	lpCompare := flag.Bool("lp-compare", false, "run the pivot-level LP benchmark: warm- vs cold-started LP re-solves x worker counts on one circuit")
 	lpCircuit := flag.String("lp-circuit", "large", "circuit for -lp-compare: a Table 1 name, large/largeN, or a .rfic path")
 	lpPhase1 := flag.Bool("lp-phase1", false, "restrict -lp-compare to the phase-1 adjustment (faster on big circuits)")
-	lpMinSpeedup := flag.Float64("lp-min-speedup", 1.0, "minimum warm-start pivot reduction (cold/warm) for the default rule in -lp-compare")
+	lpMinSpeedup := flag.Float64("lp-min-speedup", 1.0, "minimum warm-start pivot reduction (cold/warm pivots, summed over worker counts) in -lp-compare")
 	lpStripNodes := flag.Int("lp-strip-nodes", 25, "deterministic node budget per per-strip solve in -lp-compare (0 = unlimited); caps searches that would otherwise run into their wall-clock limit at a path-independent point")
-	lpCores := flag.String("lp-cores", "sparse", "comma-separated simplex cores for -lp-compare (sparse, dense); include both for the dense-vs-sparse wall-clock comparison")
-	lpRules := flag.String("lp-rules", "", "comma-separated pivot rules for -lp-compare (empty = all rules)")
 	lpGolden := flag.String("lp-golden", "", "golden layout file for -lp-compare; every cell must match it byte-for-byte")
-	lpCoreFloor := flag.Float64("lp-core-floor", 0, "minimum sparse-core pivot-time reduction vs dense in -lp-compare (0 = off; requires both cores in -lp-cores)")
 	cacheBench := flag.Bool("cachebench", false, "run the cache hit-rate benchmark: a seeded repeated+perturbed request mix through the tiered result cache")
 	cacheRequests := flag.Int("cache-requests", 48, "request count of the -cachebench mix")
 	cacheSeed := flag.Int64("cache-seed", 1, "seed of the -cachebench circuit pool and request mix")
@@ -225,9 +215,7 @@ func main() {
 	if *lpCompare {
 		cfg := lpCompareConfig{
 			circuit: *lpCircuit, phase1Only: *lpPhase1,
-			minSpeedup: *lpMinSpeedup, coreFloor: *lpCoreFloor,
-			stripNodes: *lpStripNodes,
-			cores:      *lpCores, rules: *lpRules, golden: *lpGolden,
+			minSpeedup: *lpMinSpeedup, stripNodes: *lpStripNodes, golden: *lpGolden,
 		}
 		if !runLPCompare(ctx, opts, cfg, stats) {
 			fail()
@@ -326,63 +314,20 @@ func loadLPCircuit(name string) (*netlist.Circuit, error) {
 type lpCompareConfig struct {
 	circuit    string
 	phase1Only bool
-	minSpeedup float64 // warm-start pivot-reduction floor for the default rule
-	coreFloor  float64 // sparse-vs-dense pivot-time reduction floor (0 = off)
+	minSpeedup float64 // warm-start pivot-reduction floor
 	stripNodes int
-	cores      string // comma-separated lp.Core names
-	rules      string // comma-separated lp.PivotRule names (empty = all)
-	golden     string // golden layout path (empty = matrix-internal check only)
+	golden     string // golden layout path (empty = cross-cell check only)
 }
 
-// parseLPCores resolves the -lp-cores list.
-func parseLPCores(spec string) ([]lp.Core, error) {
-	var out []lp.Core
-	for _, name := range strings.Split(spec, ",") {
-		core, err := lp.ParseCore(strings.TrimSpace(name))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, core)
-	}
-	return out, nil
-}
-
-// parseLPRules resolves the -lp-rules list; empty means all rules.
-func parseLPRules(spec string) ([]lp.PivotRule, error) {
-	if strings.TrimSpace(spec) == "" {
-		return nil, nil
-	}
-	var out []lp.PivotRule
-	for _, name := range strings.Split(spec, ",") {
-		rule, err := lp.ParsePivotRule(strings.TrimSpace(name))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, rule)
-	}
-	return out, nil
-}
-
-// runLPCompare runs the pivot-level comparison matrix and applies the
+// runLPCompare runs the pivot-level warm/cold comparison and applies the
 // guards: byte-identical layouts across every cell (and, with -lp-golden,
 // against the committed golden), no warm cell spending more pivots than its
-// cold baseline, the default rule's warm-start reduction meeting the
-// -lp-min-speedup floor, and (with -lp-core-floor) the sparse core beating
-// the dense tableau on time per pivot by at least the floor.
+// cold baseline, and the warm-start reduction meeting the -lp-min-speedup
+// floor.
 func runLPCompare(ctx context.Context, opts pilp.Options, cfg lpCompareConfig, stats *statsWriter) bool {
 	c, err := loadLPCircuit(cfg.circuit)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rficbench: -lp-circuit:", err)
-		return false
-	}
-	cores, err := parseLPCores(cfg.cores)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rficbench: -lp-cores:", err)
-		return false
-	}
-	rules, err := parseLPRules(cfg.rules)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rficbench: -lp-rules:", err)
 		return false
 	}
 	var golden string
@@ -410,8 +355,6 @@ func runLPCompare(ctx context.Context, opts pilp.Options, cfg lpCompareConfig, s
 	rep, err := benchharness.Compare(ctx, benchharness.Config{
 		Circuit:    c,
 		Options:    opts,
-		Rules:      rules,
-		Cores:      cores,
 		Phase1Only: cfg.phase1Only,
 	})
 	if err != nil {
@@ -420,9 +363,8 @@ func runLPCompare(ctx context.Context, opts pilp.Options, cfg lpCompareConfig, s
 	}
 	fmt.Print(rep.Table())
 	for _, run := range rep.Runs {
-		variant := fmt.Sprintf("lp-%s-%s-%s-w%d", run.Core, run.Rule, map[bool]string{true: "cold", false: "warm"}[run.Cold], run.Workers)
 		stats.record(solveRecord{
-			Circuit: c.Name, Variant: variant,
+			Circuit: c.Name, Variant: "lp-" + run.Label(),
 			RuntimeNS: int64(run.Runtime), Nodes: run.Nodes,
 			LPPivots: run.LP.Pivots, LPRefactorizations: run.LP.Refactorizations,
 			LPPeakEta:  run.LP.PeakEta,
@@ -441,8 +383,7 @@ func runLPCompare(ctx context.Context, opts pilp.Options, cfg lpCompareConfig, s
 		matched := true
 		for _, run := range rep.Runs {
 			if run.Layout != golden {
-				fmt.Fprintf(os.Stderr, "rficbench: %s/%s/%s/w%d deviates from golden %s\n",
-					run.Core, run.Rule, map[bool]string{true: "cold", false: "warm"}[run.Cold], run.Workers, cfg.golden)
+				fmt.Fprintf(os.Stderr, "rficbench: %s deviates from golden %s\n", run.Label(), cfg.golden)
 				matched = false
 			}
 		}
@@ -457,15 +398,9 @@ func runLPCompare(ctx context.Context, opts pilp.Options, cfg lpCompareConfig, s
 		}
 		ok = false
 	}
-	if red := rep.PivotReduction(lp.PivotDantzig); red < cfg.minSpeedup {
+	if red := rep.PivotReduction(); red < cfg.minSpeedup {
 		fmt.Fprintf(os.Stderr, "rficbench: warm-start pivot reduction %.2fx below the %.2fx floor\n", red, cfg.minSpeedup)
 		ok = false
-	}
-	if cfg.coreFloor > 0 {
-		if red := rep.PivotTimeReduction(); red < cfg.coreFloor {
-			fmt.Fprintf(os.Stderr, "rficbench: sparse-core pivot-time reduction %.2fx below the %.2fx floor\n", red, cfg.coreFloor)
-			ok = false
-		}
 	}
 	if ok {
 		fmt.Println("lp-compare: OK")
@@ -605,7 +540,7 @@ type statsWriter struct {
 // written by modes that predate them.
 type solveRecord struct {
 	Circuit            string  `json:"circuit"`
-	Variant            string  `json:"variant,omitempty"` // e.g. "small-area", "monolithic", "lp-dantzig-warm-w1"
+	Variant            string  `json:"variant,omitempty"` // e.g. "small-area", "monolithic", "lp-warm-w1"
 	RuntimeNS          int64   `json:"runtime_ns"`
 	Phase1NS           int64   `json:"phase1_ns,omitempty"`
 	Nodes              int     `json:"nodes"`

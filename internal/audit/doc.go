@@ -1,8 +1,8 @@
 // Package audit runs a metamorphic test battery over the progressive ILP
 // layout flow. Each check transforms the input circuit in a way whose effect
 // on the output is predictable, solves the transformed circuit, and verifies
-// the predicted relation. The determinism contract (worker counts, warm
-// starts and pivot rules never change results; node budgets cut searches at
+// the predicted relation. The determinism contract (worker counts and warm
+// starts never change results; node budgets cut searches at
 // path-independent points) is what turns most relations into byte-equality
 // checks; the rest compare on the flow's own score and design-rule metrics
 // within stated envelopes.

@@ -1,13 +1,11 @@
-// Package benchharness compares simplex configurations at the pivot level:
-// it runs the progressive layout flow (or just its phase-1 adjustment) over
-// a matrix of simplex cores × pivot rules × warm/cold LP modes × worker
-// counts, collects the flow-wide effort counters each run reports, and
-// checks the determinism contract — every cell of the matrix must produce
-// the byte-identical layout. rficbench -lp-compare drives it to regenerate
-// the warm-start speedup table, and CI runs it as the pivot-regression guard
-// (a warm run spending more pivots than its cold baseline fails the
-// comparison) and as the sparse-core wall-clock guard (the revised core must
-// keep beating the dense tableau on time per pivot).
+// Package benchharness measures warm-started against cold-started LP solves
+// at the pivot level: it runs the progressive layout flow (or just its
+// phase-1 adjustment) over warm/cold LP modes × worker counts, collects the
+// flow-wide effort counters each run reports, and checks the determinism
+// contract — every cell must produce the byte-identical layout. rficbench
+// -lp-compare drives it to regenerate the warm-start speedup table, and CI
+// runs it as the pivot-regression guard: a warm run spending more pivots
+// than its cold baseline fails the comparison.
 package benchharness
 
 import (
@@ -18,7 +16,6 @@ import (
 	"time"
 
 	"rficlayout/internal/layout"
-	"rficlayout/internal/lp"
 	"rficlayout/internal/netlist"
 	"rficlayout/internal/pilp"
 )
@@ -27,40 +24,20 @@ import (
 type Config struct {
 	// Circuit is the circuit every cell solves.
 	Circuit *netlist.Circuit
-	// Options is the base flow configuration; the harness overrides
-	// PivotRule, ColdLP and Workers per cell. The byte-equality check
-	// across the matrix assumes no solve hits its time limit — a binding
-	// limit cuts the search at a wall-clock-dependent point, the one
-	// legitimate source of nondeterminism — so give the circuit limits it
-	// comfortably solves under, or restrict the comparison with Phase1Only.
+	// Options is the base flow configuration; the harness overrides ColdLP
+	// and Workers per cell. The byte-equality check across the cells
+	// assumes no solve hits its time limit — a binding limit cuts the
+	// search at a wall-clock-dependent point, the one legitimate source of
+	// nondeterminism — so give the circuit limits it comfortably solves
+	// under, or restrict the comparison with Phase1Only.
 	Options pilp.Options
-	// Rules are the pivot rules to compare. Nil means all of lp.PivotRules().
-	Rules []lp.PivotRule
-	// Cores are the simplex basis-inverse engines to compare. Nil means just
-	// the default sparse revised core; include lp.CoreDense for the
-	// dense-vs-sparse wall-clock comparison.
-	Cores []lp.Core
 	// Workers are the flow worker counts to compare. Nil means {1, 4}.
 	Workers []int
 	// Phase1Only restricts each cell to pilp.AdjustPhase1 — the one large
 	// branch-and-bound solve of the flow — instead of the full three-phase
-	// flow. The comparison runs 2·|Rules|·|Workers| solves, so this is what
-	// keeps the large synthetic circuit affordable.
+	// flow. The comparison runs 2·|Workers| solves, so this is what keeps
+	// the large synthetic circuit affordable.
 	Phase1Only bool
-}
-
-func (c Config) rules() []lp.PivotRule {
-	if len(c.Rules) > 0 {
-		return c.Rules
-	}
-	return lp.PivotRules()
-}
-
-func (c Config) cores() []lp.Core {
-	if len(c.Cores) > 0 {
-		return c.Cores
-	}
-	return []lp.Core{lp.CoreSparse}
 }
 
 func (c Config) workers() []int {
@@ -70,10 +47,8 @@ func (c Config) workers() []int {
 	return []int{1, 4}
 }
 
-// Run is the outcome of one cell of the comparison matrix.
+// Run is the outcome of one cell of the comparison.
 type Run struct {
-	Rule    lp.PivotRule
-	Core    lp.Core
 	Cold    bool
 	Workers int
 	// LP and Nodes are the flow's deterministic effort counters; Runtime is
@@ -92,12 +67,13 @@ func (r Run) mode() string {
 	return "warm"
 }
 
-func (r Run) label() string {
-	return fmt.Sprintf("%s/%s/%s/w%d", r.Core, r.Rule, r.mode(), r.Workers)
+// Label names the cell as mode and worker count, e.g. "warm-w4".
+func (r Run) Label() string {
+	return fmt.Sprintf("%s-w%d", r.mode(), r.Workers)
 }
 
-// NsPerPivot is the cell's wall-clock nanoseconds per simplex pivot — the
-// quantity the dense-vs-sparse comparison guards. Zero when no pivots ran.
+// NsPerPivot is the cell's wall-clock nanoseconds per simplex pivot,
+// informational like Runtime. Zero when no pivots ran.
 func (r Run) NsPerPivot() float64 {
 	if r.LP.Pivots == 0 {
 		return 0
@@ -113,42 +89,35 @@ type Report struct {
 
 // Compare runs the matrix sequentially (each cell owns its configured worker
 // count) and returns every cell's counters. Cells run in a fixed order —
-// core-major, then rule-major, then cold before warm, then ascending
-// workers — so the JSONL records downstream tools fold stay stably ordered
-// run over run.
+// cold before warm, then ascending workers — so the JSONL records downstream
+// tools fold stay stably ordered run over run.
 func Compare(ctx context.Context, cfg Config) (*Report, error) {
 	if cfg.Circuit == nil {
 		return nil, fmt.Errorf("benchharness: no circuit")
 	}
 	rep := &Report{Circuit: cfg.Circuit.Name}
-	for _, core := range cfg.cores() {
-		for _, rule := range cfg.rules() {
-			for _, cold := range []bool{true, false} {
-				for _, workers := range cfg.workers() {
-					opts := cfg.Options
-					opts.PivotRule = rule
-					opts.LPCore = core
-					opts.ColdLP = cold
-					opts.Workers = workers
-					run := Run{Rule: rule, Core: core, Cold: cold, Workers: workers}
-					if cfg.Phase1Only {
-						res, err := pilp.AdjustPhase1(ctx, cfg.Circuit, opts)
-						if err != nil {
-							return nil, fmt.Errorf("benchharness: %s: %w", run.label(), err)
-						}
-						run.LP, run.Nodes, run.Runtime = res.LP, res.Nodes, res.Runtime
-						run.Layout = layout.Format(res.Layout)
-					} else {
-						res, err := pilp.GenerateCtx(ctx, cfg.Circuit, opts)
-						if err != nil {
-							return nil, fmt.Errorf("benchharness: %s: %w", run.label(), err)
-						}
-						run.LP, run.Nodes, run.Runtime = res.LP, res.Nodes, res.Runtime
-						run.Layout = layout.Format(res.Layout)
-					}
-					rep.Runs = append(rep.Runs, run)
+	for _, cold := range []bool{true, false} {
+		for _, workers := range cfg.workers() {
+			opts := cfg.Options
+			opts.ColdLP = cold
+			opts.Workers = workers
+			run := Run{Cold: cold, Workers: workers}
+			if cfg.Phase1Only {
+				res, err := pilp.AdjustPhase1(ctx, cfg.Circuit, opts)
+				if err != nil {
+					return nil, fmt.Errorf("benchharness: %s: %w", run.Label(), err)
 				}
+				run.LP, run.Nodes, run.Runtime = res.LP, res.Nodes, res.Runtime
+				run.Layout = layout.Format(res.Layout)
+			} else {
+				res, err := pilp.GenerateCtx(ctx, cfg.Circuit, opts)
+				if err != nil {
+					return nil, fmt.Errorf("benchharness: %s: %w", run.Label(), err)
+				}
+				run.LP, run.Nodes, run.Runtime = res.LP, res.Nodes, res.Runtime
+				run.Layout = layout.Format(res.Layout)
 			}
+			rep.Runs = append(rep.Runs, run)
 		}
 	}
 	return rep, nil
@@ -164,21 +133,18 @@ func (r *Report) Mismatches() []string {
 	var out []string
 	for _, run := range r.Runs[1:] {
 		if run.Layout != ref.Layout {
-			out = append(out, fmt.Sprintf("%s differs from %s", run.label(), ref.label()))
+			out = append(out, fmt.Sprintf("%s differs from %s", run.Label(), ref.Label()))
 		}
 	}
 	return out
 }
 
-// PivotReduction returns cold-pivots / warm-pivots for the given rule,
-// summed across worker counts — the warm-start speedup the comparison
-// exists to measure. Zero when the rule has no runs or spent no warm pivots.
-func (r *Report) PivotReduction(rule lp.PivotRule) float64 {
+// PivotReduction returns cold-pivots / warm-pivots, summed across worker
+// counts — the warm-start speedup the comparison exists to measure. Zero
+// when no warm pivots ran.
+func (r *Report) PivotReduction() float64 {
 	var warm, cold int
 	for _, run := range r.Runs {
-		if run.Rule != rule {
-			continue
-		}
 		if run.Cold {
 			cold += run.LP.Pivots
 		} else {
@@ -191,21 +157,16 @@ func (r *Report) PivotReduction(rule lp.PivotRule) float64 {
 	return float64(cold) / float64(warm)
 }
 
-// Regressions returns one message per (core, rule, workers) triple whose
-// warm run spent more pivots than its cold counterpart — the condition the
-// CI guard fails on. Warm starts may at worst tie cold (every warm LP falls
-// back to the cold path); spending extra pivots means the dual simplex is
-// burning work without converging faster.
+// Regressions returns one message per worker count whose warm run spent
+// more pivots than its cold counterpart — the condition the CI guard fails
+// on. Warm starts may at worst tie cold (every warm LP falls back to the
+// cold path); spending extra pivots means the dual simplex is burning work
+// without converging faster.
 func (r *Report) Regressions() []string {
-	type cell struct {
-		core    lp.Core
-		rule    lp.PivotRule
-		workers int
-	}
-	cold := map[cell]int{}
+	cold := map[int]int{} // workers → cold pivots
 	for _, run := range r.Runs {
 		if run.Cold {
-			cold[cell{run.Core, run.Rule, run.Workers}] = run.LP.Pivots
+			cold[run.Workers] = run.LP.Pivots
 		}
 	}
 	var out []string
@@ -213,74 +174,30 @@ func (r *Report) Regressions() []string {
 		if run.Cold {
 			continue
 		}
-		if c, ok := cold[cell{run.Core, run.Rule, run.Workers}]; ok && run.LP.Pivots > c {
-			out = append(out, fmt.Sprintf("%s spent %d pivots, cold baseline %d", run.label(), run.LP.Pivots, c))
+		if c, ok := cold[run.Workers]; ok && run.LP.Pivots > c {
+			out = append(out, fmt.Sprintf("%s spent %d pivots, cold baseline %d", run.Label(), run.LP.Pivots, c))
 		}
 	}
 	sort.Strings(out)
 	return out
 }
 
-// PivotTimeReduction returns the dense core's wall-clock nanoseconds per
-// pivot divided by the sparse core's, aggregated across every run of each
-// core (runtimes and pivots summed before dividing, so long cells dominate).
-// This is the headline number of the revised-simplex rewrite — how much
-// cheaper one pivot became — and the quantity the CI floor guards. Zero when
-// either core is missing from the matrix or spent no pivots.
-func (r *Report) PivotTimeReduction() float64 {
-	var sparseNs, denseNs int64
-	var sparsePivots, densePivots int
-	for _, run := range r.Runs {
-		switch run.Core {
-		case lp.CoreSparse:
-			sparseNs += run.Runtime.Nanoseconds()
-			sparsePivots += run.LP.Pivots
-		case lp.CoreDense:
-			denseNs += run.Runtime.Nanoseconds()
-			densePivots += run.LP.Pivots
-		}
-	}
-	if sparsePivots == 0 || densePivots == 0 || sparseNs == 0 {
-		return 0
-	}
-	sparse := float64(sparseNs) / float64(sparsePivots)
-	dense := float64(denseNs) / float64(densePivots)
-	return dense / sparse
-}
-
 // Table renders the comparison as an aligned text table, one row per run.
 func (r *Report) Table() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "lp-compare: %s\n", r.Circuit)
-	fmt.Fprintf(&b, "%-7s %-8s %-5s %-7s %9s %7s %7s %9s %7s %7s %8s %7s %10s %9s\n",
-		"core", "rule", "mode", "workers", "pivots", "refacts", "peaketa", "warmhits", "misses", "cold", "hitrate", "nodes", "runtime", "ns/pivot")
+	fmt.Fprintf(&b, "%-5s %-7s %9s %7s %7s %9s %7s %7s %8s %7s %10s %9s\n",
+		"mode", "workers", "pivots", "refacts", "peaketa", "warmhits", "misses", "cold", "hitrate", "nodes", "runtime", "ns/pivot")
 	for _, run := range r.Runs {
-		fmt.Fprintf(&b, "%-7s %-8s %-5s %-7d %9d %7d %7d %9d %7d %7d %7.1f%% %7d %10s %9.0f\n",
-			run.Core, run.Rule, run.mode(), run.Workers,
+		fmt.Fprintf(&b, "%-5s %-7d %9d %7d %7d %9d %7d %7d %7.1f%% %7d %10s %9.0f\n",
+			run.mode(), run.Workers,
 			run.LP.Pivots, run.LP.Refactorizations, run.LP.PeakEta,
 			run.LP.WarmHits, run.LP.WarmMisses, run.LP.ColdSolves,
 			100*run.LP.WarmHitRate(), run.Nodes, run.Runtime.Round(time.Millisecond),
 			run.NsPerPivot())
 	}
-	for _, rule := range r.rulesSeen() {
-		if red := r.PivotReduction(rule); red > 0 {
-			fmt.Fprintf(&b, "lp-compare: %s warm-start pivot reduction %.2fx\n", rule, red)
-		}
-	}
-	if red := r.PivotTimeReduction(); red > 0 {
-		fmt.Fprintf(&b, "lp-compare: sparse-core pivot-time reduction %.2fx vs dense\n", red)
+	if red := r.PivotReduction(); red > 0 {
+		fmt.Fprintf(&b, "lp-compare: warm-start pivot reduction %.2fx\n", red)
 	}
 	return b.String()
-}
-
-func (r *Report) rulesSeen() []lp.PivotRule {
-	seen := map[lp.PivotRule]bool{}
-	var out []lp.PivotRule
-	for _, run := range r.Runs {
-		if !seen[run.Rule] {
-			seen[run.Rule] = true
-			out = append(out, run.Rule)
-		}
-	}
-	return out
 }

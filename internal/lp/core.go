@@ -1,71 +1,15 @@
 package lp
 
-import "fmt"
-
-// Core selects the basis-inverse representation the simplex pivots on. Both
-// cores run the identical driver — pricing, ratio tests, bound handling,
-// phase logic and the lexicographic canonicalization are shared — so the
-// returned vertex is the same either way; the cores differ only in how the
-// tableau quantities (B⁻¹·A columns, pivot rows, reduced costs) are produced
-// and in the per-pivot cost of keeping them current.
-type Core int
-
-const (
-	// CoreSparse is the sparse revised simplex: the constraint matrix is held
-	// in compressed sparse column form, the basis inverse as an
-	// elimination-form LU factorization in product form (a triangular eta
-	// sequence rebuilt at every refactorization) extended by one
-	// product-form eta per pivot, and every tableau quantity is produced on
-	// demand by FTRAN/BTRAN solves. Pivot cost scales with the number of
-	// matrix nonzeros instead of m·n, which is what makes it the default:
-	// the layout models are extremely sparse (a handful of variables per
-	// non-overlap or chain-point row). Default.
-	CoreSparse Core = iota
-	// CoreDense is the dense-tableau simplex that predates the revised core:
-	// T = B⁻¹·A is materialized as an m×n array and every pivot re-eliminates
-	// the full tableau. It is kept as the benchmark baseline the revised
-	// core must beat (rficbench -lp-compare -lp-cores sparse,dense) and as a
-	// numerical cross-check; both cores produce byte-identical layouts.
-	CoreDense
-)
-
-// String implements fmt.Stringer; the names double as the on-disk spelling
-// used by flags and cache fingerprints.
-func (c Core) String() string {
-	switch c {
-	case CoreSparse:
-		return "sparse"
-	case CoreDense:
-		return "dense"
-	default:
-		return fmt.Sprintf("core(%d)", int(c))
-	}
-}
-
-// ParseCore is the inverse of String. The empty string parses to CoreSparse,
-// matching the zero-value default of Options.Core.
-func ParseCore(s string) (Core, error) {
-	switch s {
-	case "sparse", "":
-		return CoreSparse, nil
-	case "dense":
-		return CoreDense, nil
-	default:
-		return 0, fmt.Errorf("lp: unknown simplex core %q (want sparse or dense)", s)
-	}
-}
-
-// Cores lists every core, in a stable order, for benchmark harnesses.
-func Cores() []Core {
-	return []Core{CoreSparse, CoreDense}
-}
-
 // tableauCore is the basis-inverse engine behind one simplex solve. The
 // driver owns the problem data, bounds, statuses, basic values (beta) and the
 // reduced-cost row; the core owns whatever representation of B⁻¹ it needs to
 // answer the queries below. Every method must be deterministic: the pivot
 // sequence — and with it the exported effort counters — is a pure function of
-// (problem, options) for either core.
+// the problem and options.
+//
+// Production solves always run the sparse revised core (sparse.go). The
+// interface exists so the tests can run the same driver over the dense
+// tableau oracle (dense_test.go) and compare the two.
 type tableauCore interface {
 	// refactorize rebuilds the representation from the raw problem data and
 	// the driver's current basic set, discarding accumulated floating-point
@@ -84,10 +28,6 @@ type tableauCore interface {
 	// reducedCosts writes d = c − c_Bᵀ·B⁻¹·A into dst (length n) from
 	// scratch, reading the basic cost entries through the driver's basis.
 	reducedCosts(cost []float64, dst []float64)
-	// tau writes Aᵀ·B⁻ᵀ·x into dst (length n) for an arbitrary x of length
-	// m — the cross-column inner products steepest-edge pricing needs
-	// (tau_j = T_jᵀ·T_q when x is the entering tableau column).
-	tau(x []float64, dst []float64)
 	// applyPivot installs the basis exchange the driver has already recorded
 	// in s.basis/s.status: column enter became basic in row leaveRow, and
 	// alpha is the tableau column of enter under the pre-pivot basis (as

@@ -68,7 +68,7 @@ func TestDriftTriggersRefactorization(t *testing.T) {
 	x := tiny.AddVariable("x", 0, 10, -1)
 	tiny.AddConstraint("c", []Entry{{x, 1e-8}}, LE, 1e-8)
 
-	sol := solveOrFatal(t, tiny, Options{Core: CoreSparse})
+	sol := solveOrFatal(t, tiny, Options{})
 	if math.Abs(sol.X[0]-1) > 1e-6 {
 		t.Errorf("x = %g, want 1", sol.X[0])
 	}
@@ -81,7 +81,7 @@ func TestDriftTriggersRefactorization(t *testing.T) {
 	scaled := NewProblem()
 	xs := scaled.AddVariable("x", 0, 10, -1)
 	scaled.AddConstraint("c", []Entry{{xs, 1}}, LE, 1)
-	ssol := solveOrFatal(t, scaled, Options{Core: CoreSparse})
+	ssol := solveOrFatal(t, scaled, Options{})
 	if ssol.Refactorizations != 3 {
 		t.Errorf("well-scaled solve refactorized %d times, want exactly 3", ssol.Refactorizations)
 	}
@@ -93,7 +93,8 @@ func TestDriftTriggersRefactorization(t *testing.T) {
 // TestSingularWarmBasisFallsBackCold: a warm basis whose basic columns are
 // linearly dependent must be rejected by the deterministic refactorization —
 // installBasis fails, the solve silently falls back to the cold path, and the
-// reported solution is still optimal (with WarmStarted false).
+// reported solution is still optimal (with WarmStarted false). The dense
+// oracle must reject the basis the same way.
 func TestSingularWarmBasisFallsBackCold(t *testing.T) {
 	p := NewProblem()
 	x := p.AddVariable("x", 0, Infinity, -3)
@@ -108,24 +109,32 @@ func TestSingularWarmBasisFallsBackCold(t *testing.T) {
 		Basic:  []int32{0, 1},
 		Status: []BasisStatus{BasisBasic, BasisBasic, BasisAtLower, BasisAtLower},
 	}
-	for _, core := range Cores() {
-		ref := solveOrFatal(t, p, Options{Core: core})
-		sol := solveOrFatal(t, p, Options{Core: core, WarmBasis: singular})
+	for _, tc := range []struct {
+		core string
+		opts Options
+	}{
+		{"sparse", Options{}},
+		{"dense", denseOracle(Options{})},
+	} {
+		ref := solveOrFatal(t, p, tc.opts)
+		warm := tc.opts
+		warm.WarmBasis = singular
+		sol := solveOrFatal(t, p, warm)
 		if sol.Status != StatusOptimal {
-			t.Fatalf("core %s: status = %v", core, sol.Status)
+			t.Fatalf("core %s: status = %v", tc.core, sol.Status)
 		}
 		if sol.WarmStarted {
-			t.Errorf("core %s: solve claims a warm start from a singular basis", core)
+			t.Errorf("core %s: solve claims a warm start from a singular basis", tc.core)
 		}
 		if math.Abs(sol.Objective-ref.Objective) > 1e-9 {
-			t.Errorf("core %s: fallback objective %g, cold reference %g", core, sol.Objective, ref.Objective)
+			t.Errorf("core %s: fallback objective %g, cold reference %g", tc.core, sol.Objective, ref.Objective)
 		}
 	}
 }
 
 // TestCoresAgreeOnIllConditioned: a Hilbert-matrix LP is about as badly
-// conditioned as small dense problems get; both cores under every pivot rule
-// must still land on the same canonicalized optimum.
+// conditioned as small dense problems get; the sparse core must still land on
+// the canonicalized optimum the dense oracle reaches.
 func TestCoresAgreeOnIllConditioned(t *testing.T) {
 	const n = 6
 	p := NewProblem()
@@ -144,25 +153,22 @@ func TestCoresAgreeOnIllConditioned(t *testing.T) {
 		p.AddConstraint(fmt.Sprintf("r%d", i), row, LE, rhs)
 	}
 
-	var ref *Solution
-	for _, core := range Cores() {
-		for _, rule := range PivotRules() {
-			sol := solveOrFatal(t, p, Options{Core: core, Pivot: rule})
-			if sol.Status != StatusOptimal {
-				t.Fatalf("%s/%s: status = %v", core, rule, sol.Status)
-			}
-			if ref == nil {
-				ref = sol
-				continue
-			}
-			if math.Abs(sol.Objective-ref.Objective) > 1e-6 {
-				t.Errorf("%s/%s: objective %g, reference %g", core, rule, sol.Objective, ref.Objective)
-			}
-			for j := range ref.X {
-				if math.Abs(sol.X[j]-ref.X[j]) > 1e-6 {
-					t.Errorf("%s/%s: x[%d] = %g, reference %g", core, rule, j, sol.X[j], ref.X[j])
-				}
-			}
+	ref := solveOrFatal(t, p, denseOracle(Options{}))
+	sol := solveOrFatal(t, p, Options{})
+	for name, s := range map[string]*Solution{"dense": ref, "sparse": sol} {
+		if s.Status != StatusOptimal {
+			t.Fatalf("%s: status = %v", name, s.Status)
+		}
+	}
+	if ref.PeakEta != 0 {
+		t.Fatalf("oracle solve reports an eta chain of %d: the dense core was not used", ref.PeakEta)
+	}
+	if math.Abs(sol.Objective-ref.Objective) > 1e-6 {
+		t.Errorf("objective %g, dense oracle %g", sol.Objective, ref.Objective)
+	}
+	for j := range ref.X {
+		if math.Abs(sol.X[j]-ref.X[j]) > 1e-6 {
+			t.Errorf("x[%d] = %g, dense oracle %g", j, sol.X[j], ref.X[j])
 		}
 	}
 }

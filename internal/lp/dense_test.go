@@ -2,19 +2,26 @@ package lp
 
 import "math"
 
-// denseCore is the legacy basis-inverse engine: the whole tableau T = B⁻¹·A
-// is materialized as an m×n array and kept current by full Gauss–Jordan
-// elimination on every pivot. Queries are trivially cheap (a row or column
-// copy), pivots cost O(m·n) regardless of sparsity. It is retained as the
-// baseline the sparse revised core is benchmarked against and as an
-// independent numerical cross-check.
+// denseCore is the reference basis-inverse engine the tests compare the
+// sparse core against: the whole tableau T = B⁻¹·A is materialized as an m×n
+// array and kept current by full Gauss–Jordan elimination on every pivot.
+// Every quantity is read straight off the tableau, with no factorization or
+// eta chain in between, so it is an independent numerical cross-check of the
+// revised core under the identical driver.
 type denseCore struct {
 	s       *simplex
 	tableau [][]float64 // m rows × n columns, equals B⁻¹·A
 }
 
-func newDenseCore(s *simplex) *denseCore {
+func newDenseCore(s *simplex) tableauCore {
 	return &denseCore{s: s}
+}
+
+// denseOracle returns opts with the dense tableau in place of the sparse
+// core.
+func denseOracle(opts Options) Options {
+	opts.newCore = newDenseCore
+	return opts
 }
 
 func (c *denseCore) column(j int, dst []float64) {
@@ -51,28 +58,10 @@ func (c *denseCore) reducedCosts(cost []float64, dst []float64) {
 	}
 }
 
-func (c *denseCore) tau(x []float64, dst []float64) {
-	s := c.s
-	for j := 0; j < s.n; j++ {
-		dst[j] = 0
-	}
-	for i := 0; i < s.m; i++ {
-		xi := x[i]
-		if xi == 0 {
-			continue
-		}
-		row := c.tableau[i]
-		for j := 0; j < s.n; j++ {
-			dst[j] += xi * row[j]
-		}
-	}
-}
-
 // applyPivot eliminates the entering column from every row except the pivot
-// row, exactly the update the pre-revised solver ran inline. The driver has
-// already updated beta, statuses and the reduced-cost row; alpha (the
-// pre-pivot entering column) equals this tableau's column enter, so the
-// elimination factors are read from the tableau itself.
+// row. The driver has already updated beta, statuses and the reduced-cost
+// row; alpha (the pre-pivot entering column) equals this tableau's column
+// enter, so the elimination factors are read from the tableau itself.
 func (c *denseCore) applyPivot(enter, leaveRow int, alpha []float64) bool {
 	s := c.s
 	prow := c.tableau[leaveRow]
@@ -210,4 +199,19 @@ func (c *denseCore) refactorize() bool {
 	copy(s.beta, rhs)
 	copy(s.basis, newBasis)
 	return true
+}
+
+// rawRow writes the unfactorized constraint row i — structural coefficients,
+// the +1 slack, and any artificial columns of that row — into dst, which must
+// be zeroed and of length s.n.
+func (s *simplex) rawRow(i int, dst []float64) {
+	for _, e := range s.prob.Constraints[i].Row {
+		dst[e.Var] += e.Coef
+	}
+	dst[s.nStruct+i] = 1
+	for k, r := range s.artRow {
+		if r == i {
+			dst[s.artStart+k] = s.artSign[k]
+		}
+	}
 }

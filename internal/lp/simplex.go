@@ -20,8 +20,8 @@ const (
 // cold start or dual warm start). The driver owns the problem data, bounds,
 // statuses, basic values and the incrementally maintained reduced-cost row;
 // the tableau quantities every decision needs — entering columns, pivot rows,
-// reduced costs from scratch — come from the pluggable basis-inverse core
-// (sparse revised simplex by default, dense tableau as the legacy baseline).
+// reduced costs from scratch — come from the sparse revised basis-inverse
+// core.
 type simplex struct {
 	m, n    int // constraint and total column counts (structural + slack + artificial)
 	nStruct int // structural variable count
@@ -32,8 +32,8 @@ type simplex struct {
 	cost         []float64 // phase-2 cost per column
 	phase1Cost   []float64 // phase-1 cost per column (1 for artificials)
 
-	coreKind Core
-	core     tableauCore
+	core    tableauCore
+	newCore func(*simplex) tableauCore // Options.newCore, the test-only oracle hook
 
 	beta     []float64   // current values of basic variables, one per row
 	basis    []int       // basic column per row
@@ -43,7 +43,6 @@ type simplex struct {
 
 	colBuf  []float64 // length m: entering tableau column for the current pivot
 	prowBuf []float64 // length n: pivot row for the current pivot
-	tauBuf  []float64 // length n: steepest-edge τ vector
 
 	// forcedInfeasible marks a subproblem whose bound overrides were
 	// contradictory (lower > upper); it is reported as infeasible without
@@ -58,10 +57,6 @@ type simplex struct {
 	iterations int
 	maxIter    int
 	refresh    int
-
-	rule   PivotRule // primal pricing rule
-	devexW []float64 // devex reference weights, lazily initialized
-	steepW []float64 // steepest-edge reference weights γ, lazily initialized
 
 	refactorizations int
 
@@ -182,13 +177,12 @@ func newSimplexBase(p *Problem, opts Options) (*simplex, error) {
 	m := len(p.Constraints)
 	nStruct := len(p.Variables)
 	s := &simplex{
-		m:        m,
-		nStruct:  nStruct,
-		prob:     p,
-		tol:      opts.tolerance(),
-		refresh:  opts.refactorEvery(),
-		rule:     opts.Pivot,
-		coreKind: opts.Core,
+		m:       m,
+		nStruct: nStruct,
+		prob:    p,
+		tol:     opts.tolerance(),
+		refresh: opts.refactorEvery(),
+		newCore: opts.newCore,
 	}
 	s.maxIter = opts.maxIterations(m, nStruct)
 
@@ -244,13 +238,11 @@ func newSimplexBase(p *Problem, opts Options) (*simplex, error) {
 func (s *simplex) initCore() {
 	s.colBuf = make([]float64, s.m)
 	s.prowBuf = make([]float64, s.n)
-	s.tauBuf = make([]float64, s.n)
-	switch s.coreKind {
-	case CoreDense:
-		s.core = newDenseCore(s)
-	default:
-		s.core = newSparseCore(s)
+	if s.newCore != nil {
+		s.core = s.newCore(s)
+		return
 	}
+	s.core = newSparseCore(s)
 }
 
 // refactorize rebuilds the core's basis-inverse representation (and with it
@@ -375,16 +367,6 @@ func (s *simplex) nonbasicValue(j int) float64 {
 	default:
 		return 0
 	}
-}
-
-func clamp(v, lo, up float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > up {
-		return up
-	}
-	return v
 }
 
 func sign(v float64) float64 {

@@ -58,8 +58,8 @@ func (s *simplex) activeCost() []float64 {
 }
 
 // computeReducedCosts recomputes the reduced-cost row from scratch through
-// the core: d_j = c_j − c_Bᵀ·T_j (one BTRAN plus a matrix pass on the sparse
-// core, a dense accumulation on the dense one).
+// the core: d_j = c_j − c_Bᵀ·T_j (one BTRAN plus a pass over the matrix
+// nonzeros).
 func (s *simplex) computeReducedCosts() {
 	c := s.activeCost()
 	if s.reduced == nil || len(s.reduced) != s.n {
@@ -143,19 +143,11 @@ func (s *simplex) iterate() Status {
 
 // chooseEntering returns the entering column and its movement direction
 // (+1 increase, −1 decrease), or (-1, 0) when the current basis is optimal.
-// The configured pivot rule scores the eligible columns; anti-cycling mode
-// overrides it with Bland's rule.
+// Pricing is Dantzig's rule — the largest reduced-cost magnitude wins, lowest
+// index on ties — except in anti-cycling mode, which takes Bland's rule (the
+// first eligible index) until a nondegenerate pivot ends the run. Both are
+// deterministic, so the pivot sequence is a pure function of the problem.
 func (s *simplex) chooseEntering() (int, float64) {
-	useBland := s.useBland || s.rule == PivotBland
-	var weights []float64
-	if !useBland {
-		switch s.rule {
-		case PivotDevex:
-			weights = s.devexWeights()
-		case PivotSteepest:
-			weights = s.steepestWeights()
-		}
-	}
 	best := -1
 	bestScore := 0.0
 	bestDir := 0.0
@@ -188,12 +180,9 @@ func (s *simplex) chooseEntering() (int, float64) {
 		if dir == 0 {
 			continue
 		}
-		if useBland {
+		if s.useBland {
 			// Bland's rule: first eligible index.
 			return j, dir
-		}
-		if weights != nil {
-			score = score * score / weights[j]
 		}
 		if score > bestScore {
 			bestScore = score
@@ -298,12 +287,11 @@ func (s *simplex) applyBoundFlip(enter int, dir, step float64, alpha []float64) 
 // pivot performs a basis exchange: the entering column becomes basic in
 // leaveRow, the previous basic variable of that row leaves at the given
 // bound. alpha is the entering tableau column under the pre-pivot basis (the
-// one the ratio test ran on). The driver updates the basic values, the
-// reduced-cost row (one rank-one update from the pivot row) and the pricing
-// weights itself; the core then installs the exchange — a full elimination on
-// the dense core, one appended eta (with a possible refactorization) on the
-// sparse core. A core-side rebuild replaces beta and the row assignment, so
-// the reduced costs are recomputed from scratch when it happens.
+// one the ratio test ran on). The driver updates the basic values and the
+// reduced-cost row (one rank-one update from the pivot row) itself; the core
+// then installs the exchange — one appended eta, with a possible
+// refactorization. A core-side rebuild replaces beta and the row assignment,
+// so the reduced costs are recomputed from scratch when it happens.
 func (s *simplex) pivot(enter int, dir float64, leaveRow int, bound varStatus, step float64, alpha []float64) {
 	leaving := s.basis[leaveRow]
 
@@ -328,16 +316,6 @@ func (s *simplex) pivot(enter int, dir float64, leaveRow int, bound varStatus, s
 		prow[j] *= inv
 	}
 	prow[enter] = 1
-
-	// Pricing-weight recurrences read the pre-pivot basis inverse (steepest
-	// edge does an extra BTRAN through the core), so they run before the
-	// core installs the exchange.
-	switch s.rule {
-	case PivotDevex:
-		s.updateDevexWeights(enter, leaving, prow, inv)
-	case PivotSteepest:
-		s.updateSteepestWeights(enter, leaving, alpha, prow, inv)
-	}
 
 	// Rank-one update of the reduced costs.
 	dEnter := s.reduced[enter]

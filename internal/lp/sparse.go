@@ -16,7 +16,7 @@ type cscMatrix struct {
 
 // buildCSC assembles the matrix from the raw problem rows, after any
 // artificial columns have been added. Duplicate (row, variable) entries are
-// summed in declaration order, matching the dense rawRow accumulation.
+// summed in declaration order, matching the dense test oracle's raw rows.
 func buildCSC(s *simplex) cscMatrix {
 	// Bucket the structural entries column by column. Rows are visited in
 	// ascending order, so each bucket's rows are non-decreasing and duplicate
@@ -251,20 +251,6 @@ func (c *sparseCore) reducedCosts(cost []float64, dst []float64) {
 	}
 }
 
-func (c *sparseCore) tau(x []float64, dst []float64) {
-	v := c.work
-	copy(v, x)
-	c.etas.btran(v)
-	mat := &c.mat
-	for j := 0; j < c.s.n; j++ {
-		acc := 0.0
-		for k := mat.ptr[j]; k < mat.ptr[j+1]; k++ {
-			acc += mat.val[k] * v[mat.idx[k]]
-		}
-		dst[j] = acc
-	}
-}
-
 // applyPivot appends the product-form update eta for the basis exchange —
 // B_new = B_old·E with E the identity except for column leaveRow = alpha —
 // then refactorizes when the chain hits its cap (Options.RefactorEvery) or
@@ -286,8 +272,8 @@ func (c *sparseCore) applyPivot(enter, leaveRow int, alpha []float64) bool {
 // refactorize rebuilds the eta factorization from the raw matrix and the
 // driver's current basic set, then recomputes the basic values, making the
 // core state a pure function of the basic set. The elimination order mirrors
-// the dense core exactly: unit columns (slacks, artificials) pivot at their
-// home rows in ascending column order, then structural basis columns in
+// the dense test oracle exactly: unit columns (slacks, artificials) pivot at
+// their home rows in ascending column order, then structural basis columns in
 // ascending index order pick their row by partial pivoting — the largest
 // partially-FTRANed magnitude among unassigned rows, lowest row on ties.
 // Returns false (old factorization untouched) when the basis is singular.

@@ -75,9 +75,6 @@ type SolveOptions struct {
 	// (the LP layer guarantees warm and cold solves agree); the switch
 	// exists for benchmarking and as an escape hatch.
 	DisableWarmLP bool
-	// LPOptions are passed to every LP relaxation solve. The pivot rule set
-	// here applies to all of them.
-	LPOptions lp.Options
 	// Logf, when non-nil, receives progress messages.
 	Logf func(format string, args ...interface{})
 }
@@ -130,8 +127,7 @@ type LPStats struct {
 	// DisableWarmLP is set.
 	ColdSolves int
 	// PeakEta is the longest product-form eta chain any node LP carried
-	// between refactorizations of the sparse core (zero on the dense core);
-	// aggregation takes the maximum, not the sum.
+	// between refactorizations; aggregation takes the maximum, not the sum.
 	PeakEta int
 }
 
@@ -419,9 +415,7 @@ search:
 			sols[i], errs[i] = nil, nil
 		}
 		solveNode := func(i int) {
-			lpOpts := opts.LPOptions
-			lpOpts.LowerOverride = batch[i].lower
-			lpOpts.UpperOverride = batch[i].upper
+			lpOpts := lp.Options{LowerOverride: batch[i].lower, UpperOverride: batch[i].upper}
 			if !opts.DisableWarmLP {
 				lpOpts.WarmBasis = batch[i].basis
 			}
@@ -654,9 +648,7 @@ func (m *Model) dive(ctx context.Context, prob *lp.Problem, opts SolveOptions, r
 			trialUpper := copyMap(upper)
 			trialLower[branchVar] = v
 			trialUpper[branchVar] = v
-			lpOpts := opts.LPOptions
-			lpOpts.LowerOverride = trialLower
-			lpOpts.UpperOverride = trialUpper
+			lpOpts := lp.Options{LowerOverride: trialLower, UpperOverride: trialUpper}
 			if !opts.DisableWarmLP {
 				lpOpts.WarmBasis = basis
 			}

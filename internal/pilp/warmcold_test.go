@@ -157,23 +157,16 @@ func TestWarmColdLayoutIdenticalLargeFlow(t *testing.T) {
 		warm1.stats.WarmHits, warm1.stats.Solves())
 }
 
-// TestFingerprintCoversLPOptions pins that the cache key separates pivot
-// rules and warm/cold modes.
-func TestFingerprintCoversLPOptions(t *testing.T) {
-	base := Options{}
-	seen := map[string]string{base.Fingerprint(): "base"}
-	for _, tc := range []struct {
-		name string
-		opts Options
-	}{
-		{"bland", Options{PivotRule: 1}},
-		{"devex", Options{PivotRule: 2}},
-		{"cold", Options{ColdLP: true}},
-	} {
-		fp := tc.opts.Fingerprint()
-		if prev, dup := seen[fp]; dup {
-			t.Errorf("%s and %s share fingerprint %q", tc.name, prev, fp)
-		}
-		seen[fp] = tc.name
+// TestDefaultFingerprintPinned pins the default fingerprint byte for byte.
+// Cache keys, on-disk Dir entries and consistent-hash ring ownership all hash
+// this string, so any change to it orphans every existing cache entry. The
+// warm/cold LP switch must still separate keys.
+func TestDefaultFingerprintPinned(t *testing.T) {
+	const want = "chain=4 maxchain=8 conf=40000 pair=80000 striplimit=5s phaselimit=30s stripnodes=0 p1nodes=0 refine=3 rot=false shard=0 sharditer=5 shardtol=2000 pivot=dantzig core=sparse coldlp=false"
+	if got := (Options{}).Fingerprint(); got != want {
+		t.Errorf("default fingerprint changed:\n got %q\nwant %q", got, want)
+	}
+	if cold := (Options{ColdLP: true}).Fingerprint(); cold == want {
+		t.Errorf("ColdLP does not change the fingerprint: %q", cold)
 	}
 }

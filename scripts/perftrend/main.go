@@ -10,7 +10,7 @@
 // Usage:
 //
 //	go run ./scripts/perftrend pr41.jsonl pr42.jsonl pr43.jsonl
-//	go run ./scripts/perftrend -series lp-dantzig artifacts/*.jsonl
+//	go run ./scripts/perftrend -series lp-warm artifacts/*.jsonl
 package main
 
 import (
