@@ -17,20 +17,12 @@
 // (internal/lp/benchharness): the circuit named by -lp-circuit (a Table 1
 // name, "large"/"largeN", or a .rfic path) is solved with warm-started and
 // with cold LP re-solves at each worker count, the per-run simplex counters
-// are printed as a table (and recorded via -stats-out), and the run exits
-// non-zero when any cell's layout deviates from the rest, when a warm run
-// spends more pivots than its cold baseline, or when the warm-start pivot
-// reduction falls below -lp-min-speedup. With -lp-golden every cell's layout
-// is additionally compared byte-for-byte against a committed golden file.
+// are printed as a table, and the run exits non-zero when any cell's layout
+// deviates from the rest, when a warm run spends more pivots than its cold
+// baseline, or when the warm-start pivot reduction falls below
+// -lp-min-speedup. With -lp-golden every cell's layout is additionally
+// compared byte-for-byte against a committed golden file.
 // CI runs these as the pivot-regression and golden-layout guards.
-//
-// With -cachebench the harness replays a seeded request mix — repeated
-// solves of a small circuit pool, near-duplicate perturbations of pool
-// circuits, and occasional novel circuits — through the same tiered cache
-// (memory LRU in front of a directory tier) the server uses, then reports
-// the hit rate and the wall-clock saved by serving hits from cache. One
-// JSONL summary line goes to -stats-out, so CI's perf-trend folds track
-// cache effectiveness run over run.
 //
 // With -fuzz the harness generates -count seeded random circuits starting at
 // -seed-base (internal/circuits/fuzz: LNA/mixer/PA topologies across aspect,
@@ -67,22 +59,15 @@
 // and byte-identical layouts to a fault-free single-node baseline — including
 // degraded fallback solves and the clean final round after budgets exhaust.
 //
-// With -stats-out FILE every solved job appends one JSON line (circuit,
-// runtime, branch-and-bound nodes, shard count, simplex counters) to FILE,
-// building the perf-trajectory artifact CI archives run over run —
-// scripts/perftrend folds those archives into a per-PR report.
-//
 // Usage:
 //
 //	rficbench -table1 -parallel 4
-//	rficbench -table1 -stats-out solve-stats.jsonl
 //	rficbench -figure7 -outdir out/
 //	rficbench -figure11a
 //	rficbench -figure11b
 //	rficbench -shardguard -shard-size 6 -shard-tol 0.1
 //	rficbench -lp-compare -lp-circuit large -lp-phase1 -lp-min-speedup 1.5
 //	rficbench -lp-compare -lp-circuit mini.rfic -lp-golden testdata/golden/mini.lpcompare.layout
-//	rficbench -cachebench -cache-requests 48 -stats-out cache-stats.jsonl
 //	rficbench -table1 -cpuprofile cpu.pprof -memprofile mem.pprof
 //	rficbench -fuzz -seed-base 1 -count 54 -budget 25 -fuzz-out fuzz.jsonl
 //	rficbench -chaos -fault-seed 42 -chaos-out chaos.jsonl -fault-schedule-out schedule.jsonl
@@ -90,10 +75,8 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -102,13 +85,10 @@ import (
 	"strings"
 	"time"
 
-	"rficlayout/internal/cache"
 	"rficlayout/internal/circuits"
-	"rficlayout/internal/circuits/fuzz"
 	"rficlayout/internal/emsim"
 	"rficlayout/internal/engine"
 	"rficlayout/internal/faultinject"
-	"rficlayout/internal/geom"
 	"rficlayout/internal/layout"
 	"rficlayout/internal/lp/benchharness"
 	"rficlayout/internal/manual"
@@ -128,17 +108,12 @@ func main() {
 	parallel := flag.Int("parallel", 0, "concurrent circuit solves for -table1 (0 = GOMAXPROCS)")
 	shardSize := flag.Int("shard-size", 0, "shard the phase-1 global adjustment into device clusters of at most this size (0 = monolithic; -shardguard requires > 0)")
 	shardTol := flag.Float64("shard-tol", 0.1, "allowed fractional score regression of the sharded run in -shardguard")
-	guardScale := flag.Int("guard-scale", 1, "size multiplier of the synthetic circuit used by -shardguard")
-	statsOut := flag.String("stats-out", "", "append one JSON line of solve stats per job to this file")
 	lpCompare := flag.Bool("lp-compare", false, "run the pivot-level LP benchmark: warm- vs cold-started LP re-solves x worker counts on one circuit")
 	lpCircuit := flag.String("lp-circuit", "large", "circuit for -lp-compare: a Table 1 name, large/largeN, or a .rfic path")
 	lpPhase1 := flag.Bool("lp-phase1", false, "restrict -lp-compare to the phase-1 adjustment (faster on big circuits)")
 	lpMinSpeedup := flag.Float64("lp-min-speedup", 1.0, "minimum warm-start pivot reduction (cold/warm pivots, summed over worker counts) in -lp-compare")
 	lpStripNodes := flag.Int("lp-strip-nodes", 25, "deterministic node budget per per-strip solve in -lp-compare (0 = unlimited); caps searches that would otherwise run into their wall-clock limit at a path-independent point")
 	lpGolden := flag.String("lp-golden", "", "golden layout file for -lp-compare; every cell must match it byte-for-byte")
-	cacheBench := flag.Bool("cachebench", false, "run the cache hit-rate benchmark: a seeded repeated+perturbed request mix through the tiered result cache")
-	cacheRequests := flag.Int("cache-requests", 48, "request count of the -cachebench mix")
-	cacheSeed := flag.Int64("cache-seed", 1, "seed of the -cachebench circuit pool and request mix")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (after a final GC) to this file on exit")
 	fuzzMode := flag.Bool("fuzz", false, "run the seeded circuit fuzzer: generate circuits and run the metamorphic audit battery on each")
@@ -180,35 +155,33 @@ func main() {
 		os.Exit(1)
 	}
 
-	stats, err := newStatsWriter(*statsOut)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rficbench:", err)
-		prof.Stop()
-		os.Exit(1)
-	}
-	defer stats.Close()
 	// os.Exit skips defers, so every early exit below flushes the profiler
-	// (and the stats file) explicitly.
+	// explicitly.
 	fail := func() {
-		stats.Close()
 		prof.Stop()
 		os.Exit(1)
 	}
 
 	if *table1 {
-		runTable1(ctx, opts, *parallel, stats)
+		runTable1(ctx, opts, *parallel)
 	}
 	if *figure7 {
-		runFigure7(ctx, opts, *outDir)
+		if !runFigure7(ctx, opts, *outDir) {
+			fail()
+		}
 	}
 	if *figure11a {
-		runFigure11(ctx, "lna94", opts)
+		if !runFigure11(ctx, "lna94", opts) {
+			fail()
+		}
 	}
 	if *figure11b {
-		runFigure11(ctx, "buffer60", opts)
+		if !runFigure11(ctx, "buffer60", opts) {
+			fail()
+		}
 	}
 	if *shardGuard {
-		if !runShardGuard(ctx, opts, *shardSize, *shardTol, *guardScale, stats) {
+		if !runShardGuard(ctx, opts, *shardSize, *shardTol) {
 			fail()
 		}
 	}
@@ -217,12 +190,7 @@ func main() {
 			circuit: *lpCircuit, phase1Only: *lpPhase1,
 			minSpeedup: *lpMinSpeedup, stripNodes: *lpStripNodes, golden: *lpGolden,
 		}
-		if !runLPCompare(ctx, opts, cfg, stats) {
-			fail()
-		}
-	}
-	if *cacheBench {
-		if !runCacheBench(ctx, opts, *cacheSeed, *cacheRequests, *lpStripNodes, stats) {
+		if !runLPCompare(ctx, opts, cfg) {
 			fail()
 		}
 	}
@@ -240,8 +208,8 @@ func main() {
 			fail()
 		}
 	}
-	if !*table1 && !*figure7 && !*figure11a && !*figure11b && !*shardGuard && !*lpCompare && !*cacheBench && !*fuzzMode && !*chaosMode {
-		fmt.Fprintln(os.Stderr, "nothing to do: pass -table1, -figure7, -figure11a, -figure11b, -shardguard, -lp-compare, -cachebench, -fuzz or -chaos")
+	if !*table1 && !*figure7 && !*figure11a && !*figure11b && !*shardGuard && !*lpCompare && !*fuzzMode && !*chaosMode {
+		fmt.Fprintln(os.Stderr, "nothing to do: pass -table1, -figure7, -figure11a, -figure11b, -shardguard, -lp-compare, -fuzz or -chaos")
 		prof.Stop()
 		os.Exit(2)
 	}
@@ -324,7 +292,7 @@ type lpCompareConfig struct {
 // against the committed golden), no warm cell spending more pivots than its
 // cold baseline, and the warm-start reduction meeting the -lp-min-speedup
 // floor.
-func runLPCompare(ctx context.Context, opts pilp.Options, cfg lpCompareConfig, stats *statsWriter) bool {
+func runLPCompare(ctx context.Context, opts pilp.Options, cfg lpCompareConfig) bool {
 	c, err := loadLPCircuit(cfg.circuit)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rficbench: -lp-circuit:", err)
@@ -362,16 +330,6 @@ func runLPCompare(ctx context.Context, opts pilp.Options, cfg lpCompareConfig, s
 		return false
 	}
 	fmt.Print(rep.Table())
-	for _, run := range rep.Runs {
-		stats.record(solveRecord{
-			Circuit: c.Name, Variant: "lp-" + run.Label(),
-			RuntimeNS: int64(run.Runtime), Nodes: run.Nodes,
-			LPPivots: run.LP.Pivots, LPRefactorizations: run.LP.Refactorizations,
-			LPPeakEta:  run.LP.PeakEta,
-			LPWarmHits: run.LP.WarmHits, LPWarmMisses: run.LP.WarmMisses,
-			LPColdSolves: run.LP.ColdSolves,
-		})
-	}
 	ok := true
 	if ms := rep.Mismatches(); len(ms) > 0 {
 		for _, m := range ms {
@@ -408,192 +366,6 @@ func runLPCompare(ctx context.Context, opts pilp.Options, cfg lpCompareConfig, s
 	return ok
 }
 
-// runCacheBench replays a deterministic request mix through the tiered
-// result cache and reports its hit rate. The mix models production traffic:
-// most requests repeat a circuit from a small hot pool (cache hits after the
-// first solve), some are near-duplicate perturbations of a pool circuit (a
-// microstrip's target length nudged, so the content address — and therefore
-// the cache line — changes), and a few are novel circuits. Solves use the
-// same deterministic node budgets as -lp-compare so the benchmark is about
-// cache behaviour, not solver wall-clock variance.
-func runCacheBench(ctx context.Context, opts pilp.Options, seed int64, requests, stripNodes int, stats *statsWriter) bool {
-	opts.ChainPoints = 2
-	opts.MaxChainPoints = 3
-	opts.MaxRefineIterations = -1
-	opts.StripNodeLimit = stripNodes
-
-	dir, err := os.MkdirTemp("", "rficbench-cache-*")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rficbench: -cachebench:", err)
-		return false
-	}
-	defer os.RemoveAll(dir)
-	disk, err := cache.NewDir(dir)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rficbench: -cachebench:", err)
-		return false
-	}
-	// The LRU tier is sized below the pool so the benchmark exercises both
-	// tiers: evicted pool circuits come back as disk hits and re-promote.
-	const poolSize = 6
-	tier := cache.NewTiered(cache.NewLRU(poolSize-2, cache.DefaultMaxBytes), disk)
-
-	type request struct {
-		c    *netlist.Circuit
-		kind string
-	}
-	// The whole request sequence is derived up front from the seed, so the
-	// mix is reproducible run over run.
-	rng := rand.New(rand.NewSource(seed))
-	pool := make([]*netlist.Circuit, poolSize)
-	for i := range pool {
-		pool[i], _ = fuzz.Generate(seed + int64(i))
-	}
-	novel := 0
-	mix := make([]request, requests)
-	for i := range mix {
-		switch roll := rng.Float64(); {
-		case roll < 0.60: // repeat: straight re-request of a pool circuit
-			mix[i] = request{pool[rng.Intn(poolSize)], "repeat"}
-		case roll < 0.85: // perturbed: pool circuit with one strip length nudged
-			k := rng.Intn(poolSize)
-			c, _ := fuzz.Generate(seed + int64(k))
-			ms := c.Microstrips[rng.Intn(len(c.Microstrips))]
-			ms.TargetLength += geom.Micron * geom.Coord(1+rng.Intn(4))
-			mix[i] = request{c, "perturbed"}
-		default: // novel: a circuit outside the pool entirely
-			novel++
-			c, _ := fuzz.Generate(seed + 1000 + int64(novel))
-			mix[i] = request{c, "novel"}
-		}
-	}
-
-	fmt.Printf("cachebench: %d requests over a pool of %d circuits (seed %d)\n", requests, poolSize, seed)
-	var solved, saved time.Duration
-	start := time.Now()
-	kinds := map[string]int{}
-	for i, req := range mix {
-		if ctx.Err() != nil {
-			fmt.Fprintln(os.Stderr, "rficbench: -cachebench: cancelled")
-			return false
-		}
-		kinds[req.kind]++
-		key := cache.Key(req.c, opts)
-		if e, ok := tier.Get(key); ok {
-			saved += e.Runtime
-			continue
-		}
-		res, err := pilp.GenerateCtx(ctx, req.c, opts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rficbench: -cachebench: request %d (%s): %v\n", i, req.kind, err)
-			return false
-		}
-		solved += res.Runtime
-		tier.Put(key, cache.Entry{
-			Circuit: req.c.Name,
-			Layout:  []byte(layout.Format(res.Layout)),
-			Runtime: res.Runtime,
-			Nodes:   res.Nodes,
-			Shards:  len(res.Shards),
-			LP:      res.LP,
-		})
-	}
-	elapsed := time.Since(start)
-
-	st := tier.Stats()
-	hitRate := 0.0
-	if st.Hits+st.Misses > 0 {
-		hitRate = float64(st.Hits) / float64(st.Hits+st.Misses)
-	}
-	fmt.Printf("cachebench: mix repeat=%d perturbed=%d novel=%d\n", kinds["repeat"], kinds["perturbed"], kinds["novel"])
-	fmt.Printf("cachebench: hits %d, misses %d (hit rate %.1f%%), evictions %d\n",
-		st.Hits, st.Misses, 100*hitRate, st.Evictions)
-	fmt.Printf("cachebench: solving spent %v, cache saved %v (run total %v)\n",
-		solved.Round(time.Millisecond), saved.Round(time.Millisecond), elapsed.Round(time.Millisecond))
-	stats.record(solveRecord{
-		Circuit: "cachebench", Variant: fmt.Sprintf("cachebench-s%d-r%d", seed, requests),
-		RuntimeNS: int64(elapsed), Nodes: 0,
-		CacheHits: st.Hits, CacheMisses: st.Misses, CacheHitRate: hitRate,
-		CacheSavedNS: int64(saved),
-	})
-	// The guard is intentionally loose — the mix is seeded, so the floor is a
-	// sanity check that the cache is wired in at all, not a tuned threshold:
-	// every straight repeat after its first solve must hit.
-	if st.Hits == 0 && requests > poolSize {
-		fmt.Fprintln(os.Stderr, "rficbench: -cachebench: zero cache hits on a repeating mix")
-		return false
-	}
-	fmt.Println("cachebench: OK")
-	return true
-}
-
-// statsWriter appends one JSON document per line to a file (JSONL), the
-// accumulating perf-trajectory format the CI bench artifacts collect. A nil
-// receiver (no -stats-out) drops every record.
-type statsWriter struct {
-	f   *os.File
-	enc *json.Encoder
-}
-
-// solveRecord is one JSONL line of solve stats. The lp_* fields carry the
-// simplex-level effort counters; they are zero (and omitted) for records
-// written by modes that predate them.
-type solveRecord struct {
-	Circuit            string  `json:"circuit"`
-	Variant            string  `json:"variant,omitempty"` // e.g. "small-area", "monolithic", "lp-warm-w1"
-	RuntimeNS          int64   `json:"runtime_ns"`
-	Phase1NS           int64   `json:"phase1_ns,omitempty"`
-	Nodes              int     `json:"nodes"`
-	Shards             int     `json:"shards"`
-	Score              float64 `json:"score"`
-	LPPivots           int     `json:"lp_pivots,omitempty"`
-	LPRefactorizations int     `json:"lp_refactorizations,omitempty"`
-	LPPeakEta          int     `json:"lp_peak_eta,omitempty"`
-	LPWarmHits         int     `json:"lp_warm_hits,omitempty"`
-	LPWarmMisses       int     `json:"lp_warm_misses,omitempty"`
-	LPColdSolves       int     `json:"lp_cold_solves,omitempty"`
-	// The cache_* fields carry the -cachebench summary; zero (and omitted)
-	// everywhere else.
-	CacheHits    int64   `json:"cache_hits,omitempty"`
-	CacheMisses  int64   `json:"cache_misses,omitempty"`
-	CacheHitRate float64 `json:"cache_hit_rate,omitempty"`
-	CacheSavedNS int64   `json:"cache_saved_ns,omitempty"`
-}
-
-func newStatsWriter(path string) (*statsWriter, error) {
-	if path == "" {
-		return nil, nil
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("opening -stats-out file: %w", err)
-	}
-	return &statsWriter{f: f, enc: json.NewEncoder(f)}, nil
-}
-
-func (w *statsWriter) record(rec solveRecord) {
-	if w == nil {
-		return
-	}
-	_ = w.enc.Encode(rec)
-}
-
-func (w *statsWriter) Close() {
-	if w != nil && w.f != nil {
-		_ = w.f.Close()
-		w.f = nil
-	}
-}
-
-// phase1Elapsed reads the wall-clock of phase 1 (construction + global
-// adjustment) from the flow's snapshots.
-func phase1Elapsed(res *pilp.Result) time.Duration {
-	if len(res.Snapshots) == 0 {
-		return 0
-	}
-	return res.Snapshots[0].Elapsed
-}
-
 // runShardGuard runs phase 1 (construct + global adjustment) of the
 // synthetic large circuit with the monolithic and the sharded solver —
 // pilp.AdjustPhase1 isolates exactly the subsystem the sharding refactor
@@ -602,12 +374,12 @@ func phase1Elapsed(res *pilp.Result) time.Duration {
 // byte-identical layouts across 1 and 4 workers, and a phase-1 score within
 // (1+tol)·monolithic plus one bend of absolute slack (so a perfect-score
 // baseline does not make every nonzero score a failure).
-func runShardGuard(ctx context.Context, opts pilp.Options, shardSize int, tol float64, scale int, stats *statsWriter) bool {
+func runShardGuard(ctx context.Context, opts pilp.Options, shardSize int, tol float64) bool {
 	if shardSize <= 0 {
 		fmt.Fprintln(os.Stderr, "rficbench: -shardguard requires -shard-size > 0")
 		return false
 	}
-	c := circuits.Build(circuits.LargeSpec(scale))
+	c := circuits.Build(circuits.LargeSpec(1))
 	fmt.Printf("shardguard: %s\n", c.Stats())
 
 	mono := opts
@@ -618,11 +390,6 @@ func runShardGuard(ctx context.Context, opts pilp.Options, shardSize int, tol fl
 		return false
 	}
 	monoScore := pilp.Score(monoRes.Layout)
-	stats.record(solveRecord{
-		Circuit: c.Name, Variant: "phase1-monolithic",
-		RuntimeNS: int64(monoRes.Runtime), Phase1NS: int64(monoRes.Runtime),
-		Nodes: monoRes.Nodes, Score: monoScore,
-	})
 
 	sharded := opts
 	sharded.ShardSize = shardSize
@@ -644,11 +411,6 @@ func runShardGuard(ctx context.Context, opts pilp.Options, shardSize int, tol fl
 		return false
 	}
 	shardScore := pilp.Score(shardRes.Layout)
-	stats.record(solveRecord{
-		Circuit: c.Name, Variant: "phase1-sharded",
-		RuntimeNS: int64(shardRes.Runtime), Phase1NS: int64(shardRes.Runtime),
-		Nodes: shardRes.Nodes, Shards: len(shardRes.Shards), Score: shardScore,
-	})
 
 	speedup := 0.0
 	if shardRes.Runtime > 0 {
@@ -678,7 +440,7 @@ func buildCircuit(spec circuits.Spec, small bool) *netlist.Circuit {
 	return circuits.Build(spec)
 }
 
-func runTable1(ctx context.Context, opts pilp.Options, parallel int, stats *statsWriter) {
+func runTable1(ctx context.Context, opts pilp.Options, parallel int) {
 	type cell struct {
 		spec  circuits.Spec
 		small bool
@@ -723,15 +485,6 @@ func runTable1(ctx context.Context, opts pilp.Options, parallel int, stats *stat
 			fmt.Fprintf(os.Stderr, "rficbench: %s: %v\n", r.Name, r.Err)
 			continue
 		}
-		variant := ""
-		if cl.small {
-			variant = "small-area"
-		}
-		stats.record(solveRecord{
-			Circuit: cl.spec.Name, Variant: variant,
-			RuntimeNS: int64(r.Result.Runtime), Phase1NS: int64(phase1Elapsed(r.Result)),
-			Nodes: r.Nodes, Shards: len(r.Shards), Score: pilp.Score(r.Result.Layout),
-		})
 		m := r.Result.Layout.Metrics()
 		row.PILPMaxBends = m.MaxBends
 		row.PILPTotalBends = m.TotalBends
@@ -742,40 +495,45 @@ func runTable1(ctx context.Context, opts pilp.Options, parallel int, stats *stat
 	fmt.Print(report.FormatTable1(rows))
 }
 
-func runFigure7(ctx context.Context, opts pilp.Options, outDir string) {
+// runFigure7 writes the Figure 7 phase snapshots of the 94 GHz LNA as SVG
+// files and reports whether every solve and write succeeded.
+func runFigure7(ctx context.Context, opts pilp.Options, outDir string) bool {
 	spec, _ := circuits.BySpecName("lna94")
 	c := circuits.Build(spec)
 	res, err := pilp.GenerateCtx(ctx, c, opts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rficbench:", err)
-		os.Exit(1)
+		return false
 	}
 	for i, snap := range res.Snapshots {
 		path := filepath.Join(outDir, fmt.Sprintf("figure7_%d_%s.svg", i+1, snap.Phase))
 		if err := layout.SaveSVG(path, snap.Layout, layout.SVGOptions{ShowLabels: true, Title: snap.Phase}); err != nil {
 			fmt.Fprintln(os.Stderr, "rficbench:", err)
-			os.Exit(1)
+			return false
 		}
 		fmt.Printf("%s: %s (violations %d) → %s\n", snap.Phase, snap.Metrics, snap.Violations, path)
 	}
+	return true
 }
 
-func runFigure11(ctx context.Context, name string, opts pilp.Options) {
+// runFigure11 prints the S-parameter sweeps of the manual and the P-ILP
+// layout of one circuit and reports whether both layouts were produced.
+func runFigure11(ctx context.Context, name string, opts pilp.Options) bool {
 	spec, err := circuits.BySpecName(name)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rficbench:", err)
-		os.Exit(1)
+		return false
 	}
 	c := circuits.Build(spec)
 	ml, err := manual.Generate(c, manual.Options{})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rficbench:", err)
-		os.Exit(1)
+		return false
 	}
 	res, err := pilp.GenerateCtx(ctx, c, opts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rficbench:", err)
-		os.Exit(1)
+		return false
 	}
 	freqs := emsim.Sweep(spec.Frequency, 51)
 	manualRF := emsim.SimulateLayout(ml, freqs, spec.Frequency)
@@ -784,4 +542,5 @@ func runFigure11(ctx context.Context, name string, opts pilp.Options) {
 	fmt.Print(report.FormatSweep(fmt.Sprintf("%s P-ILP layout", spec.Name), pilpRF))
 	fmt.Printf("# gain at %.0f GHz: manual %.3f dB, P-ILP %.3f dB\n",
 		spec.Frequency, emsim.GainAt(manualRF, spec.Frequency), emsim.GainAt(pilpRF, spec.Frequency))
+	return true
 }

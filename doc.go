@@ -1,7 +1,9 @@
 // Command rficlayout-bench is a thin wrapper so the repository root builds as
-// a package; the actual experiment harness lives in bench_test.go (run with
-// "go test -bench=.") and in cmd/rficbench. Running this binary just points
-// at those entry points.
+// a package. The measurements live elsewhere: the benchmark (Table 1,
+// refinement and serving workloads with per-layer traces and layout goldens)
+// runs with "bash bench/run.sh", and cmd/rficbench regenerates the paper's
+// Table 1, Figure 7 and Figure 11 artifacts and runs the CI guards. Running
+// this binary just points at those entry points.
 //
 // # Architecture
 //
@@ -193,6 +195,7 @@ package main
 import "fmt"
 
 func main() {
-	fmt.Println("rficlayout: run 'go test -bench=. -benchmem' for the experiment harness,")
-	fmt.Println("or use the tools under cmd/ (rficgen, rficbench).")
+	fmt.Println("rficlayout: run 'bash bench/run.sh' for the benchmark,")
+	fmt.Println("'go run ./cmd/rficbench' for the paper's tables and figures,")
+	fmt.Println("or use the other tools under cmd/ (rficgen, rficserve).")
 }
