@@ -13,17 +13,6 @@
 // worker counts, and exits non-zero when the sharded layout score regresses
 // beyond -shard-tol. CI runs this as the sharding guard.
 //
-// With -lp-compare the harness runs the pivot-level benchmark
-// (internal/lp/benchharness): the circuit named by -lp-circuit (a Table 1
-// name, "large"/"largeN", or a .rfic path) is solved with warm-started and
-// with cold LP re-solves at each worker count, the per-run simplex counters
-// are printed as a table, and the run exits non-zero when any cell's layout
-// deviates from the rest, when a warm run spends more pivots than its cold
-// baseline, or when the warm-start pivot reduction falls below
-// -lp-min-speedup. With -lp-golden every cell's layout is additionally
-// compared byte-for-byte against a committed golden file.
-// CI runs these as the pivot-regression and golden-layout guards.
-//
 // With -fuzz the harness generates -count seeded random circuits starting at
 // -seed-base (internal/circuits/fuzz: LNA/mixer/PA topologies across aspect,
 // strip-length and symmetry regimes) and runs the metamorphic audit battery
@@ -66,8 +55,6 @@
 //	rficbench -figure11a
 //	rficbench -figure11b
 //	rficbench -shardguard -shard-size 6 -shard-tol 0.1
-//	rficbench -lp-compare -lp-circuit large -lp-phase1 -lp-min-speedup 1.5
-//	rficbench -lp-compare -lp-circuit mini.rfic -lp-golden testdata/golden/mini.lpcompare.layout
 //	rficbench -table1 -cpuprofile cpu.pprof -memprofile mem.pprof
 //	rficbench -fuzz -seed-base 1 -count 54 -budget 25 -fuzz-out fuzz.jsonl
 //	rficbench -chaos -fault-seed 42 -chaos-out chaos.jsonl -fault-schedule-out schedule.jsonl
@@ -82,7 +69,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 	"time"
 
 	"rficlayout/internal/circuits"
@@ -90,7 +76,6 @@ import (
 	"rficlayout/internal/engine"
 	"rficlayout/internal/faultinject"
 	"rficlayout/internal/layout"
-	"rficlayout/internal/lp/benchharness"
 	"rficlayout/internal/manual"
 	"rficlayout/internal/netlist"
 	"rficlayout/internal/pilp"
@@ -108,12 +93,6 @@ func main() {
 	parallel := flag.Int("parallel", 0, "concurrent circuit solves for -table1 (0 = GOMAXPROCS)")
 	shardSize := flag.Int("shard-size", 0, "shard the phase-1 global adjustment into device clusters of at most this size (0 = monolithic; -shardguard requires > 0)")
 	shardTol := flag.Float64("shard-tol", 0.1, "allowed fractional score regression of the sharded run in -shardguard")
-	lpCompare := flag.Bool("lp-compare", false, "run the pivot-level LP benchmark: warm- vs cold-started LP re-solves x worker counts on one circuit")
-	lpCircuit := flag.String("lp-circuit", "large", "circuit for -lp-compare: a Table 1 name, large/largeN, or a .rfic path")
-	lpPhase1 := flag.Bool("lp-phase1", false, "restrict -lp-compare to the phase-1 adjustment (faster on big circuits)")
-	lpMinSpeedup := flag.Float64("lp-min-speedup", 1.0, "minimum warm-start pivot reduction (cold/warm pivots, summed over worker counts) in -lp-compare")
-	lpStripNodes := flag.Int("lp-strip-nodes", 25, "deterministic node budget per per-strip solve in -lp-compare (0 = unlimited); caps searches that would otherwise run into their wall-clock limit at a path-independent point")
-	lpGolden := flag.String("lp-golden", "", "golden layout file for -lp-compare; every cell must match it byte-for-byte")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (after a final GC) to this file on exit")
 	fuzzMode := flag.Bool("fuzz", false, "run the seeded circuit fuzzer: generate circuits and run the metamorphic audit battery on each")
@@ -185,15 +164,6 @@ func main() {
 			fail()
 		}
 	}
-	if *lpCompare {
-		cfg := lpCompareConfig{
-			circuit: *lpCircuit, phase1Only: *lpPhase1,
-			minSpeedup: *lpMinSpeedup, stripNodes: *lpStripNodes, golden: *lpGolden,
-		}
-		if !runLPCompare(ctx, opts, cfg) {
-			fail()
-		}
-	}
 	if *fuzzMode {
 		if !runFuzz(ctx, *seedBase, *fuzzCount, *fuzzBudget, *fuzzChecks, *fuzzOut, *fuzzFixtures) {
 			fail()
@@ -208,8 +178,8 @@ func main() {
 			fail()
 		}
 	}
-	if !*table1 && !*figure7 && !*figure11a && !*figure11b && !*shardGuard && !*lpCompare && !*fuzzMode && !*chaosMode {
-		fmt.Fprintln(os.Stderr, "nothing to do: pass -table1, -figure7, -figure11a, -figure11b, -shardguard, -lp-compare, -fuzz or -chaos")
+	if !*table1 && !*figure7 && !*figure11a && !*figure11b && !*shardGuard && !*fuzzMode && !*chaosMode {
+		fmt.Fprintln(os.Stderr, "nothing to do: pass -table1, -figure7, -figure11a, -figure11b, -shardguard, -fuzz or -chaos")
 		prof.Stop()
 		os.Exit(2)
 	}
@@ -262,108 +232,6 @@ func (p *profiler) Stop() {
 		}
 		_ = f.Close()
 	}
-}
-
-// loadLPCircuit resolves the -lp-circuit argument: a path to a .rfic netlist
-// is parsed from disk, anything else goes through the named-spec registry
-// (Table 1 names plus the large synthetics).
-func loadLPCircuit(name string) (*netlist.Circuit, error) {
-	if strings.HasSuffix(name, ".rfic") {
-		return netlist.ParseFile(name)
-	}
-	spec, err := circuits.BySpecName(name)
-	if err != nil {
-		return nil, err
-	}
-	return circuits.Build(spec), nil
-}
-
-// lpCompareConfig carries the -lp-* flag values into runLPCompare.
-type lpCompareConfig struct {
-	circuit    string
-	phase1Only bool
-	minSpeedup float64 // warm-start pivot-reduction floor
-	stripNodes int
-	golden     string // golden layout path (empty = cross-cell check only)
-}
-
-// runLPCompare runs the pivot-level warm/cold comparison and applies the
-// guards: byte-identical layouts across every cell (and, with -lp-golden,
-// against the committed golden), no warm cell spending more pivots than its
-// cold baseline, and the warm-start reduction meeting the -lp-min-speedup
-// floor.
-func runLPCompare(ctx context.Context, opts pilp.Options, cfg lpCompareConfig) bool {
-	c, err := loadLPCircuit(cfg.circuit)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rficbench: -lp-circuit:", err)
-		return false
-	}
-	var golden string
-	if cfg.golden != "" {
-		b, err := os.ReadFile(cfg.golden)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rficbench: -lp-golden:", err)
-			return false
-		}
-		golden = string(b)
-	}
-	// The comparison needs a converging, deterministic branch-and-bound
-	// workload, not a production-quality layout: restrict the chain-point
-	// growth, skip the phase-3 refinement (whose junction escalations
-	// dwarf everything else on big circuits), and cap each per-strip
-	// search by node count, so every cell of the matrix finishes well
-	// inside its wall-clock limits (a binding time limit cuts the search
-	// at a wall-clock-dependent point, which would void the byte-equality
-	// guard; a binding node budget cuts it at a path-independent one).
-	opts.ChainPoints = 2
-	opts.MaxChainPoints = 3
-	opts.MaxRefineIterations = -1
-	opts.StripNodeLimit = cfg.stripNodes
-	fmt.Printf("lp-compare: %s\n", c.Stats())
-	rep, err := benchharness.Compare(ctx, benchharness.Config{
-		Circuit:    c,
-		Options:    opts,
-		Phase1Only: cfg.phase1Only,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rficbench:", err)
-		return false
-	}
-	fmt.Print(rep.Table())
-	ok := true
-	if ms := rep.Mismatches(); len(ms) > 0 {
-		for _, m := range ms {
-			fmt.Fprintln(os.Stderr, "rficbench: layout mismatch:", m)
-		}
-		ok = false
-	}
-	if golden != "" {
-		matched := true
-		for _, run := range rep.Runs {
-			if run.Layout != golden {
-				fmt.Fprintf(os.Stderr, "rficbench: %s deviates from golden %s\n", run.Label(), cfg.golden)
-				matched = false
-			}
-		}
-		if matched {
-			fmt.Printf("lp-compare: all %d cells match golden %s\n", len(rep.Runs), cfg.golden)
-		}
-		ok = ok && matched
-	}
-	if regs := rep.Regressions(); len(regs) > 0 {
-		for _, r := range regs {
-			fmt.Fprintln(os.Stderr, "rficbench: pivot regression:", r)
-		}
-		ok = false
-	}
-	if red := rep.PivotReduction(); red < cfg.minSpeedup {
-		fmt.Fprintf(os.Stderr, "rficbench: warm-start pivot reduction %.2fx below the %.2fx floor\n", red, cfg.minSpeedup)
-		ok = false
-	}
-	if ok {
-		fmt.Println("lp-compare: OK")
-	}
-	return ok
 }
 
 // runShardGuard runs phase 1 (construct + global adjustment) of the

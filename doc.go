@@ -67,9 +67,6 @@
 //	                             tableau oracle. Bases are exportable for warm
 //	                             starts, and warm and cold solves return the
 //	                             byte-identical canonical vertex
-//	internal/lp/benchharness     pivot-level warm/cold benchmark behind
-//	                             rficbench -lp-compare: warm/cold × workers,
-//	                             byte-equality and pivot-regression checks
 //	internal/faultinject         seeded deterministic fault-injection registry
 //	                             (named points, per-point probability/budget);
 //	                             a fixed seed replays the identical fault

@@ -85,8 +85,9 @@ type Options struct {
 	// ColdLP disables warm-started LP re-solves inside branch-and-bound:
 	// every node LP solves from scratch instead of reusing its parent's
 	// basis. The layout is identical either way (the determinism contract
-	// covers warm starts); the flag exists so harnesses (rficbench
-	// -lp-compare) can measure the warm-start saving.
+	// covers warm starts); the flag exists so the warm/cold tests and the
+	// audit battery's warm-vs-cold check can hold the two paths against
+	// each other.
 	ColdLP bool
 	// AcceptPartial switches GenerateCtx from fail-on-cancellation to anytime
 	// degradation: when the flow's context is cancelled between phases, the

@@ -5,8 +5,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"rficlayout/internal/layout"
 )
 
 // cancelOn returns a Logf hook that cancels the context the first time a
@@ -91,37 +89,14 @@ func TestGenerateCtxStrictCancellationStillFails(t *testing.T) {
 
 // TestAcceptPartialExcludedFromFingerprint pins the cache-key contract:
 // AcceptPartial cannot change a completed layout, and partial results are
-// never cached, so the flag must not split the key space.
+// never cached, so the flag must not split the key space. The other half —
+// an uncancelled AcceptPartial run returns the byte-identical layout with
+// Partial unset — is a cell of TestWarmColdLayoutIdenticalFlow.
 func TestAcceptPartialExcludedFromFingerprint(t *testing.T) {
 	a := fastOptions()
 	b := fastOptions()
 	b.AcceptPartial = true
 	if a.Fingerprint() != b.Fingerprint() {
 		t.Errorf("AcceptPartial changed the fingerprint:\n%s\n%s", a.Fingerprint(), b.Fingerprint())
-	}
-}
-
-// TestAcceptPartialCompletedRunIdentical checks the other half of that
-// contract: when nothing cancels, AcceptPartial produces the byte-identical
-// result of a plain run, with Partial unset.
-func TestAcceptPartialCompletedRunIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("two full flows")
-	}
-	plain, err := Generate(cascadeCircuit(), fastOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := fastOptions()
-	opts.AcceptPartial = true
-	anytime, err := Generate(cascadeCircuit(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if anytime.Partial {
-		t.Fatal("uncancelled AcceptPartial run marked partial")
-	}
-	if layout.Format(anytime.Layout) != layout.Format(plain.Layout) {
-		t.Error("AcceptPartial changed the layout of a completed run")
 	}
 }

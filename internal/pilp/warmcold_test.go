@@ -2,6 +2,8 @@ package pilp
 
 import (
 	"context"
+	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -11,47 +13,151 @@ import (
 	"rficlayout/internal/netlist"
 )
 
+// minPivotReduction is the floor on cold over warm pivots, summed across
+// worker counts, that warm-started dual simplex must keep clearing.
+const minPivotReduction = 1.5
+
+// testdataCircuit parses a netlist from the repository's testdata directory.
+func testdataCircuit(t *testing.T, name string) *netlist.Circuit {
+	t.Helper()
+	c, err := netlist.ParseFile(filepath.Join("..", "..", "testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// goldenOptions are the options the committed
+// testdata/golden/<name>.lpcompare.layout files were produced under: few
+// chain points, no refinement and a node budget on every per-strip search,
+// so each search stops at a path-independent point long before its
+// wall-clock limit.
+func goldenOptions() Options {
+	return Options{
+		ChainPoints:         2,
+		MaxChainPoints:      3,
+		StripTimeLimit:      30 * time.Second,
+		MaxRefineIterations: -1,
+		StripNodeLimit:      25,
+	}
+}
+
 // TestWarmColdLayoutIdenticalFlow is the flow-level half of the warm-start
-// determinism contract: the full three-phase flow must produce the
-// byte-identical layout whether branch-and-bound LPs reuse parent bases or
-// solve cold, while the warm run actually reuses bases. The mini circuit is
-// the one full-flow input whose solves never hit a time limit (binding
-// limits are the one legitimate source of nondeterminism, so they would
-// void the comparison).
+// determinism contract. Each case runs the full three-phase flow cold and
+// warm at 1 and 4 workers, plus one warm run with AcceptPartial set, and
+// requires:
+//   - the byte-identical layout from every run: for the testdata fixtures
+//     the committed golden, for the in-Go mini circuit the first run's;
+//   - the same branch-and-bound node count from every run;
+//   - no warm LPs counted by a cold run, and reused bases in every warm run;
+//   - at each worker count no more warm pivots than cold, and cold over
+//     warm pivots of at least minPivotReduction across both;
+//   - Partial unset on the AcceptPartial run, which nothing cancels.
+//
+// No case may hit a time limit: a binding limit cuts a search at a
+// wall-clock-dependent point, the one legitimate source of
+// nondeterminism, and would void the comparison. The fixtures bound each
+// strip search by a node budget instead; the in-Go mini circuit converges
+// inside its limits even with phase-3 refinement on, which makes it the
+// slow, long-tier case.
 func TestWarmColdLayoutIdenticalFlow(t *testing.T) {
-	if testing.Short() {
-		t.Skip("two full flow runs in -short mode")
+	cases := []struct {
+		name    string
+		circuit func(*testing.T) *netlist.Circuit
+		opts    Options
+		golden  string // file under testdata/golden; "" compares the runs with the first
+		long    bool   // skipped in -short mode
+	}{
+		{
+			name:    "mini.rfic",
+			circuit: func(t *testing.T) *netlist.Circuit { return testdataCircuit(t, "mini.rfic") },
+			opts:    goldenOptions(),
+			golden:  "mini.lpcompare.layout",
+		},
+		{
+			name:    "twostage.rfic",
+			circuit: func(t *testing.T) *netlist.Circuit { return testdataCircuit(t, "twostage.rfic") },
+			opts:    goldenOptions(),
+			golden:  "twostage.lpcompare.layout",
+		},
+		{
+			name:    "mini-refine",
+			circuit: func(*testing.T) *netlist.Circuit { return miniCircuit() },
+			opts:    miniOptions(),
+			long:    true,
+		},
 	}
-	c := miniCircuit()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.long && testing.Short() {
+				t.Skip("refinement flows in -short mode")
+			}
+			c := tc.circuit(t)
+			want, ref := "", "the first run"
+			if tc.golden != "" {
+				path := filepath.Join("..", "..", "testdata", "golden", tc.golden)
+				b, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, ref = string(b), "golden "+path
+			}
+			nodes := -1
+			solve := func(label string, opts Options) *Result {
+				t.Helper()
+				res, err := Generate(c, opts)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if got := layout.Format(res.Layout); want == "" {
+					want = got
+				} else if got != want {
+					t.Errorf("%s: layout differs from %s", label, ref)
+				}
+				if nodes < 0 {
+					nodes = res.Nodes
+				} else if res.Nodes != nodes {
+					t.Errorf("%s explored %d nodes, the first run %d: search shape changed", label, res.Nodes, nodes)
+				}
+				if res.Partial {
+					t.Errorf("%s: uncancelled run marked partial", label)
+				}
+				return res
+			}
 
-	warm, err := Generate(c, miniOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	coldOpts := miniOptions()
-	coldOpts.ColdLP = true
-	cold, err := Generate(c, coldOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
+			var coldPivots, warmPivots int
+			for _, workers := range []int{1, 4} {
+				opts := tc.opts
+				opts.Workers = workers
+				opts.ColdLP = true
+				cold := solve(fmt.Sprintf("cold-w%d", workers), opts)
+				opts.ColdLP = false
+				warm := solve(fmt.Sprintf("warm-w%d", workers), opts)
 
-	if layout.Format(warm.Layout) != layout.Format(cold.Layout) {
-		t.Error("warm and cold flows produced different layouts")
+				if cold.LP.WarmHits != 0 || cold.LP.WarmMisses != 0 {
+					t.Errorf("cold-w%d counted warm LPs: %+v", workers, cold.LP)
+				}
+				if warm.LP.WarmHits == 0 {
+					t.Errorf("warm-w%d never reused a basis: %+v", workers, warm.LP)
+				}
+				if warm.LP.Pivots > cold.LP.Pivots {
+					t.Errorf("warm-w%d spent %d pivots, cold baseline %d", workers, warm.LP.Pivots, cold.LP.Pivots)
+				}
+				coldPivots += cold.LP.Pivots
+				warmPivots += warm.LP.Pivots
+				t.Logf("w%d pivots: cold %d, warm %d, warm hits %d/%d LPs",
+					workers, cold.LP.Pivots, warm.LP.Pivots, warm.LP.WarmHits, warm.LP.Solves())
+			}
+			if red := float64(coldPivots) / float64(warmPivots); red < minPivotReduction {
+				t.Errorf("warm-start pivot reduction %.2fx below the %.1fx floor", red, minPivotReduction)
+			}
+
+			opts := tc.opts
+			opts.Workers = 4
+			opts.AcceptPartial = true
+			solve("warm-w4 AcceptPartial", opts)
+		})
 	}
-	if warm.Nodes != cold.Nodes {
-		t.Errorf("warm flow explored %d nodes, cold %d — search shape changed", warm.Nodes, cold.Nodes)
-	}
-	if warm.LP.WarmHits == 0 {
-		t.Errorf("warm flow never reused a basis: %+v", warm.LP)
-	}
-	if cold.LP.WarmHits != 0 || cold.LP.WarmMisses != 0 {
-		t.Errorf("cold flow counted warm LPs: %+v", cold.LP)
-	}
-	if warm.LP.Pivots >= cold.LP.Pivots {
-		t.Errorf("warm starts saved no pivots: warm %d, cold %d", warm.LP.Pivots, cold.LP.Pivots)
-	}
-	t.Logf("mini flow pivots: cold %d, warm %d, warm hits %d/%d LPs",
-		cold.LP.Pivots, warm.LP.Pivots, warm.LP.WarmHits, warm.LP.Solves())
 }
 
 // TestWarmColdLayoutIdenticalTwostagePhase1 pins the contract on the repo's
@@ -60,10 +166,7 @@ func TestWarmColdLayoutIdenticalFlow(t *testing.T) {
 // phase 1 — construction plus the global adjustment — which converges well
 // inside a generous limit.
 func TestWarmColdLayoutIdenticalTwostagePhase1(t *testing.T) {
-	c, err := netlist.ParseFile(filepath.Join("..", "..", "testdata", "twostage.rfic"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := testdataCircuit(t, "twostage.rfic")
 	base := Options{PhaseTimeLimit: 2 * time.Minute}
 
 	warm, err := AdjustPhase1(context.Background(), c, base)
