@@ -5,6 +5,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"rficlayout/internal/layout"
 )
 
 // cancelOn returns a Logf hook that cancels the context the first time a
@@ -89,14 +91,38 @@ func TestGenerateCtxStrictCancellationStillFails(t *testing.T) {
 
 // TestAcceptPartialExcludedFromFingerprint pins the cache-key contract:
 // AcceptPartial cannot change a completed layout, and partial results are
-// never cached, so the flag must not split the key space. The other half —
-// an uncancelled AcceptPartial run returns the byte-identical layout with
-// Partial unset — is a cell of TestWarmColdLayoutIdenticalFlow.
+// never cached, so the flag must not split the key space.
 func TestAcceptPartialExcludedFromFingerprint(t *testing.T) {
 	a := fastOptions()
 	b := fastOptions()
 	b.AcceptPartial = true
 	if a.Fingerprint() != b.Fingerprint() {
 		t.Errorf("AcceptPartial changed the fingerprint:\n%s\n%s", a.Fingerprint(), b.Fingerprint())
+	}
+}
+
+// TestAcceptPartialCompletedRunIdentical checks the other half of that
+// contract: when nothing cancels, AcceptPartial produces the byte-identical
+// result of a plain run, with Partial unset. The plain run is the committed
+// golden of each fixture; node budgets, not wall-clock limits, bound every
+// search, so the comparison does not depend on where a clock cuts.
+func TestAcceptPartialCompletedRunIdentical(t *testing.T) {
+	for _, name := range []string{"mini", "twostage"} {
+		t.Run(name, func(t *testing.T) {
+			want, path := readGolden(t, name+".lpcompare.layout")
+			opts := goldenOptions()
+			opts.Workers = 4
+			opts.AcceptPartial = true
+			res, err := Generate(testdataCircuit(t, name+".rfic"), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Partial {
+				t.Fatal("uncancelled AcceptPartial run marked partial")
+			}
+			if layout.Format(res.Layout) != want {
+				t.Errorf("AcceptPartial changed the layout of a completed run: differs from golden %s", path)
+			}
+		})
 	}
 }

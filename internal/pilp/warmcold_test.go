@@ -42,17 +42,27 @@ func goldenOptions() Options {
 	}
 }
 
+// readGolden returns a committed testdata/golden layout and its path.
+func readGolden(t *testing.T, name string) (string, string) {
+	t.Helper()
+	path := filepath.Join("..", "..", "testdata", "golden", name)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b), path
+}
+
 // TestWarmColdLayoutIdenticalFlow is the flow-level half of the warm-start
 // determinism contract. Each case runs the full three-phase flow cold and
-// warm at 1 and 4 workers, plus one warm run with AcceptPartial set, and
-// requires:
+// warm at 1 and 4 workers and requires:
 //   - the byte-identical layout from every run: for the testdata fixtures
 //     the committed golden, for the in-Go mini circuit the first run's;
 //   - the same branch-and-bound node count from every run;
 //   - no warm LPs counted by a cold run, and reused bases in every warm run;
 //   - at each worker count no more warm pivots than cold, and cold over
 //     warm pivots of at least minPivotReduction across both;
-//   - Partial unset on the AcceptPartial run, which nothing cancels.
+//   - Partial unset on every run.
 //
 // No case may hit a time limit: a binding limit cuts a search at a
 // wall-clock-dependent point, the one legitimate source of
@@ -95,12 +105,9 @@ func TestWarmColdLayoutIdenticalFlow(t *testing.T) {
 			c := tc.circuit(t)
 			want, ref := "", "the first run"
 			if tc.golden != "" {
-				path := filepath.Join("..", "..", "testdata", "golden", tc.golden)
-				b, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, ref = string(b), "golden "+path
+				var path string
+				want, path = readGolden(t, tc.golden)
+				ref = "golden " + path
 			}
 			nodes := -1
 			solve := func(label string, opts Options) *Result {
@@ -151,11 +158,6 @@ func TestWarmColdLayoutIdenticalFlow(t *testing.T) {
 			if red := float64(coldPivots) / float64(warmPivots); red < minPivotReduction {
 				t.Errorf("warm-start pivot reduction %.2fx below the %.1fx floor", red, minPivotReduction)
 			}
-
-			opts := tc.opts
-			opts.Workers = 4
-			opts.AcceptPartial = true
-			solve("warm-w4 AcceptPartial", opts)
 		})
 	}
 }
