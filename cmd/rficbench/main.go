@@ -7,12 +7,6 @@
 // (binding time limits stop solves at wall-clock-dependent points). Ctrl-C
 // cancels cleanly at the next solver boundary.
 //
-// With -shardguard the harness solves the synthetic large benchmark twice —
-// monolithic phase 1 and sharded phase 1 (-shard-size) — reports the phase-1
-// wall-clock of both, verifies the sharded run is byte-identical across
-// worker counts, and exits non-zero when the sharded layout score regresses
-// beyond -shard-tol. CI runs this as the sharding guard.
-//
 // With -fuzz the harness generates -count seeded random circuits starting at
 // -seed-base (internal/circuits/fuzz: LNA/mixer/PA topologies across aspect,
 // strip-length and symmetry regimes) and runs the metamorphic audit battery
@@ -54,7 +48,6 @@
 //	rficbench -figure7 -outdir out/
 //	rficbench -figure11a
 //	rficbench -figure11b
-//	rficbench -shardguard -shard-size 6 -shard-tol 0.1
 //	rficbench -table1 -cpuprofile cpu.pprof -memprofile mem.pprof
 //	rficbench -fuzz -seed-base 1 -count 54 -budget 25 -fuzz-out fuzz.jsonl
 //	rficbench -chaos -fault-seed 42 -chaos-out chaos.jsonl -fault-schedule-out schedule.jsonl
@@ -87,12 +80,9 @@ func main() {
 	figure7 := flag.Bool("figure7", false, "regenerate the Figure 7 phase snapshots (SVG)")
 	figure11a := flag.Bool("figure11a", false, "regenerate Figure 11(a): 94 GHz LNA S-parameters")
 	figure11b := flag.Bool("figure11b", false, "regenerate Figure 11(b): 60 GHz buffer S-parameters")
-	shardGuard := flag.Bool("shardguard", false, "compare monolithic vs sharded phase 1 on the large synthetic circuit; fail on score regression")
 	outDir := flag.String("outdir", ".", "directory for SVG output")
 	stripTime := flag.Duration("strip-time", 2*time.Second, "time limit per per-strip ILP solve")
 	parallel := flag.Int("parallel", 0, "concurrent circuit solves for -table1 (0 = GOMAXPROCS)")
-	shardSize := flag.Int("shard-size", 0, "shard the phase-1 global adjustment into device clusters of at most this size (0 = monolithic; -shardguard requires > 0)")
-	shardTol := flag.Float64("shard-tol", 0.1, "allowed fractional score regression of the sharded run in -shardguard")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (after a final GC) to this file on exit")
 	fuzzMode := flag.Bool("fuzz", false, "run the seeded circuit fuzzer: generate circuits and run the metamorphic audit battery on each")
@@ -126,7 +116,7 @@ func main() {
 		defer faultinject.Disable()
 	}
 
-	opts := pilp.Options{StripTimeLimit: *stripTime, MaxRefineIterations: 2, ShardSize: *shardSize}
+	opts := pilp.Options{StripTimeLimit: *stripTime, MaxRefineIterations: 2}
 
 	prof, err := startProfiler(*cpuProfile, *memProfile)
 	if err != nil {
@@ -159,11 +149,6 @@ func main() {
 			fail()
 		}
 	}
-	if *shardGuard {
-		if !runShardGuard(ctx, opts, *shardSize, *shardTol) {
-			fail()
-		}
-	}
 	if *fuzzMode {
 		if !runFuzz(ctx, *seedBase, *fuzzCount, *fuzzBudget, *fuzzChecks, *fuzzOut, *fuzzFixtures) {
 			fail()
@@ -178,8 +163,8 @@ func main() {
 			fail()
 		}
 	}
-	if !*table1 && !*figure7 && !*figure11a && !*figure11b && !*shardGuard && !*fuzzMode && !*chaosMode {
-		fmt.Fprintln(os.Stderr, "nothing to do: pass -table1, -figure7, -figure11a, -figure11b, -shardguard, -fuzz or -chaos")
+	if !*table1 && !*figure7 && !*figure11a && !*figure11b && !*fuzzMode && !*chaosMode {
+		fmt.Fprintln(os.Stderr, "nothing to do: pass -table1, -figure7, -figure11a, -figure11b, -fuzz or -chaos")
 		prof.Stop()
 		os.Exit(2)
 	}
@@ -232,73 +217,6 @@ func (p *profiler) Stop() {
 		}
 		_ = f.Close()
 	}
-}
-
-// runShardGuard runs phase 1 (construct + global adjustment) of the
-// synthetic large circuit with the monolithic and the sharded solver —
-// pilp.AdjustPhase1 isolates exactly the subsystem the sharding refactor
-// touches, so the guard stays fast enough for CI — prints the wall-clock
-// comparison, and reports whether the sharded run held the quality bar:
-// byte-identical layouts across 1 and 4 workers, and a phase-1 score within
-// (1+tol)·monolithic plus one bend of absolute slack (so a perfect-score
-// baseline does not make every nonzero score a failure).
-func runShardGuard(ctx context.Context, opts pilp.Options, shardSize int, tol float64) bool {
-	if shardSize <= 0 {
-		fmt.Fprintln(os.Stderr, "rficbench: -shardguard requires -shard-size > 0")
-		return false
-	}
-	c := circuits.Build(circuits.LargeSpec(1))
-	fmt.Printf("shardguard: %s\n", c.Stats())
-
-	mono := opts
-	mono.ShardSize = 0
-	monoRes, err := pilp.AdjustPhase1(ctx, c, mono)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rficbench: monolithic phase 1:", err)
-		return false
-	}
-	monoScore := pilp.Score(monoRes.Layout)
-
-	sharded := opts
-	sharded.ShardSize = shardSize
-	var layouts [2]string
-	var shardRes *pilp.Phase1Result
-	for i, workers := range []int{1, 4} {
-		run := sharded
-		run.Workers = workers
-		res, err := pilp.AdjustPhase1(ctx, c, run)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rficbench: sharded phase 1 (workers=%d): %v\n", workers, err)
-			return false
-		}
-		layouts[i] = layout.Format(res.Layout)
-		shardRes = res
-	}
-	if layouts[0] != layouts[1] {
-		fmt.Fprintln(os.Stderr, "rficbench: sharded layouts differ between 1 and 4 workers — determinism contract broken")
-		return false
-	}
-	shardScore := pilp.Score(shardRes.Layout)
-
-	speedup := 0.0
-	if shardRes.Runtime > 0 {
-		speedup = float64(monoRes.Runtime) / float64(shardRes.Runtime)
-	}
-	fmt.Printf("shardguard: phase 1 monolithic %v, sharded %v at 4 workers (%d shards, %.2fx)\n",
-		monoRes.Runtime.Round(time.Millisecond), shardRes.Runtime.Round(time.Millisecond),
-		len(shardRes.Shards), speedup)
-	fmt.Printf("shardguard: score monolithic %.1f, sharded %.1f (tolerance %.0f%%)\n",
-		monoScore, shardScore, tol*100)
-	if len(shardRes.Shards) < 2 {
-		fmt.Fprintln(os.Stderr, "rficbench: sharded run did not actually shard")
-		return false
-	}
-	if allowed := monoScore*(1+tol) + 100; shardScore > allowed {
-		fmt.Fprintf(os.Stderr, "rficbench: sharded score %.1f exceeds allowed %.1f\n", shardScore, allowed)
-		return false
-	}
-	fmt.Println("shardguard: OK")
-	return true
 }
 
 func buildCircuit(spec circuits.Spec, small bool) *netlist.Circuit {

@@ -48,7 +48,6 @@ func main() {
 	outPath := flag.String("out", "", "write the layout file here (single circuit only)")
 	svgPath := flag.String("svg", "", "write an SVG rendering here (single circuit only)")
 	stripTime := flag.Duration("strip-time", 3*time.Second, "time limit per per-strip ILP solve")
-	shardSize := flag.Int("shard-size", 0, "shard the phase-1 global adjustment into device clusters of at most this size (0 = monolithic)")
 	parallel := flag.Int("parallel", 0, "worker count: jobs in flight and per-flow strip solvers (0 = GOMAXPROCS)")
 	cacheDir := flag.String("cache", "", "result cache directory; hits skip the solve with byte-identical layouts")
 	verbose := flag.Bool("v", false, "log solver progress")
@@ -60,7 +59,7 @@ func main() {
 	// Workers stays unset while building jobs: with several circuits the
 	// engine parallelizes across jobs (and pins each flow to one worker);
 	// only a single-circuit run hands -parallel to the flow's own pool.
-	opts := pilp.Options{StripTimeLimit: *stripTime, ShardSize: *shardSize}
+	opts := pilp.Options{StripTimeLimit: *stripTime}
 	if *verbose {
 		opts.Logf = func(format string, args ...interface{}) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
@@ -168,7 +167,6 @@ func main() {
 					Layout:  layoutText,
 					Runtime: r.Result.Runtime,
 					Nodes:   r.Nodes,
-					Shards:  len(r.Shards),
 				})
 			}
 			fmt.Println(report.LayoutSummary(circuit.Name, lay, runtime))

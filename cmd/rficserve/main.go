@@ -92,7 +92,6 @@ func main() {
 	queue := flag.Int("queue", 64, "admission queue depth; a full queue rejects with 503")
 	maxSolveTime := flag.Duration("max-solve-time", 2*time.Minute, "hard per-job wall-clock ceiling")
 	stripTime := flag.Duration("strip-time", 3*time.Second, "time limit per per-strip ILP solve")
-	shardSize := flag.Int("shard-size", 0, "shard the phase-1 global adjustment into device clusters of at most this size (0 = monolithic)")
 	cacheEntries := flag.Int("cache-entries", cache.DefaultMaxEntries, "in-memory cache entry limit")
 	cacheBytes := flag.Int64("cache-bytes", cache.DefaultMaxBytes, "in-memory cache byte limit")
 	cacheDir := flag.String("cache-dir", "", "directory for the persistent cache tier (empty = memory only)")
@@ -146,7 +145,7 @@ func main() {
 		Workers:      *workers,
 		QueueDepth:   *queue,
 		MaxSolveTime: *maxSolveTime,
-		SolveOptions: pilp.Options{StripTimeLimit: *stripTime, ShardSize: *shardSize},
+		SolveOptions: pilp.Options{StripTimeLimit: *stripTime},
 		Cache:        tier,
 	}
 	if *verbose {

@@ -39,16 +39,9 @@
 //	                             construct → global adjust → per-strip exact
 //	                             lengths → refinement; independent per-strip
 //	                             and per-rotation subproblems run concurrently;
-//	                             with ShardSize set, the phase-1 adjustment
-//	                             solves one sub-MILP per device cluster under
-//	                             a bounded boundary-coordination loop
-//	internal/partition           connectivity clustering for the sharded
-//	                             phase 1: capped union-find over the strip
-//	                             graph plus deterministic first-fit packing
+//	                             the phase-1 adjustment is one global MILP
 //	internal/ilpmodel            builds the layout MILP (device placement,
 //	                             chain-point routing, non-overlap, Eq. 1–28)
-//	                             and cluster-local sub-MILPs with penalized
-//	                             boundary slack (BuildSub)
 //	internal/milp                branch-and-bound with batched parallel LP
 //	                             evaluation, dive heuristic; child nodes
 //	                             warm-start the dual simplex from the parent
@@ -86,10 +79,7 @@
 // dequeues nodes in fixed-size batches and makes all decisions sequentially;
 // workers only evaluate the LP relaxations of a batch. The pilp flow solves
 // per-strip subproblems against a frozen snapshot of the layout and merges
-// them in a fixed order; the sharded phase-1 adjustment follows the same
-// discipline (cluster sub-solves against a frozen snapshot, merges in
-// cluster order, drift detection as a pure function of the merged layout).
-// Consequently the same circuit yields byte-identical layouts for every
+// them in a fixed order. Consequently the same circuit yields byte-identical layouts for every
 // worker count — the property the engine relies on to scale batches across
 // cores. Model construction is deterministic too: constraint emission walks
 // circuit declaration order, never Go map order, because on a degenerate

@@ -48,16 +48,6 @@ const (
 	// horizontal and vertical routing regimes), which at fuzz-scale node
 	// budgets swings violation counts several-fold without indicating a bug.
 	CheckRotate = "rotate"
-	// CheckShardEnvelope: the sharded phase-1 adjustment must score within
-	// the stated envelope of the monolithic solve on the same circuit. The
-	// envelope is wide (50% plus one violation per boundary strip by
-	// default): a strip frozen against a stale snapshot can end the bounded
-	// coordination loop with unresolved drift, which the full flow's phase 2
-	// absorbs but phase 1 in isolation reports — on pathological fuzz
-	// circuits at small node budgets that drift is empirically a few
-	// violations. The tight 10% envelope lives in the CI shardguard, which
-	// runs the large synthetic circuit where phase 1 converges.
-	CheckShardEnvelope = "shard-envelope"
 	// CheckWarmCold: disabling LP warm starts must produce the byte-identical
 	// layout.
 	CheckWarmCold = "warm-cold"
@@ -69,7 +59,7 @@ const (
 // AllChecks lists every check in battery order.
 var AllChecks = []string{
 	CheckReorder, CheckRename, CheckRescale, CheckMirror, CheckRotate,
-	CheckShardEnvelope, CheckWarmCold, CheckWorkers,
+	CheckWarmCold, CheckWorkers,
 }
 
 // Options tunes the battery.
@@ -82,17 +72,6 @@ type Options struct {
 	Solve pilp.Options
 	// Checks selects a subset of AllChecks; nil runs all of them.
 	Checks []string
-	// ShardSize is the cluster cap of the shard-envelope check. Zero means 5.
-	ShardSize int
-	// ShardTol is the allowed fractional score regression of the sharded
-	// phase 1. Zero means 0.50 — see CheckShardEnvelope for why the default
-	// is a collapse guard rather than the shardguard's tight 10%.
-	ShardTol float64
-	// ShardSlack is the absolute score slack added to the shard envelope on
-	// top of the per-boundary-strip violation allowance (so a perfect-score
-	// monolithic baseline does not turn every nonzero sharded score into a
-	// failure). Zero means 100, one bend.
-	ShardSlack float64
 	// RescaleFactor is the unit-rescaling multiplier. Zero means 2.
 	RescaleFactor int64
 	// MirrorRatio is the allowed multiplicative score divergence between the
@@ -118,27 +97,6 @@ type Options struct {
 	// ExtraWorkers are the worker counts compared against the base solve by
 	// the workers check. Nil means {4}.
 	ExtraWorkers []int
-}
-
-func (o Options) shardSize() int {
-	if o.ShardSize > 0 {
-		return o.ShardSize
-	}
-	return 5
-}
-
-func (o Options) shardTol() float64 {
-	if o.ShardTol > 0 {
-		return o.ShardTol
-	}
-	return 0.50
-}
-
-func (o Options) shardSlack() float64 {
-	if o.ShardSlack > 0 {
-		return o.ShardSlack
-	}
-	return 100
 }
 
 func (o Options) rescaleFactor() int64 {
@@ -194,8 +152,7 @@ func (o Options) checks() []string {
 type CheckResult struct {
 	Name   string `json:"name"`
 	Passed bool   `json:"passed"`
-	// Detail explains a failure, or carries a short note on a pass (e.g.
-	// "below shard threshold").
+	// Detail explains a failure; empty on a pass.
 	Detail string `json:"detail,omitempty"`
 }
 
@@ -296,8 +253,6 @@ func Run(ctx context.Context, c *netlist.Circuit, opts Options) (*Report, error)
 			cr = checkMirror(ctx, c, base, opts, rep)
 		case CheckRotate:
 			cr = checkRotate(ctx, c, base, opts, rep)
-		case CheckShardEnvelope:
-			cr = checkShardEnvelope(ctx, c, opts, rep)
 		case CheckWarmCold:
 			cr = checkWarmCold(ctx, c, base, opts, rep)
 		case CheckWorkers:
@@ -329,10 +284,6 @@ func failf(name, format string, args ...interface{}) CheckResult {
 }
 
 func pass(name string) CheckResult { return CheckResult{Name: name, Passed: true} }
-
-func passf(name, format string, args ...interface{}) CheckResult {
-	return CheckResult{Name: name, Passed: true, Detail: fmt.Sprintf(format, args...)}
-}
 
 // checkReorder: canonical text and solved layout must be invariant under
 // declaration-order shuffling.
@@ -406,7 +357,6 @@ func checkRescale(ctx context.Context, c *netlist.Circuit, base *pilp.Result, op
 	// unit would state a different problem.
 	so.Confinement = resolveConfinement(opts.Solve) * k
 	so.PairRadius = resolvePairRadius(opts.Solve) * k
-	so.ShardBoundaryTol = resolveShardBoundaryTol(opts.Solve) * k
 	res, err := resolve(ctx, sc, so, rep)
 	if err != nil {
 		return failf(CheckRescale, "solving rescaled circuit: %v", err)
@@ -450,13 +400,6 @@ func resolvePairRadius(o pilp.Options) geom.Coord {
 		return o.PairRadius
 	}
 	return geom.FromMicrons(80)
-}
-
-func resolveShardBoundaryTol(o pilp.Options) geom.Coord {
-	if o.ShardBoundaryTol > 0 {
-		return o.ShardBoundaryTol
-	}
-	return geom.FromMicrons(2)
 }
 
 // checkMirror: see CheckMirror. The involution half is exact; the score half
@@ -507,41 +450,6 @@ func checkRotate(ctx context.Context, c *netlist.Circuit, base *pilp.Result, opt
 			rs, bs, opts.rotateRatio())
 	}
 	return pass(CheckRotate)
-}
-
-// checkShardEnvelope: phase 1 sharded must stay within the stated score
-// envelope of phase 1 monolithic.
-func checkShardEnvelope(ctx context.Context, c *netlist.Circuit, opts Options, rep *Report) CheckResult {
-	mono := opts.Solve
-	mono.ShardSize = 0
-	monoRes, err := pilp.AdjustPhase1(ctx, c, mono)
-	if err != nil {
-		return failf(CheckShardEnvelope, "monolithic phase 1: %v", err)
-	}
-	rep.Nodes += monoRes.Nodes
-	sharded := opts.Solve
-	sharded.ShardSize = opts.shardSize()
-	shardRes, err := pilp.AdjustPhase1(ctx, c, sharded)
-	if err != nil {
-		return failf(CheckShardEnvelope, "sharded phase 1: %v", err)
-	}
-	rep.Nodes += shardRes.Nodes
-	if len(shardRes.Shards) < 2 {
-		return passf(CheckShardEnvelope, "below shard threshold at size %d", opts.shardSize())
-	}
-	// Boundary counts owned strips crossing clusters, so summing over the
-	// shards counts each inter-cluster strip exactly once.
-	boundaryStrips := 0
-	for _, s := range shardRes.Shards {
-		boundaryStrips += s.Boundary
-	}
-	monoScore, shardScore := pilp.Score(monoRes.Layout), pilp.Score(shardRes.Layout)
-	allowed := monoScore*(1+opts.shardTol()) + 1e6*float64(boundaryStrips) + opts.shardSlack()
-	if shardScore > allowed {
-		return failf(CheckShardEnvelope, "sharded score %.1f exceeds allowed %.1f (monolithic %.1f, %d shards, %d boundary strips)",
-			shardScore, allowed, monoScore, len(shardRes.Shards), boundaryStrips)
-	}
-	return pass(CheckShardEnvelope)
 }
 
 // checkWarmCold: warm-started and cold LP solves must return byte-identical

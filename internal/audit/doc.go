@@ -18,9 +18,8 @@
 //     transformed solves compared against it. Byte-exact checks: reorder,
 //     rename (geometry under the name mapping), warm-vs-cold LP, worker
 //     counts. Envelope checks: rescale (metrics must rescale with the unit,
-//     within integer-rounding slack), mirror (involution byte-exact, score
-//     inside a wide chirality-collapse envelope), shard-envelope (phase 1
-//     sharded vs monolithic, slack per boundary strip).
+//     within integer-rounding slack), mirror and rotate (involution
+//     byte-exact, score inside a wide chirality-collapse envelope).
 //   - minimize.go — a greedy failing-circuit minimizer: remove one strip or
 //     disconnected device at a time, keep removals after which the circuit
 //     still validates and the failure predicate still fires, iterate to a
@@ -35,8 +34,8 @@
 // change the heuristic's arithmetic (integer divisions, coordinate-ordered
 // tie-breaks), so for them only bounded quality relations are sound — the
 // envelopes are tuned to observed behavior and guard against collapse, and
-// their calibration doubles as a record of two real findings (chirality
-// sensitivity; phase-1 shard drift on pathological inputs).
+// their calibration doubles as a record of a real finding (chirality
+// sensitivity).
 //
 // The battery is the instrument behind rficbench -fuzz:
 // internal/circuits/fuzz generates seeded circuits across RF topology space

@@ -43,9 +43,6 @@ type Entry struct {
 	Runtime time.Duration
 	// Nodes is the total branch-and-bound node count of the original solve.
 	Nodes int
-	// Shards is how many phase-1 clusters the original solve used (zero for
-	// the monolithic phase 1).
-	Shards int
 	// LP echoes the original solve's simplex-level effort counters so
 	// cached responses report the same stats as the solve that produced
 	// them. Entries written before these counters existed decode as zero.

@@ -1,11 +1,16 @@
 package cache
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 	"time"
 
+	"rficlayout/internal/milp"
 	"rficlayout/internal/netlist"
 	"rficlayout/internal/pilp"
 )
@@ -339,19 +344,48 @@ func TestTieredStatsCountEachLookupOnce(t *testing.T) {
 	}
 }
 
-func TestEntryShardsRoundTrip(t *testing.T) {
+// TestDirReadsLegacyShardsEntry holds the on-disk format compatible across
+// the retired "shards" count: an entry written with it (valid checksum
+// included) must still hit with every field intact and without quarantine,
+// and freshly written entries must no longer carry the key.
+func TestDirReadsLegacyShardsEntry(t *testing.T) {
 	d, err := NewDir(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := entry("a", "layout a")
-	e.Shards = 5
-	d.Put(key(1), e)
+	const layoutText = "layout legacy\nplace M1 1 2 R0\n"
+	sum := sha256.Sum256([]byte(layoutText))
+	legacy := fmt.Sprintf(`{"circuit":"legacy","layout":%q,"sha256":%q,"runtime_ns":1000,"nodes":7,"shards":5,`+
+		`"lp":{"pivots":11,"refactorizations":2,"warm_hits":3,"warm_misses":1,"cold_solves":4,"warm_seed_accepted":1,"warm_seed_rejected":0},`+
+		`"created_at":"2026-01-02T03:04:05Z"}`, layoutText, hex.EncodeToString(sum[:]))
+	if err := os.WriteFile(d.file(key(1)), []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	got, ok := d.Get(key(1))
 	if !ok {
-		t.Fatal("miss after put")
+		t.Fatal("legacy entry with a shards count missed")
 	}
-	if got.Shards != 5 {
-		t.Errorf("shards = %d, want 5", got.Shards)
+	wantLP := pilp.LPStats{
+		LPStats:          milp.LPStats{Pivots: 11, Refactorizations: 2, WarmHits: 3, WarmMisses: 1, ColdSolves: 4},
+		WarmSeedAccepted: 1,
+	}
+	if string(got.Layout) != layoutText || got.Nodes != 7 || got.LP != wantLP {
+		t.Errorf("legacy entry mangled: %+v", got)
+	}
+	if st := d.Stats(); st.Corrupt != 0 {
+		t.Errorf("corrupt = %d, want 0", st.Corrupt)
+	}
+
+	d.Put(key(2), entry("fresh", "layout fresh"))
+	raw, err := os.ReadFile(d.file(key(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &fields); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := fields["shards"]; ok {
+		t.Errorf("fresh entry still writes a shards key: %s", raw)
 	}
 }

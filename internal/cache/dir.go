@@ -48,9 +48,8 @@ func NewDir(path string) (*Dir, error) {
 	return &Dir{path: path}, nil
 }
 
-// diskEntry is the JSON on-disk form of an Entry. Shards is omitted for
-// monolithic solves, so entries written before sharding existed decode
-// unchanged.
+// diskEntry is the JSON on-disk form of an Entry. Unknown keys are ignored
+// on read, so entries carrying a field a later version retired still hit.
 type diskEntry struct {
 	Circuit string `json:"circuit"`
 	Layout  string `json:"layout"`
@@ -60,7 +59,6 @@ type diskEntry struct {
 	Checksum  string       `json:"sha256,omitempty"`
 	RuntimeNS int64        `json:"runtime_ns"`
 	Nodes     int          `json:"nodes"`
-	Shards    int          `json:"shards,omitempty"`
 	LP        *diskLPStats `json:"lp,omitempty"`
 	CreatedAt time.Time    `json:"created_at"`
 }
@@ -157,7 +155,6 @@ func (d *Dir) Get(key string) (Entry, bool) {
 		Layout:  []byte(de.Layout),
 		Runtime: time.Duration(de.RuntimeNS),
 		Nodes:   de.Nodes,
-		Shards:  de.Shards,
 		LP:      fromDiskLPStats(de.LP),
 	}, true
 }
@@ -227,7 +224,6 @@ func (d *Dir) Put(key string, e Entry) {
 		Checksum:  layoutChecksum(string(e.Layout)),
 		RuntimeNS: int64(e.Runtime),
 		Nodes:     e.Nodes,
-		Shards:    e.Shards,
 		LP:        toDiskLPStats(e.LP),
 		CreatedAt: time.Now().UTC(),
 	})

@@ -48,8 +48,8 @@ func Table1() []Spec {
 }
 
 // LargeSpec returns a synthetic stress circuit roughly scale× the size of
-// the largest Table 1 design, for exercising the sharded phase-1 pipeline:
-// the device/microstrip counts grow linearly with scale and the layout area
+// the largest Table 1 design, for exercising the flow at scale (pilp's
+// node-budgeted warm/cold large-flow test): the device/microstrip counts grow linearly with scale and the layout area
 // grows with √scale per side so the density stays comparable. The generation
 // is seeded, so a given scale always yields the same circuit. Scale values
 // below 1 are clamped to 1; LargeSpec(1) is "large" and reachable through

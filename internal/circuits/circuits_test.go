@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"rficlayout/internal/geom"
-	"rficlayout/internal/partition"
 )
 
 func TestTable1SpecsMatchPaperStatistics(t *testing.T) {
@@ -78,11 +77,9 @@ func TestBuildIsDeterministic(t *testing.T) {
 	}
 }
 
-// TestLargeSpecShardsIntoClusters pins the property the sharded phase-1
-// pipeline relies on: the synthetic large circuit is valid, matches its spec
-// counts, and splits into at least four connectivity clusters under a small
-// shard size.
-func TestLargeSpecShardsIntoClusters(t *testing.T) {
+// TestLargeSpecBuildsValidCircuit checks that the synthetic large circuit is
+// valid and matches its spec counts at every scale.
+func TestLargeSpecBuildsValidCircuit(t *testing.T) {
 	for _, scale := range []int{1, 2} {
 		spec := LargeSpec(scale)
 		c := Build(spec)
@@ -92,10 +89,6 @@ func TestLargeSpecShardsIntoClusters(t *testing.T) {
 		if len(c.Microstrips) != spec.Microstrips || len(c.Devices) != spec.Devices {
 			t.Errorf("scale %d: got %d strips / %d devices, want %d / %d",
 				scale, len(c.Microstrips), len(c.Devices), spec.Microstrips, spec.Devices)
-		}
-		clusters := partition.Clusters(c, partition.Options{MaxDevices: 5})
-		if len(clusters) < 4 {
-			t.Errorf("scale %d: only %d clusters at shard size 5, want >= 4", scale, len(clusters))
 		}
 	}
 }

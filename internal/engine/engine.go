@@ -81,10 +81,6 @@ type Result struct {
 	// LP aggregates the flow's simplex-level effort counters
 	// (pilp.Result.LP); zero when the job failed before solving.
 	LP pilp.LPStats
-	// Shards echoes the per-cluster sub-solve stats of the sharded phase-1
-	// adjustment (pilp.Result.Shards); nil when the flow ran the monolithic
-	// phase 1 or failed before solving.
-	Shards []pilp.ShardStat
 	// Partial reports that the flow was interrupted by deadline or
 	// cancellation and Result holds the best layout found so far rather than
 	// the fully refined one (pilp.Result.Partial; requires
@@ -151,7 +147,6 @@ func Run(ctx context.Context, jobs []Job, opts Options) []Result {
 			if results[i].Result != nil {
 				results[i].Nodes = results[i].Result.Nodes
 				results[i].LP = results[i].Result.LP
-				results[i].Shards = results[i].Result.Shards
 				results[i].Partial = results[i].Result.Partial
 			}
 			if results[i].Err != nil {

@@ -159,37 +159,3 @@ func TestRunReportsStats(t *testing.T) {
 		t.Errorf("failed job reports %d nodes, want 0", broken.Nodes)
 	}
 }
-
-// TestRunSurfacesShardStats checks that a sharded flow's per-cluster stats
-// ride through the engine result: a chain long enough to split at the
-// configured shard size must report at least two shards.
-func TestRunSurfacesShardStats(t *testing.T) {
-	c := netlist.NewCircuit("shardable", tech.Default90nm(), geom.FromMicrons(900), geom.FromMicrons(420))
-	c.AddDevice(netlist.NewPad("PIN", c.Tech.PadSize))
-	c.AddDevice(netlist.NewPad("POUT", c.Tech.PadSize))
-	prev, prevPin := "PIN", "p"
-	for i := 1; i <= 6; i++ {
-		name := "M" + string(rune('0'+i))
-		d := netlist.NewDevice(name, netlist.Transistor, geom.FromMicrons(40), geom.FromMicrons(30))
-		d.AddPin("in", geom.PtMicrons(-20, 0), 0)
-		d.AddPin("out", geom.PtMicrons(20, 0), 0)
-		c.AddDevice(d)
-		c.Connect("TL"+string(rune('0'+i)), prev, prevPin, name, "in", geom.FromMicrons(120))
-		prev, prevPin = name, "out"
-	}
-	c.Connect("TL7", prev, prevPin, "POUT", "p", geom.FromMicrons(120))
-
-	opts := fastOptions()
-	opts.ShardSize = 3
-	results := Run(context.Background(), []Job{{Circuit: c, Options: opts}}, Options{Parallel: 1})
-	r := results[0]
-	if r.Err != nil {
-		t.Fatalf("job failed: %v", r.Err)
-	}
-	if len(r.Shards) < 2 {
-		t.Fatalf("engine result has %d shard stats, want >= 2", len(r.Shards))
-	}
-	if len(r.Shards) != len(r.Result.Shards) {
-		t.Errorf("engine shards %d differ from flow shards %d", len(r.Shards), len(r.Result.Shards))
-	}
-}

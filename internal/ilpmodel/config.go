@@ -38,15 +38,13 @@ type Weights struct {
 	Zeta float64
 	// Eta weighs the total overlap slack (overlap-slack mode only).
 	Eta float64
-	// Theta weighs the boundary-terminal drift of BoundarySlack strips.
-	Theta float64
 }
 
 // DefaultWeights balances one bend against roughly two micrometres of length
 // mismatch or overlap, matching the priorities the paper describes: exact
 // lengths and few bends first, residual overlap cleanup second.
 func DefaultWeights() Weights {
-	return Weights{Alpha: 10, Beta: 1, Gamma: 0.02, Zeta: 0.005, Eta: 0.01, Theta: 0.1}
+	return Weights{Alpha: 10, Beta: 1, Gamma: 0.02, Zeta: 0.005, Eta: 0.01}
 }
 
 // Config controls which parts of the full Section-4 model are built and how
@@ -101,15 +99,6 @@ type Config struct {
 	// disjunction.
 	RelativePositions bool
 
-	// BoundarySlack names free strips whose endpoints at fixed devices bind
-	// to the pin through a penalized slack (weighted by Theta) instead of an
-	// exact equality. The sharded phase-1 sub-models (BuildSub) use this for
-	// inter-cluster strips: the far terminal is pinned to its position in the
-	// layout snapshot, and the slack keeps the shard feasible when the local
-	// cluster has to move while the frozen topology cannot absorb the drift.
-	// Terminals at free devices always bind exactly.
-	BoundarySlack []string
-
 	// Confinement, when positive, restricts every free coordinate to a
 	// window of ±Confinement around its value in Fixed (the τd confinement
 	// of Sections 5.2–5.3).
@@ -160,15 +149,6 @@ func (c Config) deviceFree(name string) bool {
 	return false
 }
 
-func (c Config) boundarySlack(name string) bool {
-	for _, n := range c.BoundarySlack {
-		if n == name {
-			return true
-		}
-	}
-	return false
-}
-
 func (c Config) stripFree(name string) bool {
 	if c.FreeStrips == nil {
 		return true
@@ -205,14 +185,6 @@ func (c Config) validate(ckt *netlist.Circuit) error {
 	for _, name := range c.FreeStrips {
 		if _, err := ckt.Microstrip(name); err != nil {
 			return fmt.Errorf("ilpmodel: free microstrip %q not in circuit", name)
-		}
-	}
-	for _, name := range c.BoundarySlack {
-		if _, err := ckt.Microstrip(name); err != nil {
-			return fmt.Errorf("ilpmodel: boundary-slack strip %q not in circuit", name)
-		}
-		if !c.stripFree(name) {
-			return fmt.Errorf("ilpmodel: boundary-slack strip %q is not free", name)
 		}
 	}
 	return nil

@@ -293,18 +293,6 @@ func (m *Model) buildConnections() error {
 				}
 			}
 			cname := fmt.Sprintf("pin.%s.%d", sv.ms.Name, e.index)
-			if m.Config.boundarySlack(sv.ms.Name) && !dv.free {
-				// Frozen boundary terminal of a sharded sub-model: the chain
-				// point may drift off the pin by a penalized slack per axis,
-				// which keeps the shard feasible when the fixed topology
-				// cannot absorb the local cluster's movement exactly.
-				w := m.Config.weights()
-				sx := m.MILP.AbsEnvelope(cname+".sx", milp.Term(sv.x[e.index], 1).AddExpr(px, -1), m.areaW+m.areaH)
-				sy := m.MILP.AbsEnvelope(cname+".sy", milp.Term(sv.y[e.index], 1).AddExpr(py, -1), m.areaW+m.areaH)
-				m.MILP.AddObjectiveCoef(sx, w.Theta)
-				m.MILP.AddObjectiveCoef(sy, w.Theta)
-				continue
-			}
 			m.MILP.AddEQ(cname+".x", milp.Term(sv.x[e.index], 1).AddExpr(px, -1), 0)
 			m.MILP.AddEQ(cname+".y", milp.Term(sv.y[e.index], 1).AddExpr(py, -1), 0)
 		}

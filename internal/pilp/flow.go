@@ -45,11 +45,10 @@ type Options struct {
 	// converge while keeping the byte-identical determinism contract.
 	StripNodeLimit int
 	// Phase1NodeLimit, when positive, bounds the phase-1 global-adjustment
-	// branch-and-bound — the monolithic solve or each shard sub-solve — by
-	// explored node count, the same deterministic path-independent cutoff
-	// StripNodeLimit provides for the per-strip solves. The fuzz harness
-	// sets both so pathological circuits terminate at a reproducible point
-	// instead of a wall-clock-dependent one.
+	// branch-and-bound by explored node count, the same deterministic
+	// path-independent cutoff StripNodeLimit provides for the per-strip
+	// solves. The fuzz harness sets both so pathological circuits terminate
+	// at a reproducible point instead of a wall-clock-dependent one.
 	Phase1NodeLimit int
 	// Workers bounds the worker pool that solves independent per-strip (and
 	// per-rotation) subproblems concurrently. Zero means GOMAXPROCS; one
@@ -62,26 +61,6 @@ type Options struct {
 	MaxRefineIterations int
 	// TryRotations enables device-rotation exploration in phase 3.
 	TryRotations bool
-	// ShardSize, when positive, shards the phase-1 global adjustment: the
-	// devices are clustered by net connectivity into groups of at most
-	// ShardSize (internal/partition), each cluster solves a local sub-MILP
-	// with frozen boundary terminals concurrently, and a bounded
-	// coordination loop re-solves shards whose boundaries drifted. Circuits
-	// that do not split into at least two clusters keep the monolithic
-	// solve, as does the zero default. ShardSize changes the phase-1 model,
-	// so it is part of the Fingerprint; like every other option it never
-	// breaks the determinism contract (worker counts still cannot change
-	// results).
-	ShardSize int
-	// ShardIterations bounds the boundary-coordination loop of the sharded
-	// phase 1. More rounds close more of the quality gap to the monolithic
-	// solve at a small multiple of the (much cheaper) sharded round cost.
-	// Zero means 5.
-	ShardIterations int
-	// ShardBoundaryTol is the residual (Manhattan distance between a
-	// boundary-strip endpoint and its pin) above which the owning shard is
-	// re-solved in the next coordination round. Zero means 2 µm.
-	ShardBoundaryTol geom.Coord
 	// ColdLP disables warm-started LP re-solves inside branch-and-bound:
 	// every node LP solves from scratch instead of reusing its parent's
 	// basis. The layout is identical either way (the determinism contract
@@ -167,20 +146,6 @@ func (o Options) refineIterations() int {
 		return o.MaxRefineIterations
 	}
 	return 3
-}
-
-func (o Options) shardIterations() int {
-	if o.ShardIterations > 0 {
-		return o.ShardIterations
-	}
-	return 5
-}
-
-func (o Options) shardBoundaryTol() geom.Coord {
-	if o.ShardBoundaryTol > 0 {
-		return o.ShardBoundaryTol
-	}
-	return geom.FromMicrons(2)
 }
 
 func (o Options) workers() int {
@@ -311,11 +276,13 @@ func (o Options) milpOptions(timeLimit time.Duration, workers int) milp.SolveOpt
 // normal one). The result cache hashes this string alongside the canonical
 // circuit text.
 func (o Options) Fingerprint() string {
-	// "pivot=dantzig core=sparse" stays literal: cache keys, Dir entries, ring ownership and bench's serve-mix pool all hash this string.
-	return fmt.Sprintf("chain=%d maxchain=%d conf=%d pair=%d striplimit=%s phaselimit=%s stripnodes=%d p1nodes=%d refine=%d rot=%v shard=%d sharditer=%d shardtol=%d pivot=dantzig core=sparse coldlp=%v",
+	// "shard=0 sharditer=5 shardtol=2000" and "pivot=dantzig core=sparse" stay
+	// literal: cache keys, Dir entries, ring ownership and bench's serve-mix
+	// pool all hash this string.
+	return fmt.Sprintf("chain=%d maxchain=%d conf=%d pair=%d striplimit=%s phaselimit=%s stripnodes=%d p1nodes=%d refine=%d rot=%v shard=0 sharditer=5 shardtol=2000 pivot=dantzig core=sparse coldlp=%v",
 		o.chainPoints(), o.maxChainPoints(), o.confinement(), o.pairRadius(),
 		o.stripTimeLimit(), o.phaseTimeLimit(), o.StripNodeLimit, o.Phase1NodeLimit, o.refineIterations(), o.TryRotations,
-		o.ShardSize, o.shardIterations(), o.shardBoundaryTol(), o.ColdLP)
+		o.ColdLP)
 }
 
 // runJobs dispatches independent subproblems to the shared bounded pool:
@@ -348,10 +315,6 @@ type Result struct {
 	// LP aggregates the simplex-level effort counters (pivots,
 	// refactorizations, warm-start outcomes) across the same solves.
 	LP LPStats
-	// Shards reports the per-cluster sub-solves of the sharded phase-1
-	// adjustment, in cluster order. Nil when phase 1 ran monolithically
-	// (ShardSize zero or the circuit below the shard threshold).
-	Shards []ShardStat
 	// Partial reports anytime degradation: the flow's context was cancelled
 	// mid-run and (under Options.AcceptPartial) Layout holds the best layout
 	// reached so far instead of the fully refined one. Partial results are
@@ -385,18 +348,11 @@ func checkLayout(l *layout.Layout) []layout.Violation {
 
 // Score ranks layouts the way the flow does internally: design-rule
 // violations dominate, then total bends, then accumulated length error.
-// Lower is better. Exposed so harnesses (rficbench's sharding guard) can
-// compare layouts produced under different options on the flow's own metric.
+// Lower is better. Exposed so the audit battery's mirror and rotate checks
+// can compare layouts on the flow's own metric.
 func Score(l *layout.Layout) float64 {
-	return scoreWith(l, checkLayout(l))
-}
-
-// scoreWith is Score with the DRC pass already done — callers that also
-// need the violation list (the shard coordination loop) avoid a second
-// quadratic layout check this way.
-func scoreWith(l *layout.Layout, vs []layout.Violation) float64 {
 	m := l.Metrics()
-	return 1e6*float64(len(vs)) + 100*float64(m.TotalBends) + geom.Microns(m.TotalLengthError)
+	return 1e6*float64(len(checkLayout(l))) + 100*float64(m.TotalBends) + geom.Microns(m.TotalLengthError)
 }
 
 func score(l *layout.Layout) float64 { return Score(l) }
@@ -473,11 +429,8 @@ func GenerateCtx(ctx context.Context, c *netlist.Circuit, opts Options) (*Result
 	}
 
 	// Phase 1b: global coordinate adjustment — soft lengths, penalized
-	// overlap, relative positions kept, topology fixed (Eq. 23–28). With
-	// ShardSize set and a large enough circuit the solve is sharded into
-	// cluster-local sub-MILPs under a boundary-coordination loop.
-	adjusted, shards, err := adjustGlobal(ctx, c, current, opts)
-	res.Shards = shards
+	// overlap, relative positions kept, topology fixed (Eq. 23–28).
+	adjusted, err := globalAdjust(ctx, c, current, opts)
 	if err != nil {
 		opts.logf("pilp: global adjustment failed: %v", err)
 	} else if adjusted != nil && score(adjusted) <= score(current) {
@@ -563,11 +516,10 @@ func globalAdjust(ctx context.Context, c *netlist.Circuit, current *layout.Layou
 	return lay, nil
 }
 
-// phase1Config builds the shared phase-1 model configuration: soft lengths,
+// phase1Config builds the phase-1 model configuration: soft lengths,
 // penalized overlap, frozen topology and relative positions from the
-// constructed layout, generous confinement. The caller sets the freedom
-// (FreeDevices/FreeStrips) — the monolithic solve frees every non-pad
-// device, the sharded solve restricts it per cluster.
+// constructed layout, generous confinement. globalAdjust sets the freedom:
+// every non-pad device.
 func phase1Config(c *netlist.Circuit, current *layout.Layout, opts Options) (ilpmodel.Config, error) {
 	chainPoints := map[string]int{}
 	for _, ms := range c.Microstrips {
@@ -643,44 +595,19 @@ func exactLengthPass(ctx context.Context, c *netlist.Circuit, current *layout.La
 // changes are merged into the possibly further-evolved current layout.
 func applyCandidate(base, candidate *layout.Layout, strips, devices []string) (*layout.Layout, bool) {
 	out := base.Clone()
-	if !applyInto(out, candidate, strips, devices) {
-		return nil, false
-	}
-	return out, true
-}
-
-// applyInto grafts the listed objects from a solved candidate into dst,
-// mutating it. The shard merge uses it directly so one round clones the
-// layout once instead of once per cluster; applyCandidate wraps it for the
-// callers that need base kept intact. Objects missing from the candidate
-// fail the graft before dst is touched; a Place/Route error mid-graft
-// returns false with dst partially updated — callers needing all-or-nothing
-// wrap it (applyCandidate) or roll the objects back from a known-good
-// layout (the shard merge).
-func applyInto(dst, candidate *layout.Layout, strips, devices []string) bool {
-	for _, name := range devices {
-		if candidate.Placed(name) == nil {
-			return false
-		}
-	}
-	for _, name := range strips {
-		if candidate.Routed(name) == nil {
-			return false
-		}
-	}
 	for _, name := range devices {
 		pd := candidate.Placed(name)
-		if err := dst.Place(name, pd.Center, pd.Orient); err != nil {
-			return false
+		if pd == nil || out.Place(name, pd.Center, pd.Orient) != nil {
+			return nil, false
 		}
 	}
 	for _, name := range strips {
 		rs := candidate.Routed(name)
-		if err := dst.Route(name, rs.Path.Points...); err != nil {
-			return false
+		if rs == nil || out.Route(name, rs.Path.Points...) != nil {
+			return nil, false
 		}
 	}
-	return true
+	return out, true
 }
 
 // solveStripToTarget re-solves a single strip (growing its chain points when

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -162,6 +163,35 @@ func TestWarmColdLayoutIdenticalFlow(t *testing.T) {
 	}
 }
 
+// phase1Result is the outcome of adjustPhase1.
+type phase1Result struct {
+	Layout *layout.Layout
+	// Nodes and LP total the effort of the phase's solves.
+	Nodes int
+	LP    LPStats
+}
+
+// adjustPhase1 runs only phase 1 of the flow — constructive placement plus
+// the global adjustment — under GenerateCtx's score gate: an adjustment that
+// does not improve on the constructed layout is discarded.
+func adjustPhase1(ctx context.Context, c *netlist.Circuit, opts Options) (*phase1Result, error) {
+	c = netlist.Normalized(c)
+	opts.nodes = new(atomic.Int64)
+	opts.lpStats = new(lpCounters)
+	current, err := Construct(c)
+	if err != nil {
+		return nil, err
+	}
+	adjusted, err := globalAdjust(ctx, c, current, opts)
+	if err != nil {
+		return nil, err
+	}
+	if score(adjusted) <= score(current) {
+		current = adjusted
+	}
+	return &phase1Result{Layout: current, Nodes: int(opts.nodes.Load()), LP: opts.lpStats.snapshot()}, nil
+}
+
 // TestWarmColdLayoutIdenticalTwostagePhase1 pins the contract on the repo's
 // example netlist. The twostage per-strip exact-length solves run to their
 // time limit (nondeterministic cut points), so the comparison isolates
@@ -171,13 +201,13 @@ func TestWarmColdLayoutIdenticalTwostagePhase1(t *testing.T) {
 	c := testdataCircuit(t, "twostage.rfic")
 	base := Options{PhaseTimeLimit: 2 * time.Minute}
 
-	warm, err := AdjustPhase1(context.Background(), c, base)
+	warm, err := adjustPhase1(context.Background(), c, base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	coldOpts := base
 	coldOpts.ColdLP = true
-	cold, err := AdjustPhase1(context.Background(), c, coldOpts)
+	cold, err := adjustPhase1(context.Background(), c, coldOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,6 +300,11 @@ func TestDefaultFingerprintPinned(t *testing.T) {
 	const want = "chain=4 maxchain=8 conf=40000 pair=80000 striplimit=5s phaselimit=30s stripnodes=0 p1nodes=0 refine=3 rot=false shard=0 sharditer=5 shardtol=2000 pivot=dantzig core=sparse coldlp=false"
 	if got := (Options{}).Fingerprint(); got != want {
 		t.Errorf("default fingerprint changed:\n got %q\nwant %q", got, want)
+	}
+	// A non-default node-budget path carries the same literal shard text.
+	const budgeted = "chain=4 maxchain=8 conf=40000 pair=80000 striplimit=5s phaselimit=30s stripnodes=25 p1nodes=50 refine=0 rot=false shard=0 sharditer=5 shardtol=2000 pivot=dantzig core=sparse coldlp=false"
+	if got := (Options{StripNodeLimit: 25, Phase1NodeLimit: 50, MaxRefineIterations: -1}).Fingerprint(); got != budgeted {
+		t.Errorf("node-budget fingerprint changed:\n got %q\nwant %q", got, budgeted)
 	}
 	if cold := (Options{ColdLP: true}).Fingerprint(); cold == want {
 		t.Errorf("ColdLP does not change the fingerprint: %q", cold)

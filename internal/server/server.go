@@ -325,7 +325,6 @@ func (s *Server) runJob(j *job) {
 			Layout:  []byte(text),
 			Runtime: res.Runtime,
 			Nodes:   res.Nodes,
-			Shards:  len(res.Shards),
 			LP:      res.LP,
 		})
 	}
@@ -333,8 +332,6 @@ func (s *Server) runJob(j *job) {
 	s.lpWarmHits.Add(int64(res.LP.WarmHits))
 	s.lpColdSolves.Add(int64(res.LP.ColdSolves))
 	stats := buildStats(j.circuit, res.Result.Layout, res.Runtime, res.Nodes)
-	stats.ShardCount = len(res.Shards)
-	stats.Shards = shardStatsJSON(res.Shards)
 	stats.LP = lpStats(res.LP)
 	if res.Partial {
 		stats.PartialPhase = res.Result.PartialPhase
@@ -492,11 +489,6 @@ type solveStats struct {
 	MaxBends         int     `json:"max_bends"`
 	Violations       int     `json:"violations"`
 	MaxLengthErrorUM float64 `json:"max_length_error_um"`
-	// ShardCount and Shards describe the sharded phase-1 adjustment; both
-	// are absent when phase 1 ran monolithically. Cache hits report only the
-	// count (the per-shard breakdown is not persisted).
-	ShardCount int             `json:"shard_count,omitempty"`
-	Shards     []shardStatJSON `json:"shards,omitempty"`
 	// LP reports the simplex-level effort of the solve; absent for cache
 	// entries written before the counters existed.
 	LP *lpStatsJSON `json:"lp,omitempty"`
@@ -535,36 +527,6 @@ func lpStats(s pilp.LPStats) *lpStatsJSON {
 		WarmSeedAccepted: s.WarmSeedAccepted,
 		WarmSeedRejected: s.WarmSeedRejected,
 	}
-}
-
-// shardStatJSON is the wire form of one pilp.ShardStat.
-type shardStatJSON struct {
-	Cluster   int   `json:"cluster"`
-	Devices   int   `json:"devices"`
-	Strips    int   `json:"strips"`
-	Boundary  int   `json:"boundary"`
-	Rounds    int   `json:"rounds"`
-	Nodes     int   `json:"nodes"`
-	RuntimeNS int64 `json:"runtime_ns"`
-}
-
-func shardStatsJSON(shards []pilp.ShardStat) []shardStatJSON {
-	if len(shards) == 0 {
-		return nil
-	}
-	out := make([]shardStatJSON, len(shards))
-	for i, st := range shards {
-		out[i] = shardStatJSON{
-			Cluster:   st.Cluster,
-			Devices:   st.Devices,
-			Strips:    st.Strips,
-			Boundary:  st.Boundary,
-			Rounds:    st.Rounds,
-			Nodes:     st.Nodes,
-			RuntimeNS: int64(st.Runtime),
-		}
-	}
-	return out
 }
 
 // buildStats derives the quality metrics of a layout plus the solve-effort
@@ -935,7 +897,6 @@ func (s *Server) writeUnavailable(w http.ResponseWriter, msg string) {
 // quality metrics are recomputed from the parsed layout.
 func cachedResponse(c *netlist.Circuit, entry cache.Entry, l *layout.Layout) *solveResponse {
 	stats := buildStats(c, l, entry.Runtime, entry.Nodes)
-	stats.ShardCount = entry.Shards
 	stats.LP = lpStats(entry.LP)
 	return &solveResponse{
 		ID:       fmt.Sprintf("cached-%s", c.Name),
