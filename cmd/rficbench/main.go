@@ -18,30 +18,6 @@
 // committable .rfic fixture; the run then exits non-zero. CI runs a bounded
 // smoke sweep on every PR and a long scheduled sweep nightly.
 //
-// With -chaos the harness runs the seeded chaos battery: a small circuit set
-// is solved fault-free for baseline layouts, then re-solved -chaos-rounds
-// times through an in-process server while internal/faultinject injects
-// worker-pool and engine panics, admission failures, torn cache writes and
-// transient cache read errors on the deterministic schedule derived from
-// -fault-seed. The run fails unless the server survives every fault, each
-// /healthz counter accounts exactly for the fired faults, and every
-// full-quality layout is byte-identical to the fault-free baseline. The
-// per-request log (-chaos-out) and the fired-fault schedule
-// (-fault-schedule-out) carry no wall-clock fields, so replaying the same
-// seed yields byte-identical files — CI runs the battery twice and diffs.
-// Independently of -chaos, -faults arms the injection registry for any other
-// mode (e.g. -table1 under cache faults).
-//
-// With -chaos -chaos-nodes 2 the battery grows into a two-node cluster
-// (internal/cluster): two in-process servers on a consistent-hash ring, every
-// request sent to node a, so remote-owned circuits exercise peer forwarding
-// under injected dial/exchange/body-read failures plus torn cache writes on
-// either node. The run additionally requires exact reconciliation of the
-// forwarded/retried/degraded/audited counters against the fired faults, zero
-// cross-replica audit mismatches, zero forwards from node b (loop safety),
-// and byte-identical layouts to a fault-free single-node baseline — including
-// degraded fallback solves and the clean final round after budgets exhaust.
-//
 // Usage:
 //
 //	rficbench -table1 -parallel 4
@@ -50,7 +26,6 @@
 //	rficbench -figure11b
 //	rficbench -table1 -cpuprofile cpu.pprof -memprofile mem.pprof
 //	rficbench -fuzz -seed-base 1 -count 54 -budget 25 -fuzz-out fuzz.jsonl
-//	rficbench -chaos -fault-seed 42 -chaos-out chaos.jsonl -fault-schedule-out schedule.jsonl
 package main
 
 import (
@@ -67,7 +42,6 @@ import (
 	"rficlayout/internal/circuits"
 	"rficlayout/internal/emsim"
 	"rficlayout/internal/engine"
-	"rficlayout/internal/faultinject"
 	"rficlayout/internal/layout"
 	"rficlayout/internal/manual"
 	"rficlayout/internal/netlist"
@@ -92,29 +66,10 @@ func main() {
 	fuzzChecks := flag.String("fuzz-checks", "", "comma-separated subset of audit checks for -fuzz (empty = full battery)")
 	fuzzOut := flag.String("fuzz-out", "", "write one deterministic JSON line per fuzzed seed to this file (default stdout)")
 	fuzzFixtures := flag.String("fuzz-fixtures", "fuzz-failures", "directory for minimized failing-circuit fixtures from -fuzz (empty disables minimization)")
-	chaosMode := flag.Bool("chaos", false, "run the seeded chaos battery: solve through a live server under injected faults, reconcile /healthz against the fault schedule")
-	faults := flag.String("faults", "", "fault-injection plan, point=prob[/budget] pairs (see internal/faultinject); -chaos default: "+defaultFaultSpec)
-	faultSeed := flag.Int64("fault-seed", 42, "seed of the deterministic fault schedule")
-	chaosRounds := flag.Int("chaos-rounds", 8, "solve rounds over the chaos circuit set (enough to exhaust every fault budget and verify healing)")
-	chaosNodes := flag.Int("chaos-nodes", 1, "with -chaos: 1 = single-node battery, 2 = two-node cluster battery (peer forwarding faults, degraded fallback, cross-replica audit)")
-	chaosOut := flag.String("chaos-out", "", "write one deterministic JSON line per chaos request to this file (default stdout)")
-	scheduleOut := flag.String("fault-schedule-out", "", "write the fired-fault schedule JSONL to this file after the chaos run")
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-
-	// -faults outside -chaos arms the process-global registry for whatever
-	// mode runs; -chaos manages its own registry from the same spec.
-	if *faults != "" && !*chaosMode {
-		plan, err := faultinject.ParsePlan(*faults)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rficbench: -faults:", err)
-			os.Exit(2)
-		}
-		faultinject.Enable(faultinject.New(plan, *faultSeed))
-		defer faultinject.Disable()
-	}
 
 	opts := pilp.Options{StripTimeLimit: *stripTime, MaxRefineIterations: 2}
 
@@ -132,7 +87,9 @@ func main() {
 	}
 
 	if *table1 {
-		runTable1(ctx, opts, *parallel)
+		if !runTable1(ctx, opts, *parallel) {
+			fail()
+		}
 	}
 	if *figure7 {
 		if !runFigure7(ctx, opts, *outDir) {
@@ -154,17 +111,8 @@ func main() {
 			fail()
 		}
 	}
-	if *chaosMode && *chaosNodes >= 2 {
-		if !runChaosCluster(ctx, *faults, *faultSeed, *chaosRounds, *chaosOut, *scheduleOut) {
-			fail()
-		}
-	} else if *chaosMode {
-		if !runChaos(ctx, *faults, *faultSeed, *chaosRounds, *chaosOut, *scheduleOut) {
-			fail()
-		}
-	}
-	if !*table1 && !*figure7 && !*figure11a && !*figure11b && !*fuzzMode && !*chaosMode {
-		fmt.Fprintln(os.Stderr, "nothing to do: pass -table1, -figure7, -figure11a, -figure11b, -fuzz or -chaos")
+	if !*table1 && !*figure7 && !*figure11a && !*figure11b && !*fuzzMode {
+		fmt.Fprintln(os.Stderr, "nothing to do: pass -table1, -figure7, -figure11a, -figure11b or -fuzz")
 		prof.Stop()
 		os.Exit(2)
 	}
@@ -226,7 +174,9 @@ func buildCircuit(spec circuits.Spec, small bool) *netlist.Circuit {
 	return circuits.Build(spec)
 }
 
-func runTable1(ctx context.Context, opts pilp.Options, parallel int) {
+// runTable1 prints Table 1 over every cell that solved and reports whether
+// all of them did.
+func runTable1(ctx context.Context, opts pilp.Options, parallel int) bool {
 	type cell struct {
 		spec  circuits.Spec
 		small bool
@@ -246,6 +196,7 @@ func runTable1(ctx context.Context, opts pilp.Options, parallel int) {
 	results := engine.Run(ctx, jobs, engine.Options{Parallel: parallel})
 
 	var rows []report.Table1Row
+	ok := true
 	for i, cl := range cells {
 		c := jobs[i].Circuit
 		row := report.Table1Row{
@@ -269,6 +220,7 @@ func runTable1(ctx context.Context, opts pilp.Options, parallel int) {
 		r := results[i]
 		if r.Err != nil {
 			fmt.Fprintf(os.Stderr, "rficbench: %s: %v\n", r.Name, r.Err)
+			ok = false
 			continue
 		}
 		m := r.Result.Layout.Metrics()
@@ -279,6 +231,7 @@ func runTable1(ctx context.Context, opts pilp.Options, parallel int) {
 		rows = append(rows, row)
 	}
 	fmt.Print(report.FormatTable1(rows))
+	return ok
 }
 
 // runFigure7 writes the Figure 7 phase snapshots of the 94 GHz LNA as SVG

@@ -145,14 +145,16 @@
 // tier (read/write/rename errors, torn writes), the conc pool (panics,
 // delays), engine job execution and the server admission queue. A seeded
 // plan fires an identical fault schedule every run, so the chaos battery
-// (rficbench -chaos, and TestChaosScheduleSurvival in internal/server) can
-// assert exact accounting: every /healthz counter reconciles against the
-// fired-fault counts, and once budgets exhaust the layouts are
-// byte-identical to a fault-free run. The same registry covers the cluster
-// layer (cluster.dial/cluster.forward/cluster.body), so the two-node battery
-// (rficbench -chaos -chaos-nodes 2) proves the forwarding, degraded-fallback
-// and audit paths under the same exact-accounting standard. rficserve arms
-// the registry from RFIC_FAULTS/RFIC_FAULT_SEED for staging drills.
+// (TestChaosScheduleSurvival in internal/server) can assert exact
+// accounting: every /healthz counter reconciles against the fired-fault
+// counts, the layouts are byte-identical to a fault-free run, and a replay
+// at the same seed reproduces the request log and fault schedule exactly.
+// The same registry covers the cluster layer
+// (cluster.dial/cluster.forward/cluster.body), so the two-node battery
+// (TestClusterChaosScheduleSurvival) proves the forwarding,
+// degraded-fallback and audit paths under the same exact-accounting
+// standard. rficserve arms the registry from RFIC_FAULTS/RFIC_FAULT_SEED for
+// staging drills.
 //
 // # Serving quick start
 //

@@ -26,7 +26,8 @@
 //
 // arms conc.panic at 2% per occurrence capped at 2 firings, and fails the
 // first 3 cache directory reads outright. rficserve arms the global registry
-// from $RFIC_FAULTS / $RFIC_FAULT_SEED, rficbench from -faults / -fault-seed.
+// from $RFIC_FAULTS / $RFIC_FAULT_SEED; the chaos tests in internal/server
+// arm it with New and Enable.
 package faultinject
 
 import (

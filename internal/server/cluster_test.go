@@ -14,6 +14,7 @@ import (
 	"rficlayout/internal/cache"
 	"rficlayout/internal/cluster"
 	"rficlayout/internal/engine"
+	"rficlayout/internal/faultinject"
 	"rficlayout/internal/netlist"
 )
 
@@ -31,8 +32,9 @@ func (n *clusterNode) url() string { return n.ts.URL }
 // startTwoNodes builds a real two-node cluster on loopback listeners. The
 // listeners are created before the servers so both rings see final URLs, and
 // the ring hashes names ("a", "b"), so ownership is independent of the random
-// ports.
-func startTwoNodes(t *testing.T, tweak func(*cluster.Config)) map[string]*clusterNode {
+// ports. tweak, when non-nil, adjusts each node's server and cluster config
+// (the server's Cluster field is set afterwards).
+func startTwoNodes(t *testing.T, tweak func(*Config, *cluster.Config)) map[string]*clusterNode {
 	t.Helper()
 	names := []string{"a", "b"}
 	lns := map[string]net.Listener{}
@@ -55,12 +57,12 @@ func startTwoNodes(t *testing.T, tweak func(*cluster.Config)) map[string]*cluste
 			BackoffMax:     10 * time.Millisecond,
 			AuditEvery:     1,
 		}
-		if tweak != nil {
-			tweak(&cc)
-		}
-		cl := cluster.New(cc)
 		cfg := fastConfig()
 		cfg.Cache = cache.NewLRU(16, 0)
+		if tweak != nil {
+			tweak(&cfg, &cc)
+		}
+		cl := cluster.New(cc)
 		cfg.Cluster = cl
 		s := New(cfg)
 		ts := &httptest.Server{Listener: lns[name], Config: &http.Server{Handler: s.Handler()}}
@@ -476,4 +478,134 @@ func TestForwardedLeaderFollowerDetaches(t *testing.T) {
 	if n := j.waiters.Load(); n != 0 {
 		t.Errorf("leader waiters = %d after completion, want 0", n)
 	}
+}
+
+// clusterChaosFaultSpec is the two-node battery's schedule: every phase of a
+// peer forward can fail (dial, mid-exchange, body read), plus torn writes on
+// either node's Dir tier. Dial fails outright with a budget equal to
+// MaxAttempts, so the first forward deterministically exhausts its attempts
+// and degrades to a local solve; every budget is finite, so the run always
+// clears the faults and must return to clean forwarded service.
+const clusterChaosFaultSpec = "cluster.dial=1/3,cluster.forward=0.4/2,cluster.body=0.4/2,cache.dir.torn=0.5/2"
+
+// TestClusterChaosScheduleSurvival is the two-node chaos battery: every
+// request goes to node a, two circuits owned by each node, 8 rounds, while
+// injected cluster faults fail forwards and torn writes corrupt either node's
+// Dir tier. Both nodes must survive, every fired fault must reconcile
+// exactly against the cluster and cache counters, the audit must find no
+// mismatch, every layout — local, proxied or degraded — must be
+// byte-identical to a fault-free single-node baseline, and a second pass at
+// the same seed must replay the request log and fault schedule exactly.
+func TestClusterChaosScheduleSurvival(t *testing.T) {
+	const rounds, auditEvery = 8, 2
+	type chaosCase struct{ name, body, key, owner, baseline string }
+
+	// Ownership hashes peer names, not URLs, so a URL-less ring picks the
+	// same owners as the live nodes will.
+	ring := cluster.New(cluster.Config{Self: "a", Peers: []cluster.Peer{{Name: "a"}, {Name: "b"}}})
+	var cases []chaosCase
+	owned := map[string]int{}
+	for i := 0; owned["a"] < 2 || owned["b"] < 2; i++ {
+		if i == 50 {
+			t.Fatal("the chaos circuit family never covered both owners")
+		}
+		c, err := netlist.ParseString(chaosCircuit(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := cache.Key(c, fastConfig().SolveOptions)
+		if p, _ := ring.Owner(key); owned[p.Name] < 2 {
+			owned[p.Name]++
+			cases = append(cases, chaosCase{name: c.Name, body: chaosCircuit(i), key: key, owner: p.Name})
+		}
+	}
+	_, base := startServer(t, fastConfig())
+	for i, c := range cases {
+		resp, sr := postSolve(t, base.URL+"/v1/solve", c.body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("baseline %s: status %d (%s)", c.name, resp.StatusCode, sr.Error)
+		}
+		cases[i].baseline = sr.Layout
+	}
+
+	requireReplay(t, func(t *testing.T, seed int64) chaosRun {
+		// The registry is process-global: both nodes draw from one schedule
+		// in request order. Dir tiers only, so torn writes surface as
+		// quarantines instead of hiding behind a memory tier.
+		reg := armFaults(t, clusterChaosFaultSpec, seed)
+		nodes := startTwoNodes(t, func(cfg *Config, cc *cluster.Config) {
+			dir, err := cache.NewDir(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Cache = dir
+			cc.MaxAttempts = 3
+			cc.AuditEvery = auditEvery
+		})
+
+		var log []chaosRecord
+		var wantAudited int64
+		for r := 0; r < rounds; r++ {
+			for _, c := range cases {
+				rec := solveWithRetry(t, nodes["a"].url(), r, c.name, c.body, c.baseline)
+				if !rec.Match {
+					t.Errorf("round %d %s: layout differs from the single-node baseline (proxied=%v degraded=%v)", r, c.name, rec.Proxied, rec.Degraded)
+				}
+				// Provenance the counters cannot see: a b-owned request comes
+				// back proxied or degraded, an a-owned one takes neither path.
+				if (c.owner == "b") != (rec.Proxied || rec.Degraded) {
+					t.Errorf("round %d %s owned by %s: proxied=%v degraded=%v", r, c.name, c.owner, rec.Proxied, rec.Degraded)
+				}
+				// Audit sampling is a pure function of the key, so the test
+				// knows exactly which proxied results were audited.
+				if rec.Proxied && cluster.AuditSampled(c.key, auditEvery) {
+					wantAudited++
+				}
+				// Once every budget is exhausted the final round forwards
+				// cleanly.
+				if rec.Degraded && r == rounds-1 {
+					t.Errorf("round %d %s degraded in the final round; every fault budget should be spent", r, c.name)
+				}
+				log = append(log, rec)
+			}
+		}
+
+		counts := reg.Counts()
+		firedCluster := counts[faultinject.PointClusterDial].Fired + counts[faultinject.PointClusterForward].Fired +
+			counts[faultinject.PointClusterBody].Fired
+		hA, hB := getHealth(t, nodes["a"].url()), getHealth(t, nodes["b"].url())
+		ca, cb := hA.Cluster, hB.Cluster
+		if ca == nil || cb == nil || hA.Cache == nil || hB.Cache == nil {
+			t.Fatalf("healthz missing cluster or cache stats: a %+v, b %+v", hA, hB)
+		}
+		// Every failed forward attempt is one fired cluster fault; an
+		// operation's failures are its retries when it finally succeeds,
+		// retries+1 when it degrades.
+		if ca.AttemptFailures != firedCluster || ca.Retried+ca.Degraded != firedCluster {
+			t.Errorf("attempt failures %d, retried %d + degraded %d, want both = %d fired cluster faults",
+				ca.AttemptFailures, ca.Retried, ca.Degraded, firedCluster)
+		}
+		// Each b-owned request is one forward operation (a never caches
+		// remote-owned keys): it either forwarded or degraded.
+		if want := int64(rounds * owned["b"]); ca.Forwarded+ca.Degraded != want {
+			t.Errorf("forwarded %d + degraded %d, want %d forward operations", ca.Forwarded, ca.Degraded, want)
+		}
+		// Loop safety: b forwards nothing back, and neither node loses a
+		// request to a panic, rejection or failure the plan never injected.
+		if cb.Forwarded != 0 || cb.Degraded != 0 {
+			t.Errorf("node b cluster stats %+v, want no forwards", cb)
+		}
+		if hA.Panics+hB.Panics+hA.Rejected+hB.Rejected+hA.Failed+hB.Failed != 0 {
+			t.Errorf("unexpected losses: a panics=%d rejected=%d failed=%d, b panics=%d rejected=%d failed=%d",
+				hA.Panics, hA.Rejected, hA.Failed, hB.Panics, hB.Rejected, hB.Failed)
+		}
+		// Each torn write is read back as a quarantine on the key's owner.
+		if got, want := hA.Cache.Corrupt+hB.Cache.Corrupt, counts[faultinject.PointCacheTorn].Fired; got != want {
+			t.Errorf("quarantined %d, want %d torn writes", got, want)
+		}
+		if ca.Audited != wantAudited || ca.AuditMismatch != 0 {
+			t.Errorf("audited %d (want %d), mismatches %d (want 0)", ca.Audited, wantAudited, ca.AuditMismatch)
+		}
+		return finishChaos(t, reg, log)
+	})
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -240,120 +241,177 @@ func TestGracefulShutdownInflight(t *testing.T) {
 	}
 }
 
-// TestChaosScheduleSurvival is the in-package chaos battery: a seeded
-// schedule of injected panics, admission failures and torn cache writes runs
-// against a live server with a persistent cache, the client retries through
-// the faults, and afterwards every /healthz counter must account exactly for
-// every injected fault while the final layouts are byte-identical to a
-// fault-free baseline. cmd/rficbench -chaos scales the same design up.
+// chaosSeed pins the fault schedule of both chaos batteries.
+const chaosSeed = 42
+
+// chaosFaultSpec is the single-node battery's schedule: worker-pool and
+// engine panics, injected admission failures, torn cache writes, and
+// transient cache read errors (absorbed by the Dir tier's bounded retry).
+// Every budget is finite, so the run always clears the faults and must
+// return to byte-identical service.
+const chaosFaultSpec = "conc.panic=0.25/3,engine.panic=0.5/2,server.admit=0.5/2," +
+	"cache.dir.torn=0.5/2,cache.dir.read=1/2"
+
+// chaosCircuit is the i-th chaos circuit: tinyNetlist under a distinct name,
+// so requests are neither coalesced by singleflight nor cross-served from
+// the cache.
+func chaosCircuit(i int) string {
+	return strings.Replace(tinyNetlist, "circuit tiny", fmt.Sprintf("circuit chaos%d", i), 1)
+}
+
+// chaosRecord is one request of a chaos battery. It carries no wall-clock
+// fields: every field is a pure function of the fault seed, so a replay at
+// the same seed must reproduce the log exactly.
+type chaosRecord struct {
+	Round    int    `json:"round"`
+	Circuit  string `json:"circuit"`
+	Attempts int    `json:"attempts"`
+	Status   string `json:"status"`
+	CacheHit bool   `json:"cache_hit"`
+	Partial  bool   `json:"partial"`
+	Match    bool   `json:"match"`
+	Proxied  bool   `json:"proxied,omitempty"`
+	Degraded bool   `json:"degraded,omitempty"`
+	Owner    string `json:"owner,omitempty"`
+}
+
+// solveWithRetry drives one chaos request through the fault schedule and
+// records it, Match comparing the layout with the fault-free baseline. 503s
+// and panic 500s are retryable by design; any other status, a dead server
+// or ten failed attempts fail the test.
+func solveWithRetry(t *testing.T, url string, round int, name, body, baseline string) chaosRecord {
+	t.Helper()
+	rec := chaosRecord{Round: round, Circuit: name}
+	for rec.Attempts = 1; rec.Attempts <= 10; rec.Attempts++ {
+		resp, sr := postSolve(t, url+"/v1/solve", body)
+		switch resp.StatusCode {
+		case http.StatusOK:
+			rec.Status, rec.CacheHit, rec.Partial, rec.Match = sr.Status, sr.CacheHit, sr.Partial, sr.Layout == baseline
+			rec.Proxied, rec.Degraded, rec.Owner = sr.Proxied, sr.Degraded, sr.Owner
+			return rec
+		case http.StatusServiceUnavailable, http.StatusInternalServerError:
+		default:
+			t.Fatalf("round %d %s: unexpected status %d (%s)", round, name, resp.StatusCode, sr.Error)
+		}
+	}
+	t.Fatalf("round %d %s: no success in 10 attempts", round, name)
+	return rec
+}
+
+// chaosRun is what one pass of a chaos battery leaves for the replay check:
+// its request log and its fired-fault schedule.
+type chaosRun struct {
+	log      []chaosRecord
+	schedule string
+}
+
+// finishChaos closes one battery pass: every armed point must have fired at
+// least once (a plan that stops reaching a point no longer tests it), and
+// the registry's schedule is rendered for the replay check.
+func finishChaos(t *testing.T, reg *faultinject.Registry, log []chaosRecord) chaosRun {
+	t.Helper()
+	for point, c := range reg.Counts() {
+		if c.Fired < 1 {
+			t.Errorf("point %s never fired (%d hits)", point, c.Hits)
+		}
+	}
+	var schedule strings.Builder
+	if err := reg.WriteSchedule(&schedule); err != nil {
+		t.Fatal(err)
+	}
+	return chaosRun{log: log, schedule: schedule.String()}
+}
+
+// requireReplay runs a chaos battery twice at the same fault seed, each pass
+// in its own subtest so its servers, Dir caches and registry are fresh, and
+// requires identical request logs and byte-identical fault schedules. On a
+// mismatch both passes are logged.
+func requireReplay(t *testing.T, battery func(t *testing.T, seed int64) chaosRun) {
+	t.Helper()
+	var runs [2]chaosRun
+	for i := range runs {
+		i := i
+		if !t.Run(fmt.Sprintf("replay%d", i+1), func(t *testing.T) { runs[i] = battery(t, chaosSeed) }) {
+			t.FailNow()
+		}
+	}
+	if slices.Equal(runs[0].log, runs[1].log) && runs[0].schedule == runs[1].schedule {
+		return
+	}
+	for i, run := range runs {
+		var b strings.Builder
+		for _, rec := range run.log {
+			line, _ := json.Marshal(rec)
+			b.Write(append(line, '\n'))
+		}
+		t.Logf("replay %d request log:\n%sreplay %d fault schedule:\n%s", i+1, b.String(), i+1, run.schedule)
+	}
+	t.Error("chaos battery did not replay identically at the same seed")
+}
+
+// TestChaosScheduleSurvival is the single-node chaos battery: a seeded
+// schedule of injected panics, admission failures, torn cache writes and
+// cache read errors runs against a live server with a persistent cache, 3
+// circuits x 8 rounds, the client retrying through the faults. Afterwards
+// every /healthz counter must account exactly for every injected fault, every
+// layout must be byte-identical to a fault-free baseline, and a second pass
+// at the same seed must replay the request log and fault schedule exactly.
 func TestChaosScheduleSurvival(t *testing.T) {
-	distinct := func(i int) string {
-		return strings.Replace(tinyNetlist, "circuit tiny", fmt.Sprintf("circuit chaos%d", i), 1)
-	}
-	const circuits = 2
-
-	// Fault-free baseline layouts.
+	const circuits, rounds = 3, 8
 	baseline := make([]string, circuits)
-	func() {
-		_, ts := startServer(t, fastConfig())
-		for i := 0; i < circuits; i++ {
-			resp, sr := postSolve(t, ts.URL+"/v1/solve", distinct(i))
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("baseline circuit %d: status %d (%s)", i, resp.StatusCode, sr.Error)
-			}
-			baseline[i] = sr.Layout
+	_, base := startServer(t, fastConfig())
+	for i := range baseline {
+		resp, sr := postSolve(t, base.URL+"/v1/solve", chaosCircuit(i))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("baseline circuit %d: status %d (%s)", i, resp.StatusCode, sr.Error)
 		}
-	}()
-
-	// Chaos server: persistent Dir cache only (a memory tier would mask torn
-	// disk entries), pool of 2 so flows are pinned sequential — one injected
-	// conc panic aborts exactly one solve, keeping the accounting exact.
-	dir, err := cache.NewDir(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
+		baseline[i] = sr.Layout
 	}
-	cfg := fastConfig()
-	cfg.Cache = dir
-	reg := armFaults(t,
-		faultinject.PointConcPanic+"=0.3/2,"+
-			faultinject.PointEnginePanic+"=0.5/1,"+
-			faultinject.PointServerAdmit+"=0.5/2,"+
-			faultinject.PointCacheTorn+"=0.5/2", 4242)
-	_, ts := startServer(t, cfg)
 
-	// solveWithRetry drives one circuit through the fault schedule: 503s and
-	// panic 500s are retryable by design; anything else fails the test.
-	solveWithRetry := func(i int) solveResponse {
-		for attempt := 0; attempt < 10; attempt++ {
-			resp, sr := postSolve(t, ts.URL+"/v1/solve", distinct(i))
-			switch resp.StatusCode {
-			case http.StatusOK:
-				return sr
-			case http.StatusServiceUnavailable, http.StatusInternalServerError:
-				continue
-			default:
-				t.Fatalf("circuit %d: unexpected status %d (%s)", i, resp.StatusCode, sr.Error)
+	requireReplay(t, func(t *testing.T, seed int64) chaosRun {
+		// Persistent Dir cache only (a memory tier would mask torn disk
+		// entries), pool of 2 so flows are pinned sequential: one injected
+		// conc panic aborts exactly one solve, keeping the accounting exact.
+		dir, err := cache.NewDir(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := fastConfig()
+		cfg.Cache = dir
+		reg := armFaults(t, chaosFaultSpec, seed)
+		_, ts := startServer(t, cfg)
+
+		var log []chaosRecord
+		for r := 0; r < rounds; r++ {
+			for i := 0; i < circuits; i++ {
+				rec := solveWithRetry(t, ts.URL, r, fmt.Sprintf("chaos%d", i), chaosCircuit(i), baseline[i])
+				if rec.Partial || !rec.Match {
+					t.Errorf("round %d circuit %d: partial=%v, matches fault-free baseline=%v", r, i, rec.Partial, rec.Match)
+				}
+				log = append(log, rec)
 			}
 		}
-		t.Fatalf("circuit %d: no success within the retry budget", i)
-		return solveResponse{}
-	}
 
-	// Enough rounds that every fault budget exhausts and every torn write is
-	// read (round r+1 reads round r's writes), plus final verify rounds.
-	const rounds = 6
-	for r := 0; r < rounds; r++ {
-		for i := 0; i < circuits; i++ {
-			sr := solveWithRetry(i)
-			if sr.Partial {
-				t.Fatalf("round %d circuit %d: partial without accept_partial", r, i)
-			}
-			if sr.Layout != baseline[i] {
-				t.Fatalf("round %d circuit %d: layout diverged from fault-free baseline", r, i)
-			}
+		counts := reg.Counts()
+		h := getHealth(t, ts.URL)
+		// Every injected fault is accounted for on /healthz:
+		// each fired panic point killed exactly one solve,
+		wantPanics := counts[faultinject.PointConcPanic].Fired + counts[faultinject.PointEnginePanic].Fired
+		if h.Panics != wantPanics {
+			t.Errorf("healthz panics = %d, want %d (injected conc+engine panics)", h.Panics, wantPanics)
 		}
-	}
-
-	counts := reg.Counts()
-	for point, c := range counts {
-		if c.Fired != c.Hits && c.Fired < 1 {
-			t.Logf("point %s: %d/%d fired", point, c.Fired, c.Hits)
+		// each injected admission failure was one rejection,
+		if h.Rejected != counts[faultinject.PointServerAdmit].Fired {
+			t.Errorf("healthz rejected = %d, want %d (injected admission failures)", h.Rejected, counts[faultinject.PointServerAdmit].Fired)
 		}
-	}
-	h := getHealth(t, ts.URL)
-
-	// Every injected fault is accounted for on /healthz:
-	// each fired panic point killed exactly one solve,
-	wantPanics := counts[faultinject.PointConcPanic].Fired + counts[faultinject.PointEnginePanic].Fired
-	if h.Panics != wantPanics {
-		t.Errorf("healthz panics = %d, want %d (injected conc+engine panics)", h.Panics, wantPanics)
-	}
-	// each injected admission failure was one rejection,
-	if h.Rejected != counts[faultinject.PointServerAdmit].Fired {
-		t.Errorf("healthz rejected = %d, want %d (injected admission failures)", h.Rejected, counts[faultinject.PointServerAdmit].Fired)
-	}
-	// and each torn write was detected and quarantined on a later read.
-	if h.Cache == nil || h.Cache.Corrupt != counts[faultinject.PointCacheTorn].Fired {
-		var got int64 = -1
-		if h.Cache != nil {
-			got = h.Cache.Corrupt
+		// and each torn write was detected and quarantined on a later read.
+		if h.Cache == nil || h.Cache.Corrupt != counts[faultinject.PointCacheTorn].Fired {
+			t.Errorf("healthz cache = %+v, want corrupt = %d (torn writes)", h.Cache, counts[faultinject.PointCacheTorn].Fired)
 		}
-		t.Errorf("healthz cache corrupt = %d, want %d (torn writes)", got, counts[faultinject.PointCacheTorn].Fired)
-	}
-	// The faults snapshot rides on /healthz for the harness to reconcile.
-	if len(h.Faults) != 4 {
-		t.Errorf("healthz faults = %+v, want all 4 armed points", h.Faults)
-	}
-
-	// Replaying the schedule dump is byte-identical (the CI artifact claim).
-	var a, b strings.Builder
-	if err := reg.WriteSchedule(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.WriteSchedule(&b); err != nil {
-		t.Fatal(err)
-	}
-	if a.String() != b.String() {
-		t.Error("fault schedule dump not reproducible")
-	}
+		// The faults snapshot rides on /healthz for the harness to reconcile.
+		if len(h.Faults) != len(counts) {
+			t.Errorf("healthz faults = %+v, want all %d armed points", h.Faults, len(counts))
+		}
+		return finishChaos(t, reg, log)
+	})
 }
