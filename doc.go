@@ -38,8 +38,8 @@
 //	internal/pilp                progressive ILP flow of the paper (Section 5):
 //	                             construct → global adjust → per-strip exact
 //	                             lengths → refinement; independent per-strip
-//	                             and per-rotation subproblems run concurrently;
-//	                             the phase-1 adjustment is one global MILP
+//	                             subproblems run concurrently; the phase-1
+//	                             adjustment is one global MILP
 //	internal/ilpmodel            builds the layout MILP (device placement,
 //	                             chain-point routing, non-overlap, Eq. 1–28)
 //	internal/milp                branch-and-bound with batched parallel LP

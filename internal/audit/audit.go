@@ -72,74 +72,28 @@ type Options struct {
 	Solve pilp.Options
 	// Checks selects a subset of AllChecks; nil runs all of them.
 	Checks []string
-	// RescaleFactor is the unit-rescaling multiplier. Zero means 2.
-	RescaleFactor int64
-	// MirrorRatio is the allowed multiplicative score divergence between the
-	// mirrored and the base solve (in either direction). Zero means 8:
-	// mirroring flips every tie-break of the constructive heuristic, and at
-	// fuzz-scale node budgets up to ~5x violation swings are empirically
-	// normal — the envelope flags chirality-driven collapse, not wobble.
-	MirrorRatio float64
-	// MirrorSlack is the absolute score slack of the mirror envelope. Zero
-	// means 2e6, two violations — a near-perfect base score must not turn
-	// every residual mirrored violation into a failure.
-	MirrorSlack float64
-	// RotateRatio is the allowed multiplicative score divergence between the
-	// quarter-turn-rotated and the base solve (in either direction). Zero
-	// means 8, calibrated the same way as MirrorRatio: the 54-seed fuzz
-	// battery at budget 10 stays inside it with the same margin the mirror
-	// check has, and rotation perturbs the heuristics at least as much
-	// (every tie-break re-dealt plus the routing regimes exchanged).
-	RotateRatio float64
-	// RotateSlack is the absolute score slack of the rotate envelope. Zero
-	// means 2e6, two violations, matching MirrorSlack.
-	RotateSlack float64
-	// ExtraWorkers are the worker counts compared against the base solve by
-	// the workers check. Nil means {4}.
-	ExtraWorkers []int
 }
 
-func (o Options) rescaleFactor() int64 {
-	if o.RescaleFactor > 1 {
-		return o.RescaleFactor
-	}
-	return 2
-}
-
-func (o Options) mirrorRatio() float64 {
-	if o.MirrorRatio > 0 {
-		return o.MirrorRatio
-	}
-	return 8
-}
-
-func (o Options) mirrorSlack() float64 {
-	if o.MirrorSlack > 0 {
-		return o.MirrorSlack
-	}
-	return 2e6
-}
-
-func (o Options) rotateRatio() float64 {
-	if o.RotateRatio > 0 {
-		return o.RotateRatio
-	}
-	return 8
-}
-
-func (o Options) rotateSlack() float64 {
-	if o.RotateSlack > 0 {
-		return o.RotateSlack
-	}
-	return 2e6
-}
-
-func (o Options) extraWorkers() []int {
-	if len(o.ExtraWorkers) > 0 {
-		return o.ExtraWorkers
-	}
-	return []int{4}
-}
+const (
+	// rescaleFactor is the unit-rescaling multiplier of the rescale check.
+	rescaleFactor int64 = 2
+	// envelopeRatio is the allowed multiplicative score divergence between
+	// the mirrored or quarter-turn-rotated solve and the base solve (in
+	// either direction). Mirroring flips every tie-break of the constructive
+	// heuristic, and at fuzz-scale node budgets up to ~5x violation swings
+	// are empirically normal — the envelope flags chirality-driven collapse,
+	// not wobble. Rotation perturbs the heuristics at least as much (every
+	// tie-break re-dealt plus the routing regimes exchanged); the 54-seed
+	// fuzz battery at budget 10 stays inside the envelope for both checks.
+	envelopeRatio float64 = 8
+	// envelopeSlack is the absolute score slack of the same envelope: two
+	// violations, so a near-perfect base score does not turn every residual
+	// violation of the transformed solve into a failure.
+	envelopeSlack = 2e6
+	// checkWorkerCount is the worker count the workers check compares
+	// against the base solve.
+	checkWorkerCount = 4
+)
 
 func (o Options) checks() []string {
 	if len(o.Checks) > 0 {
@@ -350,7 +304,7 @@ func checkRename(ctx context.Context, c *netlist.Circuit, base *pilp.Result, opt
 // in the finer unit: equal violation counts, equal bend totals, and a total
 // length error within the rescale envelope of k times the base.
 func checkRescale(ctx context.Context, c *netlist.Circuit, base *pilp.Result, opts Options, rep *Report) CheckResult {
-	k := opts.rescaleFactor()
+	k := rescaleFactor
 	sc := rescaled(c, k)
 	so := opts.Solve
 	// The flow's geometric windows are lengths too; leaving them in the old
@@ -416,13 +370,9 @@ func checkMirror(ctx context.Context, c *netlist.Circuit, base *pilp.Result, opt
 		return failf(CheckMirror, "solving mirrored circuit: %v", err)
 	}
 	bs, ms := pilp.Score(base.Layout), pilp.Score(res.Layout)
-	lo, hi := bs, ms
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	if hi > lo*opts.mirrorRatio()+opts.mirrorSlack() {
+	if outsideEnvelope(bs, ms) {
 		return failf(CheckMirror, "mirrored score %.1f vs base %.1f exceeds the %gx collapse envelope",
-			ms, bs, opts.mirrorRatio())
+			ms, bs, envelopeRatio)
 	}
 	return pass(CheckMirror)
 }
@@ -441,15 +391,18 @@ func checkRotate(ctx context.Context, c *netlist.Circuit, base *pilp.Result, opt
 		return failf(CheckRotate, "solving rotated circuit: %v", err)
 	}
 	bs, rs := pilp.Score(base.Layout), pilp.Score(res.Layout)
-	lo, hi := bs, rs
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	if hi > lo*opts.rotateRatio()+opts.rotateSlack() {
+	if outsideEnvelope(bs, rs) {
 		return failf(CheckRotate, "rotated score %.1f vs base %.1f exceeds the %gx collapse envelope",
-			rs, bs, opts.rotateRatio())
+			rs, bs, envelopeRatio)
 	}
 	return pass(CheckRotate)
+}
+
+// outsideEnvelope reports whether two layout scores diverge beyond the
+// collapse envelope of the mirror and rotate checks.
+func outsideEnvelope(a, b float64) bool {
+	lo, hi := min(a, b), max(a, b)
+	return hi > lo*envelopeRatio+envelopeSlack
 }
 
 // checkWarmCold: warm-started and cold LP solves must return byte-identical
@@ -467,22 +420,21 @@ func checkWarmCold(ctx context.Context, c *netlist.Circuit, base *pilp.Result, o
 	return pass(CheckWarmCold)
 }
 
-// checkWorkers: every worker count must return the byte-identical layout.
+// checkWorkers: a solve at checkWorkerCount workers must return the
+// byte-identical layout.
 func checkWorkers(ctx context.Context, c *netlist.Circuit, base *pilp.Result, opts Options, rep *Report) CheckResult {
-	want := layout.Format(base.Layout)
-	for _, w := range opts.extraWorkers() {
-		if w == opts.Solve.Workers {
-			continue
-		}
-		so := opts.Solve
-		so.Workers = w
-		res, err := resolve(ctx, c, so, rep)
-		if err != nil {
-			return failf(CheckWorkers, "solve at %d workers: %v", w, err)
-		}
-		if layout.Format(res.Layout) != want {
-			return failf(CheckWorkers, "layout differs between %d and %d workers", opts.Solve.Workers, w)
-		}
+	w := checkWorkerCount
+	if w == opts.Solve.Workers {
+		return pass(CheckWorkers)
+	}
+	so := opts.Solve
+	so.Workers = w
+	res, err := resolve(ctx, c, so, rep)
+	if err != nil {
+		return failf(CheckWorkers, "solve at %d workers: %v", w, err)
+	}
+	if layout.Format(res.Layout) != layout.Format(base.Layout) {
+		return failf(CheckWorkers, "layout differs between %d and %d workers", opts.Solve.Workers, w)
 	}
 	return pass(CheckWorkers)
 }

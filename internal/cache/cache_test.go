@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"rficlayout/internal/milp"
 	"rficlayout/internal/netlist"
 	"rficlayout/internal/pilp"
 )
@@ -345,9 +344,10 @@ func TestTieredStatsCountEachLookupOnce(t *testing.T) {
 }
 
 // TestDirReadsLegacyShardsEntry holds the on-disk format compatible across
-// the retired "shards" count: an entry written with it (valid checksum
-// included) must still hit with every field intact and without quarantine,
-// and freshly written entries must no longer carry the key.
+// the retired "shards" count and "warm_seed_*" counters: an entry written
+// with them (valid checksum included) must still hit with every remaining
+// field intact and without quarantine, and freshly written entries must no
+// longer carry the keys.
 func TestDirReadsLegacyShardsEntry(t *testing.T) {
 	d, err := NewDir(t.TempDir())
 	if err != nil {
@@ -365,10 +365,7 @@ func TestDirReadsLegacyShardsEntry(t *testing.T) {
 	if !ok {
 		t.Fatal("legacy entry with a shards count missed")
 	}
-	wantLP := pilp.LPStats{
-		LPStats:          milp.LPStats{Pivots: 11, Refactorizations: 2, WarmHits: 3, WarmMisses: 1, ColdSolves: 4},
-		WarmSeedAccepted: 1,
-	}
+	wantLP := pilp.LPStats{Pivots: 11, Refactorizations: 2, WarmHits: 3, WarmMisses: 1, ColdSolves: 4}
 	if string(got.Layout) != layoutText || got.Nodes != 7 || got.LP != wantLP {
 		t.Errorf("legacy entry mangled: %+v", got)
 	}
@@ -376,7 +373,9 @@ func TestDirReadsLegacyShardsEntry(t *testing.T) {
 		t.Errorf("corrupt = %d, want 0", st.Corrupt)
 	}
 
-	d.Put(key(2), entry("fresh", "layout fresh"))
+	fresh := entry("fresh", "layout fresh")
+	fresh.LP = wantLP
+	d.Put(key(2), fresh)
 	raw, err := os.ReadFile(d.file(key(2)))
 	if err != nil {
 		t.Fatal(err)
@@ -387,5 +386,14 @@ func TestDirReadsLegacyShardsEntry(t *testing.T) {
 	}
 	if _, ok := fields["shards"]; ok {
 		t.Errorf("fresh entry still writes a shards key: %s", raw)
+	}
+	var lp map[string]json.RawMessage
+	if err := json.Unmarshal(fields["lp"], &lp); err != nil {
+		t.Fatalf("fresh entry lp %s: %v", fields["lp"], err)
+	}
+	for _, k := range []string{"warm_seed_accepted", "warm_seed_rejected"} {
+		if _, ok := lp[k]; ok {
+			t.Errorf("fresh entry still writes %s: %s", k, raw)
+		}
 	}
 }

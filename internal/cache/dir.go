@@ -64,15 +64,15 @@ type diskEntry struct {
 }
 
 // diskLPStats is the on-disk form of the simplex-effort counters; a nil
-// pointer (entries predating the counters) decodes to zeros.
+// pointer (entries predating the counters) decodes to zeros. Entries written
+// before the warm-seed counters were retired still carry
+// "warm_seed_accepted"/"warm_seed_rejected" keys; decoding ignores them.
 type diskLPStats struct {
 	Pivots           int `json:"pivots"`
 	Refactorizations int `json:"refactorizations"`
 	WarmHits         int `json:"warm_hits"`
 	WarmMisses       int `json:"warm_misses"`
 	ColdSolves       int `json:"cold_solves"`
-	WarmSeedAccepted int `json:"warm_seed_accepted"`
-	WarmSeedRejected int `json:"warm_seed_rejected"`
 }
 
 func toDiskLPStats(s pilp.LPStats) *diskLPStats {
@@ -85,8 +85,6 @@ func toDiskLPStats(s pilp.LPStats) *diskLPStats {
 		WarmHits:         s.WarmHits,
 		WarmMisses:       s.WarmMisses,
 		ColdSolves:       s.ColdSolves,
-		WarmSeedAccepted: s.WarmSeedAccepted,
-		WarmSeedRejected: s.WarmSeedRejected,
 	}
 }
 
@@ -94,16 +92,13 @@ func fromDiskLPStats(d *diskLPStats) pilp.LPStats {
 	if d == nil {
 		return pilp.LPStats{}
 	}
-	s := pilp.LPStats{
-		WarmSeedAccepted: d.WarmSeedAccepted,
-		WarmSeedRejected: d.WarmSeedRejected,
+	return pilp.LPStats{
+		Pivots:           d.Pivots,
+		Refactorizations: d.Refactorizations,
+		WarmHits:         d.WarmHits,
+		WarmMisses:       d.WarmMisses,
+		ColdSolves:       d.ColdSolves,
 	}
-	s.Pivots = d.Pivots
-	s.Refactorizations = d.Refactorizations
-	s.WarmHits = d.WarmHits
-	s.WarmMisses = d.WarmMisses
-	s.ColdSolves = d.ColdSolves
-	return s
 }
 
 // keyOK rejects keys that are not hex content addresses, so a malformed key

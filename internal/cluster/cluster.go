@@ -56,9 +56,6 @@ type Config struct {
 	Self string
 	// Peers is the full static membership, this node included.
 	Peers []Peer
-	// VNodes is the virtual-node count per peer on the ring (0 =
-	// DefaultVNodes).
-	VNodes int
 	// AttemptTimeout bounds each forward attempt (0 = 30s). It should cover
 	// the owner's expected solve time, not just its network RTT: a sync solve
 	// holds the response open.
@@ -204,7 +201,7 @@ type Cluster struct {
 // is static; changing it means restarting with a new peer list, which
 // rehashes deterministically on every node.
 func New(cfg Config) *Cluster {
-	c := &Cluster{cfg: cfg, ring: NewRing(cfg.Peers, cfg.VNodes)}
+	c := &Cluster{cfg: cfg, ring: NewRing(cfg.Peers)}
 	c.client = &Client{
 		cfg: cfg,
 		httpClient: &http.Client{

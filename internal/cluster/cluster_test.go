@@ -56,11 +56,11 @@ func testKeys(n int) []string {
 
 func TestRingDeterministicAndBalanced(t *testing.T) {
 	peers := []Peer{{Name: "a", URL: "u1"}, {Name: "b", URL: "u2"}, {Name: "c", URL: "u3"}}
-	r1 := NewRing(peers, 0)
+	r1 := NewRing(peers)
 	// Same name set in a different order and with different URLs must map every
 	// key identically: ownership is a pure function of the sorted name set.
 	shuffled := []Peer{{Name: "c", URL: "x3"}, {Name: "a", URL: "x1"}, {Name: "b", URL: "x2"}}
-	r2 := NewRing(shuffled, 0)
+	r2 := NewRing(shuffled)
 
 	counts := map[string]int{}
 	for _, k := range testKeys(1000) {
@@ -87,8 +87,8 @@ func TestRingDeterministicAndBalanced(t *testing.T) {
 }
 
 func TestRingMembershipChangeOnlyRemapsLostKeys(t *testing.T) {
-	full := NewRing([]Peer{{Name: "a"}, {Name: "b"}, {Name: "c"}}, 0)
-	without := NewRing([]Peer{{Name: "a"}, {Name: "b"}}, 0)
+	full := NewRing([]Peer{{Name: "a"}, {Name: "b"}, {Name: "c"}})
+	without := NewRing([]Peer{{Name: "a"}, {Name: "b"}})
 	moved := 0
 	for _, k := range testKeys(1000) {
 		before, _ := full.Owner(k)
@@ -106,7 +106,7 @@ func TestRingMembershipChangeOnlyRemapsLostKeys(t *testing.T) {
 }
 
 func TestEmptyRingOwnsNothing(t *testing.T) {
-	if _, ok := NewRing(nil, 0).Owner("k"); ok {
+	if _, ok := NewRing(nil).Owner("k"); ok {
 		t.Fatal("empty ring claimed an owner")
 	}
 	var c *Cluster

@@ -67,15 +67,12 @@ type Ring struct {
 	byName map[string]Peer
 }
 
-// DefaultVNodes balances ownership evenly enough for small static fleets
-// while keeping the ring tiny.
-const DefaultVNodes = 64
+// vnodes is the number of ring points per peer: it balances ownership evenly
+// enough for small static fleets while keeping the ring tiny.
+const vnodes = 64
 
-// NewRing builds the ring over the peer set. vnodes <= 0 means DefaultVNodes.
-func NewRing(peers []Peer, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVNodes
-	}
+// NewRing builds the ring over the peer set.
+func NewRing(peers []Peer) *Ring {
 	r := &Ring{byName: make(map[string]Peer, len(peers))}
 	r.peers = append(r.peers, peers...)
 	sort.Slice(r.peers, func(i, j int) bool { return r.peers[i].Name < r.peers[j].Name })

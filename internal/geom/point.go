@@ -152,11 +152,6 @@ func (o Orientation) Normalize() Orientation {
 	return Orientation(n)
 }
 
-// Plus composes two rotations.
-func (o Orientation) Plus(p Orientation) Orientation {
-	return (o + p).Normalize()
-}
-
 // SwapsDimensions reports whether the rotation exchanges width and height.
 func (o Orientation) SwapsDimensions() bool {
 	n := o.Normalize()

@@ -79,9 +79,6 @@ func TestOrientationNormalize(t *testing.T) {
 	if Orientation(-1).Normalize() != R270 {
 		t.Errorf("Normalize(-1) = %v", Orientation(-1).Normalize())
 	}
-	if R90.Plus(R270) != R0 {
-		t.Errorf("R90+R270 = %v", R90.Plus(R270))
-	}
 }
 
 func TestOrientationSwapsDimensions(t *testing.T) {

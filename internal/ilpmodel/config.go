@@ -26,26 +26,22 @@ import (
 	"rficlayout/internal/netlist"
 )
 
-// Weights are the objective coefficients of Eq. 21 and Eq. 26.
-type Weights struct {
-	// Alpha weighs the maximum bend count over all microstrips.
-	Alpha float64
-	// Beta weighs the total bend count.
-	Beta float64
-	// Gamma weighs the maximum unmatched length (soft-length mode only).
-	Gamma float64
-	// Zeta weighs the total unmatched length (soft-length mode only).
-	Zeta float64
-	// Eta weighs the total overlap slack (overlap-slack mode only).
-	Eta float64
-}
-
-// DefaultWeights balances one bend against roughly two micrometres of length
-// mismatch or overlap, matching the priorities the paper describes: exact
-// lengths and few bends first, residual overlap cleanup second.
-func DefaultWeights() Weights {
-	return Weights{Alpha: 10, Beta: 1, Gamma: 0.02, Zeta: 0.005, Eta: 0.01}
-}
+// The objective coefficients of Eq. 21 and Eq. 26. They balance one bend
+// against roughly two micrometres of length mismatch or overlap, matching the
+// priorities the paper describes: exact lengths and few bends first, residual
+// overlap cleanup second.
+const (
+	// weightAlpha weighs the maximum bend count over all microstrips.
+	weightAlpha = 10
+	// weightBeta weighs the total bend count.
+	weightBeta = 1
+	// weightGamma weighs the maximum unmatched length (soft-length mode only).
+	weightGamma = 0.02
+	// weightZeta weighs the total unmatched length (soft-length mode only).
+	weightZeta = 0.005
+	// weightEta weighs the total overlap slack (overlap-slack mode only).
+	weightEta = 0.01
+)
 
 // Config controls which parts of the full Section-4 model are built and how
 // much freedom the instance has.
@@ -57,10 +53,6 @@ type Config struct {
 	DefaultChainPoints int
 	// ChainPoints overrides the chain-point count per microstrip name.
 	ChainPoints map[string]int
-	// Orientations fixes the orientation of each device (default R0).
-	// Device rotation is explored by the refinement phase, which rebuilds
-	// the model with different assignments.
-	Orientations map[string]geom.Orientation
 
 	// FreeDevices and FreeStrips name the objects whose geometry the solver
 	// may change. Nil means "all". Objects that are not free must have a
@@ -107,10 +99,6 @@ type Config struct {
 	// objects whose expanded boxes in Fixed are farther apart than this
 	// radius. Zero keeps every pair.
 	PairRadius geom.Coord
-
-	// Weights are the objective coefficients; the zero value means
-	// DefaultWeights.
-	Weights Weights
 }
 
 func (c Config) chainPoints(strip string) int {
@@ -121,20 +109,6 @@ func (c Config) chainPoints(strip string) int {
 		return c.DefaultChainPoints
 	}
 	return 4
-}
-
-func (c Config) orientation(device string) geom.Orientation {
-	if o, ok := c.Orientations[device]; ok {
-		return o.Normalize()
-	}
-	return geom.R0
-}
-
-func (c Config) weights() Weights {
-	if c.Weights == (Weights{}) {
-		return DefaultWeights()
-	}
-	return c.Weights
 }
 
 func (c Config) deviceFree(name string) bool {
@@ -170,11 +144,6 @@ func (c Config) validate(ckt *netlist.Circuit) error {
 	for name := range c.ChainPoints {
 		if _, err := ckt.Microstrip(name); err != nil {
 			return fmt.Errorf("ilpmodel: chain-point override for unknown microstrip %q", name)
-		}
-	}
-	for name := range c.Orientations {
-		if _, err := ckt.Device(name); err != nil {
-			return fmt.Errorf("ilpmodel: orientation override for unknown device %q", name)
 		}
 	}
 	for _, name := range c.FreeDevices {

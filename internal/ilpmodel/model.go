@@ -123,7 +123,7 @@ func (m *Model) buildDevices() error {
 	for _, d := range m.Circuit.Devices {
 		dv := &deviceVars{
 			dev:    d,
-			orient: m.Config.orientation(d.Name),
+			orient: geom.R0,
 			isPad:  d.IsPad(),
 			free:   m.Config.deviceFree(d.Name),
 		}
@@ -156,9 +156,6 @@ func (m *Model) buildDevices() error {
 				loX, hiX = maxf(loX, cx-tau), minf(hiX, cx+tau)
 				loY, hiY = maxf(loY, cy-tau), minf(hiY, cy+tau)
 				dv.orient = pd.Orient
-				if o, ok := m.Config.Orientations[d.Name]; ok {
-					dv.orient = o.Normalize()
-				}
 			}
 		}
 		if loX > hiX || loY > hiY {
@@ -216,16 +213,15 @@ func (m *Model) buildObjective() {
 	// degenerate optimum a different pivot sequence lands on a different
 	// vertex — the model must be a pure function of the circuit and config
 	// for the flow's determinism contract (and the result cache) to hold.
-	w := m.Config.weights()
 	var nbExprs []*milp.Expr
 	for _, ms := range m.Circuit.Microstrips {
 		sv := m.strips[ms.Name]
 		nbExprs = append(nbExprs, sv.nbExpr)
 		// β · Σ n_b,i
-		m.MILP.AddObjectiveExpr(sv.nbExpr, w.Beta)
+		m.MILP.AddObjectiveExpr(sv.nbExpr, weightBeta)
 	}
 	m.nbMax = m.MILP.MaxEnvelope("nb.max", 1e6, nbExprs...)
-	m.MILP.SetObjectiveCoef(m.nbMax, w.Alpha)
+	m.MILP.SetObjectiveCoef(m.nbMax, weightAlpha)
 
 	if m.Config.SoftLength {
 		var luExprs []*milp.Expr
@@ -233,12 +229,12 @@ func (m *Model) buildObjective() {
 			sv := m.strips[ms.Name]
 			if sv.free {
 				luExprs = append(luExprs, milp.Term(sv.lu, 1))
-				m.MILP.AddObjectiveCoef(sv.lu, w.Zeta)
+				m.MILP.AddObjectiveCoef(sv.lu, weightZeta)
 			}
 		}
 		if len(luExprs) > 0 {
 			m.luMax = m.MILP.MaxEnvelope("lu.max", 1e9, luExprs...)
-			m.MILP.SetObjectiveCoef(m.luMax, w.Gamma)
+			m.MILP.SetObjectiveCoef(m.luMax, weightGamma)
 		}
 	}
 }

@@ -39,7 +39,7 @@ func fixedTwoBlockLayout(t *testing.T, c *netlist.Circuit) *layout.Layout {
 }
 
 func solveOpts(limit time.Duration) milp.SolveOptions {
-	return milp.SolveOptions{TimeLimit: limit, MIPGap: 1e-4}
+	return milp.SolveOptions{TimeLimit: limit}
 }
 
 func TestStraightStripExactLength(t *testing.T) {
@@ -274,9 +274,6 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := Build(c, Config{ChainPoints: map[string]int{"nope": 4}}); err == nil {
 		t.Error("unknown strip in ChainPoints accepted")
 	}
-	if _, err := Build(c, Config{Orientations: map[string]geom.Orientation{"nope": geom.R90}}); err == nil {
-		t.Error("unknown device in Orientations accepted")
-	}
 	fixed := layout.New(c)
 	if _, err := Build(c, Config{FreeDevices: []string{"A", "ZZ"}, Fixed: fixed}); err == nil {
 		t.Error("unknown free device accepted")
@@ -302,17 +299,6 @@ func TestConfigDefaults(t *testing.T) {
 	cfg.ChainPoints = map[string]int{"x": 3}
 	if cfg.chainPoints("x") != 3 {
 		t.Error("per-strip chain points not honoured")
-	}
-	if cfg.orientation("any") != geom.R0 {
-		t.Error("default orientation should be R0")
-	}
-	if cfg.weights() != DefaultWeights() {
-		t.Error("zero weights should map to defaults")
-	}
-	w := Weights{Alpha: 1, Beta: 2, Gamma: 3, Zeta: 4, Eta: 5}
-	cfg.Weights = w
-	if cfg.weights() != w {
-		t.Error("explicit weights overridden")
 	}
 }
 

@@ -38,7 +38,6 @@ func (m *Model) buildOverlap() error {
 	if err != nil {
 		return err
 	}
-	w := m.Config.weights()
 	for i := 0; i < len(boxes); i++ {
 		for j := i + 1; j < len(boxes); j++ {
 			a, b := boxes[i], boxes[j]
@@ -58,7 +57,7 @@ func (m *Model) buildOverlap() error {
 			var slackTerm *milp.Expr
 			if m.Config.OverlapSlack {
 				s := m.MILP.AddContinuous(pair+".slack", 0, m.areaW+m.areaH)
-				m.MILP.AddObjectiveCoef(s, w.Eta)
+				m.MILP.AddObjectiveCoef(s, weightEta)
 				slackTerm = milp.Term(s, 1)
 			}
 			if m.Config.RelativePositions && a.hasWarm && b.hasWarm {
@@ -271,7 +270,7 @@ func (m *Model) collectBoxes() ([]box, error) {
 					dev = terms[1]
 				}
 				if d, err := m.Circuit.Device(dev); err == nil {
-					w, h := d.Dimensions(m.Config.orientation(dev))
+					w, h := d.Dimensions(geom.R0)
 					reach := geom.Microns(geom.MaxCoord(w, h)) / 2
 					expandX.AddConst(reach)
 					expandY.AddConst(reach)

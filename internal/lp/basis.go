@@ -167,7 +167,7 @@ func (s *simplex) normalizeNonbasic(j int, st varStatus) varStatus {
 // pivoting tolerance because an imported basis was optimal under bit-
 // different arithmetic.
 func (s *simplex) dualFeasible() bool {
-	tol := 10 * s.tol
+	loose := 10 * tol
 	for j := 0; j < s.n; j++ {
 		if s.status[j] == inBasis || s.lower[j] == s.upper[j] {
 			continue
@@ -175,15 +175,15 @@ func (s *simplex) dualFeasible() bool {
 		d := s.reduced[j]
 		switch s.status[j] {
 		case atLower:
-			if d < -tol {
+			if d < -loose {
 				return false
 			}
 		case atUpper:
-			if d > tol {
+			if d > loose {
 				return false
 			}
 		case atFree:
-			if math.Abs(d) > tol {
+			if math.Abs(d) > loose {
 				return false
 			}
 		}

@@ -67,7 +67,7 @@ func (s *simplex) runDual() Status {
 // lowest violating row wins instead of the worst one.
 func (s *simplex) chooseLeaving() (row int, target float64, bound varStatus) {
 	row = -1
-	worst := s.tol
+	worst := tol
 	for i := 0; i < s.m; i++ {
 		b := s.basis[i]
 		if v := s.lower[b] - s.beta[i]; v > worst {
@@ -191,7 +191,7 @@ func (s *simplex) findLexDescent() (enter int, dir float64, leaveRow int, bound 
 		if st == inBasis || s.lower[j] == s.upper[j] {
 			continue
 		}
-		if math.Abs(s.reduced[j]) > s.tol {
+		if math.Abs(s.reduced[j]) > tol {
 			continue
 		}
 		var dirs []float64
@@ -213,7 +213,7 @@ func (s *simplex) findLexDescent() (enter int, dir float64, leaveRow int, bound 
 			if !ok {
 				continue // unbounded ray: the lex objective has no minimum here
 			}
-			if lr < 0 && stp <= s.tol {
+			if lr < 0 && stp <= tol {
 				continue // zero-width bound flip changes nothing
 			}
 			return j, d, lr, b, stp

@@ -233,11 +233,6 @@ func (s *Solution) Value(v int) float64 { return s.X[v] }
 
 // Options tunes the solver.
 type Options struct {
-	// MaxIterations bounds the total number of simplex pivots across both
-	// phases. Zero means a generous default based on problem size.
-	MaxIterations int
-	// Tolerance is the feasibility / optimality tolerance. Zero means 1e-7.
-	Tolerance float64
 	// RefactorEvery forces a basis-inverse refactorization every that many
 	// pivots; it doubles as the cap on the product-form eta chain between
 	// refactorizations. Zero means 64.
@@ -259,12 +254,8 @@ type Options struct {
 	newCore func(*simplex) tableauCore
 }
 
-func (o Options) tolerance() float64 {
-	if o.Tolerance > 0 {
-		return o.Tolerance
-	}
-	return 1e-7
-}
+// tol is the feasibility / optimality tolerance.
+const tol = 1e-7
 
 func (o Options) refactorEvery() int {
 	if o.RefactorEvery > 0 {
@@ -273,10 +264,9 @@ func (o Options) refactorEvery() int {
 	return 64
 }
 
-func (o Options) maxIterations(m, n int) int {
-	if o.MaxIterations > 0 {
-		return o.MaxIterations
-	}
+// maxIterations bounds the total number of simplex pivots across both phases
+// of a solve with m constraints and n structural variables.
+func maxIterations(m, n int) int {
 	it := 200 * (m + n)
 	if it < 2000 {
 		it = 2000

@@ -53,7 +53,6 @@ type simplex struct {
 	artRow   []int     // row of each artificial column
 	artSign  []float64 // raw-row coefficient of each artificial column
 
-	tol        float64
 	iterations int
 	maxIter    int
 	refresh    int
@@ -180,11 +179,10 @@ func newSimplexBase(p *Problem, opts Options) (*simplex, error) {
 		m:       m,
 		nStruct: nStruct,
 		prob:    p,
-		tol:     opts.tolerance(),
 		refresh: opts.refactorEvery(),
 		newCore: opts.newCore,
 	}
-	s.maxIter = opts.maxIterations(m, nStruct)
+	s.maxIter = maxIterations(m, nStruct)
 
 	// Column bounds and costs: structural variables then slacks.
 	total := nStruct + m
@@ -286,7 +284,7 @@ func newSimplex(p *Problem, opts Options) (*simplex, error) {
 	for i := 0; i < m; i++ {
 		j := nStruct + i
 		need := rhs[i]
-		if need >= s.lower[j]-s.tol && need <= s.upper[j]+s.tol {
+		if need >= s.lower[j]-tol && need <= s.upper[j]+tol {
 			// Slack basis is feasible for this row.
 			s.basis[i] = j
 			s.status[j] = inBasis

@@ -119,7 +119,7 @@ func (s *simplex) iterate() Status {
 
 		s.iterations++
 		sinceRefresh++
-		if step <= s.tol {
+		if step <= tol {
 			s.degenerate++
 			if s.degenerate > 2*(s.m+s.n) {
 				s.useBland = true
@@ -163,17 +163,17 @@ func (s *simplex) chooseEntering() (int, float64) {
 		var score, dir float64
 		switch st {
 		case atLower:
-			if d < -s.tol {
+			if d < -tol {
 				score, dir = -d, 1
 			}
 		case atUpper:
-			if d > s.tol {
+			if d > tol {
 				score, dir = d, -1
 			}
 		case atFree:
-			if d < -s.tol {
+			if d < -tol {
 				score, dir = -d, 1
-			} else if d > s.tol {
+			} else if d > tol {
 				score, dir = d, -1
 			}
 		}
@@ -234,7 +234,7 @@ func (s *simplex) ratioTest(enter int, dir float64, alpha []float64) (leaveRow i
 			limit = (s.upper[b] - s.beta[i]) / (-delta)
 			hit = atUpper
 		}
-		if limit < -s.tol {
+		if limit < -tol {
 			limit = 0
 		}
 		if limit < step-1e-12 {

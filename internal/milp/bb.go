@@ -48,7 +48,9 @@ func (s Status) String() string {
 // HasSolution reports whether the status carries a usable assignment.
 func (s Status) HasSolution() bool { return s == StatusOptimal || s == StatusFeasible }
 
-// SolveOptions tunes the branch-and-bound search.
+// SolveOptions tunes the branch-and-bound search. The integrality tolerance
+// and the relative optimality gap at which search stops are both fixed at
+// 1e-6, and the search always starts without an incumbent.
 type SolveOptions struct {
 	// TimeLimit bounds wall-clock time; zero means no limit. It is sugar for
 	// a context deadline: SolveCtx derives a child context with this timeout,
@@ -62,36 +64,21 @@ type SolveOptions struct {
 	// MaxNodes bounds the number of explored nodes; zero means a large
 	// default (1 << 20).
 	MaxNodes int
-	// MIPGap is the relative optimality gap at which search stops; zero
-	// means 1e-6.
-	MIPGap float64
-	// IntTol is the integrality tolerance; zero means 1e-6.
-	IntTol float64
-	// WarmStart, when non-nil and feasible, seeds the incumbent.
-	WarmStart []float64
 	// DisableWarmLP turns off basis reuse between parent and child nodes:
 	// every node LP cold-starts from phase 1, as the solver did before warm
 	// starts existed. The search path and result are identical either way
-	// (the LP layer guarantees warm and cold solves agree); the switch
-	// exists for benchmarking and as an escape hatch.
+	// (the LP layer guarantees warm and cold solves agree); pilp's ColdLP
+	// sets it so the two paths can be held against each other.
 	DisableWarmLP bool
-	// Logf, when non-nil, receives progress messages.
-	Logf func(format string, args ...interface{})
 }
 
-func (o SolveOptions) intTol() float64 {
-	if o.IntTol > 0 {
-		return o.IntTol
-	}
-	return 1e-6
-}
-
-func (o SolveOptions) mipGap() float64 {
-	if o.MIPGap > 0 {
-		return o.MIPGap
-	}
-	return 1e-6
-}
+const (
+	// intTol is the integrality tolerance: a relaxation value within intTol
+	// of an integer counts as integral.
+	intTol = 1e-6
+	// mipGap is the relative optimality gap at which search stops.
+	mipGap = 1e-6
+)
 
 func (o SolveOptions) maxNodes() int {
 	if o.MaxNodes > 0 {
@@ -185,11 +172,6 @@ type Result struct {
 	// LP aggregates the LP-solver effort across all node relaxations,
 	// including the root dive heuristic.
 	LP LPStats
-	// WarmSeedAccepted / WarmSeedRejected report the fate of the WarmStart
-	// incumbent seed: 1/0 when it passed the feasibility check, 0/1 when it
-	// was rejected, 0/0 when no seed was given.
-	WarmSeedAccepted int
-	WarmSeedRejected int
 	// Cancelled reports that the solve stopped because its context was
 	// cancelled (deadline or explicit cancel) rather than by exhausting the
 	// search or an internal limit. A cancelled solve may still carry an
@@ -334,11 +316,6 @@ func (m *Model) Solve(opts SolveOptions) (*Result, error) {
 // ordered lexicographically by solution vector as an extra guard.
 func (m *Model) SolveCtx(ctx context.Context, opts SolveOptions) (*Result, error) {
 	start := time.Now()
-	logf := opts.Logf
-	if logf == nil {
-		logf = func(string, ...interface{}) {}
-	}
-	intTol := opts.intTol()
 	if opts.TimeLimit > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, opts.TimeLimit)
@@ -347,22 +324,6 @@ func (m *Model) SolveCtx(ctx context.Context, opts SolveOptions) (*Result, error
 
 	prob := m.toLP()
 	res := &Result{Status: StatusNoSolution, Bound: math.Inf(-1), Objective: math.Inf(1)}
-
-	// Seed the incumbent from the warm start when it is feasible.
-	if opts.WarmStart != nil {
-		if ok, why := m.CheckFeasible(opts.WarmStart, 1e-6); ok {
-			x := make([]float64, m.NumVars())
-			copy(x, opts.WarmStart[:m.NumVars()])
-			res.X = x
-			res.Objective = m.Objective(x)
-			res.Status = StatusFeasible
-			res.WarmSeedAccepted = 1
-			logf("milp: warm start accepted, objective %.6g", res.Objective)
-		} else {
-			res.WarmSeedRejected = 1
-			logf("milp: warm start rejected: %s", why)
-		}
-	}
 
 	integers := make([]int, 0, m.NumBinaries())
 	for j, t := range m.vtypes {
@@ -485,7 +446,6 @@ search:
 			case lp.StatusIterLimit:
 				// Treat as an unusable node bound: keep the parent bound and
 				// do not branch further on this path.
-				logf("milp: node %d hit LP iteration limit", res.Nodes)
 				continue
 			}
 			rootSolved = true
@@ -503,7 +463,6 @@ search:
 						res.X = x
 						res.Objective = obj
 						res.Status = StatusFeasible
-						logf("milp: dive incumbent %.6g", obj)
 					}
 				}
 			}
@@ -527,20 +486,18 @@ search:
 					res.X = x
 					res.Objective = obj
 					res.Status = StatusFeasible
-					logf("milp: incumbent %.6g after %d nodes", res.Objective, res.Nodes)
 				}
 				continue
 			}
 
 			// Rounding heuristic: cheap attempt to produce an incumbent early.
 			if res.X == nil {
-				if x, ok := m.roundingHeuristic(sol.X, integers, intTol); ok {
+				if x, ok := m.roundingHeuristic(sol.X, integers); ok {
 					obj := m.Objective(x)
 					if res.betterIncumbent(obj, x) {
 						res.X = x
 						res.Objective = obj
 						res.Status = StatusFeasible
-						logf("milp: rounding heuristic incumbent %.6g", obj)
 					}
 				}
 			}
@@ -564,7 +521,7 @@ search:
 			// Early stop on gap.
 			if res.X != nil {
 				gap := (res.Objective - res.Bound) / math.Max(1e-9, math.Abs(res.Objective))
-				if gap <= opts.mipGap() {
+				if gap <= mipGap {
 					for _, rest := range batch[i+1:] {
 						heap.Push(open, rest)
 					}
@@ -583,7 +540,7 @@ search:
 		} else if !timedOut {
 			// Stopped on gap.
 			gap := (res.Objective - res.Bound) / math.Max(1e-9, math.Abs(res.Objective))
-			if gap <= opts.mipGap() {
+			if gap <= mipGap {
 				res.Status = StatusOptimal
 			} else {
 				res.Status = StatusFeasible
@@ -610,7 +567,6 @@ search:
 // bound change, same shape as a branch); the dive runs sequentially inside
 // the root node, so its LP stats fold into res deterministically.
 func (m *Model) dive(ctx context.Context, prob *lp.Problem, opts SolveOptions, res *Result, nd *node, rootSol *lp.Solution, integers []int) ([]float64, float64, bool) {
-	intTol := opts.intTol()
 	lower := copyMap(nd.lower)
 	upper := copyMap(nd.upper)
 	x := rootSol.X
@@ -683,7 +639,7 @@ func copyMap(src map[int]float64) map[int]float64 {
 
 // roundingHeuristic rounds the fractional LP values of integer variables and
 // re-checks feasibility of the full model.
-func (m *Model) roundingHeuristic(x []float64, integers []int, tol float64) ([]float64, bool) {
+func (m *Model) roundingHeuristic(x []float64, integers []int) ([]float64, bool) {
 	rounded := make([]float64, len(x))
 	copy(rounded, x)
 	for _, j := range integers {
@@ -699,7 +655,6 @@ func (m *Model) roundingHeuristic(x []float64, integers []int, tol float64) ([]f
 	if ok, _ := m.CheckFeasible(rounded, 1e-6); ok {
 		return rounded, true
 	}
-	_ = tol
 	return nil, false
 }
 

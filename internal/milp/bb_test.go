@@ -159,41 +159,6 @@ func TestUnboundedMILP(t *testing.T) {
 	}
 }
 
-func TestWarmStartAcceptedAndImproved(t *testing.T) {
-	values := []float64{10, 13, 7, 8, 12, 9, 4}
-	weights := []float64{3, 4, 2, 3, 5, 4, 1}
-	const capacity = 10
-	m, vars := buildKnapsack(values, weights, capacity)
-
-	// A valid but suboptimal warm start: take only item 0.
-	warm := make([]float64, m.NumVars())
-	warm[vars[0]] = 1
-	res, err := m.Solve(SolveOptions{WarmStart: warm})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := bruteForceKnapsack(values, weights, capacity)
-	if res.Status != StatusOptimal || math.Abs(-res.Objective-want) > 1e-6 {
-		t.Errorf("objective = %g (%v), want %g", -res.Objective, res.Status, want)
-	}
-}
-
-func TestWarmStartRejectedWhenInfeasible(t *testing.T) {
-	m := NewModel()
-	x := m.AddBinary("x")
-	m.AddLE("cap", Term(x, 1), 0)
-	m.SetObjectiveCoef(x, -1)
-	// Warm start violates the constraint; it must be ignored, and the true
-	// optimum x=0 returned.
-	res, err := m.Solve(SolveOptions{WarmStart: []float64{1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Status != StatusOptimal || math.Abs(res.Value(x)) > 1e-6 {
-		t.Errorf("x = %g (%v), want 0", res.Value(x), res.Status)
-	}
-}
-
 func TestNodeLimitReturnsIncumbentOrNoSolution(t *testing.T) {
 	// A larger knapsack with a 1-node limit: the search cannot finish, but
 	// the result must be well-formed either way.
@@ -246,26 +211,6 @@ func TestTimeLimitRespected(t *testing.T) {
 	}
 	if res.Status == StatusInfeasible || res.Status == StatusUnbounded {
 		t.Errorf("unexpected status %v", res.Status)
-	}
-}
-
-func TestWarmStartSurvivesTimeLimitZeroNodes(t *testing.T) {
-	// With a warm start and an immediate node limit, the incumbent must be
-	// exactly the warm start.
-	values := []float64{5, 6, 7}
-	weights := []float64{1, 1, 1}
-	m, vars := buildKnapsack(values, weights, 2)
-	warm := make([]float64, m.NumVars())
-	warm[vars[0]] = 1
-	res, err := m.Solve(SolveOptions{WarmStart: warm, MaxNodes: 0, TimeLimit: time.Nanosecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Status.HasSolution() {
-		t.Fatalf("status = %v, want a solution from the warm start", res.Status)
-	}
-	if math.Abs(-res.Objective-5) > 1e-6 {
-		t.Errorf("objective = %g, want -5 (the warm start)", res.Objective)
 	}
 }
 

@@ -116,24 +116,6 @@ func TestSolveCtxPreCancelled(t *testing.T) {
 	}
 }
 
-// TestSolveCtxPreCancelledKeepsWarmStart checks that cancellation still
-// surfaces a feasible warm start as the incumbent.
-func TestSolveCtxPreCancelledKeepsWarmStart(t *testing.T) {
-	m, _ := buildKnapsack([]float64{10, 13, 7}, []float64{3, 4, 2}, 6)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	res, err := m.SolveCtx(ctx, SolveOptions{WarmStart: []float64{1, 0, 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Status != StatusFeasible {
-		t.Fatalf("status = %v, want %v", res.Status, StatusFeasible)
-	}
-	if math.Abs(res.Objective+17) > 1e-6 {
-		t.Errorf("objective = %g, want -17", res.Objective)
-	}
-}
-
 // TestSolveCtxDeadline checks that a context deadline behaves like TimeLimit:
 // the search stops and reports what it has.
 func TestSolveCtxDeadline(t *testing.T) {

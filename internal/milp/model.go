@@ -3,7 +3,7 @@
 // Together they replace the commercial Gurobi optimizer the paper uses: the
 // layout models of internal/ilpmodel are pure 0-1 MILPs, and the progressive
 // flow in internal/pilp keeps each model small enough for an exact
-// branch-and-bound search with warm starts and time limits.
+// branch-and-bound search whose node LPs warm-start from their parent's basis.
 //
 // Beyond plain variables and linear constraints the package offers the
 // linearization helpers the paper relies on (its reference [13]): products of

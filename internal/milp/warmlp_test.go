@@ -94,30 +94,3 @@ func TestLPStatsIdenticalAcrossWorkers(t *testing.T) {
 		}
 	}
 }
-
-func TestWarmSeedCounters(t *testing.T) {
-	values := []float64{10, 13, 7}
-	weights := []float64{3, 4, 2}
-	m, _ := buildKnapsack(values, weights, 7)
-	res, err := m.Solve(SolveOptions{WarmStart: []float64{1, 1, 0}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.WarmSeedAccepted != 1 || res.WarmSeedRejected != 0 {
-		t.Errorf("feasible seed: accepted=%d rejected=%d", res.WarmSeedAccepted, res.WarmSeedRejected)
-	}
-	res, err = m.Solve(SolveOptions{WarmStart: []float64{1, 1, 1}}) // weight 9 > 7
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.WarmSeedAccepted != 0 || res.WarmSeedRejected != 1 {
-		t.Errorf("infeasible seed: accepted=%d rejected=%d", res.WarmSeedAccepted, res.WarmSeedRejected)
-	}
-	res, err = m.Solve(SolveOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.WarmSeedAccepted != 0 || res.WarmSeedRejected != 0 {
-		t.Errorf("no seed: accepted=%d rejected=%d", res.WarmSeedAccepted, res.WarmSeedRejected)
-	}
-}

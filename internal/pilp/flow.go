@@ -6,6 +6,7 @@ import (
 	"math"
 	"runtime"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -50,17 +51,15 @@ type Options struct {
 	// solves. The fuzz harness sets both so pathological circuits terminate
 	// at a reproducible point instead of a wall-clock-dependent one.
 	Phase1NodeLimit int
-	// Workers bounds the worker pool that solves independent per-strip (and
-	// per-rotation) subproblems concurrently. Zero means GOMAXPROCS; one
-	// disables concurrency. The flow is deterministic: every worker count
-	// produces the identical layout (see GenerateCtx).
+	// Workers bounds the worker pool that solves independent per-strip
+	// subproblems concurrently. Zero means GOMAXPROCS; one disables
+	// concurrency. The flow is deterministic: every worker count produces the
+	// identical layout (see GenerateCtx).
 	Workers int
 	// MaxRefineIterations bounds phase 3. Zero means 3; a negative value
 	// skips refinement entirely — benchmark harnesses use that to keep the
 	// workload to phases whose solves converge deterministically.
 	MaxRefineIterations int
-	// TryRotations enables device-rotation exploration in phase 3.
-	TryRotations bool
 	// ColdLP disables warm-started LP re-solves inside branch-and-bound:
 	// every node LP solves from scratch instead of reusing its parent's
 	// basis. The layout is identical either way (the determinism contract
@@ -197,58 +196,27 @@ func (o Options) countSolve(r *milp.Result) {
 // LPStats aggregates the simplex-level effort of every MILP solve in one
 // flow invocation — the LP-pivot counterpart to the branch-and-bound Nodes
 // total. Like Nodes, every field is deterministic across worker counts.
-type LPStats struct {
-	milp.LPStats
-	// WarmSeedAccepted and WarmSeedRejected count branch-and-bound warm-seed
-	// outcomes (milp.Result.WarmSeedAccepted/Rejected) across the solves.
-	WarmSeedAccepted int
-	WarmSeedRejected int
-}
+type LPStats = milp.LPStats
 
-// lpCounters is the atomic accumulator behind LPStats, shared down the call
-// tree the same way Options.nodes is.
+// lpCounters is the accumulator behind LPStats, shared down the call tree the
+// same way Options.nodes is. LPStats.Add sums the counters and takes the
+// maximum of PeakEta, both order-independent, so concurrent solves cannot
+// change the total.
 type lpCounters struct {
-	pivots           atomic.Int64
-	refactorizations atomic.Int64
-	warmHits         atomic.Int64
-	warmMisses       atomic.Int64
-	coldSolves       atomic.Int64
-	peakEta          atomic.Int64 // CAS-max, not a sum
-	seedAccepted     atomic.Int64
-	seedRejected     atomic.Int64
+	mu    sync.Mutex
+	stats LPStats
 }
 
 func (c *lpCounters) add(r *milp.Result) {
-	c.pivots.Add(int64(r.LP.Pivots))
-	c.refactorizations.Add(int64(r.LP.Refactorizations))
-	c.warmHits.Add(int64(r.LP.WarmHits))
-	c.warmMisses.Add(int64(r.LP.WarmMisses))
-	c.coldSolves.Add(int64(r.LP.ColdSolves))
-	if peak := int64(r.LP.PeakEta); peak > 0 {
-		for {
-			cur := c.peakEta.Load()
-			if peak <= cur || c.peakEta.CompareAndSwap(cur, peak) {
-				break
-			}
-		}
-	}
-	c.seedAccepted.Add(int64(r.WarmSeedAccepted))
-	c.seedRejected.Add(int64(r.WarmSeedRejected))
+	c.mu.Lock()
+	c.stats.Add(r.LP)
+	c.mu.Unlock()
 }
 
 func (c *lpCounters) snapshot() LPStats {
-	return LPStats{
-		LPStats: milp.LPStats{
-			Pivots:           int(c.pivots.Load()),
-			Refactorizations: int(c.refactorizations.Load()),
-			WarmHits:         int(c.warmHits.Load()),
-			WarmMisses:       int(c.warmMisses.Load()),
-			ColdSolves:       int(c.coldSolves.Load()),
-			PeakEta:          int(c.peakEta.Load()),
-		},
-		WarmSeedAccepted: int(c.seedAccepted.Load()),
-		WarmSeedRejected: int(c.seedRejected.Load()),
-	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.stats
 }
 
 // milpOptions is the shared translation from flow options to one MILP
@@ -276,12 +244,12 @@ func (o Options) milpOptions(timeLimit time.Duration, workers int) milp.SolveOpt
 // normal one). The result cache hashes this string alongside the canonical
 // circuit text.
 func (o Options) Fingerprint() string {
-	// "shard=0 sharditer=5 shardtol=2000" and "pivot=dantzig core=sparse" stay
-	// literal: cache keys, Dir entries, ring ownership and bench's serve-mix
-	// pool all hash this string.
-	return fmt.Sprintf("chain=%d maxchain=%d conf=%d pair=%d striplimit=%s phaselimit=%s stripnodes=%d p1nodes=%d refine=%d rot=%v shard=0 sharditer=5 shardtol=2000 pivot=dantzig core=sparse coldlp=%v",
+	// "rot=false", "shard=0 sharditer=5 shardtol=2000" and "pivot=dantzig
+	// core=sparse" stay literal: cache keys, Dir entries, ring ownership and
+	// bench's serve-mix pool all hash this string.
+	return fmt.Sprintf("chain=%d maxchain=%d conf=%d pair=%d striplimit=%s phaselimit=%s stripnodes=%d p1nodes=%d refine=%d rot=false shard=0 sharditer=5 shardtol=2000 pivot=dantzig core=sparse coldlp=%v",
 		o.chainPoints(), o.maxChainPoints(), o.confinement(), o.pairRadius(),
-		o.stripTimeLimit(), o.phaseTimeLimit(), o.StripNodeLimit, o.Phase1NodeLimit, o.refineIterations(), o.TryRotations,
+		o.stripTimeLimit(), o.phaseTimeLimit(), o.StripNodeLimit, o.Phase1NodeLimit, o.refineIterations(),
 		o.ColdLP)
 }
 
@@ -371,12 +339,12 @@ func Generate(c *netlist.Circuit, opts Options) (*Result, error) {
 // Result.Partial set — anytime degradation: the caller trades refinement
 // quality for a guaranteed layout under its deadline.
 //
-// Determinism: the phase-2 and phase-3 per-strip (and per-rotation)
-// subproblems are solved concurrently on opts.Workers goroutines, but each
-// subproblem starts from the same frozen snapshot of the layout and the
-// results are merged sequentially in a fixed (worst-first, then strip-name)
-// order, so the generated layout is byte-identical for every worker count —
-// provided no per-solve time limit binds. A binding StripTimeLimit or
+// Determinism: the phase-2 and phase-3 per-strip subproblems are solved
+// concurrently on opts.Workers goroutines, but each subproblem starts from
+// the same frozen snapshot of the layout and the results are merged
+// sequentially in a fixed (worst-first, then strip-name) order, so the
+// generated layout is byte-identical for every worker count — provided no
+// per-solve time limit binds. A binding StripTimeLimit or
 // PhaseTimeLimit stops that solve at a wall-clock-dependent point, which is
 // nondeterministic even between two identically-configured runs; use limits
 // generous enough for the circuit when reproducibility matters.
@@ -458,7 +426,7 @@ func GenerateCtx(ctx context.Context, c *netlist.Circuit, opts Options) (*Result
 	}
 
 	// Phase 3: iterative refinement with chain-point deletion/insertion and
-	// device rotation.
+	// device movement within τd.
 	current = refine(ctx, c, current, opts)
 	res.addSnapshot("phase3-refinement", current, time.Since(start))
 	opts.logf("pilp: phase 3 done: %s", current.Metrics())
@@ -763,10 +731,10 @@ type refineCandidate struct {
 }
 
 // refine is phase 3: chain points without bends are removed, strips that
-// still violate a rule get more chain points, neighbouring devices may move
-// within τd, and device rotations are explored. Each iteration dispatches the
-// escalation of every troubled strip to the worker pool against a frozen copy
-// of the layout and merges the improvements sequentially in strip-name order.
+// still violate a rule get more chain points, and neighbouring devices may
+// move within τd. Each iteration dispatches the escalation of every troubled
+// strip to the worker pool against a frozen copy of the layout and merges the
+// improvements sequentially in strip-name order.
 func refine(ctx context.Context, c *netlist.Circuit, current *layout.Layout, opts Options) *layout.Layout {
 	for iter := 0; iter < opts.refineIterations(); iter++ {
 		if ctx.Err() != nil {
@@ -853,97 +821,11 @@ func refine(ctx context.Context, c *netlist.Circuit, current *layout.Layout, opt
 			}
 		}
 
-		if opts.TryRotations && len(checkLayout(current)) > 0 {
-			var rotated bool
-			current, rotated = tryRotations(ctx, c, current, opts)
-			improved = improved || rotated
-		}
 		if !improved {
 			break
 		}
 	}
 	return current
-}
-
-// tryRotations explores the three non-identity orientations of every device
-// that still participates in violations, re-solving its incident strips each
-// time. All device×orientation subproblems run concurrently against the same
-// frozen base layout; per device (in name order) the best-scoring rotation is
-// merged when it improves the evolving layout.
-func tryRotations(ctx context.Context, c *netlist.Circuit, current *layout.Layout, opts Options) (*layout.Layout, bool) {
-	violations := checkLayout(current)
-	devices := map[string]bool{}
-	for _, v := range violations {
-		if d, err := c.Device(v.Subject); err == nil && !d.IsPad() {
-			devices[v.Subject] = true
-		}
-		if v.Other != "" {
-			if d, err := c.Device(v.Other); err == nil && !d.IsPad() {
-				devices[v.Other] = true
-			}
-		}
-	}
-
-	incidentOf := func(name string) []string {
-		var incident []string
-		for _, ms := range c.StripsAt(name) {
-			incident = append(incident, ms.Name)
-		}
-		return incident
-	}
-
-	type rotationJob struct {
-		device string
-		orient geom.Orientation
-	}
-	var jobs []rotationJob
-	base := current
-	for _, name := range sortedKeys(devices) {
-		if base.Placed(name) == nil {
-			continue
-		}
-		for _, o := range []geom.Orientation{geom.R90, geom.R180, geom.R270} {
-			jobs = append(jobs, rotationJob{device: name, orient: o})
-		}
-	}
-	results := make([]*layout.Layout, len(jobs))
-	runJobs(ctx, opts.workers(), len(jobs), func(i int) {
-		job := jobs[i]
-		pd := base.Placed(job.device)
-		candidate := base.Clone()
-		if err := candidate.Place(job.device, pd.Center, pd.Orient.Plus(job.orient)); err != nil {
-			return
-		}
-		// Re-solve all incident strips together against the rotated pins.
-		next, solved := solveStrips(ctx, c, candidate, incidentOf(job.device), opts.chainPoints(), nil, opts)
-		if solved {
-			results[i] = next
-		}
-	})
-
-	improved := false
-	for _, name := range sortedKeys(devices) {
-		bestScore := score(current)
-		var bestMerged *layout.Layout
-		for i, job := range jobs {
-			if job.device != name || results[i] == nil {
-				continue
-			}
-			merged, ok := applyCandidate(current, results[i], incidentOf(name), []string{name})
-			if !ok {
-				continue
-			}
-			if s := score(merged); s < bestScore {
-				bestScore = s
-				bestMerged = merged
-			}
-		}
-		if bestMerged != nil {
-			current = bestMerged
-			improved = true
-		}
-	}
-	return current, improved
 }
 
 // neighbourhood returns the strip together with its non-pad terminal devices

@@ -11,9 +11,10 @@
 //     length by per-strip exact ILPs;
 //  3. iterative layout refinement — chain points without bends are deleted,
 //     chain points are inserted where a strip cannot reach its length or
-//     escape an overlap, and device rotations are explored; the per-strip
-//     ILPs are re-solved until no violation remains or the iteration budget
-//     is exhausted.
+//     escape an overlap, and neighbouring devices may move within τd; the
+//     per-strip ILPs are re-solved until no violation remains or the
+//     iteration budget is exhausted. Devices keep their constructed
+//     orientation.
 //
 // Each phase records a snapshot so the flow can be inspected the way
 // Figure 7 of the paper shows it.

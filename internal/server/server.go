@@ -74,11 +74,12 @@ type Config struct {
 	// is unreachable, and a cross-replica audit on a deterministic sample of
 	// proxied results. Nil means single node.
 	Cluster *cluster.Cluster
-	// RetryAfterHint is the Retry-After value sent with every 503 rejection,
-	// telling well-behaved clients (the peer client included) how long to back
-	// off before retrying. Zero means 1s.
-	RetryAfterHint time.Duration
 }
+
+// retryAfterHint is the Retry-After value sent with every 503 rejection,
+// telling well-behaved clients (the peer client included) how long to back
+// off before retrying.
+const retryAfterHint = time.Second
 
 func (c Config) workers() int {
 	if c.Workers > 0 {
@@ -113,13 +114,6 @@ func (c Config) maxBodyBytes() int64 {
 		return c.MaxBodyBytes
 	}
 	return 1 << 20
-}
-
-func (c Config) retryAfterHint() time.Duration {
-	if c.RetryAfterHint > 0 {
-		return c.RetryAfterHint
-	}
-	return time.Second
 }
 
 func (c Config) logf(format string, args ...interface{}) {
@@ -509,8 +503,6 @@ type lpStatsJSON struct {
 	WarmMisses       int     `json:"warm_misses"`
 	ColdSolves       int     `json:"cold_solves"`
 	WarmHitRate      float64 `json:"warm_hit_rate"`
-	WarmSeedAccepted int     `json:"warm_seed_accepted,omitempty"`
-	WarmSeedRejected int     `json:"warm_seed_rejected,omitempty"`
 }
 
 func lpStats(s pilp.LPStats) *lpStatsJSON {
@@ -524,8 +516,6 @@ func lpStats(s pilp.LPStats) *lpStatsJSON {
 		WarmMisses:       s.WarmMisses,
 		ColdSolves:       s.ColdSolves,
 		WarmHitRate:      s.WarmHitRate(),
-		WarmSeedAccepted: s.WarmSeedAccepted,
-		WarmSeedRejected: s.WarmSeedRejected,
 	}
 }
 
@@ -583,6 +573,29 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// Every query value is validated before the cache is consulted, so a
+	// malformed request answers 400 whether or not its circuit is cached.
+	timeout := s.cfg.maxSolveTime()
+	if arg := r.URL.Query().Get("timeout"); arg != "" {
+		d, err := time.ParseDuration(arg)
+		if err != nil || d <= 0 {
+			writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid timeout %q", arg))
+			return
+		}
+		if d < timeout {
+			timeout = d
+		}
+	}
+	async := false
+	switch arg := r.URL.Query().Get("async"); arg {
+	case "", "0", "false":
+	case "1", "true":
+		async = true
+	default:
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid async flag %q", arg))
+		return
+	}
+
 	opts := s.cfg.SolveOptions
 	// accept_partial opts this request into anytime degradation: a deadline
 	// mid-flow returns the best layout reached (marked partial) instead of
@@ -624,27 +637,6 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		s.cacheMisses.Add(1)
-	}
-
-	timeout := s.cfg.maxSolveTime()
-	if arg := r.URL.Query().Get("timeout"); arg != "" {
-		d, err := time.ParseDuration(arg)
-		if err != nil || d <= 0 {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid timeout %q", arg))
-			return
-		}
-		if d < timeout {
-			timeout = d
-		}
-	}
-	async := false
-	switch arg := r.URL.Query().Get("async"); arg {
-	case "", "0", "false":
-	case "1", "true":
-		async = true
-	default:
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid async flag %q", arg))
-		return
 	}
 
 	// The pool owns the parallelism dimension: with several workers each
@@ -879,7 +871,7 @@ func (s *Server) awaitJob(w http.ResponseWriter, r *http.Request, j *job, limit 
 func (s *Server) writeResult(w http.ResponseWriter, resp *solveResponse) {
 	code := statusCodeFor(resp)
 	if code == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", cluster.RetryAfter(s.cfg.retryAfterHint()))
+		w.Header().Set("Retry-After", cluster.RetryAfter(retryAfterHint))
 	}
 	writeJSON(w, code, resp)
 }
@@ -887,7 +879,7 @@ func (s *Server) writeResult(w http.ResponseWriter, resp *solveResponse) {
 // writeUnavailable is the 503-with-Retry-After error path for rejections that
 // never made a job.
 func (s *Server) writeUnavailable(w http.ResponseWriter, msg string) {
-	w.Header().Set("Retry-After", cluster.RetryAfter(s.cfg.retryAfterHint()))
+	w.Header().Set("Retry-After", cluster.RetryAfter(retryAfterHint))
 	writeError(w, http.StatusServiceUnavailable, msg)
 }
 

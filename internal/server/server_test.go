@@ -167,6 +167,23 @@ func TestSolveMalformedRequests(t *testing.T) {
 			t.Errorf("oversized body = %d, want 413", resp.StatusCode)
 		}
 	})
+
+	// Query validation must not depend on cache state: a malformed query
+	// answers 400 on a cached circuit exactly as it does on a miss.
+	t.Run("bad query on cache hit", func(t *testing.T) {
+		cfg := fastConfig()
+		cfg.Cache = cache.NewLRU(16, 0)
+		_, cached := startServer(t, cfg)
+		if resp, sr := postSolve(t, cached.URL+"/v1/solve", tinyNetlist); resp.StatusCode != http.StatusOK {
+			t.Fatalf("warming solve: status %d (%s)", resp.StatusCode, sr.Error)
+		}
+		for _, q := range []string{"timeout=bogus", "async=maybe"} {
+			resp, sr := postSolve(t, cached.URL+"/v1/solve?"+q, tinyNetlist)
+			if resp.StatusCode != http.StatusBadRequest || sr.CacheHit {
+				t.Errorf("?%s on a cached circuit = %d (cache_hit=%v), want 400", q, resp.StatusCode, sr.CacheHit)
+			}
+		}
+	})
 }
 
 func TestSolveDeadlineExceeded(t *testing.T) {
