@@ -58,8 +58,10 @@
 //	                             FTRAN/BTRAN solves for columns, rows and
 //	                             pricing. The tests check it against a dense
 //	                             tableau oracle. Bases are exportable for warm
-//	                             starts, and warm and cold solves return the
-//	                             byte-identical canonical vertex
+//	                             starts and carry their final factorization,
+//	                             which a warm solve of the same problem adopts
+//	                             instead of rebuilding; warm and cold solves
+//	                             return the byte-identical canonical vertex
 //	internal/faultinject         seeded deterministic fault-injection registry
 //	                             (named points, per-point probability/budget);
 //	                             a fixed seed replays the identical fault

@@ -22,11 +22,50 @@ const (
 //
 // A Basis exported from one solve can warm-start another solve of the same
 // problem through Options.WarmBasis, as long as only bounds changed — which
-// is exactly the shape of a branch-and-bound child node. The solver treats an
-// imported Basis as read-only, so one Basis may seed many concurrent solves.
+// is exactly the shape of a branch-and-bound child node.
+//
+// An exported Basis also carries the LU factorization its solve finished
+// with. Only a solve of the same *Problem adopts it, and then builds no
+// factorization of its own for the start: the carried one is bit for bit
+// what that build would produce, so adopting changes no result. Editing the
+// problem's constraint rows in place between the two solves is not allowed.
+// Any other solve — another problem, or a Basis assembled from the exported
+// fields, such as &Basis{Basic: b.Basic, Status: b.Status}, which drops the
+// factorization — rebuilds it from the raw data.
+//
+// A Basis is read-only, to the solver and to its holder: the solver never
+// writes it, so one Basis may seed many concurrent solves, and its exported
+// fields must not be modified after export.
 type Basis struct {
 	Basic  []int32       // basic column per row, len == number of constraints
 	Status []BasisStatus // per column, len == variables + constraints
+
+	factor *basisFactor // nil unless exported by a sparse-core solve
+}
+
+// basisFactor is the factorization an optimal sparse-core solve finished
+// with, carried on its exported Basis. Every field is shared with that solve,
+// which has ended, and is read-only from then on.
+type basisFactor struct {
+	prob *Problem
+	mat  cscMatrix // structural and slack columns
+	lu   *etaFile  // the factorization, no update etas
+	rows []int     // basic column per row: lu's row assignment
+}
+
+// adoptableBy reports whether solver s may adopt f for the imported basis b:
+// s runs the sparse core on the same *Problem, and b still lists f's basic
+// columns in f's row order.
+func (f *basisFactor) adoptableBy(s *simplex, b *Basis) bool {
+	if f == nil || s.newCore != nil || f.prob != s.prob || len(f.rows) != len(b.Basic) {
+		return false
+	}
+	for i, j := range f.rows {
+		if int(b.Basic[i]) != j {
+			return false
+		}
+	}
+	return true
 }
 
 // compatible reports whether the basis dimensions match a problem with m
@@ -57,7 +96,9 @@ func (b *Basis) compatible(m, nStruct int) bool {
 }
 
 // exportBasis snapshots the current basis, or returns nil when an artificial
-// column is still basic (a child solve could not reconstruct it).
+// column is still basic (a child solve could not reconstruct it). A sparse
+// core whose factorization is fresh — built for exactly this basis — attaches
+// it to the snapshot.
 func (s *simplex) exportBasis() *Basis {
 	for _, j := range s.basis {
 		if j >= s.artStart {
@@ -83,15 +124,19 @@ func (s *simplex) exportBasis() *Basis {
 			b.Status[j] = BasisBasic
 		}
 	}
+	if c, ok := s.core.(*sparseCore); ok && s.fresh {
+		b.factor = c.carried()
+	}
 	return b
 }
 
 // installBasis loads an exported basis into a freshly constructed solver
-// (newSimplexBase state: bounds and costs set, no artificials). It returns
-// false — leaving the solver unusable — when the basis does not fit the
-// problem, its basis matrix is singular under the deterministic
-// refactorization, or the resulting reduced costs are not dual-feasible; the
-// caller then falls back to a cold primal solve.
+// (newSimplexBase state: bounds and costs set, no artificials), adopting the
+// factorization the basis carries when it may (see Basis) and building one
+// otherwise. It returns false — leaving the solver unusable — when the basis
+// does not fit the problem, its basis matrix is singular under the
+// deterministic refactorization, or the resulting reduced costs are not
+// dual-feasible; the caller then falls back to a cold primal solve.
 func (s *simplex) installBasis(b *Basis) bool {
 	if !b.compatible(s.m, s.nStruct) {
 		return false
@@ -121,8 +166,12 @@ func (s *simplex) installBasis(b *Basis) bool {
 	}
 	// A warm start never has artificial columns, so the column set is final
 	// and the core can be stood up here.
-	s.initCore()
-	if !s.refactorize() {
+	f := b.factor
+	if !f.adoptableBy(s, b) {
+		f = nil
+	}
+	s.initCore(f)
+	if f == nil && !s.refactorize() {
 		return false
 	}
 	s.computeReducedCosts()

@@ -59,34 +59,38 @@ func TestEtaChainCapRespected(t *testing.T) {
 
 // TestDriftTriggersRefactorization: an update pivot below the drift tolerance
 // must force an immediate refactorization instead of extending the eta chain
-// with a near-singular factor. The problem is scaled so the one structural
-// pivot element is 1e-8: a short solve normally refactorizes exactly three
-// times (cold setup plus two at optimality), so any extra rebuild is the
-// drift guard firing.
+// with a near-singular factor. The problem takes two pivots: x enters first
+// on a pivot element of 1e-8, then y on a pivot element of 1. With the guard
+// the solve builds three times — setup, the drift rebuild after x, and the
+// rebuild at optimality that y's pivot calls for. Without it the build after
+// x never happens, and the count is two. (A one-pivot problem cannot tell the
+// two apart: the drift rebuild would stand in for the one at optimality.)
 func TestDriftTriggersRefactorization(t *testing.T) {
-	tiny := NewProblem()
-	x := tiny.AddVariable("x", 0, 10, -1)
-	tiny.AddConstraint("c", []Entry{{x, 1e-8}}, LE, 1e-8)
-
-	sol := solveOrFatal(t, tiny, Options{})
-	if math.Abs(sol.X[0]-1) > 1e-6 {
-		t.Errorf("x = %g, want 1", sol.X[0])
+	twoPivots := func(xCoef float64) *Problem {
+		p := NewProblem()
+		x := p.AddVariable("x", 0, 10, -2)
+		y := p.AddVariable("y", 0, 10, -1)
+		p.AddConstraint("cx", []Entry{{x, xCoef}}, LE, xCoef)
+		p.AddConstraint("cy", []Entry{{y, 1}}, LE, 1)
+		return p
 	}
-	if sol.Refactorizations <= 3 {
-		t.Errorf("refactorizations = %d; the 1e-8 pivot should have tripped the drift rebuild on top of the baseline 3",
-			sol.Refactorizations)
-	}
-
-	// The well-scaled statement of the same problem must not trip the guard.
-	scaled := NewProblem()
-	xs := scaled.AddVariable("x", 0, 10, -1)
-	scaled.AddConstraint("c", []Entry{{xs, 1}}, LE, 1)
-	ssol := solveOrFatal(t, scaled, Options{})
-	if ssol.Refactorizations != 3 {
-		t.Errorf("well-scaled solve refactorized %d times, want exactly 3", ssol.Refactorizations)
-	}
-	if math.Abs(ssol.X[0]-sol.X[0]) > 1e-6 {
-		t.Errorf("scaled and tiny statements disagree: %g vs %g", ssol.X[0], sol.X[0])
+	for _, tc := range []struct {
+		name       string
+		xCoef      float64
+		refactored int
+	}{
+		{"tiny pivot", 1e-8, 3},
+		// The well-scaled statement of the same problem must not trip the guard.
+		{"well scaled", 1, 2},
+	} {
+		sol := solveOrFatal(t, twoPivots(tc.xCoef), Options{})
+		if math.Abs(sol.X[0]-1) > 1e-6 || math.Abs(sol.X[1]-1) > 1e-6 {
+			t.Errorf("%s: x = %v, want [1 1]", tc.name, sol.X)
+		}
+		if sol.Iterations != 2 || sol.Refactorizations != tc.refactored {
+			t.Errorf("%s: %d pivots, %d refactorizations; want 2, %d",
+				tc.name, sol.Iterations, sol.Refactorizations, tc.refactored)
+		}
 	}
 }
 

@@ -28,9 +28,13 @@
 // are deterministic, so the pivot sequence — and therefore the returned
 // vertex — is a pure function of (problem, options). At optimality the solver
 // additionally canonicalizes degenerate optima by a lexicographic descent
-// over zero-reduced-cost directions and refactorizes the final basis from the
-// raw problem data, so warm- and cold-started solves of the same problem
-// agree not just on the objective but on the solution vector itself.
+// over zero-reduced-cost directions, and the final basis holds a
+// factorization built from the raw problem data (rebuilt unless the current
+// one already is that build), so warm- and cold-started solves of the same
+// problem agree not just on the objective but on the solution vector itself.
+// A factorization is a pure function of the basic set, so an exported Basis
+// carries its solve's final one and a warm start of the same problem adopts
+// it instead of rebuilding it.
 package lp
 
 import (
@@ -210,10 +214,13 @@ type Solution struct {
 	// dual and the canonicalization pass).
 	Iterations int
 	// Refactorizations counts full rebuilds of the basis inverse from the
-	// raw problem data: one per solve setup (cold start or accepted warm
-	// basis), two at optimality (before and after canonicalization), plus
-	// every periodic or drift-triggered rebuild of the eta chain between
-	// pivots.
+	// raw problem data. A cold start builds once at setup, and so does a
+	// warm start whose basis carries no adoptable factorization; a warm
+	// start that adopts the factorization its basis carries builds nothing.
+	// An optimal solve rebuilds before and again after canonicalization,
+	// each time only if a pivot or bound flip happened since the last build.
+	// Every periodic or drift-triggered rebuild of the eta chain between
+	// pivots counts too.
 	Refactorizations int
 	// PeakEta is the longest product-form eta chain the solve carried
 	// between refactorizations (update etas only, not the factorization
@@ -246,7 +253,9 @@ type Options struct {
 	// the same problem (typically with different bound overrides). If it is
 	// still dual-feasible under the new bounds the solve starts the dual
 	// simplex from it; otherwise the solver falls back to a cold primal
-	// solve. The basis is read-only to the solver.
+	// solve. The basis is read-only to the solver; the factorization it
+	// carries is adopted only when it came from this same *Problem (see
+	// Basis).
 	WarmBasis *Basis
 
 	// newCore, set only by this package's tests, replaces the sparse core

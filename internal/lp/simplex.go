@@ -58,6 +58,10 @@ type simplex struct {
 	refresh    int
 
 	refactorizations int
+	// fresh reports that the core state is exactly what a refactorization
+	// would build now: set by every build (or adopted factorization),
+	// cleared by every pivot and bound flip after it.
+	fresh bool
 
 	degenerate  int  // consecutive degenerate pivots
 	useBland    bool // anti-cycling mode
@@ -95,6 +99,8 @@ func Solve(p *Problem, opts Options) (*Solution, error) {
 // falls back to the cold primal path. Both paths finish an optimal solve the
 // same way — lexicographic canonicalization of the optimal vertex followed by
 // a deterministic refactorization — so the two report identical solutions.
+// A warm start from a Basis exported by a solve of the same problem adopts
+// the factorization that Basis carries instead of building its own.
 func SolveCtx(ctx context.Context, p *Problem, opts Options) (*Solution, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -137,11 +143,17 @@ func SolveCtx(ctx context.Context, p *Problem, opts Options) (*Solution, error) 
 		// Refactorize before canonicalizing so every descent decision reads
 		// a tableau that is a pure function of the basic set rather than of
 		// the pivot path that reached it, then again after so the reported
-		// basic values are equally path-free.
-		s.refactorize()
+		// basic values are equally path-free. A rebuild with nothing moved
+		// since the last one would reproduce the state bit for bit, so it is
+		// skipped.
+		if !s.fresh {
+			s.refactorize()
+		}
 		s.computeReducedCosts()
 		s.lexCanonicalize()
-		s.refactorize()
+		if !s.fresh {
+			s.refactorize()
+		}
 	}
 	sol := &Solution{
 		Status:           status,
@@ -232,15 +244,23 @@ func newSimplexBase(p *Problem, opts Options) (*simplex, error) {
 
 // initCore instantiates the basis-inverse engine. It must run after the
 // column set is final — for a cold start that means after the artificial
-// columns are added — and before the first refactorize call.
-func (s *simplex) initCore() {
+// columns are added. With a carried factorization f (warm start, sparse core
+// only) the core shares f's matrix and adopts its factorization, which also
+// derives the basic values; otherwise the caller must refactorize next.
+func (s *simplex) initCore(f *basisFactor) {
 	s.colBuf = make([]float64, s.m)
 	s.prowBuf = make([]float64, s.n)
-	if s.newCore != nil {
+	switch {
+	case s.newCore != nil:
 		s.core = s.newCore(s)
-		return
+	case f != nil:
+		c := newSparseCore(s, f.mat)
+		c.adopt(f.lu)
+		s.core = c
+		s.fresh = true
+	default:
+		s.core = newSparseCore(s, buildCSC(s))
 	}
-	s.core = newSparseCore(s)
 }
 
 // refactorize rebuilds the core's basis-inverse representation (and with it
@@ -251,6 +271,7 @@ func (s *simplex) refactorize() bool {
 		return false
 	}
 	s.refactorizations++
+	s.fresh = true
 	return true
 }
 
@@ -315,7 +336,7 @@ func newSimplex(p *Problem, opts Options) (*simplex, error) {
 	// basis, which also derives the basic values. The initial basis matrix is
 	// a signed permutation (one slack or artificial unit column per row), so
 	// this build cannot be singular.
-	s.initCore()
+	s.initCore(nil)
 	s.refactorize()
 	return s, nil
 }

@@ -282,6 +282,7 @@ func (s *simplex) applyBoundFlip(enter int, dir, step float64, alpha []float64) 
 	} else {
 		s.status[enter] = atLower
 	}
+	s.fresh = false
 }
 
 // pivot performs a basis exchange: the entering column becomes basic in
@@ -336,7 +337,8 @@ func (s *simplex) pivot(enter int, dir float64, leaveRow int, bound varStatus, s
 		s.status[leaving] = bound
 	}
 
-	if s.core.applyPivot(enter, leaveRow, alpha) {
+	s.fresh = s.core.applyPivot(enter, leaveRow, alpha)
+	if s.fresh {
 		s.refactorizations++
 		s.computeReducedCosts()
 	}

@@ -6,8 +6,8 @@ import "math"
 // variables, slacks, artificials — in compressed sparse column layout.
 // Column j's entries are rows idx[ptr[j]:ptr[j+1]] with values
 // val[ptr[j]:ptr[j+1]], rows ascending within a column. The matrix is built
-// once per solve and never mutated; everything basis-dependent lives in the
-// eta file.
+// once per solve and never mutated (a warm solve of the same problem may
+// share it); everything basis-dependent lives in the eta files.
 type cscMatrix struct {
 	ptr []int32
 	idx []int32
@@ -155,22 +155,32 @@ func (f *etaFile) btran(y []float64) {
 }
 
 // sparseCore is the revised simplex engine: A in CSC form, the basis inverse
-// as an elimination-form LU factorization in product form (the eta prefix
-// etas[:factorLen], rebuilt by refactorize) extended by one update eta per
-// pivot. Tableau columns are FTRAN solves, pivot rows and reduced costs are
-// BTRAN solves followed by one pass over the matrix nonzeros — so pivot cost
-// scales with nnz(A) plus the eta-chain length instead of m·n.
+// as an elimination-form LU factorization in product form (the eta file
+// factor, rebuilt by refactorize) extended by one update eta per pivot.
+// Tableau columns are FTRAN solves, pivot rows and reduced costs are BTRAN
+// solves followed by one pass over the matrix nonzeros — so pivot cost scales
+// with nnz(A) plus the eta-chain length instead of m·n.
+//
+// A factor is immutable once built: the final one of an optimal solve is
+// carried on the exported Basis, and a warm solve of the same problem adopts
+// it (borrowed) instead of rebuilding it. The update chain is always the
+// solve's own.
 type sparseCore struct {
 	s   *simplex
 	mat cscMatrix
 
-	etas      etaFile
-	factorLen int // etas[:factorLen] is the refactorization; the rest are updates
-	peak      int // longest update chain seen between refactorizations
+	factor   *etaFile // LU factorization of the last build (or the adopted one)
+	borrowed bool     // factor belongs to another solve's Basis: never recycle it
+	updates  etaFile  // one product-form eta per pivot since the last build
+	peak     int      // longest update chain seen between refactorizations
 
-	spare etaFile   // factorization under construction (swapped in on success)
-	work  []float64 // dense length-m scratch for FTRAN/BTRAN vectors
-	rhs   []float64 // dense length-m scratch for refactorized basic values
+	// Scratch, sized once per solve and reused by every refactorization.
+	spare    *etaFile  // factorization under construction (swapped in on success)
+	work     []float64 // dense length-m scratch for FTRAN/BTRAN vectors
+	rhs      []float64 // dense length-m scratch for refactorized basic values
+	assigned []bool    // length m: row already holds a pivot
+	newBasis []int     // length m: row assignment under construction
+	basicSet []bool    // length n: column is basic
 }
 
 // updateDriftTol is the pivot-element magnitude below which an update eta is
@@ -179,19 +189,34 @@ type sparseCore struct {
 // from the raw data before anything else reads it.
 const updateDriftTol = 1e-7
 
-func newSparseCore(s *simplex) *sparseCore {
+func newSparseCore(s *simplex, mat cscMatrix) *sparseCore {
 	c := &sparseCore{
-		s:    s,
-		mat:  buildCSC(s),
-		work: make([]float64, s.m),
-		rhs:  make([]float64, s.m),
+		s:        s,
+		mat:      mat,
+		work:     make([]float64, s.m),
+		rhs:      make([]float64, s.m),
+		assigned: make([]bool, s.m),
+		newBasis: make([]int, s.m),
+		basicSet: make([]bool, s.n),
 	}
-	c.etas.reset()
-	c.spare.reset()
+	c.updates.reset()
 	return c
 }
 
 func (c *sparseCore) peakEta() int { return c.peak }
+
+// ftran solves B·x' = x in place: the factor etas, then the updates — the
+// same operations in the same order as one combined eta file.
+func (c *sparseCore) ftran(x []float64) {
+	c.factor.ftran(x)
+	c.updates.ftran(x)
+}
+
+// btran solves Bᵀ·y' = y in place: the updates in reverse, then the factor.
+func (c *sparseCore) btran(y []float64) {
+	c.updates.btran(y)
+	c.factor.btran(y)
+}
 
 // scatterColumn writes raw column j of A into the zeroed dense vector dst.
 func (c *sparseCore) scatterColumn(j int, dst []float64) {
@@ -205,7 +230,7 @@ func (c *sparseCore) column(j int, dst []float64) {
 		dst[i] = 0
 	}
 	c.scatterColumn(j, dst)
-	c.etas.ftran(dst)
+	c.ftran(dst)
 }
 
 func (c *sparseCore) pivotRow(r int, dst []float64) {
@@ -214,7 +239,7 @@ func (c *sparseCore) pivotRow(r int, dst []float64) {
 		rho[i] = 0
 	}
 	rho[r] = 1
-	c.etas.btran(rho)
+	c.btran(rho)
 	// Row r of B⁻¹·A is ρᵀ·A with ρ = B⁻ᵀ·e_r.
 	mat := &c.mat
 	for j := 0; j < c.s.n; j++ {
@@ -240,7 +265,7 @@ func (c *sparseCore) reducedCosts(cost []float64, dst []float64) {
 		copy(dst, cost[:s.n])
 		return
 	}
-	c.etas.btran(y)
+	c.btran(y)
 	mat := &c.mat
 	for j := 0; j < s.n; j++ {
 		acc := 0.0
@@ -259,14 +284,25 @@ func (c *sparseCore) reducedCosts(cost []float64, dst []float64) {
 // pathological data, never for an exact basis) still leaves a valid, merely
 // longer, factorization behind.
 func (c *sparseCore) applyPivot(enter, leaveRow int, alpha []float64) bool {
-	c.etas.pushDense(leaveRow, alpha)
-	if chain := c.etas.count() - c.factorLen; chain > c.peak {
+	c.updates.pushDense(leaveRow, alpha)
+	chain := c.updates.count()
+	if chain > c.peak {
 		c.peak = chain
 	}
-	if math.Abs(alpha[leaveRow]) < updateDriftTol || c.etas.count()-c.factorLen >= c.s.refresh {
+	if math.Abs(alpha[leaveRow]) < updateDriftTol || chain >= c.s.refresh {
 		return c.refactorize()
 	}
 	return false
+}
+
+// markBasic fills basicSet from the driver's current basic columns.
+func (c *sparseCore) markBasic() {
+	for j := range c.basicSet {
+		c.basicSet[j] = false
+	}
+	for _, j := range c.s.basis {
+		c.basicSet[j] = true
+	}
 }
 
 // refactorize rebuilds the eta factorization from the raw matrix and the
@@ -282,14 +318,16 @@ func (c *sparseCore) refactorize() bool {
 	s := c.s
 	m := s.m
 
-	nf := &c.spare
-	nf.reset()
-	assigned := make([]bool, m)
-	newBasis := make([]int, m)
-	basicSet := make([]bool, s.n)
-	for _, j := range s.basis {
-		basicSet[j] = true
+	if c.spare == nil {
+		c.spare = new(etaFile)
 	}
+	nf := c.spare
+	nf.reset()
+	assigned, newBasis, basicSet := c.assigned, c.newBasis, c.basicSet
+	for i := range assigned {
+		assigned[i] = false
+	}
+	c.markBasic()
 
 	// Unit columns first: their home row is forced.
 	for j := s.nStruct; j < s.n; j++ {
@@ -337,19 +375,43 @@ func (c *sparseCore) refactorize() bool {
 		newBasis[best] = j
 	}
 
-	// Commit: swap in the fresh factorization, install the (possibly
-	// permuted) row assignment, and re-derive the basic values
-	// β = B⁻¹·(b − A_N·x_N) from the raw data.
-	c.etas, c.spare = *nf, c.etas
-	c.factorLen = c.etas.count()
+	// Commit: swap in the fresh factorization (recycling the old one as
+	// scratch unless it is borrowed), clear the update chain, install the
+	// (possibly permuted) row assignment, and re-derive the basic values.
+	old := c.factor
+	c.factor, c.spare = nf, nil
+	if !c.borrowed {
+		c.spare = old
+	}
+	c.borrowed = false
+	c.updates.reset()
 	copy(s.basis, newBasis)
+	c.deriveBeta()
+	return true
+}
 
+// adopt installs lu, a factorization another solve of the same problem built
+// for exactly the driver's basic set and row assignment, in place of a
+// build. refactorize is a pure function of that basic set and the matrix, so
+// lu is bit for bit what it would build; only the basic values depend on this
+// solve's bounds and statuses, and they are derived here.
+func (c *sparseCore) adopt(lu *etaFile) {
+	c.factor, c.borrowed = lu, true
+	c.markBasic()
+	c.deriveBeta()
+}
+
+// deriveBeta recomputes the basic values β = B⁻¹·(b − A_N·x_N) from the raw
+// data through the current factorization; basicSet must be current.
+func (c *sparseCore) deriveBeta() {
+	s := c.s
+	m := s.m
 	rhs := c.rhs
 	for i := 0; i < m; i++ {
 		rhs[i] = s.prob.Constraints[i].RHS
 	}
 	for j := 0; j < s.n; j++ {
-		if basicSet[j] {
+		if c.basicSet[j] {
 			continue
 		}
 		x := s.nonbasicValue(j)
@@ -360,10 +422,29 @@ func (c *sparseCore) refactorize() bool {
 			rhs[c.mat.idx[k]] -= c.mat.val[k] * x
 		}
 	}
-	c.etas.ftran(rhs)
+	c.ftran(rhs)
 	if len(s.beta) != m {
 		s.beta = make([]float64, m)
 	}
 	copy(s.beta, rhs)
-	return true
+}
+
+// carried returns the factorization to attach to an exported Basis: the
+// current factor with no update etas on top, the matrix truncated to the
+// structural and slack columns (artificials never appear in an exported
+// basis), and the row assignment. Nothing is copied; the solve is over.
+func (c *sparseCore) carried() *basisFactor {
+	s := c.s
+	cols := s.nStruct + s.m
+	end := c.mat.ptr[cols]
+	return &basisFactor{
+		prob: s.prob,
+		mat: cscMatrix{
+			ptr: c.mat.ptr[: cols+1 : cols+1],
+			idx: c.mat.idx[:end:end],
+			val: c.mat.val[:end:end],
+		},
+		lu:   c.factor,
+		rows: s.basis,
+	}
 }

@@ -1,8 +1,11 @@
 package lp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -281,14 +284,222 @@ func TestWarmColdBitIdentical(t *testing.T) {
 	}
 }
 
+// TestRefactorizationCounter pins the exact build count. A cold start builds
+// once at setup; a warm start builds once at install from a factor-less
+// basis and not at all from the factorization an exported basis carries; an
+// optimal solve rebuilds before (and after) canonicalization only when a
+// pivot or bound flip happened since the last build. On branchProblem neither
+// descent moves, so every rebuild here is the one before canonicalization.
 func TestRefactorizationCounter(t *testing.T) {
 	p := branchProblem()
-	sol := solveOrFatal(t, p, Options{})
-	if sol.Refactorizations < 1 {
-		t.Errorf("optimal solve reports %d refactorizations, want >= 1 (final canonical rebuild)", sol.Refactorizations)
+	cold := solveOrFatal(t, p, Options{})
+	if cold.Basis == nil || cold.Basis.factor == nil {
+		t.Fatal("optimal solve exported no factorization")
 	}
-	warm := solveOrFatal(t, p, Options{UpperOverride: map[int]float64{0: 2}, WarmBasis: sol.Basis})
-	if warm.WarmStarted && warm.Refactorizations < 2 {
-		t.Errorf("warm solve reports %d refactorizations, want >= 2 (install + final)", warm.Refactorizations)
+	plain := &Basis{Basic: cold.Basis.Basic, Status: cold.Basis.Status}
+	branch := map[int]float64{0: 2}
+	for _, tc := range []struct {
+		name       string
+		opts       Options
+		pivots     int
+		refactored int
+	}{
+		// Setup build, two primal pivots, the rebuild they call for.
+		{"cold", Options{}, 2, 2},
+		// Adopted factor, two dual pivots, one rebuild.
+		{"carried factor, branched", Options{UpperOverride: branch, WarmBasis: cold.Basis}, 2, 1},
+		// Install build, the same two pivots, one rebuild.
+		{"factor-less, branched", Options{UpperOverride: branch, WarmBasis: plain}, 2, 2},
+		// Adopted factor already optimal: nothing moves, nothing is built.
+		{"carried factor, unchanged", Options{WarmBasis: cold.Basis}, 0, 0},
+		// Install build only.
+		{"factor-less, unchanged", Options{WarmBasis: plain}, 0, 1},
+	} {
+		sol := solveOrFatal(t, p, tc.opts)
+		if sol.Status != StatusOptimal || sol.WarmStarted != (tc.opts.WarmBasis != nil) {
+			t.Fatalf("%s: status %v, warm started %v", tc.name, sol.Status, sol.WarmStarted)
+		}
+		if sol.Iterations != tc.pivots || sol.Refactorizations != tc.refactored {
+			t.Errorf("%s: %d pivots, %d refactorizations; want %d, %d",
+				tc.name, sol.Iterations, sol.Refactorizations, tc.pivots, tc.refactored)
+		}
 	}
+}
+
+// solutionDiff names the first field in which two solves differ bit for bit
+// (X, Objective, Iterations, PeakEta, WarmStarted, the exported basis), or
+// returns "" when they agree.
+func solutionDiff(a, b *Solution) string {
+	switch {
+	case a.Status != b.Status:
+		return fmt.Sprintf("status %v vs %v", a.Status, b.Status)
+	case math.Float64bits(a.Objective) != math.Float64bits(b.Objective):
+		return fmt.Sprintf("objective %v vs %v", a.Objective, b.Objective)
+	case a.Iterations != b.Iterations:
+		return fmt.Sprintf("iterations %d vs %d", a.Iterations, b.Iterations)
+	case a.PeakEta != b.PeakEta:
+		return fmt.Sprintf("peak eta %d vs %d", a.PeakEta, b.PeakEta)
+	case a.WarmStarted != b.WarmStarted:
+		return fmt.Sprintf("warm started %v vs %v", a.WarmStarted, b.WarmStarted)
+	case (a.Basis == nil) != (b.Basis == nil):
+		return "only one solve exported a basis"
+	}
+	if d := xDiff(a.X, b.X); d != "" {
+		return d
+	}
+	if a.Basis != nil && (!reflect.DeepEqual(a.Basis.Basic, b.Basis.Basic) || !reflect.DeepEqual(a.Basis.Status, b.Basis.Status)) {
+		return "exported bases differ"
+	}
+	return ""
+}
+
+// xDiff names the first solution coordinate that differs bit for bit.
+func xDiff(a, b []float64) string {
+	for k := range a {
+		if math.Float64bits(a[k]) != math.Float64bits(b[k]) {
+			return fmt.Sprintf("X[%d] %v vs %v", k, a[k], b[k])
+		}
+	}
+	return ""
+}
+
+// TestWarmFactorReuseBitIdentical: adopting the factorization an exported
+// basis carries is exact. Along a dive-shaped chain — a root solve, then three
+// bound fixings, each warm-started from the step before — the solve from the
+// factor-carrying basis matches the solve from a factor-less copy bit for bit,
+// and its X is the cold solve's. Adoption must really happen (one build fewer
+// than the copy). A basis exported by another problem of the same shape but
+// different coefficients must not lend its factorization: the solve matches
+// the factor-less copy and that problem's own cold solve.
+func TestWarmFactorReuseBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	adopted, foreignWarm := 0, 0
+	for trial := 0; trial < 80; trial++ {
+		nVars := 2 + rng.Intn(8)
+		p, _ := randomFeasibleLP(rng, nVars, 1+rng.Intn(10))
+		root := solveOrFatal(t, p, Options{})
+		if root.Status != StatusOptimal || root.Basis == nil {
+			continue
+		}
+		if root.Basis.factor == nil {
+			t.Fatalf("trial %d: optimal sparse solve exported no factorization", trial)
+		}
+
+		// Another problem of the same shape: row i scaled by i+2, which keeps
+		// the basis nonsingular and dual-feasible but changes the matrix.
+		other := &Problem{Variables: p.Variables}
+		for i, c := range p.Constraints {
+			row := make([]Entry, len(c.Row))
+			for k, e := range c.Row {
+				row[k] = Entry{e.Var, e.Coef * float64(i+2)}
+			}
+			other.AddConstraint(c.Name, row, c.Sense, c.RHS*float64(i+2))
+		}
+		foreign := solveOrFatal(t, other, Options{WarmBasis: root.Basis})
+		foreignPlain := solveOrFatal(t, other, Options{WarmBasis: &Basis{Basic: root.Basis.Basic, Status: root.Basis.Status}})
+		if d := solutionDiff(foreign, foreignPlain); d != "" || foreign.Refactorizations != foreignPlain.Refactorizations {
+			t.Errorf("trial %d: another problem's factorization was adopted: %s (refactorizations %d vs %d)",
+				trial, d, foreign.Refactorizations, foreignPlain.Refactorizations)
+		}
+		if foreign.Status == StatusOptimal {
+			if d := xDiff(foreign.X, solveOrFatal(t, other, Options{}).X); d != "" {
+				t.Errorf("trial %d: other problem, warm vs its cold solve: %s", trial, d)
+			}
+		}
+		if foreign.WarmStarted {
+			foreignWarm++
+		}
+
+		lower, upper := map[int]float64{}, map[int]float64{}
+		b, x := root.Basis, root.X
+		for step := 0; step < 3; step++ {
+			// Fix one variable at its rounded value, as the milp dive does.
+			j := rng.Intn(nVars)
+			v := math.Round(x[j])
+			lower, upper = copyWithBound(lower, j, v), copyWithBound(upper, j, v)
+			carried := solveOrFatal(t, p, Options{LowerOverride: lower, UpperOverride: upper, WarmBasis: b})
+			plain := solveOrFatal(t, p, Options{LowerOverride: lower, UpperOverride: upper,
+				WarmBasis: &Basis{Basic: b.Basic, Status: b.Status}})
+			if d := solutionDiff(carried, plain); d != "" {
+				t.Fatalf("trial %d step %d: carried factor vs factor-less copy: %s", trial, step, d)
+			}
+			builds := plain.Refactorizations
+			if carried.WarmStarted {
+				builds-- // the install build the carried factor replaces
+				adopted++
+			}
+			if carried.Refactorizations != builds {
+				t.Errorf("trial %d step %d: %d refactorizations from the carried factor, want %d",
+					trial, step, carried.Refactorizations, builds)
+			}
+			if carried.Status != StatusOptimal {
+				break
+			}
+			cold := solveOrFatal(t, p, Options{LowerOverride: lower, UpperOverride: upper})
+			if d := xDiff(carried.X, cold.X); d != "" {
+				t.Errorf("trial %d step %d: warm vs cold: %s", trial, step, d)
+			}
+			if carried.Basis == nil {
+				break
+			}
+			b, x = carried.Basis, carried.X
+		}
+	}
+	if adopted < 150 || foreignWarm < 60 {
+		t.Fatalf("only %d adopted factorizations and %d warm starts on another problem: the test lost its teeth",
+			adopted, foreignWarm)
+	}
+}
+
+// TestCarriedFactorSharedAcrossConcurrentSolves: one exported Basis may seed
+// many concurrent solves, and each adopts the same carried factorization and
+// matrix. Those stay read-only: every concurrent solve matches its sequential
+// twin bit for bit (run under -race to check the sharing itself).
+func TestCarriedFactorSharedAcrossConcurrentSolves(t *testing.T) {
+	p := branchProblem()
+	root := solveOrFatal(t, p, Options{})
+	branches := []Options{
+		{UpperOverride: map[int]float64{0: 2}},
+		{LowerOverride: map[int]float64{0: 4}},
+		{UpperOverride: map[int]float64{1: 3}, LowerOverride: map[int]float64{0: 1}},
+		{UpperOverride: map[int]float64{2: 1}},
+		{},
+	}
+	want := make([]*Solution, len(branches))
+	for i, o := range branches {
+		o.WarmBasis = root.Basis
+		want[i] = solveOrFatal(t, p, o)
+	}
+	got := make([]*Solution, len(branches))
+	var wg sync.WaitGroup
+	for i, o := range branches {
+		o.WarmBasis = root.Basis
+		wg.Add(1)
+		go func(i int, o Options) {
+			defer wg.Done()
+			got[i], _ = Solve(p, o)
+		}(i, o)
+	}
+	wg.Wait()
+	for i := range branches {
+		if got[i] == nil {
+			t.Fatalf("branch %d: solve failed", i)
+		}
+		if !got[i].WarmStarted {
+			t.Errorf("branch %d: carried basis rejected", i)
+		}
+		if d := solutionDiff(got[i], want[i]); d != "" || got[i].Refactorizations != want[i].Refactorizations {
+			t.Errorf("branch %d: concurrent vs sequential: %s (refactorizations %d vs %d)",
+				i, d, got[i].Refactorizations, want[i].Refactorizations)
+		}
+	}
+}
+
+func copyWithBound(src map[int]float64, j int, v float64) map[int]float64 {
+	out := make(map[int]float64, len(src)+1)
+	for k, w := range src {
+		out[k] = w
+	}
+	out[j] = v
+	return out
 }

@@ -102,8 +102,10 @@ func (o SolveOptions) workers() int {
 type LPStats struct {
 	// Pivots is the total simplex iteration count across all node LPs.
 	Pivots int
-	// Refactorizations counts tableau rebuilds from the raw problem data
-	// (one per accepted warm basis, one per optimal solve).
+	// Refactorizations counts basis-inverse builds from the raw problem data
+	// (see lp.Solution.Refactorizations): one per cold start and per warm
+	// basis that carries no adoptable factorization, at most two at
+	// optimality, plus the periodic and drift rebuilds between pivots.
 	Refactorizations int
 	// WarmHits and WarmMisses split the node LPs that were offered a parent
 	// basis into accepted (dual simplex) and rejected (cold fallback) ones.
@@ -266,7 +268,8 @@ type node struct {
 	depth int
 	// basis is the parent's optimal LP basis (shared, read-only): the child
 	// differs by one bound, so it is usually still dual-feasible and the LP
-	// warm-starts from it. Nil means a cold solve.
+	// warm-starts from it. Nil means a cold solve. It never carries the
+	// parent's LU factorization (see withoutFactor).
 	basis *lp.Basis
 }
 
@@ -380,7 +383,12 @@ search:
 			if !opts.DisableWarmLP {
 				lpOpts.WarmBasis = batch[i].basis
 			}
-			sols[i], errs[i] = lp.SolveCtx(ctx, prob, lpOpts)
+			sol, err := lp.SolveCtx(ctx, prob, lpOpts)
+			// Only the root's factorization is handed on, to the dive.
+			if sol != nil && batch[i].depth > 0 {
+				sol.Basis = withoutFactor(sol.Basis)
+			}
+			sols[i], errs[i] = sol, err
 		}
 		// With more than one worker the whole batch is evaluated eagerly by a
 		// bounded pool; sequentially each LP is solved lazily right before
@@ -453,13 +461,17 @@ search:
 			nd.bound = lpObj
 			if res.Nodes == 1 {
 				res.Bound = lpObj
+				// The root's factorization goes to the dive alone; its
+				// children queue with the factor-less basis.
+				diveBasis := sol.Basis
+				sol.Basis = withoutFactor(sol.Basis)
 				// LP-guided dive from the root: greedily fix fractional integer
 				// variables to find a first incumbent quickly. Big-M disjunction
 				// models (the non-overlap constraints of the layout ILP) rarely
 				// produce integral relaxations, so pure best-bound search can
 				// wander for a long time without this.
 				if res.X == nil {
-					if x, obj, ok := m.dive(ctx, prob, opts, res, nd, sol, integers); ok {
+					if x, obj, ok := m.dive(ctx, prob, opts, res, nd, sol.X, diveBasis, integers); ok {
 						res.X = x
 						res.Objective = obj
 						res.Status = StatusFeasible
@@ -564,13 +576,13 @@ search:
 // to the opposite value when that makes the LP infeasible) until the
 // relaxation is integral or the dive fails. It returns the incumbent found.
 // Each step warm-starts from the basis of the previous one (the fix is a
-// bound change, same shape as a branch); the dive runs sequentially inside
-// the root node, so its LP stats fold into res deterministically.
-func (m *Model) dive(ctx context.Context, prob *lp.Problem, opts SolveOptions, res *Result, nd *node, rootSol *lp.Solution, integers []int) ([]float64, float64, bool) {
+// bound change, same shape as a branch) and adopts the LU factorization that
+// basis carries, starting from the root's (x, basis); the dive runs
+// sequentially inside the root node, so its LP stats fold into res
+// deterministically.
+func (m *Model) dive(ctx context.Context, prob *lp.Problem, opts SolveOptions, res *Result, nd *node, x []float64, basis *lp.Basis, integers []int) ([]float64, float64, bool) {
 	lower := copyMap(nd.lower)
 	upper := copyMap(nd.upper)
-	x := rootSol.X
-	basis := rootSol.Basis
 	for iter := 0; iter <= len(integers)+4; iter++ {
 		if ctx.Err() != nil {
 			return nil, 0, false
@@ -627,6 +639,19 @@ func (m *Model) dive(ctx context.Context, prob *lp.Problem, opts SolveOptions, r
 		}
 	}
 	return nil, 0, false
+}
+
+// withoutFactor returns b without the LU factorization an lp solve attaches
+// to the bases it exports. Only the dive chain hands factorizations on, each
+// to the next step right away. A factor on a queued node would stay resident
+// until the node is dequeued — across a whole refinement model's tree, more
+// memory than the saved rebuilds are worth — so every other basis keeps only
+// its exported fields, and the child that warm-starts from it rebuilds.
+func withoutFactor(b *lp.Basis) *lp.Basis {
+	if b == nil {
+		return nil
+	}
+	return &lp.Basis{Basic: b.Basic, Status: b.Status}
 }
 
 func copyMap(src map[int]float64) map[int]float64 {

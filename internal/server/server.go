@@ -495,7 +495,11 @@ type solveStats struct {
 	InterruptedSolves int     `json:"interrupted_solves,omitempty"`
 }
 
-// lpStatsJSON is the wire form of pilp.LPStats.
+// lpStatsJSON is the wire form of pilp.LPStats. Stats are effort counters,
+// not part of the byte-identity contract: refactorizations counts fewer
+// builds for the same solve since warm LPs adopt the factorization their
+// basis carries and optimal solves skip rebuilds that would change nothing,
+// and a cache entry written before that keeps the old, higher count.
 type lpStatsJSON struct {
 	Pivots           int     `json:"pivots"`
 	Refactorizations int     `json:"refactorizations"`
