@@ -50,7 +50,9 @@
 //	internal/lp                  bounded-variable primal + dual simplex. One
 //	                             driver (Dantzig pricing with a Bland
 //	                             anti-cycling fallback, ratio tests, phases,
-//	                             lexicographic canonicalization) over a sparse
+//	                             lexicographic canonicalization, whose scan
+//	                             remembers the columns it rejected and skips
+//	                             them until a pivot touches them) over a sparse
 //	                             revised core: A in compressed sparse columns,
 //	                             B⁻¹ as an LU-style eta file — refactorized
 //	                             every RefactorEvery pivots or on drift,

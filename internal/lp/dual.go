@@ -158,14 +158,20 @@ func (s *simplex) dualRatioTest(r int, target float64, row []float64) (enter int
 // through a basis exchange at the same vertex, and refusing those strands
 // different pivot paths at different vertices. Bland-style index rules on both
 // the entering column and the leaving row keep the pass from cycling.
+//
+// Every scan restarts at column 0, but from the second scan on, the columns
+// an earlier scan rejected and no move has touched since are skipped without
+// an FTRAN (see lexMemo): the scan returns exactly the move a full rescan
+// would.
 func (s *simplex) lexCanonicalize() {
 	maxMoves := 4 * (s.m + s.n)
 	if maxMoves < 64 {
 		maxMoves = 64
 	}
+	var memo lexMemo
 	s.lexPivoting = true
 	for moves := 0; moves < maxMoves; moves++ {
-		enter, dir, leaveRow, bound, step := s.findLexDescent()
+		enter, dir, leaveRow, bound, step := s.findLexDescent(&memo)
 		if enter < 0 {
 			break
 		}
@@ -173,9 +179,25 @@ func (s *simplex) lexCanonicalize() {
 		// s.colBuf, which is exactly what the move application needs.
 		s.iterations++
 		if leaveRow < 0 {
+			// A bound flip changes neither the basis nor the factorization:
+			// every memoised column stays valid.
 			s.applyBoundFlip(enter, dir, step, s.colBuf)
 		} else {
 			s.pivot(enter, dir, leaveRow, bound, step, s.colBuf)
+			if s.fresh {
+				// The pivot rebuilt the factorization, which may also
+				// permute the rows: no remembered column survives.
+				memo.clear()
+			} else {
+				memo.pivoted(leaveRow)
+			}
+		}
+		if !memo.armed() {
+			// Remember rejections only once a move has happened. About
+			// half of all passes end after their first scan, and then
+			// nothing that scan remembered would ever be read; the second
+			// scan skips few of the first scan's rejections anyway.
+			memo.arm(s)
 		}
 	}
 	s.lexPivoting = false
@@ -184,18 +206,18 @@ func (s *simplex) lexCanonicalize() {
 // findLexDescent scans nonbasic columns with zero reduced cost, in index
 // order, for a bounded move whose direction lexicographically decreases the
 // structural solution vector; the first such move wins (Bland's entering
-// rule for the implicit lex objective).
-func (s *simplex) findLexDescent() (enter int, dir float64, leaveRow int, bound varStatus, step float64) {
+// rule for the implicit lex objective). A column memo remembers as rejected
+// is skipped after the reduced-cost check, and a column whose lexDescending
+// test fails in every allowed direction is remembered. A column that passes
+// the test but fails the ratio test is not: that test reads the basic values,
+// which bound flips move.
+func (s *simplex) findLexDescent(memo *lexMemo) (enter int, dir float64, leaveRow int, bound varStatus, step float64) {
 	for j := 0; j < s.n; j++ {
-		st := s.status[j]
-		if st == inBasis || s.lower[j] == s.upper[j] {
-			continue
-		}
-		if math.Abs(s.reduced[j]) > tol {
+		if !s.lexEligible(j) || memo.has(j) {
 			continue
 		}
 		var dirs []float64
-		switch st {
+		switch s.status[j] {
 		case atLower:
 			dirs = []float64{1}
 		case atUpper:
@@ -205,10 +227,12 @@ func (s *simplex) findLexDescent() (enter int, dir float64, leaveRow int, bound 
 		}
 		alpha := s.colBuf
 		s.core.column(j, alpha)
+		descends := false
 		for _, d := range dirs {
 			if !s.lexDescending(j, d, alpha) {
 				continue
 			}
+			descends = true
 			lr, b, stp, ok := s.ratioTest(j, d, alpha)
 			if !ok {
 				continue // unbounded ray: the lex objective has no minimum here
@@ -218,8 +242,121 @@ func (s *simplex) findLexDescent() (enter int, dir float64, leaveRow int, bound 
 			}
 			return j, d, lr, b, stp
 		}
+		if !descends {
+			memo.reject(j, alpha)
+		}
 	}
 	return -1, 0, 0, atLower, 0
+}
+
+// lexEligible reports whether column j may enter a lex move: nonbasic, not
+// fixed, with zero reduced cost.
+func (s *simplex) lexEligible(j int) bool {
+	return s.status[j] != inBasis && s.lower[j] != s.upper[j] && math.Abs(s.reduced[j]) <= tol
+}
+
+// lexMemo remembers the columns findLexDescent rejected, once armed, that no
+// pivot has touched since, with the rows where each one's tableau column is
+// exactly nonzero, so a later scan can skip them without an FTRAN.
+//
+// Skipping is exact. A pivot in row r appends one eta, and FTRAN skips that
+// eta wherever the column it solves is zero in row r, so a column zero there
+// comes out bit for bit as before. The basis changed only in row r, which
+// lexDescending passes over for that column, so the rejection stands. (The
+// dense test oracle's elimination leaves such a column unchanged too, up to
+// the sign of a zero, which lexDescending ignores.) A pivot therefore drops
+// the columns nonzero in its row; a rebuild drops them all.
+//
+// Bitset storage goes only to columns actually rejected, and a dropped
+// column's bitset is reused by the next rejection.
+type lexMemo struct {
+	words int        // bitset words per column, ⌈m/64⌉
+	held  []uint64   // bit j: column j is remembered; nil until armed
+	live  []lexEntry // the remembered columns
+	free  []int32    // bitsets of dropped columns, for reuse
+	bits  []uint64   // the bitsets, words each: live's and free's
+}
+
+// lexEntry is one remembered column and the index of its row bitset.
+type lexEntry struct{ col, set int32 }
+
+func (mm *lexMemo) armed() bool { return mm.held != nil }
+
+func (mm *lexMemo) has(j int) bool { return mm.armed() && mm.held[j>>6]&(1<<(j&63)) != 0 }
+
+// arm makes the memo remember the rejections from here on. Nearly every
+// column a later scan rejects is eligible now, so sizing the arenas for those
+// keeps them from growing.
+func (mm *lexMemo) arm(s *simplex) {
+	eligible := 0
+	for j := 0; j < s.n; j++ {
+		if s.lexEligible(j) {
+			eligible++
+		}
+	}
+	mm.words = (s.m + 63) / 64
+	mm.held = make([]uint64, (s.n+63)/64)
+	mm.live = make([]lexEntry, 0, eligible)
+	mm.bits = make([]uint64, 0, eligible*mm.words)
+}
+
+// reject remembers column j, whose tableau column is alpha, once armed.
+func (mm *lexMemo) reject(j int, alpha []float64) {
+	if !mm.armed() {
+		return
+	}
+	var k int32
+	if n := len(mm.free); n > 0 {
+		k, mm.free = mm.free[n-1], mm.free[:n-1]
+	} else {
+		k = int32(len(mm.live))
+		mm.bits = append(mm.bits, make([]uint64, mm.words)...)
+	}
+	rows := mm.bits[int(k)*mm.words : int(k+1)*mm.words]
+	for w := range rows {
+		// One word at a time, kept in a register: this loop runs once per
+		// rejected column over all m rows.
+		var word uint64
+		for i, a := range alpha[w<<6 : min(w<<6+64, len(alpha))] {
+			if a != 0 {
+				word |= 1 << i
+			}
+		}
+		rows[w] = word
+	}
+	mm.held[j>>6] |= 1 << (j & 63)
+	mm.live = append(mm.live, lexEntry{int32(j), k})
+}
+
+// pivoted drops the columns a pivot in row r may have changed: those nonzero
+// in row r. The pivot's own columns need no check: the entering one passed
+// its test, so it was never remembered, and the leaving one was basic.
+func (mm *lexMemo) pivoted(r int) {
+	w, bit := r>>6, uint64(1)<<(r&63)
+	kept := mm.live[:0]
+	for _, e := range mm.live {
+		if mm.bits[int(e.set)*mm.words+w]&bit == 0 {
+			kept = append(kept, e)
+		} else {
+			mm.drop(e)
+		}
+	}
+	mm.live = kept
+}
+
+// clear drops every remembered column.
+func (mm *lexMemo) clear() {
+	for _, e := range mm.live {
+		mm.drop(e)
+	}
+	mm.live = mm.live[:0]
+}
+
+// drop forgets e's column and frees its bitset; the caller removes e from
+// live.
+func (mm *lexMemo) drop(e lexEntry) {
+	mm.held[e.col>>6] &^= 1 << (e.col & 63)
+	mm.free = append(mm.free, e.set)
 }
 
 // lexDescending reports whether moving the entering column (tableau column

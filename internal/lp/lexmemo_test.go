@@ -1,0 +1,312 @@
+package lp
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// restartLexCanonicalize is the canonicalization pass without lexMemo: every
+// scan restarts at column 0 and recomputes every candidate it meets. It is the
+// reference the memoised pass must match bit for bit.
+func restartLexCanonicalize(s *simplex) {
+	maxMoves := 4 * (s.m + s.n)
+	if maxMoves < 64 {
+		maxMoves = 64
+	}
+	s.lexPivoting = true
+	for moves := 0; moves < maxMoves; moves++ {
+		enter, dir, leaveRow, bound, step := restartFindLexDescent(s)
+		if enter < 0 {
+			break
+		}
+		s.iterations++
+		if leaveRow < 0 {
+			s.applyBoundFlip(enter, dir, step, s.colBuf)
+		} else {
+			s.pivot(enter, dir, leaveRow, bound, step, s.colBuf)
+		}
+	}
+	s.lexPivoting = false
+}
+
+func restartFindLexDescent(s *simplex) (enter int, dir float64, leaveRow int, bound varStatus, step float64) {
+	for j := 0; j < s.n; j++ {
+		st := s.status[j]
+		if st == inBasis || s.lower[j] == s.upper[j] {
+			continue
+		}
+		if math.Abs(s.reduced[j]) > tol {
+			continue
+		}
+		var dirs []float64
+		switch st {
+		case atLower:
+			dirs = []float64{1}
+		case atUpper:
+			dirs = []float64{-1}
+		case atFree:
+			dirs = []float64{1, -1}
+		}
+		alpha := s.colBuf
+		s.core.column(j, alpha)
+		for _, d := range dirs {
+			if !s.lexDescending(j, d, alpha) {
+				continue
+			}
+			lr, b, stp, ok := s.ratioTest(j, d, alpha)
+			if !ok {
+				continue
+			}
+			if lr < 0 && stp <= tol {
+				continue
+			}
+			return j, d, lr, b, stp
+		}
+	}
+	return -1, 0, 0, atLower, 0
+}
+
+// restartSolve is SolveCtx with restartLexCanonicalize in place of the
+// production pass, reporting what the comparison reads.
+func restartSolve(p *Problem, opts Options) (*Solution, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	var s *simplex
+	var status Status
+	if opts.WarmBasis != nil {
+		ws, err := newSimplexBase(p, opts)
+		if err != nil {
+			return nil, err
+		}
+		if !ws.forcedInfeasible && ws.installBasis(opts.WarmBasis) {
+			s = ws
+			if status = s.runDual(); status == StatusOptimal {
+				status = s.iterate()
+			}
+		}
+	}
+	if s == nil {
+		var err error
+		if s, err = newSimplex(p, opts); err != nil {
+			return nil, err
+		}
+		status = s.run()
+	}
+	if status == StatusOptimal && !s.forcedInfeasible {
+		if !s.fresh {
+			s.refactorize()
+		}
+		s.computeReducedCosts()
+		restartLexCanonicalize(s)
+		if !s.fresh {
+			s.refactorize()
+		}
+	}
+	sol := &Solution{Status: status, X: s.extract(), Iterations: s.iterations, Refactorizations: s.refactorizations}
+	if status == StatusOptimal && !s.forcedInfeasible {
+		sol.Basis = s.exportBasis()
+	}
+	return sol, nil
+}
+
+// countingCore counts the tableau columns its core computes.
+type countingCore struct {
+	tableauCore
+	n *int
+}
+
+func (c countingCore) column(j int, dst []float64) {
+	*c.n++
+	c.tableauCore.column(j, dst)
+}
+
+// counted returns opts with its core (the sparse one unless opts already
+// names the dense oracle) wrapped to count tableau columns into n.
+func counted(opts Options, n *int) Options {
+	base := opts.newCore
+	if base == nil {
+		base = func(s *simplex) tableauCore { return newSparseCore(s, buildCSC(s)) }
+	}
+	opts.newCore = func(s *simplex) tableauCore { return countingCore{base(s), n} }
+	return opts
+}
+
+// degenerateLP builds a random LP with a large, highly degenerate optimal
+// face: most costs are zero, and most constraints are tight at one integer
+// point, which many bases share. Some variables are free, some fixed and some
+// only 1e-10 wide, so the descent meets both scan directions, columns it must
+// pass over, and columns whose only move is a bound flip too short to take.
+func degenerateLP(rng *rand.Rand, nVars, nCons int) *Problem {
+	p := NewProblem()
+	point := make([]float64, nVars)
+	for j := range point {
+		lo := float64(rng.Intn(5) - 2)
+		up := lo + float64(rng.Intn(4))
+		cost := 0.0
+		if rng.Intn(4) == 0 {
+			cost = float64(rng.Intn(5) - 2)
+		}
+		switch rng.Intn(8) {
+		case 0:
+			lo, up, cost = math.Inf(-1), Infinity, 0
+		case 1:
+			up = Infinity
+		case 2:
+			lo = math.Inf(-1)
+		case 3:
+			up = lo + 1e-10 // a bound flip too short to count as a move
+		}
+		switch {
+		case !math.IsInf(lo, -1) && (math.IsInf(up, 1) || rng.Intn(2) == 0):
+			point[j] = lo
+		case !math.IsInf(up, 1):
+			point[j] = up
+		default:
+			point[j] = float64(rng.Intn(5) - 2)
+		}
+		p.AddVariable(fmt.Sprintf("x%d", j), lo, up, cost)
+	}
+	for i := 0; i < nCons; i++ {
+		var row []Entry
+		lhs := 0.0
+		for j := range point {
+			if rng.Intn(2) == 0 {
+				coef := float64(rng.Intn(5) - 2)
+				if coef == 0 {
+					coef = 1
+				}
+				row = append(row, Entry{j, coef})
+				lhs += coef * point[j]
+			}
+		}
+		if len(row) == 0 {
+			continue
+		}
+		room := 0.0
+		if rng.Intn(4) == 0 {
+			room = float64(1 + rng.Intn(2))
+		}
+		switch rng.Intn(3) {
+		case 0:
+			p.AddConstraint(fmt.Sprintf("c%d", i), row, LE, lhs+room)
+		case 1:
+			p.AddConstraint(fmt.Sprintf("c%d", i), row, GE, lhs-room)
+		default:
+			p.AddConstraint(fmt.Sprintf("c%d", i), row, EQ, lhs)
+		}
+	}
+	return p
+}
+
+// lexMemoMismatch solves p under opts with the production pass and with
+// restartLexCanonicalize, each on a column-counting core, and describes the
+// first difference in X, the basis, Iterations or Refactorizations ("" when
+// they agree bit for bit). It also returns both column counts.
+func lexMemoMismatch(p *Problem, opts Options) (diff string, memoCols, restartCols int, err error) {
+	got, err := Solve(p, counted(opts, &memoCols))
+	if err != nil {
+		return "", 0, 0, err
+	}
+	want, err := restartSolve(p, counted(opts, &restartCols))
+	if err != nil {
+		return "", 0, 0, err
+	}
+	switch {
+	case got.Status != want.Status:
+		return fmt.Sprintf("status %v, restart scan %v", got.Status, want.Status), memoCols, restartCols, nil
+	case got.Iterations != want.Iterations || got.Refactorizations != want.Refactorizations:
+		return fmt.Sprintf("%d iterations and %d refactorizations, restart scan %d and %d",
+			got.Iterations, got.Refactorizations, want.Iterations, want.Refactorizations), memoCols, restartCols, nil
+	case (got.Basis == nil) != (want.Basis == nil):
+		return fmt.Sprintf("basis exported %v, restart scan %v", got.Basis != nil, want.Basis != nil), memoCols, restartCols, nil
+	}
+	for k := range want.X {
+		if math.Float64bits(got.X[k]) != math.Float64bits(want.X[k]) {
+			return fmt.Sprintf("X[%d] = %v, restart scan %v", k, got.X[k], want.X[k]), memoCols, restartCols, nil
+		}
+	}
+	if want.Basis != nil {
+		for i := range want.Basis.Basic {
+			if got.Basis.Basic[i] != want.Basis.Basic[i] {
+				return fmt.Sprintf("Basic[%d] = %d, restart scan %d", i, got.Basis.Basic[i], want.Basis.Basic[i]), memoCols, restartCols, nil
+			}
+		}
+	}
+	return "", memoCols, restartCols, nil
+}
+
+// lexMemoCases are the core and refactorization settings every comparison
+// runs under: the sparse core at its default cadence, the sparse core
+// rebuilding every two pivots (so lex pivots trigger rebuilds that permute
+// rows), and the dense oracle.
+var lexMemoCases = []struct {
+	name string
+	opts Options
+}{
+	{"sparse", Options{}},
+	{"sparse/refactor2", Options{RefactorEvery: 2}},
+	{"dense", denseOracle(Options{})},
+}
+
+// lexMemoTrial checks one seeded degenerate LP under every case: a cold
+// solve, then a warm solve of a bound-tightened child from its basis (the
+// branch-and-bound shape, reaching the descent through the dual simplex).
+func lexMemoTrial(t *testing.T, seed int64, nVars, nCons int, memoCols, restartCols *int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	p := degenerateLP(rng, nVars, nCons)
+	j := rng.Intn(nVars)
+	child := map[int]float64{j: p.Variables[j].Lower + float64(rng.Intn(2))}
+	for _, c := range lexMemoCases {
+		root, err := Solve(p, c.opts)
+		if err != nil {
+			t.Fatalf("seed %d %s: %v", seed, c.name, err)
+		}
+		runs := []Options{c.opts}
+		if root.Basis != nil && !math.IsInf(child[j], -1) && child[j] <= p.Variables[j].Upper {
+			warm := c.opts
+			warm.LowerOverride, warm.WarmBasis = child, root.Basis
+			runs = append(runs, warm)
+		}
+		for k, opts := range runs {
+			diff, mc, rc, err := lexMemoMismatch(p, opts)
+			if err != nil {
+				t.Fatalf("seed %d %s run %d: %v", seed, c.name, k, err)
+			}
+			if diff != "" {
+				t.Fatalf("seed %d %s run %d (%d vars, %d rows): %s", seed, c.name, k, nVars, len(p.Constraints), diff)
+			}
+			*memoCols += mc
+			*restartCols += rc
+		}
+	}
+}
+
+// TestLexMemoMatchesRestartScan: remembering rejected columns changes no
+// result. On seeded degenerate LPs, cold and warm, on the sparse core (also
+// with rebuilds inside the descent) and on the dense oracle, the production
+// pass returns the restart scan's X, basis, Iterations and Refactorizations
+// bit for bit — and computes fewer tableau columns, so the memo is exercised.
+func TestLexMemoMatchesRestartScan(t *testing.T) {
+	var memoCols, restartCols int
+	for seed := int64(1); seed <= 400; seed++ {
+		lexMemoTrial(t, seed, 4+int(seed%13), 3+int(seed%11), &memoCols, &restartCols)
+	}
+	t.Logf("tableau columns: %d with the memo, %d with the restart scan", memoCols, restartCols)
+	if memoCols >= restartCols {
+		t.Errorf("the memo saved no tableau column: %d vs %d", memoCols, restartCols)
+	}
+}
+
+// FuzzLexMemo is TestLexMemoMatchesRestartScan over fuzzed seeds and sizes.
+func FuzzLexMemo(f *testing.F) {
+	f.Add(int64(1), uint8(6), uint8(4))
+	f.Add(int64(7), uint8(16), uint8(13))
+	f.Fuzz(func(t *testing.T, seed int64, nVars, nCons uint8) {
+		var memoCols, restartCols int
+		lexMemoTrial(t, seed, 1+int(nVars%24), 1+int(nCons%20), &memoCols, &restartCols)
+	})
+}

@@ -28,7 +28,10 @@
 // are deterministic, so the pivot sequence — and therefore the returned
 // vertex — is a pure function of (problem, options). At optimality the solver
 // additionally canonicalizes degenerate optima by a lexicographic descent
-// over zero-reduced-cost directions, and the final basis holds a
+// over zero-reduced-cost directions (after its first move, each scan skips
+// without an FTRAN the columns an earlier scan rejected that no pivot has
+// changed since — those zero in every row pivoted on — so it decides as a
+// full rescan would), and the final basis holds a
 // factorization built from the raw problem data (rebuilt unless the current
 // one already is that build), so warm- and cold-started solves of the same
 // problem agree not just on the objective but on the solution vector itself.

@@ -353,13 +353,16 @@ func (s *Server) finishJob(j *job, resp *solveResponse) {
 	s.completeJob(j, resp)
 }
 
-// completeJob is the one sequence that finishes a job — wake waiters, leave
-// the singleflight index, surface in the job store. finishJob wraps it with
-// the solved/failed counters; the admission-rejection path calls it directly
+// completeJob is the one sequence that finishes a job — leave the
+// singleflight index, wake waiters, surface in the job store. The index comes
+// first: a woken client may retry at once, and a retry that still found the
+// job would join it and get its answer back — for a failed job, the same
+// failure again, however often it retries. finishJob wraps it with the
+// solved/failed counters; the admission-rejection path calls it directly
 // because rejections are counted by the rejected counter alone.
 func (s *Server) completeJob(j *job, resp *solveResponse) {
-	j.finish(resp)
 	s.dropInflight(j)
+	j.finish(resp)
 	s.jobs.markFinished(j.id)
 }
 

@@ -496,6 +496,43 @@ func TestSingleflightSharesOneSolve(t *testing.T) {
 	}
 }
 
+// TestFinishedJobLeavesInflightBeforeWaking: a client a finished job wakes
+// may retry at once, so by then the job must be out of the singleflight
+// index — a retry that still found it would join the finished job and get
+// its stale answer back, a failure for a failed job. The test holds the
+// index lock while the job completes: the waiters must stay asleep until
+// the job can leave the index.
+func TestFinishedJobLeavesInflightBeforeWaking(t *testing.T) {
+	s := New(fastConfig())
+	defer s.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	j := &job{id: "j1", key: "k", ctx: ctx, cancel: cancel, done: make(chan struct{}), status: statusRunning}
+	s.inflight[j.key] = j
+	s.jobs.add(j)
+
+	s.inflightMu.Lock()
+	completed := make(chan struct{})
+	go func() {
+		defer close(completed)
+		s.finishJob(j, &solveResponse{ID: j.id, Status: string(statusFailed), Error: "injected"})
+	}()
+	select {
+	case <-j.done:
+		s.inflightMu.Unlock()
+		t.Fatal("the job woke its waiters while it was still in the singleflight index")
+	case <-time.After(100 * time.Millisecond):
+	}
+	s.inflightMu.Unlock()
+	<-completed
+	<-j.done
+	s.inflightMu.Lock()
+	defer s.inflightMu.Unlock()
+	if s.inflight[j.key] != nil {
+		t.Error("a finished job is still in the singleflight index")
+	}
+}
+
 // TestSingleflightAsyncJoinsLeader checks an async request for an in-flight
 // circuit returns the leader's job instead of admitting a duplicate.
 func TestSingleflightAsyncJoinsLeader(t *testing.T) {
