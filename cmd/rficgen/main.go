@@ -166,7 +166,7 @@ func main() {
 					Circuit: circuit.Name,
 					Layout:  layoutText,
 					Runtime: r.Result.Runtime,
-					Nodes:   r.Nodes,
+					Effort:  r.Effort,
 				})
 			}
 			fmt.Println(report.LayoutSummary(circuit.Name, lay, runtime))

@@ -32,7 +32,7 @@ func Key(c *netlist.Circuit, opts pilp.Options) string {
 
 // Entry is one cached solve outcome. Layout holds the layout text exactly as
 // layout.Format rendered it after the original solve, so serving the cached
-// bytes is byte-identical to re-solving; Runtime and Nodes echo the original
+// bytes is byte-identical to re-solving; Runtime and Effort echo the original
 // solve's stats so front-ends can report them alongside a hit.
 type Entry struct {
 	// Circuit is the circuit name, for listings and sanity checks.
@@ -41,12 +41,10 @@ type Entry struct {
 	Layout []byte
 	// Runtime is the wall-clock time of the original solve.
 	Runtime time.Duration
-	// Nodes is the total branch-and-bound node count of the original solve.
-	Nodes int
-	// LP echoes the original solve's simplex-level effort counters so
-	// cached responses report the same stats as the solve that produced
-	// them. Entries written before these counters existed decode as zero.
-	LP pilp.LPStats
+	// Effort is the original solve's node count and LP counters. Dir
+	// entries written before the LP counters existed decode them as zero,
+	// and the Dir tier does not keep LPStats.PeakEta.
+	pilp.Effort
 }
 
 // size approximates the memory footprint of the entry for the LRU byte

@@ -111,7 +111,7 @@ func TestKeyStability(t *testing.T) {
 }
 
 func entry(circuit, layout string) Entry {
-	return Entry{Circuit: circuit, Layout: []byte(layout), Runtime: time.Second, Nodes: 42}
+	return Entry{Circuit: circuit, Layout: []byte(layout), Runtime: time.Second, Effort: pilp.Effort{Nodes: 42}}
 }
 
 func key(i int) string {

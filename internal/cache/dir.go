@@ -56,49 +56,14 @@ type diskEntry struct {
 	// Checksum is the hex SHA-256 of Layout, written since the self-healing
 	// tier landed; entries without it (or written before it) skip
 	// verification, so old caches keep working.
-	Checksum  string       `json:"sha256,omitempty"`
-	RuntimeNS int64        `json:"runtime_ns"`
-	Nodes     int          `json:"nodes"`
-	LP        *diskLPStats `json:"lp,omitempty"`
-	CreatedAt time.Time    `json:"created_at"`
-}
-
-// diskLPStats is the on-disk form of the simplex-effort counters; a nil
-// pointer (entries predating the counters) decodes to zeros. Entries written
-// before the warm-seed counters were retired still carry
-// "warm_seed_accepted"/"warm_seed_rejected" keys; decoding ignores them.
-type diskLPStats struct {
-	Pivots           int `json:"pivots"`
-	Refactorizations int `json:"refactorizations"`
-	WarmHits         int `json:"warm_hits"`
-	WarmMisses       int `json:"warm_misses"`
-	ColdSolves       int `json:"cold_solves"`
-}
-
-func toDiskLPStats(s pilp.LPStats) *diskLPStats {
-	if s == (pilp.LPStats{}) {
-		return nil
-	}
-	return &diskLPStats{
-		Pivots:           s.Pivots,
-		Refactorizations: s.Refactorizations,
-		WarmHits:         s.WarmHits,
-		WarmMisses:       s.WarmMisses,
-		ColdSolves:       s.ColdSolves,
-	}
-}
-
-func fromDiskLPStats(d *diskLPStats) pilp.LPStats {
-	if d == nil {
-		return pilp.LPStats{}
-	}
-	return pilp.LPStats{
-		Pivots:           d.Pivots,
-		Refactorizations: d.Refactorizations,
-		WarmHits:         d.WarmHits,
-		WarmMisses:       d.WarmMisses,
-		ColdSolves:       d.ColdSolves,
-	}
+	Checksum  string `json:"sha256,omitempty"`
+	RuntimeNS int64  `json:"runtime_ns"`
+	Nodes     int    `json:"nodes"`
+	// LP is absent when no LP counter was recorded; entries predating the
+	// counters decode to zeros. Keys of retired counters
+	// ("warm_seed_accepted", "warm_seed_rejected") are ignored on read.
+	LP        *pilp.LPStats `json:"lp,omitempty"`
+	CreatedAt time.Time     `json:"created_at"`
 }
 
 // keyOK rejects keys that are not hex content addresses, so a malformed key
@@ -145,13 +110,11 @@ func (d *Dir) Get(key string) (Entry, bool) {
 		return Entry{}, false
 	}
 	d.hits.Add(1)
-	return Entry{
-		Circuit: de.Circuit,
-		Layout:  []byte(de.Layout),
-		Runtime: time.Duration(de.RuntimeNS),
-		Nodes:   de.Nodes,
-		LP:      fromDiskLPStats(de.LP),
-	}, true
+	e := Entry{Circuit: de.Circuit, Layout: []byte(de.Layout), Runtime: time.Duration(de.RuntimeNS), Effort: pilp.Effort{Nodes: de.Nodes}}
+	if de.LP != nil {
+		e.LP = *de.LP
+	}
+	return e, true
 }
 
 // read is os.ReadFile plus the injected-transient-error retry loop: an
@@ -213,15 +176,18 @@ func (d *Dir) Put(key string, e Entry) {
 	if err := faultinject.ErrorAt(faultinject.PointCacheWrite); err != nil {
 		return
 	}
-	data, err := json.Marshal(diskEntry{
+	de := diskEntry{
 		Circuit:   e.Circuit,
 		Layout:    string(e.Layout),
 		Checksum:  layoutChecksum(string(e.Layout)),
 		RuntimeNS: int64(e.Runtime),
 		Nodes:     e.Nodes,
-		LP:        toDiskLPStats(e.LP),
 		CreatedAt: time.Now().UTC(),
-	})
+	}
+	if e.LP != (pilp.LPStats{}) {
+		de.LP = &e.LP
+	}
+	data, err := json.Marshal(de)
 	if err != nil {
 		return
 	}

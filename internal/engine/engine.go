@@ -66,7 +66,8 @@ func (j Job) name() string {
 }
 
 // Result is the outcome of one Job, in the same position as its job in the
-// input slice.
+// input slice. Everything else about the flow — its layout, whether it is an
+// anytime partial, its gap figures — is read from Result.
 type Result struct {
 	// ID echoes the job's caller-assigned identifier.
 	ID   string
@@ -75,19 +76,11 @@ type Result struct {
 	// full solve including panics and failures, so it is populated even when
 	// Err is non-nil (unlike Result.Runtime, which only exists on success).
 	Runtime time.Duration
-	// Nodes is the total branch-and-bound node count of the job's flow, zero
-	// when the job failed before solving.
-	Nodes int
-	// LP aggregates the flow's simplex-level effort counters
-	// (pilp.Result.LP); zero when the job failed before solving.
-	LP pilp.LPStats
-	// Partial reports that the flow was interrupted by deadline or
-	// cancellation and Result holds the best layout found so far rather than
-	// the fully refined one (pilp.Result.Partial; requires
-	// Options.AcceptPartial).
-	Partial bool
-	Result  *pilp.Result
-	Err     error
+	// Effort is the flow's solver effort (pilp.Result.Effort); zero when the
+	// job failed before solving.
+	pilp.Effort
+	Result *pilp.Result
+	Err    error
 }
 
 // Options tunes a Run.
@@ -145,9 +138,7 @@ func Run(ctx context.Context, jobs []Job, opts Options) []Result {
 			results[i].Result, results[i].Err = runOne(ctx, job)
 			results[i].Runtime = time.Since(start)
 			if results[i].Result != nil {
-				results[i].Nodes = results[i].Result.Nodes
-				results[i].LP = results[i].Result.LP
-				results[i].Partial = results[i].Result.Partial
+				results[i].Effort = results[i].Result.Effort
 			}
 			if results[i].Err != nil {
 				opts.logf("engine: job %s failed after %v: %v", results[i].Name, results[i].Runtime, results[i].Err)

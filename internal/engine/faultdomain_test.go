@@ -102,8 +102,8 @@ func TestRunPartialPassthrough(t *testing.T) {
 	if r.Err != nil {
 		t.Fatalf("AcceptPartial job failed: %v", r.Err)
 	}
-	if !r.Partial || !r.Result.Partial {
-		t.Fatalf("partial flag not propagated: engine=%v flow=%v", r.Partial, r.Result.Partial)
+	if r.Result == nil || !r.Result.Partial {
+		t.Fatalf("partial flow result not passed through: %+v", r.Result)
 	}
 	if r.Result.Layout == nil {
 		t.Fatal("partial result carries no layout")
@@ -125,7 +125,7 @@ func TestRunPartialPassthrough(t *testing.T) {
 	if results2[0].Err == nil {
 		t.Fatal("cancellation without AcceptPartial did not fail the job")
 	}
-	if results2[0].Partial {
-		t.Error("failed job marked partial")
+	if results2[0].Result != nil {
+		t.Error("failed job carries a flow result")
 	}
 }

@@ -99,25 +99,31 @@ func (o SolveOptions) workers() int {
 // order actually processes (speculative LPs of nodes pruned mid-batch under
 // eager parallel evaluation are excluded), so the totals are identical at
 // every worker count.
+//
+// The JSON tags are the one wire form of the counters: the result cache's
+// Dir entries and the server's "lp" response object both encode this struct.
+// Effort counters are not part of the byte-identity contract: a cache entry
+// written by an older solver keeps the counts that solver spent.
 type LPStats struct {
 	// Pivots is the total simplex iteration count across all node LPs.
-	Pivots int
+	Pivots int `json:"pivots"`
 	// Refactorizations counts basis-inverse builds from the raw problem data
 	// (see lp.Solution.Refactorizations): one per cold start and per warm
 	// basis that carries no adoptable factorization, at most two at
 	// optimality, plus the periodic and drift rebuilds between pivots.
-	Refactorizations int
+	Refactorizations int `json:"refactorizations"`
 	// WarmHits and WarmMisses split the node LPs that were offered a parent
 	// basis into accepted (dual simplex) and rejected (cold fallback) ones.
-	WarmHits   int
-	WarmMisses int
+	WarmHits   int `json:"warm_hits"`
+	WarmMisses int `json:"warm_misses"`
 	// ColdSolves counts node LPs with no basis to offer: the root, children
 	// of nodes whose optimal basis was not exportable, and every node when
 	// DisableWarmLP is set.
-	ColdSolves int
+	ColdSolves int `json:"cold_solves"`
 	// PeakEta is the longest product-form eta chain any node LP carried
 	// between refactorizations; aggregation takes the maximum, not the sum.
-	PeakEta int
+	// It stays in process: neither the cache nor the server writes it.
+	PeakEta int `json:"-"`
 }
 
 // Add accumulates other into s.

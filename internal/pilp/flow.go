@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"rficlayout/internal/conc"
@@ -18,7 +17,8 @@ import (
 	"rficlayout/internal/netlist"
 )
 
-// Options tunes the progressive flow.
+// Options tunes the progressive flow. It is configuration only: what a flow
+// spends is reported on Result, never accumulated through Options.
 type Options struct {
 	// ChainPoints is the default chain-point count per microstrip in the
 	// per-strip exact models (phase 2). Zero means 4.
@@ -79,20 +79,6 @@ type Options struct {
 	// be called from concurrent solver goroutines and must be safe for that
 	// (testing.T.Logf and log.Printf both are).
 	Logf func(format string, args ...interface{})
-
-	// nodes accumulates branch-and-bound node counts across every MILP solve
-	// of one flow invocation. GenerateCtx installs it; the pointer rides
-	// along as Options is copied down the call tree, and concurrent strip
-	// solvers add to it atomically.
-	nodes *atomic.Int64
-	// lpStats accumulates the simplex-level effort counters the same way.
-	lpStats *lpCounters
-	// maxGapBits tracks the worst relative incumbent/bound gap over the MILP
-	// solves that returned an incumbent, as float64 bits (non-negative floats
-	// order identically as uint64 bits, so an atomic CAS-max works).
-	maxGapBits *atomic.Uint64
-	// interrupted counts MILP solves stopped by context cancellation.
-	interrupted *atomic.Int64
 }
 
 func (o Options) chainPoints() int {
@@ -160,63 +146,63 @@ func (o Options) logf(format string, args ...interface{}) {
 	}
 }
 
-// countSolve adds one MILP solve's effort — its node count and its LP-level
-// counters — to the flow-wide totals. The totals are deterministic: the set
-// of solves and each solve's counters are fixed by the determinism contract
-// (absent binding time limits), and summation commutes, so concurrent
-// workers cannot change them.
-func (o Options) countSolve(r *milp.Result) {
-	if r == nil {
-		return
-	}
-	if o.nodes != nil {
-		o.nodes.Add(int64(r.Nodes))
-	}
-	if o.lpStats != nil {
-		o.lpStats.add(r)
-	}
-	if o.interrupted != nil && r.Cancelled {
-		o.interrupted.Add(1)
-	}
-	// Fold the solve's incumbent gap into the flow-wide max. +Inf means "no
-	// incumbent" and carries no bound information, so it is skipped.
-	if o.maxGapBits != nil {
-		if gap := r.Gap(); gap > 0 && !math.IsInf(gap, 1) {
-			bits := math.Float64bits(gap)
-			for {
-				cur := o.maxGapBits.Load()
-				if bits <= cur || o.maxGapBits.CompareAndSwap(cur, bits) {
-					break
-				}
-			}
-		}
-	}
-}
-
 // LPStats aggregates the simplex-level effort of every MILP solve in one
 // flow invocation — the LP-pivot counterpart to the branch-and-bound Nodes
 // total. Like Nodes, every field is deterministic across worker counts.
 type LPStats = milp.LPStats
 
-// lpCounters is the accumulator behind LPStats, shared down the call tree the
-// same way Options.nodes is. LPStats.Add sums the counters and takes the
-// maximum of PeakEta, both order-independent, so concurrent solves cannot
-// change the total.
-type lpCounters struct {
-	mu    sync.Mutex
-	stats LPStats
+// Effort is the solver work behind one flow: the one record every layer
+// above pilp carries whole. engine.Result and cache.Entry embed it, so a
+// counter added to LPStats reaches the engine, the cache and the server's
+// response without an edit outside milp.
+type Effort struct {
+	// Nodes is the total number of branch-and-bound nodes explored across
+	// every MILP solve of the flow — the solver-effort counterpart to the
+	// wall-clock Runtime.
+	Nodes int
+	// LP aggregates the simplex-level effort counters (pivots,
+	// refactorizations, warm-start outcomes) across the same solves.
+	LP LPStats
 }
 
-func (c *lpCounters) add(r *milp.Result) {
-	c.mu.Lock()
-	c.stats.Add(r.LP)
-	c.mu.Unlock()
+// tally folds every MILP solve of one flow invocation. GenerateCtx creates
+// one per flow and hands it to the two solve sites, globalAdjust and
+// solveStrips, which concurrent strip workers share. Every fold commutes —
+// sums, and maxima for PeakEta and the gap — so the totals are deterministic
+// whenever the set of solves is (absent binding time limits).
+type tally struct {
+	mu          sync.Mutex
+	effort      Effort
+	maxGap      float64
+	interrupted int
 }
 
-func (c *lpCounters) snapshot() LPStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
+// add folds one solve. A gap of +Inf means "no incumbent" and carries no
+// bound information, so only finite positive gaps compete for the maximum.
+func (t *tally) add(r *milp.Result) {
+	if r == nil {
+		return
+	}
+	gap := r.Gap()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.effort.Nodes += r.Nodes
+	t.effort.LP.Add(r.LP)
+	if r.Cancelled {
+		t.interrupted++
+	}
+	if gap > t.maxGap && !math.IsInf(gap, 1) {
+		t.maxGap = gap
+	}
+}
+
+// seal copies the totals into res.
+func (t *tally) seal(res *Result) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	res.Effort = t.effort
+	res.MaxGap = t.maxGap
+	res.InterruptedSolves = t.interrupted
 }
 
 // milpOptions is the shared translation from flow options to one MILP
@@ -271,18 +257,13 @@ type Snapshot struct {
 	Elapsed    time.Duration
 }
 
-// Result is the outcome of the progressive flow.
+// Result is the outcome of the progressive flow. The embedded Effort totals
+// every MILP solve the flow ran, partial runs included.
 type Result struct {
 	Layout    *layout.Layout
 	Snapshots []Snapshot
 	Runtime   time.Duration
-	// Nodes is the total number of branch-and-bound nodes explored across
-	// every MILP solve of the flow — the solver-effort counterpart to the
-	// wall-clock Runtime.
-	Nodes int
-	// LP aggregates the simplex-level effort counters (pivots,
-	// refactorizations, warm-start outcomes) across the same solves.
-	LP LPStats
+	Effort
 	// Partial reports anytime degradation: the flow's context was cancelled
 	// mid-run and (under Options.AcceptPartial) Layout holds the best layout
 	// reached so far instead of the fully refined one. Partial results are
@@ -359,10 +340,7 @@ func GenerateCtx(ctx context.Context, c *netlist.Circuit, opts Options) (*Result
 	// cache hits keyed on netlist.Canonical — produce byte-identical
 	// layouts.
 	c = netlist.Normalized(c)
-	opts.nodes = new(atomic.Int64)
-	opts.lpStats = new(lpCounters)
-	opts.maxGapBits = new(atomic.Uint64)
-	opts.interrupted = new(atomic.Int64)
+	spent := new(tally)
 	res := &Result{}
 
 	// finish seals the result with the flow-wide effort and gap totals; a
@@ -370,10 +348,7 @@ func GenerateCtx(ctx context.Context, c *netlist.Circuit, opts Options) (*Result
 	finish := func(l *layout.Layout, partialPhase string) *Result {
 		res.Layout = l
 		res.Runtime = time.Since(start)
-		res.Nodes = int(opts.nodes.Load())
-		res.LP = opts.lpStats.snapshot()
-		res.MaxGap = math.Float64frombits(opts.maxGapBits.Load())
-		res.InterruptedSolves = int(opts.interrupted.Load())
+		spent.seal(res)
 		if partialPhase != "" {
 			res.Partial = true
 			res.PartialPhase = partialPhase
@@ -398,7 +373,7 @@ func GenerateCtx(ctx context.Context, c *netlist.Circuit, opts Options) (*Result
 
 	// Phase 1b: global coordinate adjustment — soft lengths, penalized
 	// overlap, relative positions kept, topology fixed (Eq. 23–28).
-	adjusted, err := globalAdjust(ctx, c, current, opts)
+	adjusted, err := globalAdjust(ctx, c, current, opts, spent)
 	if err != nil {
 		opts.logf("pilp: global adjustment failed: %v", err)
 	} else if adjusted != nil && score(adjusted) <= score(current) {
@@ -415,7 +390,7 @@ func GenerateCtx(ctx context.Context, c *netlist.Circuit, opts Options) (*Result
 
 	// Phase 2: device visualization and overlap fixing — per-strip exact
 	// length models against real device geometry.
-	current = exactLengthPass(ctx, c, current, opts)
+	current = exactLengthPass(ctx, c, current, opts, spent)
 	res.addSnapshot("phase2-overlap-fixing", current, time.Since(start))
 	opts.logf("pilp: phase 2 done: %s", current.Metrics())
 	if err := ctx.Err(); err != nil {
@@ -427,7 +402,7 @@ func GenerateCtx(ctx context.Context, c *netlist.Circuit, opts Options) (*Result
 
 	// Phase 3: iterative refinement with chain-point deletion/insertion and
 	// device movement within τd.
-	current = refine(ctx, c, current, opts)
+	current = refine(ctx, c, current, opts, spent)
 	res.addSnapshot("phase3-refinement", current, time.Since(start))
 	opts.logf("pilp: phase 3 done: %s", current.Metrics())
 	if err := ctx.Err(); err != nil {
@@ -456,7 +431,7 @@ func (r *Result) addSnapshot(phase string, l *layout.Layout, elapsed time.Durati
 // from the constructed layout, so the model is a pure LP apart from the pad
 // boundary choice (pads stay fixed here). Being the one large solve of the
 // flow, it gets the full worker pool for its branch-and-bound LP evaluations.
-func globalAdjust(ctx context.Context, c *netlist.Circuit, current *layout.Layout, opts Options) (*layout.Layout, error) {
+func globalAdjust(ctx context.Context, c *netlist.Circuit, current *layout.Layout, opts Options, spent *tally) (*layout.Layout, error) {
 	cfg, err := phase1Config(c, current, opts)
 	if err != nil {
 		return nil, err
@@ -474,7 +449,7 @@ func globalAdjust(ctx context.Context, c *netlist.Circuit, current *layout.Layou
 	mo := opts.milpOptions(opts.phaseTimeLimit(), opts.workers())
 	mo.MaxNodes = opts.Phase1NodeLimit
 	lay, result, err := m.SolveAndExtractCtx(ctx, mo)
-	opts.countSolve(result)
+	spent.add(result)
 	if err != nil {
 		return nil, err
 	}
@@ -520,7 +495,7 @@ func phase1Config(c *netlist.Circuit, current *layout.Layout, opts Options) (ilp
 // escalation, but taking the old evolving-layout path at workers=1 would
 // make the result depend on the worker count, which the determinism
 // contract forbids.
-func exactLengthPass(ctx context.Context, c *netlist.Circuit, current *layout.Layout, opts Options) *layout.Layout {
+func exactLengthPass(ctx context.Context, c *netlist.Circuit, current *layout.Layout, opts Options, spent *tally) *layout.Layout {
 	delta := c.Tech.BendCompensation
 	strips := append([]*netlist.Microstrip(nil), c.Microstrips...)
 	sort.SliceStable(strips, func(i, j int) bool {
@@ -535,7 +510,7 @@ func exactLengthPass(ctx context.Context, c *netlist.Circuit, current *layout.La
 	base := current
 	candidates := make([]*layout.Layout, len(strips))
 	runJobs(ctx, opts.workers(), len(strips), func(i int) {
-		if lay, ok := solveStrips(ctx, c, base, []string{strips[i].Name}, opts.chainPoints(), nil, opts); ok {
+		if lay, ok := solveStrips(ctx, c, base, []string{strips[i].Name}, opts.chainPoints(), nil, opts, spent); ok {
 			candidates[i] = lay
 		}
 	})
@@ -552,7 +527,7 @@ func exactLengthPass(ctx context.Context, c *netlist.Circuit, current *layout.La
 				}
 			}
 		}
-		current = solveStripToTarget(ctx, c, current, ms.Name, opts)
+		current = solveStripToTarget(ctx, c, current, ms.Name, opts, spent)
 	}
 	return current
 }
@@ -583,7 +558,7 @@ func applyCandidate(base, candidate *layout.Layout, strips, devices []string) (*
 // best layout found. When the strip alone cannot be fixed — typically because
 // a strip sharing the same pin blocks its detour corridor — the strips of the
 // whole junction are re-solved together.
-func solveStripToTarget(ctx context.Context, c *netlist.Circuit, current *layout.Layout, strip string, opts Options) *layout.Layout {
+func solveStripToTarget(ctx context.Context, c *netlist.Circuit, current *layout.Layout, strip string, opts Options, spent *tally) *layout.Layout {
 	best := current
 	bestScore := score(current)
 	adopt := func(candidate *layout.Layout, ok bool) bool {
@@ -596,14 +571,14 @@ func solveStripToTarget(ctx context.Context, c *netlist.Circuit, current *layout
 		return stripClean(candidate, strip)
 	}
 	for n := opts.chainPoints(); n <= opts.maxChainPoints(); n++ {
-		candidate, ok := solveStrips(ctx, c, current, []string{strip}, n, nil, opts)
+		candidate, ok := solveStrips(ctx, c, current, []string{strip}, n, nil, opts, spent)
 		if adopt(candidate, ok) {
 			return best
 		}
 	}
 	if partners := junctionPartners(c, strip); len(partners) > 1 {
 		for n := opts.chainPoints(); n <= opts.maxChainPoints(); n++ {
-			candidate, ok := solveStrips(ctx, c, best, partners, n, nil, opts)
+			candidate, ok := solveStrips(ctx, c, best, partners, n, nil, opts, spent)
 			if adopt(candidate, ok) {
 				return best
 			}
@@ -649,7 +624,7 @@ func stripClean(l *layout.Layout, strip string) bool {
 // solution was found. The per-strip models are small, so their
 // branch-and-bound runs single-worker: concurrency comes from solving many
 // strips at once, not from splitting one solve.
-func solveStrips(ctx context.Context, c *netlist.Circuit, current *layout.Layout, strips []string, chainPoints int, freeDevices []string, opts Options) (*layout.Layout, bool) {
+func solveStrips(ctx context.Context, c *netlist.Circuit, current *layout.Layout, strips []string, chainPoints int, freeDevices []string, opts Options, spent *tally) (*layout.Layout, bool) {
 	warm := current.Clone()
 	cpMap := map[string]int{}
 	for _, strip := range strips {
@@ -684,7 +659,7 @@ func solveStrips(ctx context.Context, c *netlist.Circuit, current *layout.Layout
 	mo := opts.milpOptions(opts.stripTimeLimit(), 0)
 	mo.MaxNodes = opts.StripNodeLimit
 	lay, result, err := m.SolveAndExtractCtx(ctx, mo)
-	opts.countSolve(result)
+	spent.add(result)
 	if err != nil || lay == nil {
 		return nil, false
 	}
@@ -735,7 +710,7 @@ type refineCandidate struct {
 // move within τd. Each iteration dispatches the escalation of every troubled
 // strip to the worker pool against a frozen copy of the layout and merges the
 // improvements sequentially in strip-name order.
-func refine(ctx context.Context, c *netlist.Circuit, current *layout.Layout, opts Options) *layout.Layout {
+func refine(ctx context.Context, c *netlist.Circuit, current *layout.Layout, opts Options, spent *tally) *layout.Layout {
 	for iter := 0; iter < opts.refineIterations(); iter++ {
 		if ctx.Err() != nil {
 			break
@@ -790,10 +765,10 @@ func refine(ctx context.Context, c *netlist.Circuit, current *layout.Layout, opt
 				// terminal devices (and their other strips) free within τd —
 				// the device-movement freedom of phase 3.
 				freed, devs := []string{strip}, []string(nil)
-				candidate, ok := solveStrips(ctx, c, base, freed, n, nil, opts)
+				candidate, ok := solveStrips(ctx, c, base, freed, n, nil, opts, spent)
 				if !ok || score(candidate) >= before {
 					freed, devs = neighbourhood(c, strip)
-					candidate, ok = solveStrips(ctx, c, base, freed, n, devs, opts)
+					candidate, ok = solveStrips(ctx, c, base, freed, n, devs, opts, spent)
 				}
 				if !ok {
 					continue

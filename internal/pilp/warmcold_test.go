@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -163,12 +162,11 @@ func TestWarmColdLayoutIdenticalFlow(t *testing.T) {
 	}
 }
 
-// phase1Result is the outcome of adjustPhase1.
+// phase1Result is the outcome of adjustPhase1: the layout plus the effort
+// of the phase's solves.
 type phase1Result struct {
 	Layout *layout.Layout
-	// Nodes and LP total the effort of the phase's solves.
-	Nodes int
-	LP    LPStats
+	Effort
 }
 
 // adjustPhase1 runs only phase 1 of the flow — constructive placement plus
@@ -176,20 +174,19 @@ type phase1Result struct {
 // does not improve on the constructed layout is discarded.
 func adjustPhase1(ctx context.Context, c *netlist.Circuit, opts Options) (*phase1Result, error) {
 	c = netlist.Normalized(c)
-	opts.nodes = new(atomic.Int64)
-	opts.lpStats = new(lpCounters)
+	spent := new(tally)
 	current, err := Construct(c)
 	if err != nil {
 		return nil, err
 	}
-	adjusted, err := globalAdjust(ctx, c, current, opts)
+	adjusted, err := globalAdjust(ctx, c, current, opts, spent)
 	if err != nil {
 		return nil, err
 	}
 	if score(adjusted) <= score(current) {
 		current = adjusted
 	}
-	return &phase1Result{Layout: current, Nodes: int(opts.nodes.Load()), LP: opts.lpStats.snapshot()}, nil
+	return &phase1Result{Layout: current, Effort: spent.effort}, nil
 }
 
 // TestWarmColdLayoutIdenticalTwostagePhase1 pins the contract on the repo's

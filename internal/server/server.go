@@ -177,11 +177,10 @@ type Server struct {
 	ready    atomic.Bool
 	draining atomic.Bool
 
-	// Simplex-effort totals across every solve this server ran (cache hits
-	// excluded: they spent no pivots here); exposed on /healthz.
-	lpPivots     atomic.Int64
-	lpWarmHits   atomic.Int64
-	lpColdSolves atomic.Int64
+	// lp totals the simplex effort of every solve this server ran (cache
+	// hits excluded: they spent no pivots here); exposed on /healthz.
+	lpMu sync.Mutex
+	lp   pilp.LPStats
 }
 
 // New creates a Server and starts its worker pool.
@@ -313,21 +312,20 @@ func (s *Server) runJob(j *job) {
 	// solve — caching one would serve degraded layouts to future full-quality
 	// requests under the same key. Remote-owned keys (noCache) also stay out:
 	// the owner's tier is where they belong.
-	if s.cfg.Cache != nil && !res.Partial && !j.noCache {
+	partial := res.Result.Partial
+	if s.cfg.Cache != nil && !partial && !j.noCache {
 		s.cfg.Cache.Put(j.key, cache.Entry{
 			Circuit: j.circuit.Name,
 			Layout:  []byte(text),
 			Runtime: res.Runtime,
-			Nodes:   res.Nodes,
-			LP:      res.LP,
+			Effort:  res.Effort,
 		})
 	}
-	s.lpPivots.Add(int64(res.LP.Pivots))
-	s.lpWarmHits.Add(int64(res.LP.WarmHits))
-	s.lpColdSolves.Add(int64(res.LP.ColdSolves))
-	stats := buildStats(j.circuit, res.Result.Layout, res.Runtime, res.Nodes)
-	stats.LP = lpStats(res.LP)
-	if res.Partial {
+	s.lpMu.Lock()
+	s.lp.Add(res.LP)
+	s.lpMu.Unlock()
+	stats := buildStats(j.circuit, res.Result.Layout, res.Runtime, res.Effort)
+	if partial {
 		stats.PartialPhase = res.Result.PartialPhase
 		stats.MaxGap = res.Result.MaxGap
 		stats.InterruptedSolves = res.Result.InterruptedSolves
@@ -336,7 +334,7 @@ func (s *Server) runJob(j *job) {
 		ID:       j.id,
 		Circuit:  j.circuit.Name,
 		Status:   string(statusDone),
-		Partial:  res.Partial,
+		Partial:  partial,
 		Degraded: j.degraded,
 		Layout:   text,
 		Stats:    stats,
@@ -488,7 +486,7 @@ type solveStats struct {
 	MaxLengthErrorUM float64 `json:"max_length_error_um"`
 	// LP reports the simplex-level effort of the solve; absent for cache
 	// entries written before the counters existed.
-	LP *lpStatsJSON `json:"lp,omitempty"`
+	LP *lpJSON `json:"lp,omitempty"`
 	// PartialPhase, MaxGap and InterruptedSolves qualify a partial result:
 	// the last flow phase the layout completed, the worst relative
 	// incumbent/bound gap across its MILP solves, and how many of those
@@ -498,52 +496,35 @@ type solveStats struct {
 	InterruptedSolves int     `json:"interrupted_solves,omitempty"`
 }
 
-// lpStatsJSON is the wire form of pilp.LPStats. Stats are effort counters,
-// not part of the byte-identity contract: refactorizations counts fewer
-// builds for the same solve since warm LPs adopt the factorization their
-// basis carries and optimal solves skip rebuilds that would change nothing,
-// and a cache entry written before that keeps the old, higher count.
-type lpStatsJSON struct {
-	Pivots           int     `json:"pivots"`
-	Refactorizations int     `json:"refactorizations"`
-	WarmHits         int     `json:"warm_hits"`
-	WarmMisses       int     `json:"warm_misses"`
-	ColdSolves       int     `json:"cold_solves"`
-	WarmHitRate      float64 `json:"warm_hit_rate"`
-}
-
-func lpStats(s pilp.LPStats) *lpStatsJSON {
-	if s == (pilp.LPStats{}) {
-		return nil
-	}
-	return &lpStatsJSON{
-		Pivots:           s.Pivots,
-		Refactorizations: s.Refactorizations,
-		WarmHits:         s.WarmHits,
-		WarmMisses:       s.WarmMisses,
-		ColdSolves:       s.ColdSolves,
-		WarmHitRate:      s.WarmHitRate(),
-	}
+// lpJSON is the response's "lp" object: the counters in their one wire form
+// (milp.LPStats) plus the derived warm-hit rate.
+type lpJSON struct {
+	pilp.LPStats
+	WarmHitRate float64 `json:"warm_hit_rate"`
 }
 
 // buildStats derives the quality metrics of a layout plus the solve-effort
-// counters.
-func buildStats(c *netlist.Circuit, l *layout.Layout, elapsed time.Duration, nodes int) *solveStats {
+// counters; "lp" is left out when no LP counter was recorded.
+func buildStats(c *netlist.Circuit, l *layout.Layout, elapsed time.Duration, effort pilp.Effort) *solveStats {
 	m := l.Metrics()
 	var wirelength geom.Coord
 	for _, rs := range l.RoutedStrips() {
 		wirelength += rs.EquivalentLength(c.Tech.BendCompensation)
 	}
-	return &solveStats{
+	stats := &solveStats{
 		RuntimeNS:        int64(elapsed),
 		Runtime:          elapsed.String(),
-		Nodes:            nodes,
+		Nodes:            effort.Nodes,
 		WirelengthUM:     geom.Microns(wirelength),
 		TotalBends:       m.TotalBends,
 		MaxBends:         m.MaxBends,
 		Violations:       len(l.Check(layout.CheckOptions{PinTolerance: 2})),
 		MaxLengthErrorUM: geom.Microns(m.MaxLengthError),
 	}
+	if effort.LP != (pilp.LPStats{}) {
+		stats.LP = &lpJSON{effort.LP, effort.LP.WarmHitRate()}
+	}
+	return stats
 }
 
 func failedResponse(j *job, err error) *solveResponse {
@@ -811,7 +792,7 @@ func (s *Server) runForward(j *job, owner cluster.Peer) {
 // extra load is bounded and never queues behind real work.
 func (s *Server) auditProxied(j *job, owner cluster.Peer, resp *solveResponse) {
 	res := s.solve(j.ctx, engine.Job{ID: j.id + "-audit", Circuit: j.circuit, Options: j.opts}, s.cfg.Logf)
-	if res.Err != nil || res.Result == nil || res.Result.Layout == nil || res.Partial {
+	if res.Err != nil || res.Result == nil || res.Result.Layout == nil || res.Result.Partial {
 		// Inconclusive (cancelled mid-solve, or the local solve failed):
 		// count the audit, alarm nothing — a broken local node must not
 		// accuse a healthy owner.
@@ -895,15 +876,13 @@ func (s *Server) writeUnavailable(w http.ResponseWriter, msg string) {
 // makes it byte-identical to what re-solving would produce — while the
 // quality metrics are recomputed from the parsed layout.
 func cachedResponse(c *netlist.Circuit, entry cache.Entry, l *layout.Layout) *solveResponse {
-	stats := buildStats(c, l, entry.Runtime, entry.Nodes)
-	stats.LP = lpStats(entry.LP)
 	return &solveResponse{
 		ID:       fmt.Sprintf("cached-%s", c.Name),
 		Circuit:  c.Name,
 		Status:   string(statusDone),
 		CacheHit: true,
 		Layout:   string(entry.Layout),
-		Stats:    stats,
+		Stats:    buildStats(c, l, entry.Runtime, entry.Effort),
 	}
 }
 
@@ -966,9 +945,9 @@ type healthResponse struct {
 	CacheMisses   int64          `json:"cache_misses"`
 	// LPPivots, LPWarmHits and LPColdSolves total the simplex effort of
 	// every solve this server ran (cache hits excluded).
-	LPPivots     int64        `json:"lp_pivots"`
-	LPWarmHits   int64        `json:"lp_warm_hits"`
-	LPColdSolves int64        `json:"lp_cold_solves"`
+	LPPivots     int          `json:"lp_pivots"`
+	LPWarmHits   int          `json:"lp_warm_hits"`
+	LPColdSolves int          `json:"lp_cold_solves"`
 	Cache        *cache.Stats `json:"cache,omitempty"`
 	// Panics counts solver panics isolated to their job: each one failed a
 	// single request while the process kept serving. The cache tier's own
@@ -988,6 +967,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "GET /healthz")
 		return
 	}
+	s.lpMu.Lock()
+	lp := s.lp
+	s.lpMu.Unlock()
 	h := healthResponse{
 		Status:        "ok",
 		Uptime:        time.Since(s.start).Round(time.Millisecond).String(),
@@ -1001,9 +983,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Coalesced:     s.coalesced.Load(),
 		CacheHits:     s.cacheHits.Load(),
 		CacheMisses:   s.cacheMisses.Load(),
-		LPPivots:      s.lpPivots.Load(),
-		LPWarmHits:    s.lpWarmHits.Load(),
-		LPColdSolves:  s.lpColdSolves.Load(),
+		LPPivots:      lp.Pivots,
+		LPWarmHits:    lp.WarmHits,
+		LPColdSolves:  lp.ColdSolves,
 		Panics:        s.panics.Load(),
 		Faults:        faultinject.Active().Counts(),
 		Cluster:       s.cfg.Cluster.Snapshot(),
