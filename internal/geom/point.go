@@ -55,9 +55,6 @@ func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
 // Sub returns p minus q.
 func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
 
-// Neg returns the point reflected through the origin.
-func (p Point) Neg() Point { return Point{-p.X, -p.Y} }
-
 // ManhattanTo returns the L1 distance between p and q.
 func (p Point) ManhattanTo(q Point) Coord {
 	return AbsCoord(p.X-q.X) + AbsCoord(p.Y-q.Y)
@@ -204,22 +201,6 @@ func (d Direction) String() string {
 		return "right"
 	default:
 		return fmt.Sprintf("Direction(%d)", int(d))
-	}
-}
-
-// Opposite returns the reversed direction.
-func (d Direction) Opposite() Direction {
-	switch d {
-	case Up:
-		return Down
-	case Down:
-		return Up
-	case Left:
-		return Right
-	case Right:
-		return Left
-	default:
-		return d
 	}
 }
 

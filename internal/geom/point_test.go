@@ -39,9 +39,6 @@ func TestPointArithmetic(t *testing.T) {
 	if got := p.Sub(q); !got.Eq(Pt(4, 2)) {
 		t.Errorf("Sub = %v", got)
 	}
-	if got := p.Neg(); !got.Eq(Pt(-3, -4)) {
-		t.Errorf("Neg = %v", got)
-	}
 	if got := p.ManhattanTo(q); got != 6 {
 		t.Errorf("ManhattanTo = %d, want 6", got)
 	}
@@ -131,20 +128,6 @@ func TestRotateOffsetPreservesManhattanNorm(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestDirectionOpposite(t *testing.T) {
-	for _, d := range Directions {
-		if d.Opposite().Opposite() != d {
-			t.Errorf("double opposite of %v != itself", d)
-		}
-		if d.Opposite() == d {
-			t.Errorf("opposite of %v equals itself", d)
-		}
-	}
-	if Up.Opposite() != Down || Left.Opposite() != Right {
-		t.Error("opposite pairs wrong")
 	}
 }
 

@@ -61,11 +61,6 @@ func (r Rect) Valid() bool {
 // Eq reports whether two rectangles are identical.
 func (r Rect) Eq(s Rect) bool { return r.Min.Eq(s.Min) && r.Max.Eq(s.Max) }
 
-// Translate returns the rectangle shifted by d.
-func (r Rect) Translate(d Point) Rect {
-	return Rect{Min: r.Min.Add(d), Max: r.Max.Add(d)}
-}
-
 // Expand grows the rectangle by m on every side. The paper expands bounding
 // boxes by the ground-plane distance t on each side to express the 2t
 // microstrip spacing rule (Section 2.1, Figure 2a). A negative m shrinks the
@@ -138,26 +133,6 @@ func (r Rect) Overlaps(s Rect) bool {
 		r.Min.Y < s.Max.Y && s.Min.Y < r.Max.Y
 }
 
-// OverlapArea returns the shared interior area of r and s (0 when disjoint).
-func (r Rect) OverlapArea(s Rect) int64 {
-	ix := r.Intersect(s)
-	if ix.Empty() {
-		return 0
-	}
-	return ix.Area()
-}
-
-// OverlapDims returns the horizontal and vertical extents of the overlap
-// region between r and s (the d_h and d_v quantities of Figure 9). Both are 0
-// when the rectangles do not overlap.
-func (r Rect) OverlapDims(s Rect) (dh, dv Coord) {
-	ix := r.Intersect(s)
-	if ix.Empty() {
-		return 0, 0
-	}
-	return ix.Width(), ix.Height()
-}
-
 // Distance returns the minimum axis-separated (Chebyshev-like) gap between
 // two rectangles: the larger of the horizontal and vertical gaps, or 0 when
 // the rectangles overlap or touch. For the spacing rule of the paper, two
@@ -176,42 +151,6 @@ func (r Rect) Distance(s Rect) Coord {
 		dy = r.Min.Y - s.Max.Y
 	}
 	return MaxCoord(dx, dy)
-}
-
-// ManhattanGap returns the sum of the horizontal and vertical gaps between
-// two rectangles (0 when they overlap along that axis).
-func (r Rect) ManhattanGap(s Rect) Coord {
-	var dx, dy Coord
-	if r.Max.X < s.Min.X {
-		dx = s.Min.X - r.Max.X
-	} else if s.Max.X < r.Min.X {
-		dx = r.Min.X - s.Max.X
-	}
-	if r.Max.Y < s.Min.Y {
-		dy = s.Min.Y - r.Max.Y
-	} else if s.Max.Y < r.Min.Y {
-		dy = r.Min.Y - s.Max.Y
-	}
-	return dx + dy
-}
-
-// RotateAbout rotates the rectangle about pivot by the orientation and
-// returns the normalised result.
-func (r Rect) RotateAbout(pivot Point, o Orientation) Rect {
-	a := o.RotateOffset(r.Min.Sub(pivot)).Add(pivot)
-	b := o.RotateOffset(r.Max.Sub(pivot)).Add(pivot)
-	return R(a.X, a.Y, b.X, b.Y)
-}
-
-// Corners returns the four corners in counter-clockwise order starting from
-// Min.
-func (r Rect) Corners() [4]Point {
-	return [4]Point{
-		r.Min,
-		{r.Max.X, r.Min.Y},
-		r.Max,
-		{r.Min.X, r.Max.Y},
-	}
 }
 
 // String implements fmt.Stringer with micrometre formatting.
@@ -234,17 +173,4 @@ func BoundingRect(pts ...Point) Rect {
 		r.Max.Y = MaxCoord(r.Max.Y, p.Y)
 	}
 	return r
-}
-
-// UnionAll returns the union of all given rectangles. It panics when called
-// with no rectangles.
-func UnionAll(rects ...Rect) Rect {
-	if len(rects) == 0 {
-		panic("geom: UnionAll requires at least one rectangle")
-	}
-	out := rects[0]
-	for _, r := range rects[1:] {
-		out = out.Union(r)
-	}
-	return out
 }

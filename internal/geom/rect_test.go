@@ -49,13 +49,6 @@ func TestRectFromCenter(t *testing.T) {
 	}
 }
 
-func TestRectTranslate(t *testing.T) {
-	r := R(0, 0, 2, 2).Translate(Pt(5, -1))
-	if !r.Eq(R(5, -1, 7, 1)) {
-		t.Errorf("translate = %v", r)
-	}
-}
-
 func TestRectExpand(t *testing.T) {
 	r := R(10, 10, 20, 20)
 	e := r.Expand(5)
@@ -107,20 +100,6 @@ func TestRectOverlap(t *testing.T) {
 	if a.Overlaps(d) {
 		t.Error("disjoint rects reported overlapping")
 	}
-	if got := a.OverlapArea(b); got != 25 {
-		t.Errorf("overlap area = %d, want 25", got)
-	}
-	if got := a.OverlapArea(d); got != 0 {
-		t.Errorf("disjoint overlap area = %d, want 0", got)
-	}
-	dh, dv := a.OverlapDims(b)
-	if dh != 5 || dv != 5 {
-		t.Errorf("overlap dims = %d,%d", dh, dv)
-	}
-	dh, dv = a.OverlapDims(d)
-	if dh != 0 || dv != 0 {
-		t.Errorf("disjoint overlap dims = %d,%d", dh, dv)
-	}
 }
 
 func TestRectIntersectUnion(t *testing.T) {
@@ -152,9 +131,6 @@ func TestRectDistance(t *testing.T) {
 	if got := a.Distance(R(13, 14, 20, 20)); got != 4 {
 		t.Errorf("diagonal distance = %d, want 4 (max of gaps)", got)
 	}
-	if got := a.ManhattanGap(R(13, 14, 20, 20)); got != 7 {
-		t.Errorf("manhattan gap = %d, want 7", got)
-	}
 }
 
 func TestSpacingViaExpandedBoxes(t *testing.T) {
@@ -172,25 +148,14 @@ func TestSpacingViaExpandedBoxes(t *testing.T) {
 	}
 }
 
-func TestRectRotateAbout(t *testing.T) {
-	r := R(0, 0, 10, 4)
-	rot := r.RotateAbout(Pt(0, 0), R90)
-	if rot.Width() != 4 || rot.Height() != 10 {
-		t.Errorf("rotated dims = %d x %d", rot.Width(), rot.Height())
-	}
-	if !r.RotateAbout(Pt(5, 2), R180).Eq(r) {
-		t.Error("180° rotation about centre should map the rect onto itself")
-	}
-}
-
 func TestBoundingRectAndUnionAll(t *testing.T) {
 	r := BoundingRect(Pt(3, 5), Pt(-1, 2), Pt(10, -4))
 	if !r.Eq(R(-1, -4, 10, 5)) {
 		t.Errorf("BoundingRect = %v", r)
 	}
-	u := UnionAll(R(0, 0, 1, 1), R(5, 5, 6, 6), R(-2, 0, 0, 3))
+	u := R(0, 0, 1, 1).Union(R(5, 5, 6, 6)).Union(R(-2, 0, 0, 3))
 	if !u.Eq(R(-2, 0, 6, 6)) {
-		t.Errorf("UnionAll = %v", u)
+		t.Errorf("union of all = %v", u)
 	}
 }
 
@@ -201,23 +166,6 @@ func TestBoundingRectPanicsOnEmpty(t *testing.T) {
 		}
 	}()
 	BoundingRect()
-}
-
-func TestUnionAllPanicsOnEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("UnionAll() should panic with no rects")
-		}
-	}()
-	UnionAll()
-}
-
-func TestRectCorners(t *testing.T) {
-	c := R(0, 0, 4, 2).Corners()
-	want := [4]Point{Pt(0, 0), Pt(4, 0), Pt(4, 2), Pt(0, 2)}
-	if c != want {
-		t.Errorf("corners = %v", c)
-	}
 }
 
 // quickRect builds a well-formed rectangle from arbitrary int16 seeds.
@@ -243,13 +191,6 @@ func TestRectPropertyIntersectionSymmetricAndContained(t *testing.T) {
 			return false
 		}
 		if !ab.Empty() && (!a.ContainsRect(ab) || !b.ContainsRect(ab)) {
-			return false
-		}
-		// Overlap area is symmetric and bounded by each area.
-		if a.OverlapArea(b) != b.OverlapArea(a) {
-			return false
-		}
-		if a.OverlapArea(b) > a.Area() || a.OverlapArea(b) > b.Area() {
 			return false
 		}
 		return true

@@ -52,15 +52,6 @@ func (s Segment) Rect() Rect {
 	return r.Expand(half)
 }
 
-// ExpandedRect returns the spacing bounding box of the segment: the body
-// rectangle expanded by the clearance on every side (Figure 2a).
-func (s Segment) ExpandedRect(clearance Coord) Rect {
-	return s.Rect().Expand(clearance)
-}
-
-// Reverse returns the segment with endpoints swapped.
-func (s Segment) Reverse() Segment { return Segment{A: s.B, B: s.A, Width: s.Width} }
-
 // String implements fmt.Stringer.
 func (s Segment) String() string {
 	return fmt.Sprintf("seg %v→%v w=%.3fµm", s.A, s.B, Microns(s.Width))
@@ -186,24 +177,6 @@ func (pl Polyline) Bends() int {
 		prev, hasPrev = d, true
 	}
 	return bends
-}
-
-// BendPoints returns the interior points at which a real bend occurs.
-func (pl Polyline) BendPoints() []Point {
-	var out []Point
-	var prev Direction
-	hasPrev := false
-	for i := 1; i < len(pl.Points); i++ {
-		d, ok := DirectionBetween(pl.Points[i-1], pl.Points[i])
-		if !ok {
-			continue
-		}
-		if hasPrev && prev.Perpendicular(d) {
-			out = append(out, pl.Points[i-1])
-		}
-		prev, hasPrev = d, true
-	}
-	return out
 }
 
 // Simplify removes zero-length legs and merges consecutive collinear legs,

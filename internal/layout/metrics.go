@@ -56,11 +56,6 @@ func (l *Layout) Metrics() Metrics {
 	return m
 }
 
-// AreaMicrons returns the layout area in µm².
-func (m Metrics) AreaMicrons() float64 {
-	return geom.Microns(m.AreaWidth) * geom.Microns(m.AreaHeight)
-}
-
 // String implements fmt.Stringer with the Table 1 style figures.
 func (m Metrics) String() string {
 	return fmt.Sprintf("area %.0fµm×%.0fµm, max bends %d, total bends %d, max |Δl| %.2fµm, total |Δl| %.2fµm, %d strips / %d devices",

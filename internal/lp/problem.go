@@ -128,11 +128,6 @@ func (p *Problem) AddVariable(name string, lower, upper, cost float64) int {
 	return len(p.Variables) - 1
 }
 
-// SetCost sets the objective coefficient of variable v.
-func (p *Problem) SetCost(v int, cost float64) {
-	p.Variables[v].Cost = cost
-}
-
 // SetBounds sets the bounds of variable v.
 func (p *Problem) SetBounds(v int, lower, upper float64) {
 	p.Variables[v].Lower = lower

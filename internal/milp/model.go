@@ -265,39 +265,6 @@ func (m *Model) auxName(prefix string) string {
 	return fmt.Sprintf("%s#%d", prefix, m.auxCounter)
 }
 
-// ProductBinaryExpr creates and returns a continuous variable y constrained
-// to equal z·e, where z is a binary variable and the expression e is known to
-// lie within [lower, upper] whenever the model is feasible. This is the
-// standard linearization of a binary-continuous product (the paper's
-// reference [13]) used to linearize the segment-length expression (Eq. 6):
-//
-//	y <= upper·z            y >= lower·z
-//	y <= e − lower·(1−z)    y >= e − upper·(1−z)
-func (m *Model) ProductBinaryExpr(name string, z Var, e *Expr, lower, upper float64) Var {
-	if m.vtypes[z] != Binary {
-		panic(fmt.Sprintf("milp: ProductBinaryExpr requires a binary variable, got %v", m.vtypes[z]))
-	}
-	if lower > upper {
-		panic(fmt.Sprintf("milp: ProductBinaryExpr with lower %g > upper %g", lower, upper))
-	}
-	if name == "" {
-		name = m.auxName("prod")
-	}
-	lo := math.Min(lower, 0)
-	up := math.Max(upper, 0)
-	y := m.AddContinuous(name, lo, up)
-
-	// y <= upper·z
-	m.AddLE(name+".ub_z", Term(y, 1).Add(z, -upper), 0)
-	// y >= lower·z
-	m.AddGE(name+".lb_z", Term(y, 1).Add(z, -lower), 0)
-	// y <= e − lower·(1−z)  ⇔  y − e − lower·z <= −lower
-	m.AddLE(name+".ub_e", Term(y, 1).AddExpr(e, -1).Add(z, -lower), -lower)
-	// y >= e − upper·(1−z)  ⇔  y − e − upper·z >= −upper
-	m.AddGE(name+".lb_e", Term(y, 1).AddExpr(e, -1).Add(z, -upper), -upper)
-	return y
-}
-
 // AbsEnvelope creates a continuous variable u with u >= |e| (an upper
 // envelope of the absolute value of the expression). Minimizing u makes it
 // tight. This is how the unmatched-length bound l_u,i of Eq. 24 is modeled.
@@ -325,13 +292,6 @@ func (m *Model) AddImpliedGE(name string, z Var, e *Expr, rhs, bigM float64) {
 	m.AddGE(name, e.Clone().Add(z, -bigM), rhs-bigM)
 }
 
-// AddDisabledLE adds the big-M constraint "e <= rhs unless u = 1"
-// (e <= rhs + M·u), matching the non-overlap constraints of Eq. 16–19 where
-// the auxiliary binary u_i,j,k relaxes one of the four separation cases.
-func (m *Model) AddDisabledLE(name string, u Var, e *Expr, rhs, bigM float64) {
-	m.AddLE(name, e.Clone().Add(u, -bigM), rhs)
-}
-
 // MaxEnvelope creates a continuous variable that is constrained to be at
 // least each of the given expressions; minimizing it yields their maximum.
 // Used for n_b,max (Eq. 21) and l_u,max (Eq. 25).
@@ -345,9 +305,6 @@ func (m *Model) MaxEnvelope(name string, upper float64, exprs ...*Expr) Var {
 	}
 	return v
 }
-
-// EvalExpr evaluates an expression at an assignment.
-func (m *Model) EvalExpr(e *Expr, x []float64) float64 { return e.Eval(x) }
 
 // Objective evaluates the full objective (including constant) at x.
 func (m *Model) Objective(x []float64) float64 {

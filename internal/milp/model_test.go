@@ -151,57 +151,6 @@ func TestConstraintConstantMovesToRHS(t *testing.T) {
 	}
 }
 
-func TestProductBinaryExprLinearization(t *testing.T) {
-	// y = z * x with x in [2, 6]. For each forced z, minimizing / maximizing
-	// y must reproduce the product.
-	build := func() (*Model, Var, Var, Var) {
-		m := NewModel()
-		x := m.AddContinuous("x", 2, 6)
-		z := m.AddBinary("z")
-		y := m.ProductBinaryExpr("y", z, Term(x, 1), 2, 6)
-		return m, x, z, y
-	}
-
-	// Force z = 0: y must be 0 regardless of x.
-	m, x, z, y := build()
-	m.AddEQ("fixz", Term(z, 1), 0)
-	m.AddEQ("fixx", Term(x, 1), 5)
-	m.SetObjectiveCoef(y, -1) // maximize y
-	res, err := m.Solve(SolveOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Status.HasSolution() || math.Abs(res.Value(y)) > 1e-6 {
-		t.Errorf("z=0: y = %g, want 0", res.Value(y))
-	}
-
-	// Force z = 1, x = 5: y must be 5 whether minimized or maximized.
-	for _, sign := range []float64{1, -1} {
-		m, x, z, y = build()
-		m.AddEQ("fixz", Term(z, 1), 1)
-		m.AddEQ("fixx", Term(x, 1), 5)
-		m.SetObjectiveCoef(y, sign)
-		res, err = m.Solve(SolveOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Status.HasSolution() || math.Abs(res.Value(y)-5) > 1e-6 {
-			t.Errorf("z=1 sign=%g: y = %g, want 5", sign, res.Value(y))
-		}
-	}
-}
-
-func TestProductBinaryExprPanics(t *testing.T) {
-	m := NewModel()
-	x := m.AddContinuous("x", 0, 1)
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for non-binary z")
-		}
-	}()
-	m.ProductBinaryExpr("y", x, Term(x, 1), 0, 1)
-}
-
 func TestAbsEnvelope(t *testing.T) {
 	// u >= |x - 7|, minimize u with x fixed: u must equal |x-7|.
 	for _, fixed := range []float64{3, 7, 12} {
@@ -279,30 +228,6 @@ func TestImpliedConstraints(t *testing.T) {
 		}
 		if !res.Status.HasSolution() || math.Abs(res.Value(x)-want) > 1e-6 {
 			t.Errorf("z=%g: x = %g, want %g", zval, res.Value(x), want)
-		}
-	}
-}
-
-func TestAddDisabledLE(t *testing.T) {
-	// x <= 2 unless u = 1 (then effectively x <= 2 + M).
-	const bigM = 50
-	for _, uval := range []float64{0, 1} {
-		m := NewModel()
-		x := m.AddContinuous("x", 0, 10)
-		u := m.AddBinary("u")
-		m.AddEQ("fixu", Term(u, 1), uval)
-		m.AddDisabledLE("dis", u, Term(x, 1), 2, bigM)
-		m.SetObjectiveCoef(x, -1)
-		res, err := m.Solve(SolveOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := 2.0
-		if uval == 1 {
-			want = 10 // variable bound binds before the relaxed constraint
-		}
-		if !res.Status.HasSolution() || math.Abs(res.Value(x)-want) > 1e-6 {
-			t.Errorf("u=%g: x = %g, want %g", uval, res.Value(x), want)
 		}
 	}
 }

@@ -40,17 +40,6 @@ func (c *Circuit) Area() geom.Rect {
 	return geom.R(0, 0, c.AreaWidth, c.AreaHeight)
 }
 
-// WithArea returns a shallow copy of the circuit with a different layout
-// area, which is how the "smaller area" stress settings of Table 1 are
-// expressed.
-func (c *Circuit) WithArea(width, height geom.Coord) *Circuit {
-	cp := *c
-	cp.AreaWidth = width
-	cp.AreaHeight = height
-	cp.rebuildIndex()
-	return &cp
-}
-
 // AddDevice appends a device and returns it for further configuration.
 func (c *Circuit) AddDevice(d *Device) *Device {
 	c.Devices = append(c.Devices, d)
@@ -149,26 +138,6 @@ func (c *Circuit) StripsAt(device string) []*Microstrip {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-// PinDegree returns how many microstrips attach to the given terminal.
-func (c *Circuit) PinDegree(t Terminal) int {
-	n := 0
-	for _, ms := range c.Microstrips {
-		if ms.From == t || ms.To == t {
-			n++
-		}
-	}
-	return n
-}
-
-// TotalTargetLength returns the sum of all microstrip target lengths.
-func (c *Circuit) TotalTargetLength() geom.Coord {
-	var sum geom.Coord
-	for _, ms := range c.Microstrips {
-		sum += ms.TargetLength
-	}
-	return sum
 }
 
 // Stats summarizes the circuit the way Table 1 of the paper does.

@@ -61,30 +61,6 @@ func TestCircuitAccessors(t *testing.T) {
 	if len(strips) != 2 || strips[0].Name != "TL12" || strips[1].Name != "TLIN" {
 		t.Errorf("StripsAt(M1) = %v", strips)
 	}
-	if c.PinDegree(Terminal{"M1", "gate"}) != 1 || c.PinDegree(Terminal{"M1", "bulk"}) != 0 {
-		t.Error("PinDegree wrong")
-	}
-	want := geom.FromMicrons(150 + 180 + 140)
-	if c.TotalTargetLength() != want {
-		t.Errorf("total target length = %d, want %d", c.TotalTargetLength(), want)
-	}
-}
-
-func TestCircuitWithArea(t *testing.T) {
-	c := smallCircuit()
-	smaller := c.WithArea(geom.FromMicrons(380), geom.FromMicrons(285))
-	if smaller.AreaWidth != geom.FromMicrons(380) || smaller.AreaHeight != geom.FromMicrons(285) {
-		t.Error("WithArea did not apply dimensions")
-	}
-	if c.AreaWidth != geom.FromMicrons(400) {
-		t.Error("WithArea mutated the original")
-	}
-	if len(smaller.Devices) != len(c.Devices) || len(smaller.Microstrips) != len(c.Microstrips) {
-		t.Error("WithArea lost content")
-	}
-	if _, err := smaller.Device("M1"); err != nil {
-		t.Errorf("device lookup on copy: %v", err)
-	}
 }
 
 func TestCircuitValidateCatchesProblems(t *testing.T) {

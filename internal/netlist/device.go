@@ -140,14 +140,6 @@ func (d *Device) BodyRect(c geom.Point, o geom.Orientation) geom.Rect {
 	return geom.RectFromCenter(c, w, h)
 }
 
-// HalfDiagonal returns half of the body bounding-box diagonal measured in the
-// Manhattan norm — the amount by which a "blurred" device grows the spacing
-// box of its incident microstrips in phase 1 of the progressive flow
-// (Figure 8).
-func (d *Device) HalfDiagonal() geom.Coord {
-	return (d.Width + d.Height) / 2
-}
-
 // Validate checks that the device is structurally sound: positive dimensions,
 // unique pin names, pins inside the body.
 func (d *Device) Validate() error {

@@ -75,9 +75,6 @@ func TestDeviceDimensionsAndBody(t *testing.T) {
 	if !body.Center().Eq(geom.PtMicrons(100, 100)) {
 		t.Errorf("body centre = %v", body.Center())
 	}
-	if d.HalfDiagonal() != geom.FromMicrons(35) {
-		t.Errorf("half diagonal = %d", d.HalfDiagonal())
-	}
 }
 
 func TestNewPad(t *testing.T) {
