@@ -77,6 +77,13 @@
 // context can always cancel earlier. The server front-end maps per-request
 // timeouts onto the same mechanism.
 //
+// Solver effort travels as one record. The pilp flow folds every MILP solve
+// of a run into one tally and returns the totals as pilp.Effort (node count
+// plus milp.LPStats), which engine.Result and cache.Entry embed whole.
+// milp.LPStats carries the JSON tags of its one wire form, encoded by both
+// the cache's Dir entries and the server's "lp" stats object, so an LP
+// counter added there reaches every layer and the wire with no other edit.
+//
 // # Determinism contract
 //
 // Parallelism never changes results, only wall-clock time. The milp search

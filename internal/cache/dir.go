@@ -110,7 +110,12 @@ func (d *Dir) Get(key string) (Entry, bool) {
 		return Entry{}, false
 	}
 	d.hits.Add(1)
-	e := Entry{Circuit: de.Circuit, Layout: []byte(de.Layout), Runtime: time.Duration(de.RuntimeNS), Effort: pilp.Effort{Nodes: de.Nodes}}
+	e := Entry{
+		Circuit: de.Circuit,
+		Layout:  []byte(de.Layout),
+		Runtime: time.Duration(de.RuntimeNS),
+		Effort:  pilp.Effort{Nodes: de.Nodes},
+	}
 	if de.LP != nil {
 		e.LP = *de.LP
 	}
