@@ -7,16 +7,9 @@
 // (binding time limits stop solves at wall-clock-dependent points). Ctrl-C
 // cancels cleanly at the next solver boundary.
 //
-// With -fuzz the harness generates -count seeded random circuits starting at
-// -seed-base (internal/circuits/fuzz: LNA/mixer/PA topologies across aspect,
-// strip-length and symmetry regimes) and runs the metamorphic audit battery
-// (internal/audit) on each under the deterministic node budget -budget. One
-// JSON line per seed goes to -fuzz-out; the records carry no wall-clock
-// fields, so two runs with the same flags are byte-identical — CI diffs them
-// as a determinism guard. A failing circuit is greedily minimized while its
-// failing checks keep failing and the result written to -fuzz-fixtures as a
-// committable .rfic fixture; the run then exits non-zero. CI runs a bounded
-// smoke sweep on every PR and a long scheduled sweep nightly.
+// The seeded fuzz sweep through the metamorphic audit battery is a test,
+// TestSweep in internal/audit; profile with go test -cpuprofile or the
+// benchmark's per-layer traces.
 //
 // Usage:
 //
@@ -24,8 +17,6 @@
 //	rficbench -figure7 -outdir out/
 //	rficbench -figure11a
 //	rficbench -figure11b
-//	rficbench -table1 -cpuprofile cpu.pprof -memprofile mem.pprof
-//	rficbench -fuzz -seed-base 1 -count 54 -budget 25 -fuzz-out fuzz.jsonl
 package main
 
 import (
@@ -35,8 +26,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"runtime"
-	"runtime/pprof"
 	"time"
 
 	"rficlayout/internal/circuits"
@@ -57,15 +46,6 @@ func main() {
 	outDir := flag.String("outdir", ".", "directory for SVG output")
 	stripTime := flag.Duration("strip-time", 2*time.Second, "time limit per per-strip ILP solve")
 	parallel := flag.Int("parallel", 0, "concurrent circuit solves for -table1 (0 = GOMAXPROCS)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile (after a final GC) to this file on exit")
-	fuzzMode := flag.Bool("fuzz", false, "run the seeded circuit fuzzer: generate circuits and run the metamorphic audit battery on each")
-	seedBase := flag.Int64("seed-base", 1, "first seed of the -fuzz sweep; seeds run contiguously from here")
-	fuzzCount := flag.Int("count", 54, "number of seeds in the -fuzz sweep (54 covers the whole topology matrix once)")
-	fuzzBudget := flag.Int("budget", 25, "deterministic branch-and-bound node budget per per-strip solve in -fuzz (phase 1 scales with it); node budgets, not wall clock, so results are byte-reproducible")
-	fuzzChecks := flag.String("fuzz-checks", "", "comma-separated subset of audit checks for -fuzz (empty = full battery)")
-	fuzzOut := flag.String("fuzz-out", "", "write one deterministic JSON line per fuzzed seed to this file (default stdout)")
-	fuzzFixtures := flag.String("fuzz-fixtures", "fuzz-failures", "directory for minimized failing-circuit fixtures from -fuzz (empty disables minimization)")
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -73,97 +53,15 @@ func main() {
 
 	opts := pilp.Options{StripTimeLimit: *stripTime, MaxRefineIterations: 2}
 
-	prof, err := startProfiler(*cpuProfile, *memProfile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rficbench:", err)
-		os.Exit(1)
-	}
-
-	// os.Exit skips defers, so every early exit below flushes the profiler
-	// explicitly.
-	fail := func() {
-		prof.Stop()
-		os.Exit(1)
-	}
-
-	if *table1 {
-		if !runTable1(ctx, opts, *parallel) {
-			fail()
-		}
-	}
-	if *figure7 {
-		if !runFigure7(ctx, opts, *outDir) {
-			fail()
-		}
-	}
-	if *figure11a {
-		if !runFigure11(ctx, "lna94", opts) {
-			fail()
-		}
-	}
-	if *figure11b {
-		if !runFigure11(ctx, "buffer60", opts) {
-			fail()
-		}
-	}
-	if *fuzzMode {
-		if !runFuzz(ctx, *seedBase, *fuzzCount, *fuzzBudget, *fuzzChecks, *fuzzOut, *fuzzFixtures) {
-			fail()
-		}
-	}
-	if !*table1 && !*figure7 && !*figure11a && !*figure11b && !*fuzzMode {
-		fmt.Fprintln(os.Stderr, "nothing to do: pass -table1, -figure7, -figure11a, -figure11b or -fuzz")
-		prof.Stop()
+	if !*table1 && !*figure7 && !*figure11a && !*figure11b {
+		fmt.Fprintln(os.Stderr, "nothing to do: pass -table1, -figure7, -figure11a or -figure11b")
 		os.Exit(2)
 	}
-	prof.Stop()
-}
-
-// profiler owns the optional runtime/pprof outputs: a CPU profile covering
-// the whole run and a heap profile written at exit. Stop is idempotent and
-// must run on every exit path — os.Exit skips defers.
-type profiler struct {
-	cpu     *os.File
-	memPath string
-	stopped bool
-}
-
-func startProfiler(cpuPath, memPath string) (*profiler, error) {
-	p := &profiler{memPath: memPath}
-	if cpuPath != "" {
-		f, err := os.Create(cpuPath)
-		if err != nil {
-			return nil, fmt.Errorf("-cpuprofile: %w", err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("-cpuprofile: %w", err)
-		}
-		p.cpu = f
-	}
-	return p, nil
-}
-
-func (p *profiler) Stop() {
-	if p == nil || p.stopped {
-		return
-	}
-	p.stopped = true
-	if p.cpu != nil {
-		pprof.StopCPUProfile()
-		_ = p.cpu.Close()
-	}
-	if p.memPath != "" {
-		f, err := os.Create(p.memPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rficbench: -memprofile:", err)
-			return
-		}
-		runtime.GC() // materialize the final live set before snapshotting
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "rficbench: -memprofile:", err)
-		}
-		_ = f.Close()
+	if *table1 && !runTable1(ctx, opts, *parallel) ||
+		*figure7 && !runFigure7(ctx, opts, *outDir) ||
+		*figure11a && !runFigure11(ctx, "lna94", opts) ||
+		*figure11b && !runFigure11(ctx, "buffer60", opts) {
+		os.Exit(1)
 	}
 }
 

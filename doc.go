@@ -1,9 +1,10 @@
 // Command rficlayout-bench is a thin wrapper so the repository root builds as
 // a package. The measurements live elsewhere: the benchmark (Table 1,
 // refinement and serving workloads with per-layer traces and layout goldens)
-// runs with "bash bench/run.sh", and cmd/rficbench regenerates the paper's
-// Table 1, Figure 7 and Figure 11 artifacts and runs the CI guards. Running
-// this binary just points at those entry points.
+// runs with "bash bench/run.sh", cmd/rficbench regenerates the paper's
+// Table 1, Figure 7 and Figure 11 artifacts, and the seeded fuzz sweep
+// through the metamorphic audit battery is TestSweep in internal/audit.
+// Running this binary just points at those entry points.
 //
 // # Architecture
 //

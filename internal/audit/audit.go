@@ -3,6 +3,7 @@ package audit
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"rficlayout/internal/geom"
@@ -117,9 +118,6 @@ type Report struct {
 	// Nodes is the branch-and-bound node total across every solve the
 	// battery ran — deterministic, so it may appear in reproducible output.
 	Nodes int `json:"nodes"`
-	// Runtime is the battery wall clock. Scheduling-dependent; harnesses
-	// that promise byte-identical output must exclude it.
-	Runtime time.Duration `json:"-"`
 }
 
 // Passed reports whether every check passed.
@@ -172,11 +170,16 @@ func DefaultSolveOptions(budget int) pilp.Options {
 	}
 }
 
-// Run executes the battery on one circuit. A context error aborts the
-// battery and surfaces as the returned error (never as a bogus check
-// failure); any other solver error fails the check that triggered it.
+// Run executes the battery on one circuit. An unknown check name is an error
+// before anything is solved. A context error aborts the battery and surfaces
+// as the returned error (never as a bogus check failure); any other solver
+// error fails the check that triggered it.
 func Run(ctx context.Context, c *netlist.Circuit, opts Options) (*Report, error) {
-	start := time.Now()
+	for _, name := range opts.checks() {
+		if !slices.Contains(AllChecks, name) {
+			return nil, fmt.Errorf("audit: unknown check %q", name)
+		}
+	}
 	if opts.Solve.Workers == 0 {
 		opts.Solve.Workers = 1
 	}
@@ -211,15 +214,12 @@ func Run(ctx context.Context, c *netlist.Circuit, opts Options) (*Report, error)
 			cr = checkWarmCold(ctx, c, base, opts, rep)
 		case CheckWorkers:
 			cr = checkWorkers(ctx, c, base, opts, rep)
-		default:
-			return nil, fmt.Errorf("audit: unknown check %q", name)
 		}
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		rep.Results = append(rep.Results, cr)
 	}
-	rep.Runtime = time.Since(start)
 	return rep, nil
 }
 
@@ -309,8 +309,14 @@ func checkRescale(ctx context.Context, c *netlist.Circuit, base *pilp.Result, op
 	so := opts.Solve
 	// The flow's geometric windows are lengths too; leaving them in the old
 	// unit would state a different problem.
-	so.Confinement = resolveConfinement(opts.Solve) * k
-	so.PairRadius = resolvePairRadius(opts.Solve) * k
+	conf, pair := so.Confinement, so.PairRadius
+	if conf <= 0 {
+		conf = pilp.DefaultConfinement
+	}
+	if pair <= 0 {
+		pair = pilp.DefaultPairRadius
+	}
+	so.Confinement, so.PairRadius = conf*k, pair*k
 	res, err := resolve(ctx, sc, so, rep)
 	if err != nil {
 		return failf(CheckRescale, "solving rescaled circuit: %v", err)
@@ -338,22 +344,6 @@ func checkRescale(ctx context.Context, c *netlist.Circuit, base *pilp.Result, op
 			geom.Microns(sm.TotalLengthError), geom.Microns(slack), k, geom.Microns(bm.TotalLengthError))
 	}
 	return pass(CheckRescale)
-}
-
-// resolveConfinement mirrors pilp's internal default (40 µm) so the rescale
-// check can scale the effective value rather than the zero sentinel.
-func resolveConfinement(o pilp.Options) geom.Coord {
-	if o.Confinement > 0 {
-		return o.Confinement
-	}
-	return geom.FromMicrons(40)
-}
-
-func resolvePairRadius(o pilp.Options) geom.Coord {
-	if o.PairRadius > 0 {
-		return o.PairRadius
-	}
-	return geom.FromMicrons(80)
 }
 
 // checkMirror: see CheckMirror. The involution half is exact; the score half

@@ -75,7 +75,8 @@ func TestRenamePreservesOrder(t *testing.T) {
 }
 
 // TestBatteryPasses: the full battery must pass on generated circuits — the
-// exact property the CI fuzz smoke asserts at larger seed counts.
+// exact property TestSweep asserts over contiguous seed blocks at larger
+// counts.
 func TestBatteryPasses(t *testing.T) {
 	if testing.Short() {
 		t.Skip("battery runs the full flow several times per circuit")
@@ -96,7 +97,8 @@ func TestBatteryPasses(t *testing.T) {
 }
 
 // TestRunSubsetAndUnknownCheck: Checks selects a subset; an unknown name is
-// an error, not a silent skip.
+// an error, not a silent skip, and it comes back before the base solve — so
+// even an already-cancelled context reports the name, not the cancellation.
 func TestRunSubsetAndUnknownCheck(t *testing.T) {
 	c, _ := fuzz.Generate(5)
 	rep, err := Run(context.Background(), c, Options{
@@ -114,6 +116,14 @@ func TestRunSubsetAndUnknownCheck(t *testing.T) {
 		Checks: []string{"no-such-check"},
 	}); err == nil || !strings.Contains(err.Error(), "unknown check") {
 		t.Fatalf("unknown check error = %v, want unknown-check error", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := Run(ctx, c, Options{
+		Solve:  DefaultSolveOptions(10),
+		Checks: []string{CheckReorder, "no-such-check"},
+	}); err == nil || !strings.Contains(err.Error(), "unknown check") {
+		t.Fatalf("unknown check under a cancelled context: error = %v, want unknown-check error", err)
 	}
 }
 

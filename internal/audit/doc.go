@@ -9,7 +9,7 @@
 //
 // # Architecture
 //
-// Three layers, composed by the fuzz harness (rficbench -fuzz):
+// Three layers, composed by the fuzz sweep (TestSweep):
 //
 //   - transform.go — structure-preserving circuit transformations, each
 //     returning a deep copy: declaration reordering, order-preserving
@@ -37,10 +37,13 @@
 // their calibration doubles as a record of a real finding (chirality
 // sensitivity).
 //
-// The battery is the instrument behind rficbench -fuzz:
-// internal/circuits/fuzz generates seeded circuits across RF topology space
-// (same seed, byte-identical netlist.Canonical), every circuit runs through
-// Run under deterministic node budgets (DefaultSolveOptions), results stream
-// as wall-clock-free JSONL (replays compare byte-identical), and failures
-// shrink through Minimize into fixtures CI uploads as artifacts.
+// The battery is the instrument behind the fuzz sweep, TestSweep in
+// sweep_test.go: internal/circuits/fuzz generates seeded circuits across RF
+// topology space (same seed, byte-identical netlist.Canonical), every
+// circuit runs through Run under deterministic node budgets
+// (DefaultSolveOptions), each seed logs one wall-clock-free JSON record (a
+// replay of the leading seeds must reproduce them byte for byte), and
+// failures shrink through Minimize into testdata/fuzz-failures/, which CI
+// uploads as an artifact. The test flags -sweep.base, -sweep.count and
+// -sweep.budget pick the seed block and node budget.
 package audit

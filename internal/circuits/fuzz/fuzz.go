@@ -11,10 +11,11 @@
 //
 // Generation is a pure function of the seed: the same seed always yields a
 // circuit with byte-identical netlist.Canonical text, which is what lets the
-// fuzz harness (rficbench -fuzz) promise byte-identical JSONL across runs and
-// lets a failing seed be replayed exactly. The profile dimensions (shape ×
-// aspect × length regime × symmetry) are stratified over consecutive seeds,
-// so any contiguous block of ProfilePeriod seeds covers the whole matrix.
+// fuzz sweep (TestSweep in internal/audit) promise byte-identical records
+// across runs and lets a failing seed be replayed exactly. The profile
+// dimensions (shape × aspect × length regime × symmetry) are stratified over
+// consecutive seeds, so any contiguous block of ProfilePeriod seeds covers
+// the whole matrix.
 package fuzz
 
 import (

@@ -139,7 +139,3 @@ func matchWithMeander(path geom.Polyline, target geom.Coord, delta, pitch geom.C
 	out = append(out, pts[longest:]...)
 	return out
 }
-
-// Metrics is a convenience wrapper returning the Table 1 style metrics of a
-// manual layout.
-func Metrics(l *layout.Layout) layout.Metrics { return l.Metrics() }

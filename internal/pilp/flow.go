@@ -17,6 +17,13 @@ import (
 	"rficlayout/internal/netlist"
 )
 
+// Defaults of the flow's geometric windows, used where Options leaves
+// Confinement or PairRadius at zero.
+const (
+	DefaultConfinement = 40 * geom.Micron
+	DefaultPairRadius  = 80 * geom.Micron
+)
+
 // Options tunes the progressive flow. It is configuration only: what a flow
 // spends is reported on Result, never accumulated through Options.
 type Options struct {
@@ -26,10 +33,11 @@ type Options struct {
 	// MaxChainPoints bounds chain-point insertion during refinement. Zero
 	// means 8.
 	MaxChainPoints int
-	// Confinement is the τd window of phases 2–3. Zero means 40 µm.
+	// Confinement is the τd window of phases 2–3. Zero means
+	// DefaultConfinement (40 µm).
 	Confinement geom.Coord
 	// PairRadius prunes non-overlap pairs farther apart than this. Zero
-	// means 80 µm.
+	// means DefaultPairRadius (80 µm).
 	PairRadius geom.Coord
 	// StripTimeLimit bounds each per-strip ILP solve. Zero means 5 s. It is
 	// sugar for a per-solve context deadline under the flow's context.
@@ -99,14 +107,14 @@ func (o Options) confinement() geom.Coord {
 	if o.Confinement > 0 {
 		return o.Confinement
 	}
-	return geom.FromMicrons(40)
+	return DefaultConfinement
 }
 
 func (o Options) pairRadius() geom.Coord {
 	if o.PairRadius > 0 {
 		return o.PairRadius
 	}
-	return geom.FromMicrons(80)
+	return DefaultPairRadius
 }
 
 func (o Options) stripTimeLimit() time.Duration {

@@ -48,7 +48,7 @@ func TestOptionDefaults(t *testing.T) {
 	if o.chainPoints() != 4 || o.maxChainPoints() != 8 {
 		t.Error("chain point defaults wrong")
 	}
-	if o.confinement() != geom.FromMicrons(40) || o.pairRadius() != geom.FromMicrons(80) {
+	if o.confinement() != DefaultConfinement || o.pairRadius() != DefaultPairRadius {
 		t.Error("geometry defaults wrong")
 	}
 	if o.stripTimeLimit() != 5*time.Second || o.phaseTimeLimit() != 30*time.Second {
