@@ -106,7 +106,7 @@ func runTable1(ctx context.Context, opts pilp.Options, parallel int) bool {
 		}
 		if !cl.small {
 			start := time.Now()
-			ml, err := manual.Generate(c, manual.Options{})
+			ml, err := manual.Generate(c)
 			if err == nil {
 				m := ml.Metrics()
 				row.ManualAvailable = true
@@ -162,7 +162,7 @@ func runFigure11(ctx context.Context, name string, opts pilp.Options) bool {
 		return false
 	}
 	c := circuits.Build(spec)
-	ml, err := manual.Generate(c, manual.Options{})
+	ml, err := manual.Generate(c)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rficbench:", err)
 		return false

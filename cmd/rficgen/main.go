@@ -171,7 +171,7 @@ func main() {
 			}
 			fmt.Println(report.LayoutSummary(circuit.Name, lay, runtime))
 		}
-		for _, v := range lay.Check(layout.CheckOptions{PinTolerance: 2}) {
+		for _, v := range pilp.Violations(lay) {
 			fmt.Printf("  violation: %v\n", v)
 		}
 		if *outPath != "" {

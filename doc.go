@@ -71,12 +71,15 @@
 //	                             schedule, a disabled registry costs one
 //	                             atomic load per injection point
 //
-// Cancellation flows top-down: every solve entry point has a Ctx variant
-// (engine.Run, pilp.GenerateCtx, ilpmodel.SolveAndExtractCtx, milp.SolveCtx,
-// lp.SolveCtx), and the duration knobs (pilp StripTimeLimit/PhaseTimeLimit,
-// milp TimeLimit) are sugar that derives a context deadline, so an enclosing
-// context can always cancel earlier. The server front-end maps per-request
-// timeouts onto the same mechanism.
+// Cancellation flows top-down: every solve layer has one entry point, and it
+// takes a context (engine.Run, pilp.GenerateCtx, ilpmodel.SolveAndExtractCtx,
+// milp.SolveCtx, lp.SolveCtx). The only duration settings are pilp's
+// StripTimeLimit and PhaseTimeLimit, which the flow turns into per-solve
+// deadlines under its own context, so an enclosing context can always cancel
+// earlier. The LP checks its context while pivoting and before every move
+// of the canonicalization pass, so no solve outlives its deadline by more
+// than one pivot or one move. The server front-end maps per-request timeouts
+// onto the same mechanism.
 //
 // Solver effort travels as one record. The pilp flow folds every MILP solve
 // of a run into one tally and returns the totals as pilp.Effort (node count

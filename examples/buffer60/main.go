@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -22,11 +23,11 @@ func main() {
 	}
 	c := circuits.Build(spec)
 
-	ml, err := manual.Generate(c, manual.Options{})
+	ml, err := manual.Generate(c)
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := pilp.Generate(c, pilp.Options{StripTimeLimit: 2 * time.Second})
+	res, err := pilp.GenerateCtx(context.Background(), c, pilp.Options{StripTimeLimit: 2 * time.Second})
 	if err != nil {
 		log.Fatal(err)
 	}

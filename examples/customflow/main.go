@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -38,7 +39,7 @@ func main() {
 	}
 	fmt.Println("parsed:", c.Stats())
 
-	res, err := pilp.Generate(c, pilp.Options{
+	res, err := pilp.GenerateCtx(context.Background(), c, pilp.Options{
 		StripTimeLimit:      3 * time.Second,
 		MaxRefineIterations: 2,
 		Logf:                func(f string, a ...interface{}) { fmt.Printf("  "+f+"\n", a...) },
@@ -50,7 +51,7 @@ func main() {
 		fmt.Printf("%-28s %s (violations %d, %.1fs)\n",
 			snap.Phase, snap.Metrics, snap.Violations, snap.Elapsed.Seconds())
 	}
-	violations := res.Layout.Check(layout.CheckOptions{PinTolerance: 2})
+	violations := pilp.Violations(res.Layout)
 	fmt.Printf("final DRC: %d violations\n", len(violations))
 	for _, v := range violations {
 		fmt.Println("  ", v)

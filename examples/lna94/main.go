@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -31,14 +32,14 @@ func main() {
 
 		if !small {
 			start := time.Now()
-			ml, err := manual.Generate(c, manual.Options{})
+			ml, err := manual.Generate(c)
 			if err != nil {
 				log.Fatal(err)
 			}
 			fmt.Println(report.LayoutSummary("manual ", ml, time.Since(start)))
 		}
 		start := time.Now()
-		res, err := pilp.Generate(c, pilp.Options{StripTimeLimit: 2 * time.Second})
+		res, err := pilp.GenerateCtx(context.Background(), c, pilp.Options{StripTimeLimit: 2 * time.Second})
 		if err != nil {
 			log.Fatal(err)
 		}

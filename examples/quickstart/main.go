@@ -3,6 +3,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -26,7 +27,7 @@ func main() {
 	c.Connect("TLIN", "PIN", "p", "M1", "in", geom.FromMicrons(180))
 	c.Connect("TLOUT", "M1", "out", "POUT", "p", geom.FromMicrons(200))
 
-	res, err := pilp.Generate(c, pilp.Options{StripTimeLimit: 3 * time.Second})
+	res, err := pilp.GenerateCtx(context.Background(), c, pilp.Options{StripTimeLimit: 3 * time.Second})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -37,6 +38,6 @@ func main() {
 			geom.Microns(rs.EquivalentLength(c.Tech.BendCompensation)),
 			geom.Microns(rs.Strip.TargetLength))
 	}
-	fmt.Println("violations:", len(res.Violations()))
+	fmt.Println("violations:", len(pilp.Violations(res.Layout)))
 	fmt.Println("runtime:", res.Runtime.Round(time.Millisecond))
 }

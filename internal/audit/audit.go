@@ -322,8 +322,9 @@ func checkRescale(ctx context.Context, c *netlist.Circuit, base *pilp.Result, op
 		return failf(CheckRescale, "solving rescaled circuit: %v", err)
 	}
 
-	baseViol := len(base.Layout.Check(layout.CheckOptions{PinTolerance: 2}))
-	// The DRC tolerances are lengths: rescale them with the unit.
+	baseViol := len(pilp.Violations(base.Layout))
+	// The DRC tolerances are lengths: rescale pilp.Violations' 10 nm length
+	// and 2 nm pin tolerances with the unit.
 	scaledViol := len(res.Layout.Check(layout.CheckOptions{
 		LengthTolerance: 10 * k,
 		PinTolerance:    2 * k,

@@ -29,9 +29,7 @@
 package cluster
 
 import (
-	"context"
 	"net/http"
-	"net/url"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -188,28 +186,25 @@ type StatsSnapshot struct {
 	AuditMismatch   int64    `json:"audit_mismatch"`
 }
 
-// Cluster is one node's membership, routing and peer-client state. A nil
+// Cluster is one node's membership, routing and peer-forwarding state. A nil
 // *Cluster is valid and means "single node": Owner never reports remote.
 type Cluster struct {
-	cfg    Config
-	ring   *Ring
-	client *Client
-	stats  Stats
+	cfg        Config
+	ring       *Ring
+	httpClient *http.Client
+	stats      Stats
 }
 
 // New assembles a node's cluster view. The ring is built once — membership
 // is static; changing it means restarting with a new peer list, which
 // rehashes deterministically on every node.
 func New(cfg Config) *Cluster {
-	c := &Cluster{cfg: cfg, ring: NewRing(cfg.Peers)}
-	c.client = &Client{
-		cfg: cfg,
-		httpClient: &http.Client{
-			// No overall client timeout: per-attempt contexts bound each try,
-			// and a client-level timeout would race them.
-			Transport: http.DefaultTransport,
-		},
-		stats: &c.stats,
+	c := &Cluster{
+		cfg:  cfg,
+		ring: NewRing(cfg.Peers),
+		// No overall client timeout: per-attempt contexts bound each try,
+		// and a client-level timeout would race them.
+		httpClient: &http.Client{Transport: http.DefaultTransport},
 	}
 	c.stats.retryTokensTenths.Store(int64(cfg.retryBudget()) * 10)
 	return c
@@ -235,18 +230,6 @@ func (c *Cluster) Owner(key string) (Peer, bool) {
 	return p, p.Name != c.cfg.Self
 }
 
-// Forward sends one solve to the owner and returns the response body. The
-// fresh operation earns its sliver of retry budget up front; failures have
-// already been counted per attempt. The caller counts Forwarded/Degraded —
-// only it knows whether the fallback succeeded.
-func (c *Cluster) Forward(ctx context.Context, owner Peer, key string, body []byte, query url.Values) ([]byte, error) {
-	c.stats.earnRetryTenth(c.cfg.retryBudget())
-	hdr := http.Header{}
-	hdr.Set(HeaderForwardedFrom, c.cfg.Self)
-	hdr.Set(HeaderContentKey, key)
-	return c.client.Forward(ctx, owner, "/v1/solve", body, query, hdr)
-}
-
 // ShouldAudit reports whether a proxied result under this key is in the
 // deterministic audit sample: a pure function of (key, AuditEvery), so every
 // replay audits the identical set and the chaos battery can predict the
@@ -266,7 +249,7 @@ func AuditSampled(key string, every int) bool {
 	return ringHash("audit\x00"+key)%uint64(every) == 0
 }
 
-// CountForwarded, CountDegraded and CountAudit record outcomes the client
+// CountForwarded, CountDegraded and CountAudit record outcomes Forward
 // cannot see.
 func (c *Cluster) CountForwarded() { c.stats.Forwarded.Add(1) }
 func (c *Cluster) CountDegraded()  { c.stats.Degraded.Add(1) }

@@ -83,7 +83,7 @@ func TestPILPLayoutBeatsBendHeavyManualLayout(t *testing.T) {
 	c.Connect("TL2", "M1", "out", "M2", "in", geom.FromMicrons(180))
 	c.Connect("TL3", "M2", "out", "POUT", "p", geom.FromMicrons(160))
 
-	manualLayout, err := manual.Generate(c, manual.Options{})
+	manualLayout, err := manual.Generate(c)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -148,16 +148,12 @@ func (m *Model) segmentDirection(sv *stripVars, x []float64, j int) geom.Directi
 	return best
 }
 
-// SolveAndExtract solves the model and extracts the incumbent layout when one
-// exists.
-func (m *Model) SolveAndExtract(opts milp.SolveOptions) (*layout.Layout, *milp.Result, error) {
-	return m.SolveAndExtractCtx(context.Background(), opts)
-}
-
-// SolveAndExtractCtx is SolveAndExtract under a context: cancellation stops
-// the branch and bound and extracts whatever incumbent exists at that point.
+// SolveAndExtractCtx runs branch and bound on the model under a context and
+// extracts the incumbent layout when one exists. Cancellation or a deadline
+// on the context stops the search and extracts whatever incumbent exists at
+// that point.
 func (m *Model) SolveAndExtractCtx(ctx context.Context, opts milp.SolveOptions) (*layout.Layout, *milp.Result, error) {
-	res, err := m.SolveCtx(ctx, opts)
+	res, err := m.MILP.SolveCtx(ctx, opts)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -1,7 +1,6 @@
 package ilpmodel
 
 import (
-	"context"
 	"fmt"
 
 	"rficlayout/internal/geom"
@@ -237,17 +236,6 @@ func (m *Model) buildObjective() {
 			m.MILP.SetObjectiveCoef(m.luMax, weightGamma)
 		}
 	}
-}
-
-// Solve runs branch and bound on the model.
-func (m *Model) Solve(opts milp.SolveOptions) (*milp.Result, error) {
-	return m.MILP.Solve(opts)
-}
-
-// SolveCtx runs branch and bound on the model under a context; cancellation
-// stops the search and returns the incumbent found so far, if any.
-func (m *Model) SolveCtx(ctx context.Context, opts milp.SolveOptions) (*milp.Result, error) {
-	return m.MILP.SolveCtx(ctx, opts)
 }
 
 func minf(a, b float64) float64 {

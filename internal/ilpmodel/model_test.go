@@ -1,6 +1,7 @@
 package ilpmodel
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -38,8 +39,12 @@ func fixedTwoBlockLayout(t *testing.T, c *netlist.Circuit) *layout.Layout {
 	return l
 }
 
-func solveOpts(limit time.Duration) milp.SolveOptions {
-	return milp.SolveOptions{TimeLimit: limit}
+// deadline returns a context that expires after limit and is released when
+// the test ends.
+func deadline(t *testing.T, limit time.Duration) context.Context {
+	ctx, cancel := context.WithTimeout(context.Background(), limit)
+	t.Cleanup(cancel)
+	return ctx
 }
 
 func TestStraightStripExactLength(t *testing.T) {
@@ -55,7 +60,7 @@ func TestStraightStripExactLength(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lay, res, err := m.SolveAndExtract(solveOpts(20 * time.Second))
+	lay, res, err := m.SolveAndExtractCtx(deadline(t, 20*time.Second), milp.SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +99,7 @@ func TestLongerTargetForcesDetour(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lay, res, err := m.SolveAndExtract(solveOpts(30 * time.Second))
+	lay, res, err := m.SolveAndExtractCtx(deadline(t, 30*time.Second), milp.SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +129,7 @@ func TestInfeasibleTooShortTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := m.Solve(solveOpts(20 * time.Second))
+	res, err := m.MILP.SolveCtx(deadline(t, 20*time.Second), milp.SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +152,7 @@ func TestSoftLengthReportsMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := m.Solve(solveOpts(20 * time.Second))
+	res, err := m.MILP.SolveCtx(deadline(t, 20*time.Second), milp.SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +209,7 @@ func TestFixTopologyKeepsDirectionsAndMatchesLength(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lay, res, err := m.SolveAndExtract(solveOpts(20 * time.Second))
+	lay, res, err := m.SolveAndExtractCtx(deadline(t, 20*time.Second), milp.SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +252,7 @@ func TestFreePadLandsOnBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lay, res, err := m.SolveAndExtract(solveOpts(30 * time.Second))
+	lay, res, err := m.SolveAndExtractCtx(deadline(t, 30*time.Second), milp.SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"rficlayout/internal/geom"
 	"rficlayout/internal/layout"
+	"rficlayout/internal/milp"
 	"rficlayout/internal/netlist"
 	"rficlayout/internal/tech"
 )
@@ -45,7 +46,7 @@ func TestRouteAvoidsFixedObstacle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lay, res, err := m.SolveAndExtract(solveOpts(60 * time.Second))
+	lay, res, err := m.SolveAndExtractCtx(deadline(t, 60*time.Second), milp.SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func TestBlurredModeSolves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lay, res, err := m.SolveAndExtract(solveOpts(60 * time.Second))
+	lay, res, err := m.SolveAndExtractCtx(deadline(t, 60*time.Second), milp.SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestConfinementWindowsRestrictCoordinates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lay, res, err := m.SolveAndExtract(solveOpts(30 * time.Second))
+	lay, res, err := m.SolveAndExtractCtx(deadline(t, 30*time.Second), milp.SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,22 +28,42 @@ func TestSolveCtxPreCancelled(t *testing.T) {
 	}
 }
 
-func TestSolveCtxBackgroundMatchesSolve(t *testing.T) {
-	want, err := Solve(smallLP(), Options{})
+// secondCallCancelled is a context whose Err reports Canceled from its second
+// call onwards: the solve sees it live at its first poll and cancelled at
+// every poll after that.
+type secondCallCancelled struct {
+	context.Context
+	calls int
+}
+
+func (c *secondCallCancelled) Done() <-chan struct{} { return make(chan struct{}) }
+
+func (c *secondCallCancelled) Err() error {
+	c.calls++
+	if c.calls >= 2 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestLexCanonicalizeHonoursContext checks that the canonicalization pass
+// after optimality polls the context. min 0 s.t. x + y = 4, 0 <= x, y <= 10
+// takes one primal pivot to x = 4 (the primal loop polls once, at iteration
+// 0) and then one lex move to (0, 4); the context fires between the two, so
+// the solve must stop before the move.
+func TestLexCanonicalizeHonoursContext(t *testing.T) {
+	p := NewProblem()
+	x := p.AddVariable("x", 0, 10, 0)
+	y := p.AddVariable("y", 0, 10, 0)
+	p.AddConstraint("sum", []Entry{{x, 1}, {y, 1}}, EQ, 4)
+	ctx := &secondCallCancelled{Context: context.Background()}
+	sol, err := SolveCtx(ctx, p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := SolveCtx(context.Background(), smallLP(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Status != want.Status || got.Objective != want.Objective || got.Iterations != want.Iterations {
-		t.Errorf("SolveCtx = %+v, Solve = %+v", got, want)
-	}
-	for j := range want.X {
-		if got.X[j] != want.X[j] {
-			t.Errorf("X[%d] = %g, want %g", j, got.X[j], want.X[j])
-		}
+	if sol.Status != StatusCancelled || sol.Basis != nil {
+		t.Errorf("status = %v, basis exported = %v; want %v and no basis (X = %v)",
+			sol.Status, sol.Basis != nil, StatusCancelled, sol.X)
 	}
 }
 

@@ -163,14 +163,23 @@ func (s *simplex) dualRatioTest(r int, target float64, row []float64) (enter int
 // an earlier scan rejected and no move has touched since are skipped without
 // an FTRAN (see lexMemo): the scan returns exactly the move a full rescan
 // would.
-func (s *simplex) lexCanonicalize() {
+//
+// The context is checked before every move rather than every
+// cancelCheckEvery pivots, because one move can scan every column with an
+// FTRAN. It reports false when the context fired and the pass stopped short
+// of the lex-minimum.
+func (s *simplex) lexCanonicalize() bool {
 	maxMoves := 4 * (s.m + s.n)
 	if maxMoves < 64 {
 		maxMoves = 64
 	}
 	var memo lexMemo
 	s.lexPivoting = true
+	defer func() { s.lexPivoting = false }()
 	for moves := 0; moves < maxMoves; moves++ {
+		if s.ctx != nil && s.ctx.Err() != nil {
+			return false
+		}
 		enter, dir, leaveRow, bound, step := s.findLexDescent(&memo)
 		if enter < 0 {
 			break
@@ -200,7 +209,7 @@ func (s *simplex) lexCanonicalize() {
 			memo.arm(s)
 		}
 	}
-	s.lexPivoting = false
+	return true
 }
 
 // findLexDescent scans nonbasic columns with zero reduced cost, in index

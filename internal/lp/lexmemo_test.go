@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -206,7 +207,7 @@ func degenerateLP(rng *rand.Rand, nVars, nCons int) *Problem {
 // first difference in X, the basis, Iterations or Refactorizations ("" when
 // they agree bit for bit). It also returns both column counts.
 func lexMemoMismatch(p *Problem, opts Options) (diff string, memoCols, restartCols int, err error) {
-	got, err := Solve(p, counted(opts, &memoCols))
+	got, err := SolveCtx(context.Background(), p, counted(opts, &memoCols))
 	if err != nil {
 		return "", 0, 0, err
 	}
@@ -261,7 +262,7 @@ func lexMemoTrial(t *testing.T, seed int64, nVars, nCons int, memoCols, restartC
 	j := rng.Intn(nVars)
 	child := map[int]float64{j: p.Variables[j].Lower + float64(rng.Intn(2))}
 	for _, c := range lexMemoCases {
-		root, err := Solve(p, c.opts)
+		root, err := SolveCtx(context.Background(), p, c.opts)
 		if err != nil {
 			t.Fatalf("seed %d %s: %v", seed, c.name, err)
 		}

@@ -103,7 +103,7 @@ type Constraint struct {
 //	            lower_j <= x_j <= upper_j
 //
 // Build it with NewProblem / AddVariable / AddConstraint and pass it to
-// Solve. A Problem can be solved repeatedly with different bound overrides,
+// SolveCtx. A Problem can be solved repeatedly with different bound overrides,
 // which is how the branch-and-bound solver explores its tree.
 type Problem struct {
 	Variables   []Variable

@@ -82,17 +82,12 @@ func (s *simplex) cancelled() bool {
 	return s.ctx != nil && s.iterations%cancelCheckEvery == 0 && s.ctx.Err() != nil
 }
 
-// Solve minimizes the problem and returns the solution. The problem itself is
-// not modified; bound overrides from opts are applied to a private copy of
-// the bound arrays.
-func Solve(p *Problem, opts Options) (*Solution, error) {
-	return SolveCtx(context.Background(), p, opts)
-}
-
-// SolveCtx is Solve with cancellation: the context is checked periodically
-// during pivoting and a cancelled or expired context yields a solution with
-// StatusCancelled. Solving the same problem with the same options under a
-// context that never fires is identical to Solve.
+// SolveCtx minimizes the problem and returns the solution. The problem itself
+// is not modified; bound overrides from opts are applied to a private copy of
+// the bound arrays. The context is checked periodically during pivoting and
+// before every move of the canonicalization pass; a cancelled or expired
+// context yields a solution with StatusCancelled. Under a context that never
+// fires the solution does not depend on the context.
 //
 // When opts.WarmBasis is set and still dual-feasible under the (possibly
 // overridden) bounds, the solve runs the dual simplex from it; otherwise it
@@ -150,8 +145,9 @@ func SolveCtx(ctx context.Context, p *Problem, opts Options) (*Solution, error) 
 			s.refactorize()
 		}
 		s.computeReducedCosts()
-		s.lexCanonicalize()
-		if !s.fresh {
+		if !s.lexCanonicalize() {
+			status = StatusCancelled
+		} else if !s.fresh {
 			s.refactorize()
 		}
 	}

@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -13,7 +14,7 @@ func approx(a, b float64) bool { return math.Abs(a-b) <= 1e-5*(1+math.Abs(b)) }
 
 func solveOrFatal(t *testing.T, p *Problem, opts Options) *Solution {
 	t.Helper()
-	sol, err := Solve(p, opts)
+	sol, err := SolveCtx(context.Background(), p, opts)
 	if err != nil {
 		t.Fatalf("Solve error: %v", err)
 	}
@@ -434,7 +435,7 @@ func TestRandomFeasibleLPsSolveToFeasiblePoints(t *testing.T) {
 		nVars := 2 + rng.Intn(8)
 		nCons := 1 + rng.Intn(12)
 		p, witness := randomFeasibleLP(rng, nVars, nCons)
-		sol, err := Solve(p, Options{})
+		sol, err := SolveCtx(context.Background(), p, Options{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -459,7 +460,7 @@ func TestAddingConstraintNeverImprovesOptimum(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		p, point := randomFeasibleLP(rng, 3+rng.Intn(4), 2+rng.Intn(4))
-		base, err := Solve(p, Options{})
+		base, err := SolveCtx(context.Background(), p, Options{})
 		if err != nil || base.Status != StatusOptimal {
 			return true // skip pathological cases; they are covered elsewhere
 		}
@@ -477,7 +478,7 @@ func TestAddingConstraintNeverImprovesOptimum(t *testing.T) {
 			return true
 		}
 		p.AddConstraint("extra", row, LE, lhs+rng.Float64())
-		tightened, err := Solve(p, Options{})
+		tightened, err := SolveCtx(context.Background(), p, Options{})
 		if err != nil {
 			return false
 		}

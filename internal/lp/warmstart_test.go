@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -242,7 +243,7 @@ func TestWarmColdBitIdentical(t *testing.T) {
 	for trial := 0; trial < 120; trial++ {
 		nVars := 2 + rng.Intn(8)
 		p, _ := randomFeasibleLP(rng, nVars, 1+rng.Intn(10))
-		root, err := Solve(p, Options{})
+		root, err := SolveCtx(context.Background(), p, Options{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -259,13 +260,13 @@ func TestWarmColdBitIdentical(t *testing.T) {
 		} else {
 			ov.LowerOverride = map[int]float64{j: mid}
 		}
-		cold, err := Solve(p, ov)
+		cold, err := SolveCtx(context.Background(), p, ov)
 		if err != nil {
 			t.Fatalf("trial %d cold: %v", trial, err)
 		}
 		warmOpts := ov
 		warmOpts.WarmBasis = root.Basis
-		warm, err := Solve(p, warmOpts)
+		warm, err := SolveCtx(context.Background(), p, warmOpts)
 		if err != nil {
 			t.Fatalf("trial %d warm: %v", trial, err)
 		}
@@ -477,7 +478,7 @@ func TestCarriedFactorSharedAcrossConcurrentSolves(t *testing.T) {
 		wg.Add(1)
 		go func(i int, o Options) {
 			defer wg.Done()
-			got[i], _ = Solve(p, o)
+			got[i], _ = SolveCtx(context.Background(), p, o)
 		}(i, o)
 	}
 	wg.Wait()

@@ -19,39 +19,25 @@ import (
 	"rficlayout/internal/pilp"
 )
 
-// Options tunes the emulated manual flow.
-type Options struct {
-	// MeanderPitch is the spacing between meander legs; small pitches give
-	// the dense, bend-heavy meanders typical of hand layouts. Zero means
-	// 2.5× the spacing rule.
-	MeanderPitch geom.Coord
-	// MaxMeanderLegs bounds the meander size per strip. Zero means 12.
-	MaxMeanderLegs int
-}
+// maxMeanderLegs bounds the meander size per strip.
+const maxMeanderLegs = 12
 
-func (o Options) pitch(c *netlist.Circuit) geom.Coord {
-	if o.MeanderPitch > 0 {
-		return o.MeanderPitch
-	}
+// meanderPitch is the spacing between meander legs: 2.5× the spacing rule
+// (plus the strip width), the small pitch that gives the dense, bend-heavy
+// meanders typical of hand layouts.
+func meanderPitch(c *netlist.Circuit) geom.Coord {
 	return c.Tech.Spacing()*5/2 + c.Tech.MicrostripWidth
 }
 
-func (o Options) maxLegs() int {
-	if o.MaxMeanderLegs > 0 {
-		return o.MaxMeanderLegs
-	}
-	return 12
-}
-
 // Generate produces the manual-style baseline layout for the circuit.
-func Generate(c *netlist.Circuit, opts Options) (*layout.Layout, error) {
+func Generate(c *netlist.Circuit) (*layout.Layout, error) {
 	l, err := pilp.Construct(c)
 	if err != nil {
 		return nil, err
 	}
 	delta := c.Tech.BendCompensation
 	for _, rs := range l.RoutedStrips() {
-		matched := matchWithMeander(rs.Path, rs.Strip.TargetLength, delta, opts.pitch(c), opts.maxLegs())
+		matched := matchWithMeander(rs.Path, rs.Strip.TargetLength, delta, meanderPitch(c), maxMeanderLegs)
 		if err := l.Route(rs.Strip.Name, matched...); err != nil {
 			return nil, fmt.Errorf("manual: rerouting %s: %w", rs.Strip.Name, err)
 		}

@@ -46,7 +46,7 @@ func TestGenerateSmallCircuit(t *testing.T) {
 	c.Connect("TL1", "PIN", "p", "M1", "in", geom.FromMicrons(180))
 	c.Connect("TL2", "M1", "out", "POUT", "p", geom.FromMicrons(200))
 
-	l, err := Generate(c, Options{})
+	l, err := Generate(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestGenerateBenchmarkCircuitHasManyBends(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := circuits.Build(spec)
-	l, err := Generate(c, Options{})
+	l, err := Generate(c)
 	if err != nil {
 		t.Fatal(err)
 	}

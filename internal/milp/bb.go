@@ -4,7 +4,6 @@ import (
 	"container/heap"
 	"context"
 	"math"
-	"time"
 
 	"rficlayout/internal/conc"
 	"rficlayout/internal/lp"
@@ -52,14 +51,10 @@ func (s Status) HasSolution() bool { return s == StatusOptimal || s == StatusFea
 // and the relative optimality gap at which search stops are both fixed at
 // 1e-6, and the search always starts without an incumbent.
 type SolveOptions struct {
-	// TimeLimit bounds wall-clock time; zero means no limit. It is sugar for
-	// a context deadline: SolveCtx derives a child context with this timeout,
-	// so an enclosing context can still cancel the solve earlier.
-	TimeLimit time.Duration
 	// Workers is the number of goroutines evaluating LP relaxations
 	// concurrently. Zero or one means sequential evaluation. The search is
 	// deterministic: any worker count produces the identical Result (see the
-	// determinism notes on Solve).
+	// determinism notes on SolveCtx).
 	Workers int
 	// MaxNodes bounds the number of explored nodes; zero means a large
 	// default (1 << 20).
@@ -169,14 +164,13 @@ func (s *LPStats) count(sol *lp.Solution, warmOffered bool) {
 	}
 }
 
-// Result is the outcome of Model.Solve.
+// Result is the outcome of Model.SolveCtx.
 type Result struct {
 	Status    Status
 	Objective float64   // incumbent objective including the constant term
 	Bound     float64   // best proven lower bound (minimization)
 	X         []float64 // incumbent assignment (nil when none)
 	Nodes     int
-	Runtime   time.Duration
 	// LP aggregates the LP-solver effort across all node relaxations,
 	// including the root dive heuristic.
 	LP LPStats
@@ -302,16 +296,9 @@ func (q *nodeQueue) Pop() interface{} {
 // batch among themselves.
 const bbBatchSize = 16
 
-// Solve runs branch and bound on the model and returns the best solution
-// found. The model is not modified. It is shorthand for SolveCtx with a
-// background context.
-func (m *Model) Solve(opts SolveOptions) (*Result, error) {
-	return m.SolveCtx(context.Background(), opts)
-}
-
-// SolveCtx runs branch and bound under a context. Cancellation (or the
-// deadline derived from opts.TimeLimit) stops the search at the next node
-// boundary and returns the incumbent found so far (StatusFeasible) or
+// SolveCtx runs branch and bound on the model under a context and returns
+// the best solution found; the model is not modified. Cancellation or a
+// deadline on the context stops the search at the next node boundary and returns the incumbent found so far (StatusFeasible) or
 // StatusNoSolution when none exists yet. A context that is already cancelled
 // on entry returns promptly without solving any LP.
 //
@@ -324,13 +311,6 @@ func (m *Model) Solve(opts SolveOptions) (*Result, error) {
 // byte-identical for every worker count. Equal-objective incumbents are
 // ordered lexicographically by solution vector as an extra guard.
 func (m *Model) SolveCtx(ctx context.Context, opts SolveOptions) (*Result, error) {
-	start := time.Now()
-	if opts.TimeLimit > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opts.TimeLimit)
-		defer cancel()
-	}
-
 	prob := m.toLP()
 	res := &Result{Status: StatusNoSolution, Bound: math.Inf(-1), Objective: math.Inf(1)}
 
@@ -446,14 +426,12 @@ search:
 			case lp.StatusInfeasible:
 				if res.Nodes == 1 && res.X == nil {
 					res.Status = StatusInfeasible
-					res.Runtime = time.Since(start)
 					return res, nil
 				}
 				continue
 			case lp.StatusUnbounded:
 				if res.Nodes == 1 && res.X == nil {
 					res.Status = StatusUnbounded
-					res.Runtime = time.Since(start)
 					return res, nil
 				}
 				continue
@@ -549,7 +527,6 @@ search:
 		}
 	}
 
-	res.Runtime = time.Since(start)
 	res.Cancelled = ctx.Err() != nil
 	if res.X != nil {
 		if !timedOut && open.Len() == 0 {

@@ -1,6 +1,7 @@
 package milp
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -46,7 +47,7 @@ func TestKnapsackSmall(t *testing.T) {
 	weights := []float64{3, 4, 2, 3, 5}
 	const capacity = 9
 	m, _ := buildKnapsack(values, weights, capacity)
-	res, err := m.Solve(SolveOptions{})
+	res, err := m.SolveCtx(context.Background(), SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestKnapsackRandomAgainstBruteForce(t *testing.T) {
 		}
 		capacity := math.Floor(total * (0.3 + rng.Float64()*0.4))
 		m, _ := buildKnapsack(values, weights, capacity)
-		res, err := m.Solve(SolveOptions{})
+		res, err := m.SolveCtx(context.Background(), SolveOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +100,7 @@ func TestIntegerVariableRounding(t *testing.T) {
 	m.SetObjectiveCoef(b, -4)
 	m.AddLE("c1", Term(a, 6).Add(b, 4), 24)
 	m.AddLE("c2", Term(a, 1).Add(b, 2), 6)
-	res, err := m.Solve(SolveOptions{})
+	res, err := m.SolveCtx(context.Background(), SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestInfeasibleMILP(t *testing.T) {
 	x := m.AddBinary("x")
 	y := m.AddBinary("y")
 	m.AddGE("sum", Term(x, 1).Add(y, 1), 3) // impossible for two binaries
-	res, err := m.Solve(SolveOptions{})
+	res, err := m.SolveCtx(context.Background(), SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestInfeasibleByIntegrality(t *testing.T) {
 	m := NewModel()
 	x := m.AddInteger("x", 0, 10)
 	m.AddEQ("odd", Term(x, 2), 3)
-	res, err := m.Solve(SolveOptions{})
+	res, err := m.SolveCtx(context.Background(), SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +151,7 @@ func TestUnboundedMILP(t *testing.T) {
 	x := m.AddContinuous("x", 0, Infinity)
 	m.SetObjectiveCoef(x, -1)
 	m.AddGE("trivial", Term(x, 1), 0)
-	res, err := m.Solve(SolveOptions{})
+	res, err := m.SolveCtx(context.Background(), SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +172,7 @@ func TestNodeLimitReturnsIncumbentOrNoSolution(t *testing.T) {
 		weights[i] = float64(1 + rng.Intn(12))
 	}
 	m, _ := buildKnapsack(values, weights, 40)
-	res, err := m.Solve(SolveOptions{MaxNodes: 1})
+	res, err := m.SolveCtx(context.Background(), SolveOptions{MaxNodes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,8 +201,10 @@ func TestTimeLimitRespected(t *testing.T) {
 		weights[i] = float64(1 + rng.Intn(20))
 	}
 	m, _ := buildKnapsack(values, weights, 100)
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
 	start := time.Now()
-	res, err := m.Solve(SolveOptions{TimeLimit: 50 * time.Millisecond})
+	res, err := m.SolveCtx(ctx, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +221,7 @@ func TestGapAndBoundsOnOptimal(t *testing.T) {
 	values := []float64{4, 5, 6}
 	weights := []float64{2, 3, 4}
 	m, _ := buildKnapsack(values, weights, 6)
-	res, err := m.Solve(SolveOptions{})
+	res, err := m.SolveCtx(context.Background(), SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +240,7 @@ func TestBoolValue(t *testing.T) {
 	m := NewModel()
 	x := m.AddBinary("x")
 	m.SetObjectiveCoef(x, -1)
-	res, err := m.Solve(SolveOptions{})
+	res, err := m.SolveCtx(context.Background(), SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +294,7 @@ func TestEqualityILPWithBinariesAndContinuous(t *testing.T) {
 	}
 	m.AddEQ("demand", sum, 100)
 	m.AddEQ("two-sites", count, 2)
-	res, err := m.Solve(SolveOptions{})
+	res, err := m.SolveCtx(context.Background(), SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ import (
 func solveKnapsackWithWorkers(t *testing.T, values, weights []float64, capacity float64, workers int) *Result {
 	t.Helper()
 	m, _ := buildKnapsack(values, weights, capacity)
-	res, err := m.Solve(SolveOptions{Workers: workers})
+	res, err := m.SolveCtx(context.Background(), SolveOptions{Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestParallelSolveMatchesBruteForce(t *testing.T) {
 		}
 		capacity := math.Floor(total * (0.3 + rng.Float64()*0.4))
 		m, _ := buildKnapsack(values, weights, capacity)
-		res, err := m.Solve(SolveOptions{Workers: 4})
+		res, err := m.SolveCtx(context.Background(), SolveOptions{Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,8 +116,8 @@ func TestSolveCtxPreCancelled(t *testing.T) {
 	}
 }
 
-// TestSolveCtxDeadline checks that a context deadline behaves like TimeLimit:
-// the search stops and reports what it has.
+// TestSolveCtxDeadline checks that a context deadline stops the search and
+// that the solve reports what it has.
 func TestSolveCtxDeadline(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	n := 18

@@ -1,6 +1,7 @@
 package milp
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -142,7 +143,7 @@ func TestConstraintConstantMovesToRHS(t *testing.T) {
 	x := m.AddContinuous("x", 0, 10)
 	m.SetObjectiveCoef(x, -1)
 	m.AddLE("c", Term(x, 1).AddConst(3), 5)
-	res, err := m.Solve(SolveOptions{})
+	res, err := m.SolveCtx(context.Background(), SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +160,7 @@ func TestAbsEnvelope(t *testing.T) {
 		m.AddEQ("fix", Term(x, 1), fixed)
 		u := m.AbsEnvelope("u", Term(x, 1).AddConst(-7), 100)
 		m.SetObjectiveCoef(u, 1)
-		res, err := m.Solve(SolveOptions{})
+		res, err := m.SolveCtx(context.Background(), SolveOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +179,7 @@ func TestMaxEnvelope(t *testing.T) {
 	m.AddEQ("fb", Term(b, 1), 8)
 	mx := m.MaxEnvelope("max", 100, Term(a, 1), Term(b, 1))
 	m.SetObjectiveCoef(mx, 1)
-	res, err := m.Solve(SolveOptions{})
+	res, err := m.SolveCtx(context.Background(), SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +198,7 @@ func TestImpliedConstraints(t *testing.T) {
 		m.AddEQ("fixz", Term(z, 1), zval)
 		m.AddImpliedLE("imp", z, Term(x, 1), 3, bigM)
 		m.SetObjectiveCoef(x, -1)
-		res, err := m.Solve(SolveOptions{})
+		res, err := m.SolveCtx(context.Background(), SolveOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,7 +219,7 @@ func TestImpliedConstraints(t *testing.T) {
 		m.AddEQ("fixz", Term(z, 1), zval)
 		m.AddImpliedGE("imp", z, Term(x, 1), 6, bigM)
 		m.SetObjectiveCoef(x, 1)
-		res, err := m.Solve(SolveOptions{})
+		res, err := m.SolveCtx(context.Background(), SolveOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package milp
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -26,7 +27,7 @@ func TestSingularWarmBasisCountsAsMiss(t *testing.T) {
 		Status: []lp.BasisStatus{lp.BasisBasic, lp.BasisBasic, lp.BasisAtLower, lp.BasisAtLower},
 	}
 	opts := lp.Options{WarmBasis: singular}
-	sol, err := lp.Solve(prob, opts)
+	sol, err := lp.SolveCtx(context.Background(), prob, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestSingularWarmBasisCountsAsMiss(t *testing.T) {
 	}
 
 	// The fallback must still find the true optimum the cold path reports.
-	ref, err := lp.Solve(prob, lp.Options{})
+	ref, err := lp.SolveCtx(context.Background(), prob, lp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package milp
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -47,11 +48,11 @@ func TestWarmVsColdSearchIdentical(t *testing.T) {
 	var warmPivots, coldPivots, hits int
 	for trial := 0; trial < 20; trial++ {
 		m := randomKnapsack(rng)
-		cold, err := m.Solve(SolveOptions{DisableWarmLP: true})
+		cold, err := m.SolveCtx(context.Background(), SolveOptions{DisableWarmLP: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		warm, err := m.Solve(SolveOptions{})
+		warm, err := m.SolveCtx(context.Background(), SolveOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,11 +81,11 @@ func TestLPStatsIdenticalAcrossWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 10; trial++ {
 		m := randomKnapsack(rng)
-		one, err := m.Solve(SolveOptions{Workers: 1})
+		one, err := m.SolveCtx(context.Background(), SolveOptions{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		four, err := m.Solve(SolveOptions{Workers: 4})
+		four, err := m.SolveCtx(context.Background(), SolveOptions{Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}

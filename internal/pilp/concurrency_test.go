@@ -76,7 +76,7 @@ func TestGenerateDeterministicAcrossWorkers(t *testing.T) {
 	for i, workers := range counts {
 		opts := miniOptions()
 		opts.Workers = workers
-		res, err := Generate(c, opts)
+		res, err := GenerateCtx(context.Background(), c, opts)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -92,26 +92,6 @@ func TestGenerateDeterministicAcrossWorkers(t *testing.T) {
 			t.Errorf("workers=%d produced a different layout:\n--- workers=1 ---\n%s--- workers=%d ---\n%s",
 				workers, ref, workers, got)
 		}
-	}
-}
-
-// TestRunJobsPropagatesPanic checks that a panic inside a pooled job is
-// re-raised on the calling goroutine (engine.Run's per-job recover depends
-// on this) instead of crashing the process from a worker goroutine.
-func TestRunJobsPropagatesPanic(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		func() {
-			defer func() {
-				if r := recover(); r == nil {
-					t.Errorf("workers=%d: panic was not propagated", workers)
-				}
-			}()
-			runJobs(context.Background(), workers, 8, func(i int) {
-				if i == 3 {
-					panic("boom")
-				}
-			})
-		}()
 	}
 }
 

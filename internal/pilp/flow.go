@@ -39,11 +39,11 @@ type Options struct {
 	// PairRadius prunes non-overlap pairs farther apart than this. Zero
 	// means DefaultPairRadius (80 µm).
 	PairRadius geom.Coord
-	// StripTimeLimit bounds each per-strip ILP solve. Zero means 5 s. It is
-	// sugar for a per-solve context deadline under the flow's context.
+	// StripTimeLimit bounds each per-strip ILP solve. Zero means 5 s. The
+	// flow turns it into a per-solve context deadline under its own context.
 	StripTimeLimit time.Duration
 	// PhaseTimeLimit bounds the global adjustment solve of phase 1. Zero
-	// means 30 s. Like StripTimeLimit it derives a context deadline.
+	// means 30 s. Like StripTimeLimit it becomes a per-solve deadline.
 	PhaseTimeLimit time.Duration
 	// StripNodeLimit, when positive, bounds each per-strip branch-and-bound
 	// search by explored node count instead of only wall clock. Nodes are
@@ -213,15 +213,20 @@ func (t *tally) seal(res *Result) {
 	res.InterruptedSolves = t.interrupted
 }
 
-// milpOptions is the shared translation from flow options to one MILP
-// solve's options: the warm-LP switch applies to every branch-and-bound tree
-// the flow spawns, whatever its time limit or worker count.
-func (o Options) milpOptions(timeLimit time.Duration, workers int) milp.SolveOptions {
-	return milp.SolveOptions{
-		TimeLimit:     timeLimit,
+// solve is the flow's one MILP solve: it bounds the branch and bound of m by
+// a deadline limit below ctx and by maxNodes explored nodes (zero means
+// milp's default), applies the warm-LP switch to every tree the flow
+// spawns, extracts the incumbent layout and folds the solve into spent.
+func (o Options) solve(ctx context.Context, m *ilpmodel.Model, limit time.Duration, workers, maxNodes int, spent *tally) (*layout.Layout, *milp.Result, error) {
+	ctx, cancel := context.WithTimeout(ctx, limit)
+	defer cancel()
+	lay, result, err := m.SolveAndExtractCtx(ctx, milp.SolveOptions{
 		Workers:       workers,
+		MaxNodes:      maxNodes,
 		DisableWarmLP: o.ColdLP,
-	}
+	})
+	spent.add(result)
+	return lay, result, err
 }
 
 // Fingerprint returns a canonical encoding of every option that can change
@@ -245,14 +250,6 @@ func (o Options) Fingerprint() string {
 		o.chainPoints(), o.maxChainPoints(), o.confinement(), o.pairRadius(),
 		o.stripTimeLimit(), o.phaseTimeLimit(), o.StripNodeLimit, o.Phase1NodeLimit, o.refineIterations(),
 		o.ColdLP)
-}
-
-// runJobs dispatches independent subproblems to the shared bounded pool:
-// jobs skipped by cancellation leave their candidate slots nil, and a
-// panicking job surfaces on this goroutine (where engine.Run's per-job
-// recover can see it) instead of crashing the process from a worker.
-func runJobs(ctx context.Context, workers, n int, fn func(int)) {
-	conc.ForEach(ctx, workers, n, fn)
 }
 
 // Snapshot records the layout state after one phase of the flow, mirroring
@@ -292,14 +289,10 @@ type Result struct {
 	InterruptedSolves int
 }
 
-// Violations returns the design-rule violations of the final layout.
-func (r *Result) Violations() []layout.Violation {
-	return checkLayout(r.Layout)
-}
-
-// checkOptions are the DRC settings used throughout the flow: exact lengths
-// within the 10 nm rounding tolerance, pins within 2 nm.
-func checkLayout(l *layout.Layout) []layout.Violation {
+// Violations returns the design-rule violations of l under the one DRC
+// policy of the flow and every tool that reports on its layouts: exact
+// lengths within the 10 nm rounding tolerance, pins within 2 nm.
+func Violations(l *layout.Layout) []layout.Violation {
 	return l.Check(layout.CheckOptions{PinTolerance: 2})
 }
 
@@ -309,15 +302,7 @@ func checkLayout(l *layout.Layout) []layout.Violation {
 // can compare layouts on the flow's own metric.
 func Score(l *layout.Layout) float64 {
 	m := l.Metrics()
-	return 1e6*float64(len(checkLayout(l))) + 100*float64(m.TotalBends) + geom.Microns(m.TotalLengthError)
-}
-
-func score(l *layout.Layout) float64 { return Score(l) }
-
-// Generate runs the full progressive flow on the circuit. It is shorthand
-// for GenerateCtx with a background context.
-func Generate(c *netlist.Circuit, opts Options) (*Result, error) {
-	return GenerateCtx(context.Background(), c, opts)
+	return 1e6*float64(len(Violations(l))) + 100*float64(m.TotalBends) + geom.Microns(m.TotalLengthError)
 }
 
 // GenerateCtx runs the full progressive flow under a context. Cancellation
@@ -384,7 +369,7 @@ func GenerateCtx(ctx context.Context, c *netlist.Circuit, opts Options) (*Result
 	adjusted, err := globalAdjust(ctx, c, current, opts, spent)
 	if err != nil {
 		opts.logf("pilp: global adjustment failed: %v", err)
-	} else if adjusted != nil && score(adjusted) <= score(current) {
+	} else if adjusted != nil && Score(adjusted) <= Score(current) {
 		current = adjusted
 	}
 	res.addSnapshot("phase1-blurred-routing", current, time.Since(start))
@@ -428,7 +413,7 @@ func (r *Result) addSnapshot(phase string, l *layout.Layout, elapsed time.Durati
 		Phase:      phase,
 		Layout:     l.Clone(),
 		Metrics:    l.Metrics(),
-		Violations: len(checkLayout(l)),
+		Violations: len(Violations(l)),
 		Elapsed:    elapsed,
 	})
 }
@@ -454,10 +439,7 @@ func globalAdjust(ctx context.Context, c *netlist.Circuit, current *layout.Layou
 		return nil, err
 	}
 	opts.logf("pilp: global adjustment model: %s", m.Stats())
-	mo := opts.milpOptions(opts.phaseTimeLimit(), opts.workers())
-	mo.MaxNodes = opts.Phase1NodeLimit
-	lay, result, err := m.SolveAndExtractCtx(ctx, mo)
-	spent.add(result)
+	lay, result, err := opts.solve(ctx, m, opts.phaseTimeLimit(), opts.workers(), opts.Phase1NodeLimit, spent)
 	if err != nil {
 		return nil, err
 	}
@@ -517,7 +499,7 @@ func exactLengthPass(ctx context.Context, c *netlist.Circuit, current *layout.La
 
 	base := current
 	candidates := make([]*layout.Layout, len(strips))
-	runJobs(ctx, opts.workers(), len(strips), func(i int) {
+	conc.ForEach(ctx, opts.workers(), len(strips), func(i int) {
 		if lay, ok := solveStrips(ctx, c, base, []string{strips[i].Name}, opts.chainPoints(), nil, opts, spent); ok {
 			candidates[i] = lay
 		}
@@ -529,7 +511,7 @@ func exactLengthPass(ctx context.Context, c *netlist.Circuit, current *layout.La
 			// route: graft that route onto the evolving layout and keep it
 			// when the strip comes out clean without hurting the score.
 			if merged, ok := applyCandidate(current, cand, []string{ms.Name}, nil); ok {
-				if score(merged) <= score(current) && stripClean(merged, ms.Name) {
+				if Score(merged) <= Score(current) && stripClean(merged, ms.Name) {
 					current = merged
 					continue
 				}
@@ -568,12 +550,12 @@ func applyCandidate(base, candidate *layout.Layout, strips, devices []string) (*
 // whole junction are re-solved together.
 func solveStripToTarget(ctx context.Context, c *netlist.Circuit, current *layout.Layout, strip string, opts Options, spent *tally) *layout.Layout {
 	best := current
-	bestScore := score(current)
+	bestScore := Score(current)
 	adopt := func(candidate *layout.Layout, ok bool) bool {
 		if !ok {
 			return false
 		}
-		if s := score(candidate); s < bestScore {
+		if s := Score(candidate); s < bestScore {
 			best, bestScore = candidate, s
 		}
 		return stripClean(candidate, strip)
@@ -618,7 +600,7 @@ func junctionPartners(c *netlist.Circuit, strip string) []string {
 
 // stripClean reports whether the named strip contributes no violations.
 func stripClean(l *layout.Layout, strip string) bool {
-	for _, v := range checkLayout(l) {
+	for _, v := range Violations(l) {
 		if v.Subject == strip || v.Other == strip {
 			return false
 		}
@@ -664,10 +646,7 @@ func solveStrips(ctx context.Context, c *netlist.Circuit, current *layout.Layout
 		opts.logf("pilp: model build for %v failed: %v", strips, err)
 		return nil, false
 	}
-	mo := opts.milpOptions(opts.stripTimeLimit(), 0)
-	mo.MaxNodes = opts.StripNodeLimit
-	lay, result, err := m.SolveAndExtractCtx(ctx, mo)
-	spent.add(result)
+	lay, _, err := opts.solve(ctx, m, opts.stripTimeLimit(), 0, opts.StripNodeLimit, spent)
 	if err != nil || lay == nil {
 		return nil, false
 	}
@@ -731,11 +710,11 @@ func refine(ctx context.Context, c *netlist.Circuit, current *layout.Layout, opt
 				_ = simplified.Route(rs.Strip.Name, pts...)
 			}
 		}
-		if score(simplified) <= score(current) {
+		if Score(simplified) <= Score(current) {
 			current = simplified
 		}
 
-		violations := checkLayout(current)
+		violations := Violations(current)
 		if len(violations) == 0 && current.Metrics().TotalBends == 0 {
 			break
 		}
@@ -764,9 +743,9 @@ func refine(ctx context.Context, c *netlist.Circuit, current *layout.Layout, opt
 
 		names := sortedKeys(trouble)
 		base := current
-		before := score(base)
+		before := Score(base)
 		candidates := make([]*refineCandidate, len(names))
-		runJobs(ctx, opts.workers(), len(names), func(i int) {
+		conc.ForEach(ctx, opts.workers(), len(names), func(i int) {
 			strip := names[i]
 			for n := opts.chainPoints(); n <= opts.maxChainPoints(); n++ {
 				// First with only the strip free, then with its non-pad
@@ -774,14 +753,14 @@ func refine(ctx context.Context, c *netlist.Circuit, current *layout.Layout, opt
 				// the device-movement freedom of phase 3.
 				freed, devs := []string{strip}, []string(nil)
 				candidate, ok := solveStrips(ctx, c, base, freed, n, nil, opts, spent)
-				if !ok || score(candidate) >= before {
+				if !ok || Score(candidate) >= before {
 					freed, devs = neighbourhood(c, strip)
 					candidate, ok = solveStrips(ctx, c, base, freed, n, devs, opts, spent)
 				}
 				if !ok {
 					continue
 				}
-				if score(candidate) < before {
+				if Score(candidate) < before {
 					candidates[i] = &refineCandidate{layout: candidate, strips: freed, devices: devs}
 					return
 				}
@@ -798,7 +777,7 @@ func refine(ctx context.Context, c *netlist.Circuit, current *layout.Layout, opt
 			if !ok {
 				continue
 			}
-			if score(merged) < score(current) {
+			if Score(merged) < Score(current) {
 				current = merged
 				improved = true
 			}

@@ -1,6 +1,7 @@
 package pilp
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -69,11 +70,11 @@ func TestGenerateIndependentOfDeclarationOrder(t *testing.T) {
 	if netlist.Canonical(a) != netlist.Canonical(b) {
 		t.Fatal("fixtures are not canonical-equal")
 	}
-	ra, err := Generate(a, opts)
+	ra, err := GenerateCtx(context.Background(), a, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := Generate(b, opts)
+	rb, err := GenerateCtx(context.Background(), b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"rficlayout/internal/layout"
 )
@@ -113,7 +114,7 @@ func TestAcceptPartialCompletedRunIdentical(t *testing.T) {
 			opts := goldenOptions()
 			opts.Workers = 4
 			opts.AcceptPartial = true
-			res, err := Generate(testdataCircuit(t, name+".rfic"), opts)
+			res, err := GenerateCtx(context.Background(), testdataCircuit(t, name+".rfic"), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -124,5 +125,27 @@ func TestAcceptPartialCompletedRunIdentical(t *testing.T) {
 				t.Errorf("AcceptPartial changed the layout of a completed run: differs from golden %s", path)
 			}
 		})
+	}
+}
+
+// TestTimeLimitsBindEverySolve checks that the flow turns StripTimeLimit and
+// PhaseTimeLimit into per-solve deadlines: with both at 1 ns every MILP solve
+// is cut by its deadline, yet the flow itself is not cancelled, so it still
+// returns the complete constructed layout, unmarked as partial, and counts
+// the interrupted solves.
+func TestTimeLimitsBindEverySolve(t *testing.T) {
+	opts := Options{StripTimeLimit: time.Nanosecond, PhaseTimeLimit: time.Nanosecond}
+	res, err := GenerateCtx(context.Background(), testdataCircuit(t, "mini.rfic"), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Layout.Complete() {
+		t.Error("layout is incomplete")
+	}
+	if res.Partial {
+		t.Errorf("flow marked partial at %q; only its solves had deadlines", res.PartialPhase)
+	}
+	if res.InterruptedSolves == 0 {
+		t.Error("no solve counted as interrupted under 1 ns limits")
 	}
 }

@@ -1,6 +1,7 @@
 package pilp
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -186,7 +187,7 @@ func TestGenerateCascade(t *testing.T) {
 		opts.StripTimeLimit = 500 * time.Millisecond
 		opts.PhaseTimeLimit = 2 * time.Second
 	}
-	res, err := Generate(c, opts)
+	res, err := GenerateCtx(context.Background(), c, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +207,7 @@ func TestGenerateCascade(t *testing.T) {
 	// hardest junction detours within the per-strip time limit, so a small
 	// residual mismatch is tolerated here (and reported honestly by the
 	// benchmark harness).
-	for _, v := range res.Violations() {
+	for _, v := range Violations(res.Layout) {
 		if v.Kind != layout.LengthMismatch {
 			t.Errorf("unexpected violation: %v", v)
 		}
@@ -240,7 +241,7 @@ func TestScoreOrdersLayouts(t *testing.T) {
 	}
 	// A layout with everything unplaced scores far worse.
 	bad := layout.New(c)
-	if score(bad) <= score(good) {
+	if Score(bad) <= Score(good) {
 		t.Error("empty layout should score worse than the constructed one")
 	}
 }

@@ -112,7 +112,7 @@ func TestWarmColdLayoutIdenticalFlow(t *testing.T) {
 			nodes := -1
 			solve := func(label string, opts Options) *Result {
 				t.Helper()
-				res, err := Generate(c, opts)
+				res, err := GenerateCtx(context.Background(), c, opts)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
@@ -183,7 +183,7 @@ func adjustPhase1(ctx context.Context, c *netlist.Circuit, opts Options) (*phase
 	if err != nil {
 		return nil, err
 	}
-	if score(adjusted) <= score(current) {
+	if Score(adjusted) <= Score(current) {
 		current = adjusted
 	}
 	return &phase1Result{Layout: current, Effort: spent.effort}, nil
@@ -255,7 +255,7 @@ func TestWarmColdLayoutIdenticalLargeFlow(t *testing.T) {
 		opts := base
 		opts.ColdLP = cold
 		opts.Workers = workers
-		res, err := Generate(c, opts)
+		res, err := GenerateCtx(context.Background(), c, opts)
 		if err != nil {
 			t.Fatalf("cold=%v workers=%d: %v", cold, workers, err)
 		}

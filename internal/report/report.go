@@ -10,6 +10,7 @@ import (
 	"rficlayout/internal/emsim"
 	"rficlayout/internal/geom"
 	"rficlayout/internal/layout"
+	"rficlayout/internal/pilp"
 )
 
 // Table1Row is one circuit/area row of Table 1.
@@ -74,7 +75,7 @@ func FormatSweep(title string, results []emsim.Result) string {
 // LayoutSummary is a one-line description of a layout's quality metrics.
 func LayoutSummary(name string, l *layout.Layout, runtime time.Duration) string {
 	m := l.Metrics()
-	violations := l.Check(layout.CheckOptions{PinTolerance: 2})
+	violations := pilp.Violations(l)
 	return fmt.Sprintf("%s: max bends %d, total bends %d, max |Δl| %.2f µm, %d DRC violations, runtime %s",
 		name, m.MaxBends, m.TotalBends, geom.Microns(m.MaxLengthError), len(violations),
 		runtime.Round(time.Millisecond))

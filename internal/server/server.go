@@ -518,7 +518,7 @@ func buildStats(c *netlist.Circuit, l *layout.Layout, elapsed time.Duration, eff
 		WirelengthUM:     geom.Microns(wirelength),
 		TotalBends:       m.TotalBends,
 		MaxBends:         m.MaxBends,
-		Violations:       len(l.Check(layout.CheckOptions{PinTolerance: 2})),
+		Violations:       len(pilp.Violations(l)),
 		MaxLengthErrorUM: geom.Microns(m.MaxLengthError),
 	}
 	if effort.LP != (pilp.LPStats{}) {
@@ -721,8 +721,8 @@ func (s *Server) startForward(j *job, owner cluster.Peer) error {
 	return nil
 }
 
-// runForward drives one remote-owned job: forward to the owner (the cluster
-// client retries with backoff under the retry budget), audit a deterministic
+// runForward drives one remote-owned job: forward to the owner (Cluster.Forward
+// retries with backoff under the retry budget), audit a deterministic
 // sample of proxied results against a local re-solve, and degrade to a local
 // solve when the owner cannot answer. The job stays "queued" while the
 // forward is in flight so a degraded fallback can re-enter the worker pool
