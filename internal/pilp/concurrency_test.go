@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"rficlayout/internal/faultinject"
 	"rficlayout/internal/geom"
 	"rficlayout/internal/layout"
 	"rficlayout/internal/netlist"
@@ -92,6 +93,32 @@ func TestGenerateDeterministicAcrossWorkers(t *testing.T) {
 			t.Errorf("workers=%d produced a different layout:\n--- workers=1 ---\n%s--- workers=%d ---\n%s",
 				workers, ref, workers, got)
 		}
+	}
+}
+
+// TestRunJobsPropagatesPanic checks that a panic inside a pooled job of the
+// flow is re-raised on the goroutine that called GenerateCtx (engine.Run's
+// per-job recover depends on this) instead of crashing the process from a
+// worker goroutine. The panic is injected at the pool's conc.panic point.
+func TestRunJobsPropagatesPanic(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		plan, err := faultinject.ParsePlan(faultinject.PointConcPanic + "=1/1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		faultinject.Enable(faultinject.New(plan, 1))
+		func() {
+			defer faultinject.Disable()
+			defer func() {
+				p, ok := recover().(faultinject.Panic)
+				if !ok || p.Point != faultinject.PointConcPanic {
+					t.Errorf("workers=%d: injected pool panic was not propagated to the caller", workers)
+				}
+			}()
+			opts := miniOptions()
+			opts.Workers = workers
+			GenerateCtx(context.Background(), miniCircuit(), opts)
+		}()
 	}
 }
 
