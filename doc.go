@@ -40,7 +40,8 @@
 //	                             construct → global adjust → per-strip exact
 //	                             lengths → refinement; independent per-strip
 //	                             subproblems run concurrently; the phase-1
-//	                             adjustment is one global MILP
+//	                             adjustment is one global MILP; a per-flow
+//	                             memo answers repeated identical solves
 //	internal/ilpmodel            builds the layout MILP (device placement,
 //	                             chain-point routing, non-overlap, Eq. 1–28)
 //	internal/milp                branch-and-bound with batched parallel LP
@@ -83,7 +84,10 @@
 //
 // Solver effort travels as one record. The pilp flow folds every MILP solve
 // of a run into one tally and returns the totals as pilp.Effort (node count
-// plus milp.LPStats), which engine.Result and cache.Entry embed whole.
+// plus milp.LPStats), which engine.Result and cache.Entry embed whole. The
+// tally also memoises each solve's result by model digest and node budget,
+// so a flow that rebuilds a model it has solved pays no second search;
+// Effort.Reused counts those repeats and stays in process.
 // milp.LPStats carries the JSON tags of its one wire form, encoded by both
 // the cache's Dir entries and the server's "lp" stats object, so an LP
 // counter added there reaches every layer and the wire with no other edit.

@@ -12,6 +12,8 @@
 package milp
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
@@ -367,6 +369,55 @@ func (m *Model) toLP() *lp.Problem {
 		p.AddConstraint(c.name, c.row, c.sense, c.rhs)
 	}
 	return p
+}
+
+// Digest returns a SHA-256 over everything the solver reads from the model:
+// every variable in order (name, bounds, objective coefficient, type), every
+// constraint in order (name, row sorted by variable, sense, right-hand side)
+// and the objective constant. SolveCtx is a pure function of the model and
+// its options, so two models with equal digests solve to equal Results.
+// Floats hash by their bit patterns; counts prefix every variable-length
+// part, so no two distinct models share an encoding.
+func (m *Model) Digest() [32]byte {
+	h := sha256.New()
+	buf := make([]byte, 0, 8192)
+	uvarint := func(u uint64) { buf = binary.AppendUvarint(buf, u) }
+	f64 := func(f float64) { buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(f)) }
+	str := func(s string) { uvarint(uint64(len(s))); buf = append(buf, s...) }
+	flush := func() {
+		if len(buf) >= 4096 {
+			h.Write(buf)
+			buf = buf[:0]
+		}
+	}
+
+	uvarint(uint64(len(m.names)))
+	for j, name := range m.names {
+		str(name)
+		f64(m.lower[j])
+		f64(m.upper[j])
+		f64(m.objective[j])
+		uvarint(uint64(m.vtypes[j]))
+		flush()
+	}
+	uvarint(uint64(len(m.constraints)))
+	for _, c := range m.constraints {
+		// AddConstraintExpr stores every row sorted by variable (Expr.Terms).
+		str(c.name)
+		uvarint(uint64(len(c.row)))
+		for _, e := range c.row {
+			uvarint(uint64(e.Var))
+			f64(e.Coef)
+		}
+		uvarint(uint64(c.sense))
+		f64(c.rhs)
+		flush()
+	}
+	f64(m.objConstant)
+	h.Write(buf)
+	var sum [32]byte
+	h.Sum(sum[:0])
+	return sum
 }
 
 // Stats summarizes model size for logging.

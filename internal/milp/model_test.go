@@ -259,3 +259,52 @@ func TestToLPSharesIndices(t *testing.T) {
 		t.Error("constraint sense lost")
 	}
 }
+
+// digestModel builds a small model with every part Digest covers; each
+// mutation applies one single-input change before the build finishes.
+func digestModel(mutate func(*Model)) *Model {
+	m := NewModel()
+	x := m.AddContinuous("x", 0, 10)
+	b := m.AddBinary("b")
+	n := m.AddInteger("n", -2, 5)
+	m.SetObjectiveCoef(x, 1.5)
+	m.SetObjectiveCoef(n, -1)
+	m.AddObjectiveExpr(Constant(3), 1)
+	m.AddLE("cap", Term(x, 2).Add(n, 1), 12)
+	m.AddGE("link", Term(x, 1).Add(b, -4), 0)
+	m.AddEQ("fix", Term(n, 1).Add(b, 1), 2)
+	if mutate != nil {
+		mutate(m)
+	}
+	return m
+}
+
+// TestDigestIdentifiesModel pins what the pilp solve memo keys on: equal
+// builds digest equally, and a change to any single input the solver reads
+// changes the digest.
+func TestDigestIdentifiesModel(t *testing.T) {
+	want := digestModel(nil).Digest()
+	if got := digestModel(nil).Digest(); got != want {
+		t.Fatalf("two equal builds digest differently: %x vs %x", got, want)
+	}
+	mutations := map[string]func(*Model){
+		"lower bound":    func(m *Model) { m.SetBounds(0, 1, 10) },
+		"upper bound":    func(m *Model) { m.SetBounds(2, -2, 6) },
+		"cost":           func(m *Model) { m.SetObjectiveCoef(1, 0.25) },
+		"variable type":  func(m *Model) { m.vtypes[2] = Continuous },
+		"variable name":  func(m *Model) { m.names[0] = "y" },
+		"row name":       func(m *Model) { m.constraints[1].name = "link2" },
+		"coefficient":    func(m *Model) { m.constraints[0].row[0].Coef = 3 },
+		"row variable":   func(m *Model) { m.constraints[2].row[1].Var = 0 },
+		"sense":          func(m *Model) { m.constraints[0].sense = lp.GE },
+		"rhs":            func(m *Model) { m.constraints[2].rhs = 3 },
+		"obj constant":   func(m *Model) { m.AddObjectiveExpr(Constant(1), 1) },
+		"extra variable": func(m *Model) { m.AddContinuous("z", 0, 1) },
+		"extra row":      func(m *Model) { m.AddLE("more", Term(0, 1), 9) },
+	}
+	for name, mutate := range mutations {
+		if got := digestModel(mutate).Digest(); got == want {
+			t.Errorf("%s: digest unchanged", name)
+		}
+	}
+}

@@ -27,11 +27,13 @@ const (
 // Options tunes the progressive flow. It is configuration only: what a flow
 // spends is reported on Result, never accumulated through Options.
 type Options struct {
-	// ChainPoints is the default chain-point count per microstrip in the
-	// per-strip exact models (phase 2). Zero means 4.
+	// ChainPoints is the chain-point count per microstrip that the per-strip
+	// exact models of phases 2 and 3 start from: phase 2's first solve of
+	// every strip uses it, and both phases' escalations grow from it. Zero
+	// means 4.
 	ChainPoints int
-	// MaxChainPoints bounds chain-point insertion during refinement. Zero
-	// means 8.
+	// MaxChainPoints bounds chain-point insertion in the escalations of
+	// phases 2 and 3. Zero, or a value below ChainPoints, means 8.
 	MaxChainPoints int
 	// Confinement is the τd window of phases 2–3. Zero means
 	// DefaultConfinement (40 µm).
@@ -171,18 +173,42 @@ type Effort struct {
 	// LP aggregates the simplex-level effort counters (pivots,
 	// refactorizations, warm-start outcomes) across the same solves.
 	LP LPStats
+	// Reused counts the solves answered from the flow's solve memo: models
+	// identical to one the flow had already solved under the same node
+	// budget, whose nodes and LP work are therefore counted once. It stays
+	// in process: neither the cache's Dir entries nor the server's stats
+	// carry it.
+	Reused int
 }
 
-// tally folds every MILP solve of one flow invocation. GenerateCtx creates
-// one per flow and hands it to the two solve sites, globalAdjust and
-// solveStrips, which concurrent strip workers share. Every fold commutes —
-// sums, and maxima for PeakEta and the gap — so the totals are deterministic
-// whenever the set of solves is (absent binding time limits).
+// tally folds every MILP solve of one flow invocation and memoises their
+// results. GenerateCtx creates one per flow and hands it to the two solve
+// sites, globalAdjust and solveStrips, which concurrent strip workers share.
+// Every fold commutes — sums, and maxima for PeakEta and the gap — so the
+// totals are deterministic whenever the set of solves is (absent binding
+// time limits).
 type tally struct {
 	mu          sync.Mutex
 	effort      Effort
 	maxGap      float64
 	interrupted int
+	memo        map[memoKey]*memoCall
+}
+
+// memoKey identifies one solve: the model's digest and the node budget of
+// its search. Workers are left out: every worker count gives the same
+// Result.
+type memoKey struct {
+	digest   [32]byte
+	maxNodes int
+}
+
+// memoCall is one memoised solve. done closes once the solving caller has
+// settled it; res is then its Result, or nil when that Result may not be
+// reused and the entry has left the memo.
+type memoCall struct {
+	done chan struct{}
+	res  *milp.Result
 }
 
 // add folds one solve. A gap of +Inf means "no incumbent" and carries no
@@ -204,6 +230,50 @@ func (t *tally) add(r *milp.Result) {
 	}
 }
 
+// claim returns the memo's call for key and whether the caller leads it:
+// a leader solves and then settles the call, anyone else waits on it.
+func (t *tally) claim(key memoKey) (*memoCall, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if call, ok := t.memo[key]; ok {
+		return call, false
+	}
+	if t.memo == nil {
+		t.memo = map[memoKey]*memoCall{}
+	}
+	call := &memoCall{done: make(chan struct{})}
+	t.memo[key] = call
+	return call, true
+}
+
+// lead runs solve for the caller that claimed call, folds its Result and
+// publishes it to the callers waiting on call. A Result is kept for reuse
+// unless the solve failed or was cancelled: where a cancelled search stops
+// depends on the wall clock, while a finished or node-budgeted one is a pure
+// function of the model and the budget. The call is settled even when solve
+// panics, so no waiter blocks on it.
+func (t *tally) lead(key memoKey, call *memoCall, solve func() (*milp.Result, error)) (r *milp.Result, err error) {
+	defer func() {
+		t.add(r)
+		t.mu.Lock()
+		if err == nil && r != nil && !r.Cancelled {
+			call.res = r
+		} else {
+			delete(t.memo, key)
+		}
+		t.mu.Unlock()
+		close(call.done)
+	}()
+	return solve()
+}
+
+// reuse counts one solve answered from the memo.
+func (t *tally) reuse() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.effort.Reused++
+}
+
 // seal copies the totals into res.
 func (t *tally) seal(res *Result) {
 	t.mu.Lock()
@@ -217,16 +287,52 @@ func (t *tally) seal(res *Result) {
 // a deadline limit below ctx and by maxNodes explored nodes (zero means
 // milp's default), applies the warm-LP switch to every tree the flow
 // spawns, extracts the incumbent layout and folds the solve into spent.
+//
+// A model the flow has already solved under the same node budget is not
+// solved again: spent memoises each reusable Result by the model's digest,
+// and a caller that finds the same key in flight waits for it, so which
+// caller solves never depends on timing. The layout is always extracted by
+// this call's model, because the fixed geometry outside a model can differ
+// between two calls that build equal models.
 func (o Options) solve(ctx context.Context, m *ilpmodel.Model, limit time.Duration, workers, maxNodes int, spent *tally) (*layout.Layout, *milp.Result, error) {
 	ctx, cancel := context.WithTimeout(ctx, limit)
 	defer cancel()
-	lay, result, err := m.SolveAndExtractCtx(ctx, milp.SolveOptions{
-		Workers:       workers,
-		MaxNodes:      maxNodes,
-		DisableWarmLP: o.ColdLP,
-	})
-	spent.add(result)
-	return lay, result, err
+	key := memoKey{m.MILP.Digest(), maxNodes}
+	for {
+		call, leader := spent.claim(key)
+		if leader {
+			result, err := spent.lead(key, call, func() (*milp.Result, error) {
+				return m.MILP.SolveCtx(ctx, milp.SolveOptions{
+					Workers:       workers,
+					MaxNodes:      maxNodes,
+					DisableWarmLP: o.ColdLP,
+				})
+			})
+			if err != nil {
+				return nil, nil, err
+			}
+			return extract(m, result)
+		}
+		// Solves that run at once share one limit under the flow's context,
+		// so the leader's deadline comes no later than this call's.
+		<-call.done
+		if call.res != nil {
+			spent.reuse()
+			return extract(m, call.res)
+		}
+		// The leader's Result was not reusable: solve under this call's own
+		// context, as the next leader or behind one.
+	}
+}
+
+// extract returns the layout of the incumbent of r under m, nil when r has
+// none.
+func extract(m *ilpmodel.Model, r *milp.Result) (*layout.Layout, *milp.Result, error) {
+	if !r.Status.HasSolution() {
+		return nil, r, nil
+	}
+	lay, err := m.ExtractLayout(r.X)
+	return lay, r, err
 }
 
 // Fingerprint returns a canonical encoding of every option that can change
@@ -425,16 +531,7 @@ func (r *Result) addSnapshot(phase string, l *layout.Layout, elapsed time.Durati
 // boundary choice (pads stay fixed here). Being the one large solve of the
 // flow, it gets the full worker pool for its branch-and-bound LP evaluations.
 func globalAdjust(ctx context.Context, c *netlist.Circuit, current *layout.Layout, opts Options, spent *tally) (*layout.Layout, error) {
-	cfg, err := phase1Config(c, current, opts)
-	if err != nil {
-		return nil, err
-	}
-	freeDevices := []string{}
-	for _, d := range c.NonPadDevices() {
-		freeDevices = append(freeDevices, d.Name)
-	}
-	cfg.FreeDevices = freeDevices
-	m, err := ilpmodel.Build(c, cfg)
+	m, err := phase1Model(c, current, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -449,21 +546,25 @@ func globalAdjust(ctx context.Context, c *netlist.Circuit, current *layout.Layou
 	return lay, nil
 }
 
-// phase1Config builds the phase-1 model configuration: soft lengths,
-// penalized overlap, frozen topology and relative positions from the
-// constructed layout, generous confinement. globalAdjust sets the freedom:
-// every non-pad device.
-func phase1Config(c *netlist.Circuit, current *layout.Layout, opts Options) (ilpmodel.Config, error) {
+// phase1Model builds the phase-1 model: every non-pad device free, soft
+// lengths, penalized overlap, frozen topology and relative positions from the
+// constructed layout, generous confinement.
+func phase1Model(c *netlist.Circuit, current *layout.Layout, opts Options) (*ilpmodel.Model, error) {
 	chainPoints := map[string]int{}
 	for _, ms := range c.Microstrips {
 		rs := current.Routed(ms.Name)
 		if rs == nil {
-			return ilpmodel.Config{}, fmt.Errorf("pilp: strip %q missing from constructed layout", ms.Name)
+			return nil, fmt.Errorf("pilp: strip %q missing from constructed layout", ms.Name)
 		}
 		chainPoints[ms.Name] = len(rs.Path.Points)
 	}
-	return ilpmodel.Config{
+	freeDevices := []string{}
+	for _, d := range c.NonPadDevices() {
+		freeDevices = append(freeDevices, d.Name)
+	}
+	return ilpmodel.Build(c, ilpmodel.Config{
 		ChainPoints:       chainPoints,
+		FreeDevices:       freeDevices,
 		Fixed:             current,
 		SoftLength:        true,
 		OverlapSlack:      true,
@@ -471,7 +572,7 @@ func phase1Config(c *netlist.Circuit, current *layout.Layout, opts Options) (ilp
 		RelativePositions: true,
 		Confinement:       3 * opts.confinement(),
 		PairRadius:        opts.pairRadius(),
-	}, nil
+	})
 }
 
 // exactLengthPass drives every microstrip to its exact equivalent length with
@@ -481,10 +582,12 @@ func phase1Config(c *netlist.Circuit, current *layout.Layout, opts Options) (ilp
 // results are then merged sequentially in the fixed worst-first order, with
 // the full sequential escalation as fallback for strips whose precomputed
 // candidate does not merge cleanly. The frozen-base pre-solve runs even with
-// one worker: a contested strip then pays one extra solve before its
-// escalation, but taking the old evolving-layout path at workers=1 would
-// make the result depend on the worker count, which the determinism
-// contract forbids.
+// one worker, since taking the evolving-layout path at workers=1 would make
+// the result depend on the worker count, which the determinism contract
+// forbids. It costs a contested strip no extra search where the layout
+// around that strip has not changed since the pre-solve: the escalation's
+// first model is then the pre-solved one, and the flow's solve memo
+// answers it.
 func exactLengthPass(ctx context.Context, c *netlist.Circuit, current *layout.Layout, opts Options, spent *tally) *layout.Layout {
 	delta := c.Tech.BendCompensation
 	strips := append([]*netlist.Microstrip(nil), c.Microstrips...)
@@ -615,16 +718,32 @@ func stripClean(l *layout.Layout, strip string) bool {
 // branch-and-bound runs single-worker: concurrency comes from solving many
 // strips at once, not from splitting one solve.
 func solveStrips(ctx context.Context, c *netlist.Circuit, current *layout.Layout, strips []string, chainPoints int, freeDevices []string, opts Options, spent *tally) (*layout.Layout, bool) {
+	m, err := stripModel(c, current, strips, chainPoints, freeDevices, opts)
+	if err != nil {
+		opts.logf("pilp: model build for %v failed: %v", strips, err)
+		return nil, false
+	}
+	lay, _, err := opts.solve(ctx, m, opts.stripTimeLimit(), 0, opts.StripNodeLimit, spent)
+	if err != nil || lay == nil {
+		return nil, false
+	}
+	return lay, true
+}
+
+// stripModel builds the exact model of solveStrips: the listed strips
+// resampled to chainPoints points and free, the listed devices free within
+// τd, everything else fixed where current has it.
+func stripModel(c *netlist.Circuit, current *layout.Layout, strips []string, chainPoints int, freeDevices []string, opts Options) (*ilpmodel.Model, error) {
 	warm := current.Clone()
 	cpMap := map[string]int{}
 	for _, strip := range strips {
 		rs := warm.Routed(strip)
 		if rs == nil {
-			return nil, false
+			return nil, fmt.Errorf("pilp: strip %q is not routed", strip)
 		}
 		resampled := resamplePath(rs.Path.Points, chainPoints)
 		if err := warm.Route(strip, resampled...); err != nil {
-			return nil, false
+			return nil, err
 		}
 		cpMap[strip] = len(resampled)
 	}
@@ -641,16 +760,7 @@ func solveStrips(ctx context.Context, c *netlist.Circuit, current *layout.Layout
 	if len(freeDevices) > 0 {
 		cfg.Confinement = opts.confinement()
 	}
-	m, err := ilpmodel.Build(c, cfg)
-	if err != nil {
-		opts.logf("pilp: model build for %v failed: %v", strips, err)
-		return nil, false
-	}
-	lay, _, err := opts.solve(ctx, m, opts.stripTimeLimit(), 0, opts.StripNodeLimit, spent)
-	if err != nil || lay == nil {
-		return nil, false
-	}
-	return lay, true
+	return ilpmodel.Build(c, cfg)
 }
 
 // resamplePath collapses redundant chain points and then inserts collinear

@@ -18,6 +18,19 @@
 //
 // Each phase records a snapshot so the flow can be inspected the way
 // Figure 7 of the paper shows it.
+//
+// Every MILP solve of a flow goes through one call site, which memoises its
+// Result for the rest of the flow, keyed by the model's digest
+// (milp.Model.Digest) and the node budget. The flow often rebuilds a model
+// it has solved: a phase-2 strip whose frozen-base candidate does not merge
+// starts its escalation at the same chain-point count on an unchanged
+// neighbourhood, strips that share a junction build the same junction
+// model, and two troubled strips between the same devices build the same
+// phase-3 neighbourhood. The solver is deterministic, so a repeat skips the
+// search; only the layout is extracted again, from the repeat's own model.
+// Callers of one key wait for the first (single flight), so which one
+// searches never depends on timing; cancelled results are never kept; the
+// memo dies with the flow. Effort.Reused counts the answered repeats.
 package pilp
 
 import (
