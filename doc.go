@@ -40,15 +40,16 @@
 //	                             construct → global adjust → per-strip exact
 //	                             lengths → refinement; independent per-strip
 //	                             subproblems run concurrently; the phase-1
-//	                             adjustment is one global MILP; a per-flow
-//	                             memo answers repeated identical solves
+//	                             adjustment is one global LP (no binaries);
+//	                             a per-flow memo answers repeated identical
+//	                             solves
 //	internal/ilpmodel            builds the layout MILP (device placement,
 //	                             chain-point routing, non-overlap, Eq. 1–28)
-//	internal/milp                branch-and-bound with batched parallel LP
-//	                             evaluation, dive heuristic; child nodes
-//	                             warm-start the dual simplex from the parent
-//	                             basis and fall back to a cold solve when the
-//	                             basis is incompatible
+//	internal/milp                sequential branch-and-bound over 0-1 models,
+//	                             dive heuristic; child nodes warm-start the
+//	                             dual simplex from the parent basis and fall
+//	                             back to a cold solve when the basis is
+//	                             incompatible
 //	internal/lp                  bounded-variable primal + dual simplex. One
 //	                             driver (Dantzig pricing with a Bland
 //	                             anti-cycling fallback, ratio tests, phases,
@@ -95,8 +96,10 @@
 // # Determinism contract
 //
 // Parallelism never changes results, only wall-clock time. The milp search
-// dequeues nodes in fixed-size batches and makes all decisions sequentially;
-// workers only evaluate the LP relaxations of a batch. The pilp flow solves
+// is a sequential branch-and-bound over 0-1 models: it dequeues nodes in
+// fixed-size batches and solves and decides them one at a time, in batch
+// order, so its Result is a function of the model and the options. The
+// parallelism lives one layer up. The pilp flow solves
 // per-strip subproblems against a frozen snapshot of the layout and merges
 // them in a fixed order. Consequently the same circuit yields byte-identical layouts for every
 // worker count — the property the engine relies on to scale batches across

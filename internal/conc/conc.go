@@ -1,8 +1,7 @@
-// Package conc holds the one concurrency primitive the solver layers share:
-// a bounded worker pool whose scheduling never leaks into results. Both the
-// milp branch-and-bound (eager batch LP evaluation) and the pilp flow
-// (per-strip subproblem fan-out) use it, which keeps their panic and
-// cancellation semantics identical by construction.
+// Package conc holds the solver's one concurrency primitive: a bounded worker
+// pool whose scheduling never leaks into results. The pilp flow fans its
+// independent per-strip subproblems out on it; milp's branch and bound runs
+// sequentially inside each of those jobs.
 package conc
 
 import (

@@ -10,7 +10,8 @@
 // Design constraints, in priority order:
 //
 //   - Zero cost when disabled: an injection point in a hot path (the conc
-//     pool wraps every LP evaluation) is a single atomic pointer load.
+//     pool wraps every job of pilp's per-strip fan-out) is a single atomic
+//     pointer load.
 //   - Deterministic schedule under concurrency: the decision for the n-th
 //     occurrence of a point depends only on (seed, point, n), never on
 //     goroutine interleaving. Concurrent callers may race for *which* of

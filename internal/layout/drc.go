@@ -84,9 +84,6 @@ type CheckOptions struct {
 	// PinTolerance is the allowed distance between a route endpoint and its
 	// pin. Zero means exact coincidence.
 	PinTolerance geom.Coord
-	// SkipLengthCheck disables the exact-length rule; phase-1 intermediate
-	// layouts use it because their lengths are only approximately matched.
-	SkipLengthCheck bool
 }
 
 func (o CheckOptions) lengthTol() geom.Coord {
@@ -173,15 +170,13 @@ func (l *Layout) Check(opts CheckOptions) []Violation {
 			}
 		}
 		out = append(out, l.checkEndpoints(rs, opts)...)
-		if !opts.SkipLengthCheck {
-			if err := geom.AbsCoord(rs.LengthError(delta)); err > opts.lengthTol() {
-				out = append(out, Violation{
-					Kind: LengthMismatch, Subject: rs.Strip.Name,
-					Description: fmt.Sprintf("equivalent length %.3fµm differs from target %.3fµm by %.3fµm (%d bends)",
-						geom.Microns(rs.EquivalentLength(delta)), geom.Microns(rs.Strip.TargetLength),
-						geom.Microns(err), rs.Bends()),
-				})
-			}
+		if err := geom.AbsCoord(rs.LengthError(delta)); err > opts.lengthTol() {
+			out = append(out, Violation{
+				Kind: LengthMismatch, Subject: rs.Strip.Name,
+				Description: fmt.Sprintf("equivalent length %.3fµm differs from target %.3fµm by %.3fµm (%d bends)",
+					geom.Microns(rs.EquivalentLength(delta)), geom.Microns(rs.Strip.TargetLength),
+					geom.Microns(err), rs.Bends()),
+			})
 		}
 	}
 

@@ -242,12 +242,12 @@ func TestCheckPinMismatch(t *testing.T) {
 	if err := l.Route("TLIN", geom.PtMicrons(0, 150), geom.PtMicrons(140, 150)); err != nil {
 		t.Fatal(err)
 	}
-	vs := l.Check(CheckOptions{SkipLengthCheck: true})
+	vs := l.Check(CheckOptions{})
 	if CountViolations(vs, PinMismatch) == 0 {
 		t.Errorf("expected a pin mismatch, got %v", vs)
 	}
 	// With a generous tolerance the mismatch disappears.
-	vs = l.Check(CheckOptions{SkipLengthCheck: true, PinTolerance: geom.FromMicrons(20)})
+	vs = l.Check(CheckOptions{PinTolerance: geom.FromMicrons(20)})
 	if CountViolations(vs, PinMismatch) != 0 {
 		t.Errorf("tolerance not honoured: %v", vs)
 	}
@@ -260,10 +260,6 @@ func TestCheckLengthMismatch(t *testing.T) {
 	if CountViolations(vs, LengthMismatch) != 1 {
 		t.Errorf("expected exactly one length mismatch, got %v", vs)
 	}
-	vs = l.Check(CheckOptions{SkipLengthCheck: true})
-	if CountViolations(vs, LengthMismatch) != 0 {
-		t.Errorf("SkipLengthCheck not honoured")
-	}
 }
 
 func TestCheckOutOfArea(t *testing.T) {
@@ -272,7 +268,7 @@ func TestCheckOutOfArea(t *testing.T) {
 	if err := l.Place("M1", geom.PtMicrons(395, 150), geom.R0); err != nil {
 		t.Fatal(err)
 	}
-	vs := l.Check(CheckOptions{SkipLengthCheck: true})
+	vs := l.Check(CheckOptions{})
 	if CountViolations(vs, OutOfArea) == 0 {
 		t.Errorf("expected out-of-area violation, got %v", vs)
 	}
@@ -288,7 +284,7 @@ func TestCheckSpacingViolation(t *testing.T) {
 	if err := l.Place("POUT", geom.PtMicrons(0, 165), geom.R0); err != nil {
 		t.Fatal(err)
 	}
-	vs := l.Check(CheckOptions{SkipLengthCheck: true})
+	vs := l.Check(CheckOptions{})
 	if CountViolations(vs, SpacingViolation) != 1 {
 		t.Errorf("expected one spacing violation, got %v", vs)
 	}
@@ -297,7 +293,7 @@ func TestCheckSpacingViolation(t *testing.T) {
 	if err := l.Place("POUT", geom.PtMicrons(0, 170), geom.R0); err != nil {
 		t.Fatal(err)
 	}
-	vs = l.Check(CheckOptions{SkipLengthCheck: true})
+	vs = l.Check(CheckOptions{})
 	if CountViolations(vs, SpacingViolation) != 0 {
 		t.Errorf("gap of exactly 2t should satisfy the rule: %v", vs)
 	}
@@ -330,7 +326,7 @@ func TestCheckCrossingViolation(t *testing.T) {
 	if err := l.Route("TLX", geom.PtMicrons(80, 30), geom.PtMicrons(75, 30), geom.PtMicrons(75, 250), geom.PtMicrons(120, 250), geom.PtMicrons(120, 30)); err != nil {
 		t.Fatal(err)
 	}
-	vs := l.Check(CheckOptions{SkipLengthCheck: true})
+	vs := l.Check(CheckOptions{})
 	if CountViolations(vs, CrossingViolation) == 0 {
 		t.Errorf("expected crossing violation, got %v", vs)
 	}

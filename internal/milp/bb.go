@@ -5,7 +5,6 @@ import (
 	"context"
 	"math"
 
-	"rficlayout/internal/conc"
 	"rficlayout/internal/lp"
 )
 
@@ -51,11 +50,6 @@ func (s Status) HasSolution() bool { return s == StatusOptimal || s == StatusFea
 // and the relative optimality gap at which search stops are both fixed at
 // 1e-6, and the search always starts without an incumbent.
 type SolveOptions struct {
-	// Workers is the number of goroutines evaluating LP relaxations
-	// concurrently. Zero or one means sequential evaluation. The search is
-	// deterministic: any worker count produces the identical Result (see the
-	// determinism notes on SolveCtx).
-	Workers int
 	// MaxNodes bounds the number of explored nodes; zero means a large
 	// default (1 << 20).
 	MaxNodes int
@@ -82,18 +76,10 @@ func (o SolveOptions) maxNodes() int {
 	return 1 << 20
 }
 
-func (o SolveOptions) workers() int {
-	if o.Workers > 1 {
-		return o.Workers
-	}
-	return 1
-}
-
 // LPStats aggregates linear-programming effort across a branch-and-bound
-// search. Counters only accumulate for the nodes the deterministic sequential
-// order actually processes (speculative LPs of nodes pruned mid-batch under
-// eager parallel evaluation are excluded), so the totals are identical at
-// every worker count.
+// search: the sequential search solves exactly one LP per processed node
+// (plus the root dive's), so the totals are a function of the model and the
+// options.
 //
 // The JSON tags are the one wire form of the counters: the result cache's
 // Dir entries and the server's "lp" response object both encode this struct.
@@ -192,19 +178,6 @@ func (r *Result) Gap() float64 {
 	return math.Max(0, (r.Objective-r.Bound)/denom)
 }
 
-// Value returns the incumbent value of variable v.
-func (r *Result) Value(v Var) float64 {
-	if r.X == nil {
-		return math.NaN()
-	}
-	return r.X[v]
-}
-
-// BoolValue returns the incumbent value of a binary variable as a bool.
-func (r *Result) BoolValue(v Var) bool {
-	return r.X != nil && r.X[v] > 0.5
-}
-
 // betterIncumbent reports whether (obj, x) should replace the current
 // incumbent. A strictly better objective always wins; an objective tie within
 // tolerance is broken lexicographically on the solution vector, so the
@@ -223,7 +196,7 @@ func (r *Result) betterIncumbent(obj float64, x []float64) bool {
 	return lexLess(x, r.X)
 }
 
-// mostFractional returns the integer variable whose relaxation value is
+// mostFractional returns the binary variable whose relaxation value is
 // farthest from integral, or −1 when every one is within tol of an integer.
 // Fractions within 1e-9 of the running maximum count as ties and the earlier
 // variable keeps the slot: equally fractional variables are common in
@@ -231,11 +204,11 @@ func (r *Result) betterIncumbent(obj float64, x []float64) bool {
 // floating-point noise, and a strict comparison would let that noise pick the
 // branching variable — making the search shape depend on the pivot path of
 // the node LPs rather than on the model.
-func mostFractional(x []float64, integers []int, tol float64) int {
+func mostFractional(x []float64, binaries []int, tol float64) int {
 	const tieTol = 1e-9
 	branchVar := -1
 	worst := tol
-	for _, j := range integers {
+	for _, j := range binaries {
 		frac := math.Abs(x[j] - math.Round(x[j]))
 		if frac > worst+tieTol || (branchVar < 0 && frac > worst) {
 			worst = frac
@@ -265,7 +238,6 @@ type node struct {
 	lower map[int]float64
 	upper map[int]float64
 	bound float64 // parent LP objective: a valid lower bound for this node
-	depth int
 	// basis is the parent's optimal LP basis (shared, read-only): the child
 	// differs by one bound, so it is usually still dual-feasible and the LP
 	// warm-starts from it. Nil means a cold solve. It never carries the
@@ -289,35 +261,36 @@ func (q *nodeQueue) Pop() interface{} {
 	return it
 }
 
-// bbBatchSize is how many open nodes are dequeued per search round. The batch
-// size is a fixed constant — deliberately NOT derived from the worker count —
-// because the exploration order (and therefore the exact result) must be a
-// function of the model alone: workers only split the LP evaluations of one
-// batch among themselves.
+// bbBatchSize is how many open nodes are dequeued per search round. A batch is
+// popped from the best-bound heap before any of its nodes is solved, and
+// children pushed while it is processed wait for the next round, so the
+// batch size fixes the node order. Every node budget and golden layout was
+// recorded under this order; changing the constant changes which node a
+// budgeted search stops at.
 const bbBatchSize = 16
 
-// SolveCtx runs branch and bound on the model under a context and returns
-// the best solution found; the model is not modified. Cancellation or a
-// deadline on the context stops the search at the next node boundary and returns the incumbent found so far (StatusFeasible) or
-// StatusNoSolution when none exists yet. A context that is already cancelled
-// on entry returns promptly without solving any LP.
+// SolveCtx runs a sequential branch and bound over the model's 0-1 variables
+// under a context and returns the best solution found; the model is not
+// modified. Cancellation or a deadline on the context stops the search at
+// the next node boundary and returns the incumbent found so far
+// (StatusFeasible) or StatusNoSolution when none exists yet. A context that
+// is already cancelled on entry returns promptly without solving any LP.
 //
 // Determinism: the search dequeues nodes in fixed-size batches from the
-// best-bound heap and makes every branching, pruning and incumbent decision
-// sequentially in batch order; opts.Workers only parallelizes the LP
-// relaxation solves of a batch, which are pure functions of their node. As
-// long as no limit (time, cancellation) interrupts the search, the returned
-// Result — status, objective, bound, node count and solution vector — is
-// byte-identical for every worker count. Equal-objective incumbents are
-// ordered lexicographically by solution vector as an extra guard.
+// best-bound heap and solves each node's LP relaxation right before making
+// its branching, pruning and incumbent decisions, in batch order. As long as
+// no limit (time, cancellation) interrupts the search, the returned Result —
+// status, objective, bound, node count and solution vector — is a function
+// of the model and the options alone. Equal-objective incumbents are ordered
+// lexicographically by solution vector as an extra guard.
 func (m *Model) SolveCtx(ctx context.Context, opts SolveOptions) (*Result, error) {
 	prob := m.toLP()
 	res := &Result{Status: StatusNoSolution, Bound: math.Inf(-1), Objective: math.Inf(1)}
 
-	integers := make([]int, 0, m.NumBinaries())
+	binaries := make([]int, 0, m.NumBinaries())
 	for j, t := range m.vtypes {
-		if t != Continuous {
-			integers = append(integers, j)
+		if t == Binary {
+			binaries = append(binaries, j)
 		}
 	}
 
@@ -325,12 +298,9 @@ func (m *Model) SolveCtx(ctx context.Context, opts SolveOptions) (*Result, error
 	heap.Init(open)
 	heap.Push(open, &node{lower: map[int]float64{}, upper: map[int]float64{}, bound: math.Inf(-1)})
 
-	workers := opts.workers()
 	timedOut := false
 	rootSolved := false
 	batch := make([]*node, 0, bbBatchSize)
-	sols := make([]*lp.Solution, bbBatchSize)
-	errs := make([]error, bbBatchSize)
 
 search:
 	for open.Len() > 0 {
@@ -358,33 +328,6 @@ search:
 			res.Bound = batch[0].bound
 		}
 
-		// Clear the result slots: the slices are reused across rounds, and a
-		// job skipped by mid-batch cancellation must read as "not evaluated"
-		// rather than as the previous round's stale solution.
-		for i := range batch {
-			sols[i], errs[i] = nil, nil
-		}
-		solveNode := func(i int) {
-			lpOpts := lp.Options{LowerOverride: batch[i].lower, UpperOverride: batch[i].upper}
-			if !opts.DisableWarmLP {
-				lpOpts.WarmBasis = batch[i].basis
-			}
-			sol, err := lp.SolveCtx(ctx, prob, lpOpts)
-			// Only the root's factorization is handed on, to the dive.
-			if sol != nil && batch[i].depth > 0 {
-				sol.Basis = withoutFactor(sol.Basis)
-			}
-			sols[i], errs[i] = sol, err
-		}
-		// With more than one worker the whole batch is evaluated eagerly by a
-		// bounded pool; sequentially each LP is solved lazily right before
-		// its node is processed, so nodes pruned mid-batch never pay for one.
-		// Either way the decisions below see identical inputs.
-		eager := workers > 1 && len(batch) > 1
-		if eager {
-			conc.ForEach(ctx, workers, len(batch), solveNode)
-		}
-
 		for i, nd := range batch {
 			// Re-check the prune: the incumbent may have improved while
 			// processing earlier nodes of this batch.
@@ -399,22 +342,23 @@ search:
 				break search
 			}
 			res.Nodes++
-			if !eager {
-				solveNode(i)
+			// Each LP is solved right before its node is processed, so a node
+			// pruned mid-batch never pays for one.
+			lpOpts := lp.Options{LowerOverride: nd.lower, UpperOverride: nd.upper}
+			if !opts.DisableWarmLP {
+				lpOpts.WarmBasis = nd.basis
 			}
-			if errs[i] != nil {
-				return nil, errs[i]
+			sol, err := lp.SolveCtx(ctx, prob, lpOpts)
+			if err != nil {
+				return nil, err
 			}
-			sol := sols[i]
-			if sol == nil {
-				// Eager evaluation skipped this node: the context fired while
-				// the batch was in flight. Same treatment as a cancelled LP.
-				for _, rest := range batch[i+1:] {
-					heap.Push(open, rest)
-				}
-				timedOut = true
-				break search
-			}
+			// Only the root's factorization is handed on, to the dive; the
+			// children of every node queue with the factor-less basis. sol
+			// drops the factor here so the dive's first step can release it:
+			// holding it through the whole dive raised the refine workload's
+			// median RSS by 8% on a 2-CPU host.
+			factored := sol.Basis
+			sol.Basis = withoutFactor(sol.Basis)
 			res.LP.count(sol, !opts.DisableWarmLP && nd.basis != nil)
 			switch sol.Status {
 			case lp.StatusCancelled:
@@ -445,17 +389,13 @@ search:
 			nd.bound = lpObj
 			if res.Nodes == 1 {
 				res.Bound = lpObj
-				// The root's factorization goes to the dive alone; its
-				// children queue with the factor-less basis.
-				diveBasis := sol.Basis
-				sol.Basis = withoutFactor(sol.Basis)
-				// LP-guided dive from the root: greedily fix fractional integer
+				// LP-guided dive from the root: greedily fix fractional binary
 				// variables to find a first incumbent quickly. Big-M disjunction
 				// models (the non-overlap constraints of the layout ILP) rarely
 				// produce integral relaxations, so pure best-bound search can
 				// wander for a long time without this.
 				if res.X == nil {
-					if x, obj, ok := m.dive(ctx, prob, opts, res, nd, sol.X, diveBasis, integers); ok {
+					if x, obj, ok := m.dive(ctx, prob, opts, res, nd, sol.X, factored, binaries); ok {
 						res.X = x
 						res.Objective = obj
 						res.Status = StatusFeasible
@@ -467,14 +407,14 @@ search:
 				continue // dominated
 			}
 
-			// Find the most fractional integer variable.
-			branchVar := mostFractional(sol.X, integers, intTol)
+			// Find the most fractional binary variable.
+			branchVar := mostFractional(sol.X, binaries, intTol)
 
 			if branchVar < 0 {
 				// Integer feasible: candidate incumbent.
 				x := make([]float64, len(sol.X))
 				copy(x, sol.X)
-				for _, j := range integers {
+				for _, j := range binaries {
 					x[j] = math.Round(x[j])
 				}
 				obj := m.Objective(x)
@@ -486,18 +426,6 @@ search:
 				continue
 			}
 
-			// Rounding heuristic: cheap attempt to produce an incumbent early.
-			if res.X == nil {
-				if x, ok := m.roundingHeuristic(sol.X, integers); ok {
-					obj := m.Objective(x)
-					if res.betterIncumbent(obj, x) {
-						res.X = x
-						res.Objective = obj
-						res.Status = StatusFeasible
-					}
-				}
-			}
-
 			// Branch. Both children start from this node's optimal basis: the
 			// single changed bound usually leaves it dual-feasible, so the
 			// child LP re-solves with a handful of dual pivots instead of a
@@ -505,11 +433,11 @@ search:
 			val := sol.X[branchVar]
 			down := &node{
 				lower: nd.lower, upper: copyWith(nd.upper, branchVar, math.Floor(val)),
-				bound: lpObj, depth: nd.depth + 1, basis: sol.Basis,
+				bound: lpObj, basis: sol.Basis,
 			}
 			up := &node{
 				lower: copyWith(nd.lower, branchVar, math.Ceil(val)), upper: nd.upper,
-				bound: lpObj, depth: nd.depth + 1, basis: sol.Basis,
+				bound: lpObj, basis: sol.Basis,
 			}
 			heap.Push(open, down)
 			heap.Push(open, up)
@@ -555,7 +483,7 @@ search:
 }
 
 // dive runs an LP-guided diving heuristic from the given node: it repeatedly
-// fixes the most fractional integer variable to its rounded value (flipping
+// fixes the most fractional binary variable to its rounded value (flipping
 // to the opposite value when that makes the LP infeasible) until the
 // relaxation is integral or the dive fails. It returns the incumbent found.
 // Each step warm-starts from the basis of the previous one (the fix is a
@@ -563,19 +491,19 @@ search:
 // basis carries, starting from the root's (x, basis); the dive runs
 // sequentially inside the root node, so its LP stats fold into res
 // deterministically.
-func (m *Model) dive(ctx context.Context, prob *lp.Problem, opts SolveOptions, res *Result, nd *node, x []float64, basis *lp.Basis, integers []int) ([]float64, float64, bool) {
+func (m *Model) dive(ctx context.Context, prob *lp.Problem, opts SolveOptions, res *Result, nd *node, x []float64, basis *lp.Basis, binaries []int) ([]float64, float64, bool) {
 	lower := copyMap(nd.lower)
 	upper := copyMap(nd.upper)
-	for iter := 0; iter <= len(integers)+4; iter++ {
+	for iter := 0; iter <= len(binaries)+4; iter++ {
 		if ctx.Err() != nil {
 			return nil, 0, false
 		}
-		branchVar := mostFractional(x, integers, intTol)
+		branchVar := mostFractional(x, binaries, intTol)
 		if branchVar < 0 {
 			// Integral: verify against the full model and return.
 			rounded := make([]float64, len(x))
 			copy(rounded, x)
-			for _, j := range integers {
+			for _, j := range binaries {
 				rounded[j] = math.Round(rounded[j])
 			}
 			if ok, _ := m.CheckFeasible(rounded, 1e-6); ok {
@@ -583,18 +511,9 @@ func (m *Model) dive(ctx context.Context, prob *lp.Problem, opts SolveOptions, r
 			}
 			return nil, 0, false
 		}
-		tryValues := []float64{math.Round(x[branchVar])}
-		other := 1 - tryValues[0]
-		if m.vtypes[branchVar] == Integer {
-			if tryValues[0] >= x[branchVar] {
-				other = tryValues[0] - 1
-			} else {
-				other = tryValues[0] + 1
-			}
-		}
-		tryValues = append(tryValues, other)
+		rounded := math.Round(x[branchVar])
 		fixed := false
-		for _, v := range tryValues {
+		for _, v := range []float64{rounded, 1 - rounded} {
 			trialLower := copyMap(lower)
 			trialUpper := copyMap(upper)
 			trialLower[branchVar] = v
@@ -643,27 +562,6 @@ func copyMap(src map[int]float64) map[int]float64 {
 		out[k] = v
 	}
 	return out
-}
-
-// roundingHeuristic rounds the fractional LP values of integer variables and
-// re-checks feasibility of the full model.
-func (m *Model) roundingHeuristic(x []float64, integers []int) ([]float64, bool) {
-	rounded := make([]float64, len(x))
-	copy(rounded, x)
-	for _, j := range integers {
-		rounded[j] = math.Round(rounded[j])
-		// Keep within bounds.
-		if rounded[j] < m.lower[j] {
-			rounded[j] = math.Ceil(m.lower[j])
-		}
-		if rounded[j] > m.upper[j] {
-			rounded[j] = math.Floor(m.upper[j])
-		}
-	}
-	if ok, _ := m.CheckFeasible(rounded, 1e-6); ok {
-		return rounded, true
-	}
-	return nil, false
 }
 
 // copyWith clones the override map and sets key to value.

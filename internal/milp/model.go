@@ -1,9 +1,11 @@
-// Package milp provides a mixed-integer linear programming model builder and
-// a branch-and-bound solver on top of the simplex engine in internal/lp.
-// Together they replace the commercial Gurobi optimizer the paper uses: the
-// layout models of internal/ilpmodel are pure 0-1 MILPs, and the progressive
-// flow in internal/pilp keeps each model small enough for an exact
-// branch-and-bound search whose node LPs warm-start from their parent's basis.
+// Package milp provides a mixed 0-1 linear programming model builder and a
+// sequential branch-and-bound solver over 0-1 models on top of the simplex
+// engine in internal/lp. Together they replace the commercial Gurobi
+// optimizer the paper uses: the layout models of internal/ilpmodel are pure
+// 0-1 MILPs, and the progressive flow in internal/pilp keeps each model small
+// enough for an exact branch-and-bound search whose node LPs warm-start from
+// their parent's basis. The flow gets its concurrency by solving many models
+// at once, so one search never spreads over several goroutines.
 //
 // Beyond plain variables and linear constraints the package offers the
 // linearization helpers the paper relies on (its reference [13]): products of
@@ -28,7 +30,6 @@ type VarType int
 const (
 	Continuous VarType = iota
 	Binary
-	Integer
 )
 
 // String implements fmt.Stringer.
@@ -38,8 +39,6 @@ func (v VarType) String() string {
 		return "continuous"
 	case Binary:
 		return "binary"
-	case Integer:
-		return "integer"
 	default:
 		return fmt.Sprintf("VarType(%d)", int(v))
 	}
@@ -133,7 +132,7 @@ type constraint struct {
 	rhs   float64
 }
 
-// Model is a mixed-integer linear program under construction.
+// Model is a mixed 0-1 linear program under construction.
 type Model struct {
 	names       []string
 	lower       []float64
@@ -158,11 +157,11 @@ func (m *Model) NumVars() int { return len(m.names) }
 // NumConstraints returns the number of constraints added so far.
 func (m *Model) NumConstraints() int { return len(m.constraints) }
 
-// NumBinaries returns the number of binary and integer variables.
+// NumBinaries returns the number of binary variables.
 func (m *Model) NumBinaries() int {
 	n := 0
 	for _, t := range m.vtypes {
-		if t != Continuous {
+		if t == Binary {
 			n++
 		}
 	}
@@ -197,11 +196,6 @@ func (m *Model) AddBinary(name string) Var {
 	return m.AddVar(name, 0, 1, Binary)
 }
 
-// AddInteger declares a general integer variable.
-func (m *Model) AddInteger(name string, lower, upper float64) Var {
-	return m.AddVar(name, lower, upper, Integer)
-}
-
 // Name returns the name of variable v.
 func (m *Model) Name(v Var) string { return m.names[v] }
 
@@ -213,9 +207,6 @@ func (m *Model) SetBounds(v Var, lower, upper float64) {
 	m.lower[v] = lower
 	m.upper[v] = upper
 }
-
-// VarType returns the integrality class of variable v.
-func (m *Model) VarType(v Var) VarType { return m.vtypes[v] }
 
 // SetObjectiveCoef sets the (minimization) objective coefficient of v.
 func (m *Model) SetObjectiveCoef(v Var, coef float64) { m.objective[v] = coef }
@@ -231,9 +222,6 @@ func (m *Model) AddObjectiveExpr(e *Expr, scale float64) {
 	}
 	m.objConstant += scale * e.constant
 }
-
-// ObjectiveConstant returns the accumulated constant offset of the objective.
-func (m *Model) ObjectiveConstant() float64 { return m.objConstant }
 
 // AddConstraintExpr adds the constraint "expr sense rhs". The constant part
 // of the expression is moved to the right-hand side.
@@ -331,7 +319,7 @@ func (m *Model) CheckFeasible(x []float64, tol float64) (bool, string) {
 		if v < m.lower[j]-tol || v > m.upper[j]+tol {
 			return false, fmt.Sprintf("variable %s = %g outside [%g, %g]", m.names[j], v, m.lower[j], m.upper[j])
 		}
-		if m.vtypes[j] != Continuous && math.Abs(v-math.Round(v)) > tol {
+		if m.vtypes[j] == Binary && math.Abs(v-math.Round(v)) > tol {
 			return false, fmt.Sprintf("variable %s = %g not integral", m.names[j], v)
 		}
 	}
@@ -422,6 +410,6 @@ func (m *Model) Digest() [32]byte {
 
 // Stats summarizes model size for logging.
 func (m *Model) Stats() string {
-	return fmt.Sprintf("%d vars (%d integer), %d constraints",
+	return fmt.Sprintf("%d vars (%d binary), %d constraints",
 		m.NumVars(), m.NumBinaries(), m.NumConstraints())
 }

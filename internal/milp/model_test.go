@@ -54,11 +54,11 @@ func TestModelVariableAccounting(t *testing.T) {
 	m := NewModel()
 	x := m.AddContinuous("x", 0, 10)
 	b := m.AddBinary("b")
-	n := m.AddInteger("n", 0, 5)
-	if m.NumVars() != 3 || m.NumBinaries() != 2 {
+	y := m.AddContinuous("y", -1, 1)
+	if m.NumVars() != 3 || m.NumBinaries() != 1 {
 		t.Errorf("NumVars=%d NumBinaries=%d", m.NumVars(), m.NumBinaries())
 	}
-	if m.Name(x) != "x" || m.VarType(b) != Binary || m.VarType(n) != Integer {
+	if m.Name(x) != "x" || m.vtypes[b] != Binary || m.vtypes[y] != Continuous {
 		t.Error("names or types wrong")
 	}
 	lo, up := m.Bounds(b)
@@ -73,7 +73,7 @@ func TestModelVariableAccounting(t *testing.T) {
 	if m.Stats() == "" {
 		t.Error("empty stats")
 	}
-	for _, vt := range []VarType{Continuous, Binary, Integer, VarType(9)} {
+	for _, vt := range []VarType{Continuous, Binary, VarType(9)} {
 		if vt.String() == "" {
 			t.Error("empty VarType string")
 		}
@@ -92,8 +92,8 @@ func TestObjectiveAccumulation(t *testing.T) {
 	if got := m.Objective(assignment); got != 25 {
 		t.Errorf("Objective = %g, want 25", got)
 	}
-	if m.ObjectiveConstant() != 6 {
-		t.Errorf("ObjectiveConstant = %g", m.ObjectiveConstant())
+	if m.objConstant != 6 {
+		t.Errorf("objective constant = %g", m.objConstant)
 	}
 }
 
@@ -147,8 +147,8 @@ func TestConstraintConstantMovesToRHS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Status.HasSolution() || math.Abs(res.Value(x)-2) > 1e-6 {
-		t.Errorf("x = %g, want 2 (status %v)", res.Value(x), res.Status)
+	if !res.Status.HasSolution() || math.Abs(res.X[x]-2) > 1e-6 {
+		t.Errorf("x = %g, want 2 (status %v)", res.X[x], res.Status)
 	}
 }
 
@@ -165,8 +165,8 @@ func TestAbsEnvelope(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := math.Abs(fixed - 7)
-		if !res.Status.HasSolution() || math.Abs(res.Value(u)-want) > 1e-6 {
-			t.Errorf("x=%g: u = %g, want %g", fixed, res.Value(u), want)
+		if !res.Status.HasSolution() || math.Abs(res.X[u]-want) > 1e-6 {
+			t.Errorf("x=%g: u = %g, want %g", fixed, res.X[u], want)
 		}
 	}
 }
@@ -183,8 +183,8 @@ func TestMaxEnvelope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Status.HasSolution() || math.Abs(res.Value(mx)-8) > 1e-6 {
-		t.Errorf("max = %g, want 8", res.Value(mx))
+	if !res.Status.HasSolution() || math.Abs(res.X[mx]-8) > 1e-6 {
+		t.Errorf("max = %g, want 8", res.X[mx])
 	}
 }
 
@@ -206,8 +206,8 @@ func TestImpliedConstraints(t *testing.T) {
 		if zval == 1 {
 			want = 3
 		}
-		if !res.Status.HasSolution() || math.Abs(res.Value(x)-want) > 1e-6 {
-			t.Errorf("z=%g: x = %g, want %g", zval, res.Value(x), want)
+		if !res.Status.HasSolution() || math.Abs(res.X[x]-want) > 1e-6 {
+			t.Errorf("z=%g: x = %g, want %g", zval, res.X[x], want)
 		}
 	}
 
@@ -227,8 +227,8 @@ func TestImpliedConstraints(t *testing.T) {
 		if zval == 1 {
 			want = 6
 		}
-		if !res.Status.HasSolution() || math.Abs(res.Value(x)-want) > 1e-6 {
-			t.Errorf("z=%g: x = %g, want %g", zval, res.Value(x), want)
+		if !res.Status.HasSolution() || math.Abs(res.X[x]-want) > 1e-6 {
+			t.Errorf("z=%g: x = %g, want %g", zval, res.X[x], want)
 		}
 	}
 }
@@ -266,7 +266,7 @@ func digestModel(mutate func(*Model)) *Model {
 	m := NewModel()
 	x := m.AddContinuous("x", 0, 10)
 	b := m.AddBinary("b")
-	n := m.AddInteger("n", -2, 5)
+	n := m.AddContinuous("n", -2, 5)
 	m.SetObjectiveCoef(x, 1.5)
 	m.SetObjectiveCoef(n, -1)
 	m.AddObjectiveExpr(Constant(3), 1)
@@ -291,7 +291,7 @@ func TestDigestIdentifiesModel(t *testing.T) {
 		"lower bound":    func(m *Model) { m.SetBounds(0, 1, 10) },
 		"upper bound":    func(m *Model) { m.SetBounds(2, -2, 6) },
 		"cost":           func(m *Model) { m.SetObjectiveCoef(1, 0.25) },
-		"variable type":  func(m *Model) { m.vtypes[2] = Continuous },
+		"variable type":  func(m *Model) { m.vtypes[1] = Continuous },
 		"variable name":  func(m *Model) { m.names[0] = "y" },
 		"row name":       func(m *Model) { m.constraints[1].name = "link2" },
 		"coefficient":    func(m *Model) { m.constraints[0].row[0].Coef = 3 },

@@ -73,25 +73,3 @@ func TestWarmVsColdSearchIdentical(t *testing.T) {
 	t.Logf("pivots: cold %d, warm %d (%.2fx), warm hits %d", coldPivots, warmPivots,
 		float64(coldPivots)/math.Max(1, float64(warmPivots)), hits)
 }
-
-// TestLPStatsIdenticalAcrossWorkers pins that the counters only accumulate
-// for sequentially processed nodes, so eager parallel evaluation does not
-// change them.
-func TestLPStatsIdenticalAcrossWorkers(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 10; trial++ {
-		m := randomKnapsack(rng)
-		one, err := m.SolveCtx(context.Background(), SolveOptions{Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		four, err := m.SolveCtx(context.Background(), SolveOptions{Workers: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameResult(t, "workers", one, four)
-		if one.LP != four.LP {
-			t.Errorf("trial %d: LP stats differ across workers: %+v vs %+v", trial, one.LP, four.LP)
-		}
-	}
-}

@@ -196,8 +196,7 @@ type tally struct {
 }
 
 // memoKey identifies one solve: the model's digest and the node budget of
-// its search. Workers are left out: every worker count gives the same
-// Result.
+// its search, the two inputs a Result depends on.
 type memoKey struct {
 	digest   [32]byte
 	maxNodes int
@@ -294,7 +293,7 @@ func (t *tally) seal(res *Result) {
 // caller solves never depends on timing. The layout is always extracted by
 // this call's model, because the fixed geometry outside a model can differ
 // between two calls that build equal models.
-func (o Options) solve(ctx context.Context, m *ilpmodel.Model, limit time.Duration, workers, maxNodes int, spent *tally) (*layout.Layout, *milp.Result, error) {
+func (o Options) solve(ctx context.Context, m *ilpmodel.Model, limit time.Duration, maxNodes int, spent *tally) (*layout.Layout, *milp.Result, error) {
 	ctx, cancel := context.WithTimeout(ctx, limit)
 	defer cancel()
 	key := memoKey{m.MILP.Digest(), maxNodes}
@@ -303,7 +302,6 @@ func (o Options) solve(ctx context.Context, m *ilpmodel.Model, limit time.Durati
 		if leader {
 			result, err := spent.lead(key, call, func() (*milp.Result, error) {
 				return m.MILP.SolveCtx(ctx, milp.SolveOptions{
-					Workers:       workers,
 					MaxNodes:      maxNodes,
 					DisableWarmLP: o.ColdLP,
 				})
@@ -527,16 +525,15 @@ func (r *Result) addSnapshot(phase string, l *layout.Layout, elapsed time.Durati
 // globalAdjust solves the phase-1 model: every non-pad device and every
 // strip coordinate may move within a generous confinement window, lengths
 // are soft, overlap is penalized, and relative positions plus topology come
-// from the constructed layout, so the model is a pure LP apart from the pad
-// boundary choice (pads stay fixed here). Being the one large solve of the
-// flow, it gets the full worker pool for its branch-and-bound LP evaluations.
+// from the constructed layout. Pads stay fixed, so the model is a pure LP
+// (TestPhase1ModelIsPureLP pins this) and its search is the root node alone.
 func globalAdjust(ctx context.Context, c *netlist.Circuit, current *layout.Layout, opts Options, spent *tally) (*layout.Layout, error) {
 	m, err := phase1Model(c, current, opts)
 	if err != nil {
 		return nil, err
 	}
 	opts.logf("pilp: global adjustment model: %s", m.Stats())
-	lay, result, err := opts.solve(ctx, m, opts.phaseTimeLimit(), opts.workers(), opts.Phase1NodeLimit, spent)
+	lay, result, err := opts.solve(ctx, m, opts.phaseTimeLimit(), opts.Phase1NodeLimit, spent)
 	if err != nil {
 		return nil, err
 	}
@@ -723,7 +720,7 @@ func solveStrips(ctx context.Context, c *netlist.Circuit, current *layout.Layout
 		opts.logf("pilp: model build for %v failed: %v", strips, err)
 		return nil, false
 	}
-	lay, _, err := opts.solve(ctx, m, opts.stripTimeLimit(), 0, opts.StripNodeLimit, spent)
+	lay, _, err := opts.solve(ctx, m, opts.stripTimeLimit(), opts.StripNodeLimit, spent)
 	if err != nil || lay == nil {
 		return nil, false
 	}

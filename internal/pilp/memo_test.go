@@ -13,8 +13,8 @@ import (
 )
 
 // constructedPhase1Model builds the global-adjustment model of c against its
-// constructed layout, as globalAdjust does. It is an LP apart from the pad
-// choice, so every uncancelled solve of it returns a layout.
+// constructed layout, as globalAdjust does. It is a pure LP, so every
+// uncancelled solve of it returns a layout.
 func constructedPhase1Model(t *testing.T, c *netlist.Circuit, opts Options) *ilpmodel.Model {
 	t.Helper()
 	c = netlist.Normalized(c)
@@ -54,10 +54,10 @@ func TestSolveMemoSkipsCancelled(t *testing.T) {
 	spent := new(tally)
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, r, err := opts.solve(cancelled, m, time.Minute, 1, maxNodes, spent); err != nil || r == nil || !r.Cancelled {
+	if _, r, err := opts.solve(cancelled, m, time.Minute, maxNodes, spent); err != nil || r == nil || !r.Cancelled {
 		t.Fatalf("solve under a cancelled context: result %+v, err %v; want a cancelled result", r, err)
 	}
-	lay, r, err := opts.solve(context.Background(), m, time.Minute, 1, maxNodes, spent)
+	lay, r, err := opts.solve(context.Background(), m, time.Minute, maxNodes, spent)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestSolveMemoSkipsCancelled(t *testing.T) {
 		t.Errorf("after the cancelled and the live solve: effort %+v, want %d nodes and nothing reused", spent.effort, res.Nodes)
 	}
 
-	lay, _, err = opts.solve(context.Background(), constructedPhase1Model(t, testdataCircuit(t, "twostage.rfic"), opts), time.Minute, 1, maxNodes, spent)
+	lay, _, err = opts.solve(context.Background(), constructedPhase1Model(t, testdataCircuit(t, "twostage.rfic"), opts), time.Minute, maxNodes, spent)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestSolveMemoSkipsCancelled(t *testing.T) {
 		t.Errorf("after a repeat: effort %+v, want %d nodes and one solve reused", spent.effort, res.Nodes)
 	}
 	// A different node budget is a different search.
-	if _, _, err := opts.solve(context.Background(), m, time.Minute, 1, maxNodes+1, spent); err != nil {
+	if _, _, err := opts.solve(context.Background(), m, time.Minute, maxNodes+1, spent); err != nil {
 		t.Fatal(err)
 	}
 	if spent.effort.Reused != 1 || spent.effort.Nodes != 2*res.Nodes {
@@ -117,7 +117,7 @@ func TestSolveMemoSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			lay, _, err := opts.solve(context.Background(), models[i], time.Minute, 1, maxNodes, spent)
+			lay, _, err := opts.solve(context.Background(), models[i], time.Minute, maxNodes, spent)
 			if err != nil {
 				t.Error(err)
 			}
@@ -128,7 +128,7 @@ func TestSolveMemoSingleFlight(t *testing.T) {
 
 	var once tally
 	start := time.Now()
-	want, r, err := opts.solve(context.Background(), models[0], time.Minute, 1, maxNodes, &once)
+	want, r, err := opts.solve(context.Background(), models[0], time.Minute, maxNodes, &once)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -114,7 +114,7 @@ func TestConstructProducesCompletePlanarLayout(t *testing.T) {
 	if !l.Complete() {
 		t.Fatal("constructed layout incomplete")
 	}
-	vs := l.Check(layout.CheckOptions{SkipLengthCheck: true, PinTolerance: 2})
+	vs := l.Check(layout.CheckOptions{PinTolerance: 2})
 	if n := layout.CountViolations(vs, layout.CrossingViolation); n != 0 {
 		t.Errorf("constructed layout has %d crossings: %v", n, vs)
 	}
