@@ -45,6 +45,10 @@
 //	                             solves
 //	internal/ilpmodel            builds the layout MILP (device placement,
 //	                             chain-point routing, non-overlap, Eq. 1–28)
+//	                             as a restricted model around a given layout:
+//	                             named strips and non-pad devices free, every
+//	                             other object fixed; no blurred mode, pads
+//	                             never free
 //	internal/milp                sequential branch-and-bound over 0-1 models,
 //	                             dive heuristic; child nodes warm-start the
 //	                             dual simplex from the parent basis and fall

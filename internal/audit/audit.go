@@ -66,7 +66,7 @@ var AllChecks = []string{
 // Options tunes the battery.
 type Options struct {
 	// Solve is the base flow configuration. Harnesses should bound solves by
-	// node budgets (StripNodeLimit/Phase1NodeLimit), not wall clock:
+	// node budgets (StripNodeLimit), not wall clock:
 	// binding time limits break the byte-equality relations. Solve.Workers
 	// is the base worker count; zero means 1 here (not GOMAXPROCS), so the
 	// workers check compares against a fixed reference.

@@ -210,14 +210,6 @@ func New(cfg Config) *Cluster {
 	return c
 }
 
-// Self returns this node's peer name.
-func (c *Cluster) Self() string {
-	if c == nil {
-		return ""
-	}
-	return c.cfg.Self
-}
-
 // Owner resolves the owner of a content key and whether it is a remote peer.
 func (c *Cluster) Owner(key string) (Peer, bool) {
 	if c == nil {

@@ -175,24 +175,17 @@ type pointState struct {
 // Registry is an armed fault plan. A nil *Registry is valid and never fires.
 type Registry struct {
 	seed int64
-	plan Plan
 	pts  map[string]*pointState
 }
 
 // New arms a plan under a seed.
 func New(plan Plan, seed int64) *Registry {
-	r := &Registry{seed: seed, plan: plan, pts: make(map[string]*pointState, len(plan))}
+	r := &Registry{seed: seed, pts: make(map[string]*pointState, len(plan))}
 	for name, spec := range plan {
 		r.pts[name] = &pointState{spec: spec}
 	}
 	return r
 }
-
-// Seed returns the registry's seed.
-func (r *Registry) Seed() int64 { return r.seed }
-
-// Plan returns the armed plan.
-func (r *Registry) Plan() Plan { return r.plan }
 
 // Fire records one occurrence of the point and reports whether it fires.
 // The decision for the n-th occurrence is decide(seed, point, n) gated by
@@ -286,7 +279,7 @@ func (r *Registry) WriteSchedule(w io.Writer) error {
 	counts := r.Counts()
 	for _, name := range names {
 		c := counts[name]
-		spec := r.plan[name]
+		spec := r.pts[name].spec
 		var fired int64
 		for n := int64(0); n < c.Hits; n++ {
 			if spec.Budget > 0 && fired >= int64(spec.Budget) {

@@ -5,21 +5,23 @@
 // segment lengths are linearized (Eq. 6–7), bends are detected from direction
 // changes (Eq. 8–11), the equivalent length including the per-bend
 // compensation δ must match the target exactly (Eq. 12–13) or, in the soft
-// phase-1 form, approximately with penalized mismatch (Eq. 23–25). Pins bind
-// route endpoints to devices (Eq. 14), pads sit on the layout boundary
-// (Eq. 15) and expanded bounding boxes must not overlap (Eq. 16–20). The
-// objective minimizes the maximum and total bend counts (Eq. 21 / 26).
+// phase-1 form, approximately with penalized mismatch (Eq. 24–25). Pins bind
+// route endpoints to devices (Eq. 14) and expanded bounding boxes must not
+// overlap (Eq. 16–20). The objective minimizes the maximum and total bend
+// counts (Eq. 21 / 26).
 //
 // The model is expressed on top of internal/milp and solved by its
-// branch-and-bound engine. To keep from-scratch solves tractable, the
-// progressive flow in internal/pilp builds restricted instances through
-// Config: objects can be fixed at known positions, coordinates confined to
-// τd windows, non-overlap pairs pruned by distance, and segment directions
-// pinned to a warm-start topology.
+// branch-and-bound engine. Every model is a restricted instance around a
+// previous layout, as in the progressive flow of internal/pilp: Config.Fixed
+// holds that layout, the objects not named free are constants taken from it,
+// and the I/O pads are always among those constants. Free coordinates can be
+// confined to τd windows around Fixed, non-overlap pairs pruned by distance
+// in Fixed, and segment directions pinned to Fixed's topology.
 package ilpmodel
 
 import (
 	"fmt"
+	"slices"
 
 	"rficlayout/internal/geom"
 	"rficlayout/internal/layout"
@@ -44,7 +46,7 @@ const (
 )
 
 // Config controls which parts of the full Section-4 model are built and how
-// much freedom the instance has.
+// much freedom the instance has around the Fixed layout.
 type Config struct {
 	// DefaultChainPoints is the number of chain points n_i given to every
 	// microstrip that has no entry in ChainPoints. The minimum is 2 (a single
@@ -55,21 +57,17 @@ type Config struct {
 	ChainPoints map[string]int
 
 	// FreeDevices and FreeStrips name the objects whose geometry the solver
-	// may change. Nil means "all". Objects that are not free must have a
-	// position/route in Fixed and are treated as constants (obstacles).
+	// may change; nil names none. Every other object takes its position or
+	// route from Fixed and is a constant (an obstacle). Pads are never free:
+	// the flow keeps the I/O pads where construction put them.
 	FreeDevices []string
 	FreeStrips  []string
 
-	// Fixed supplies positions for non-free objects, warm-start positions
-	// for confinement, and the topology for FixTopology.
+	// Fixed is the layout the model is built around: positions of the
+	// non-free objects, warm-start positions for confinement and pair
+	// pruning, and the topology for FixTopology. Build requires it.
 	Fixed *layout.Layout
 
-	// Blurred selects the phase-1 abstraction (Section 5.1): device
-	// geometries are not modeled; each microstrip connects device centres
-	// directly, the spacing boxes of its end segments are enlarged by the
-	// pin reach of the device (Figure 8), and the target length is increased
-	// by the centre-to-pin distances (Eq. 23).
-	Blurred bool
 	// SoftLength replaces the exact-length equality (Eq. 13) with the
 	// penalized mismatch bounds of Eq. 24–25.
 	SoftLength bool
@@ -85,10 +83,9 @@ type Config struct {
 	// constraints (Eq. 16–20) by the single separation constraint that the
 	// Fixed layout already realizes for each pair, eliminating the
 	// disjunction binaries. This keeps the global adjustment phases pure LPs
-	// (plus pad binaries) at the cost of freezing the relative order of
-	// objects — exactly the restriction the τd confinement of Sections
-	// 5.2–5.3 imposes implicitly. Pairs without warm geometry keep the full
-	// disjunction.
+	// at the cost of freezing the relative order of objects — exactly the
+	// restriction the τd confinement of Sections 5.2–5.3 imposes implicitly.
+	// Pairs without warm geometry keep the full disjunction.
 	RelativePositions bool
 
 	// Confinement, when positive, restricts every free coordinate to a
@@ -112,34 +109,17 @@ func (c Config) chainPoints(strip string) int {
 }
 
 func (c Config) deviceFree(name string) bool {
-	if c.FreeDevices == nil {
-		return true
-	}
-	for _, n := range c.FreeDevices {
-		if n == name {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(c.FreeDevices, name)
 }
 
 func (c Config) stripFree(name string) bool {
-	if c.FreeStrips == nil {
-		return true
-	}
-	for _, n := range c.FreeStrips {
-		if n == name {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(c.FreeStrips, name)
 }
 
 // validate checks that the configuration is usable for the circuit.
 func (c Config) validate(ckt *netlist.Circuit) error {
-	needFixed := c.FreeDevices != nil || c.FreeStrips != nil || c.FixTopology || c.Confinement > 0 || c.PairRadius > 0
-	if needFixed && c.Fixed == nil {
-		return fmt.Errorf("ilpmodel: configuration requires a Fixed layout (fixed objects, topology, confinement or pair pruning requested)")
+	if c.Fixed == nil {
+		return fmt.Errorf("ilpmodel: configuration has no Fixed layout")
 	}
 	for name := range c.ChainPoints {
 		if _, err := ckt.Microstrip(name); err != nil {
@@ -147,8 +127,12 @@ func (c Config) validate(ckt *netlist.Circuit) error {
 		}
 	}
 	for _, name := range c.FreeDevices {
-		if _, err := ckt.Device(name); err != nil {
+		d, err := ckt.Device(name)
+		if err != nil {
 			return fmt.Errorf("ilpmodel: free device %q not in circuit", name)
+		}
+		if d.IsPad() {
+			return fmt.Errorf("ilpmodel: pad %q cannot be free", name)
 		}
 	}
 	for _, name := range c.FreeStrips {

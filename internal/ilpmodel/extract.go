@@ -8,6 +8,7 @@ import (
 	"rficlayout/internal/geom"
 	"rficlayout/internal/layout"
 	"rficlayout/internal/milp"
+	"rficlayout/internal/netlist"
 )
 
 // ExtractLayout converts a solution vector of the MILP into a concrete
@@ -26,9 +27,6 @@ func (m *Model) ExtractLayout(x []float64) (*layout.Layout, error) {
 		var center geom.Point
 		if dv.free {
 			center = geom.Pt(roundUm(x[dv.x]), roundUm(x[dv.y]))
-			if dv.isPad {
-				center = m.snapPadToBoundary(center)
-			}
 		} else {
 			center = dv.fixedCenter
 		}
@@ -59,11 +57,11 @@ func (m *Model) ExtractLayout(x []float64) (*layout.Layout, error) {
 // segment directions and lengths, anchored exactly on its start terminal and
 // with the rounding residual absorbed into the last legs of each axis.
 func (m *Model) reconstructPath(l *layout.Layout, sv *stripVars, x []float64) ([]geom.Point, error) {
-	start, err := m.terminalPoint(l, sv, true)
+	start, err := terminalPoint(l, sv.ms.From)
 	if err != nil {
 		return nil, err
 	}
-	goal, err := m.terminalPoint(l, sv, false)
+	goal, err := terminalPoint(l, sv.ms.To)
 	if err != nil {
 		return nil, err
 	}
@@ -114,19 +112,12 @@ func (m *Model) reconstructPath(l *layout.Layout, sv *stripVars, x []float64) ([
 	return pts, nil
 }
 
-// terminalPoint returns the exact nanometre point a strip end must attach to:
-// the device pin, or the device centre in blurred mode.
-func (m *Model) terminalPoint(l *layout.Layout, sv *stripVars, from bool) (geom.Point, error) {
-	term := sv.ms.From
-	if !from {
-		term = sv.ms.To
-	}
+// terminalPoint returns the exact nanometre pin position a strip end must
+// attach to.
+func terminalPoint(l *layout.Layout, term netlist.Terminal) (geom.Point, error) {
 	pd := l.Placed(term.Device)
 	if pd == nil {
 		return geom.Point{}, fmt.Errorf("ilpmodel: device %q not placed during extraction", term.Device)
-	}
-	if m.Config.Blurred {
-		return pd.Center, nil
 	}
 	return pd.PinPosition(term.Pin)
 }
@@ -165,58 +156,6 @@ func (m *Model) SolveAndExtractCtx(ctx context.Context, opts milp.SolveOptions) 
 		return nil, res, err
 	}
 	return l, res, nil
-}
-
-// Bends returns the bend count of strip name in the given solution vector.
-func (m *Model) Bends(x []float64, strip string) (int, error) {
-	sv, ok := m.strips[strip]
-	if !ok {
-		return 0, fmt.Errorf("ilpmodel: unknown microstrip %q", strip)
-	}
-	return int(math.Round(sv.nbExpr.Eval(x))), nil
-}
-
-// TotalBends returns the total bend count encoded in the solution vector.
-func (m *Model) TotalBends(x []float64) int {
-	total := 0.0
-	for _, sv := range m.strips {
-		total += sv.nbExpr.Eval(x)
-	}
-	return int(math.Round(total))
-}
-
-// UnmatchedLength returns the modeled |target − equivalent length| of a strip
-// in µm (zero for fixed strips, whose geometry is constant).
-func (m *Model) UnmatchedLength(x []float64, strip string) (float64, error) {
-	sv, ok := m.strips[strip]
-	if !ok {
-		return 0, fmt.Errorf("ilpmodel: unknown microstrip %q", strip)
-	}
-	if !sv.free || sv.lengthExpr == nil {
-		return 0, nil
-	}
-	return math.Abs(sv.lengthExpr.Eval(x) - sv.target), nil
-}
-
-// snapPadToBoundary clamps a pad centre onto the nearest boundary edge,
-// removing any residual solver tolerance from the Eq. 15 big-M constraints.
-func (m *Model) snapPadToBoundary(c geom.Point) geom.Point {
-	W, H := m.Circuit.AreaWidth, m.Circuit.AreaHeight
-	dLeft := geom.AbsCoord(c.X)
-	dRight := geom.AbsCoord(W - c.X)
-	dBottom := geom.AbsCoord(c.Y)
-	dTop := geom.AbsCoord(H - c.Y)
-	minD := geom.MinCoord(geom.MinCoord(dLeft, dRight), geom.MinCoord(dBottom, dTop))
-	switch minD {
-	case dLeft:
-		return geom.Pt(0, geom.ClampCoord(c.Y, 0, H))
-	case dRight:
-		return geom.Pt(W, geom.ClampCoord(c.Y, 0, H))
-	case dBottom:
-		return geom.Pt(geom.ClampCoord(c.X, 0, W), 0)
-	default:
-		return geom.Pt(geom.ClampCoord(c.X, 0, W), H)
-	}
 }
 
 func roundUm(um float64) geom.Coord {

@@ -24,9 +24,6 @@ type Model struct {
 	devices map[string]*deviceVars
 	strips  map[string]*stripVars
 
-	nbMax milp.Var // envelope of per-strip bend counts
-	luMax milp.Var // envelope of per-strip unmatched lengths (soft mode)
-
 	overlapPairs int // number of non-overlap pairs actually constrained
 }
 
@@ -39,12 +36,6 @@ type deviceVars struct {
 	x, y milp.Var // centre coordinates (free devices)
 
 	fixedCenter geom.Point // used when !free
-
-	// Pad boundary selection binaries (free pads only, Eq. 15):
-	// ck chooses vertical (x pinned) vs horizontal (y pinned) boundary,
-	// bx/by choose which of the two boundaries of that kind.
-	ck, bx, by milp.Var
-	isPad      bool
 }
 
 // stripVars holds per-microstrip variables or fixed values.
@@ -64,13 +55,9 @@ type stripVars struct {
 
 	dirs   [][4]milp.Var // per segment: Up, Down, Left, Right (free topology)
 	segLen []milp.Var    // per segment length
-	bendT  []milp.Var    // t_{i,j} per interior chain point (free topology)
 
-	lu milp.Var // unmatched length bound (soft mode)
-
-	target     float64 // adjusted target length in µm (Eq. 23 in blurred mode)
-	nbExpr     *milp.Expr
-	lengthExpr *milp.Expr
+	lu     milp.Var // unmatched length bound (soft mode)
+	nbExpr *milp.Expr
 }
 
 // Build constructs the MILP for the circuit under the given configuration.
@@ -103,9 +90,7 @@ func Build(ckt *netlist.Circuit, cfg Config) (*Model, error) {
 	if err := m.buildConnections(); err != nil {
 		return nil, err
 	}
-	if err := m.buildOverlap(); err != nil {
-		return nil, err
-	}
+	m.buildOverlap()
 	m.buildObjective()
 	return m, nil
 }
@@ -116,14 +101,12 @@ func (m *Model) Stats() string {
 }
 
 // buildDevices creates placement variables for free devices and records
-// fixed positions for the rest. In blurred mode device bodies are not
-// modeled, but their centres still exist because microstrips connect to them.
+// fixed positions for the rest.
 func (m *Model) buildDevices() error {
 	for _, d := range m.Circuit.Devices {
 		dv := &deviceVars{
 			dev:    d,
 			orient: geom.R0,
-			isPad:  d.IsPad(),
 			free:   m.Config.deviceFree(d.Name),
 		}
 		if !dv.free {
@@ -142,12 +125,6 @@ func (m *Model) buildDevices() error {
 		halfH := geom.Microns(h) / 2
 		loX, hiX := halfW, m.areaW-halfW
 		loY, hiY := halfH, m.areaH-halfH
-		if d.IsPad() || m.Config.Blurred {
-			// Pad centres sit on the boundary; blurred devices may float
-			// anywhere since their bodies are not modeled.
-			loX, hiX = 0, m.areaW
-			loY, hiY = 0, m.areaH
-		}
 		if m.Config.Confinement > 0 {
 			if pd := m.Config.Fixed.Placed(d.Name); pd != nil {
 				tau := geom.Microns(m.Config.Confinement)
@@ -162,22 +139,6 @@ func (m *Model) buildDevices() error {
 		}
 		dv.x = m.MILP.AddContinuous("dev."+d.Name+".x", loX, hiX)
 		dv.y = m.MILP.AddContinuous("dev."+d.Name+".y", loY, hiY)
-
-		if d.IsPad() {
-			// Eq. 15: the pad centre lies on one of the four boundary edges.
-			dv.ck = m.MILP.AddBinary("pad." + d.Name + ".ck")
-			dv.bx = m.MILP.AddBinary("pad." + d.Name + ".bx")
-			dv.by = m.MILP.AddBinary("pad." + d.Name + ".by")
-			// ck = 1 → x = W·bx ; ck = 0 → y = H·by.
-			x := milp.Term(dv.x, 1).Add(dv.bx, -m.areaW)
-			m.MILP.AddImpliedLE("pad."+d.Name+".xhi", dv.ck, x.Clone(), 0, m.bigM)
-			m.MILP.AddImpliedGE("pad."+d.Name+".xlo", dv.ck, x, 0, m.bigM)
-			y := milp.Term(dv.y, 1).Add(dv.by, -m.areaH)
-			negCk := m.MILP.AddBinary("pad." + d.Name + ".nck")
-			m.MILP.AddEQ("pad."+d.Name+".ckneg", milp.Term(dv.ck, 1).Add(negCk, 1), 1)
-			m.MILP.AddImpliedLE("pad."+d.Name+".yhi", negCk, y.Clone(), 0, m.bigM)
-			m.MILP.AddImpliedGE("pad."+d.Name+".ylo", negCk, y, 0, m.bigM)
-		}
 		m.devices[d.Name] = dv
 	}
 	return nil
@@ -219,8 +180,8 @@ func (m *Model) buildObjective() {
 		// β · Σ n_b,i
 		m.MILP.AddObjectiveExpr(sv.nbExpr, weightBeta)
 	}
-	m.nbMax = m.MILP.MaxEnvelope("nb.max", 1e6, nbExprs...)
-	m.MILP.SetObjectiveCoef(m.nbMax, weightAlpha)
+	nbMax := m.MILP.MaxEnvelope("nb.max", 1e6, nbExprs...)
+	m.MILP.SetObjectiveCoef(nbMax, weightAlpha)
 
 	if m.Config.SoftLength {
 		var luExprs []*milp.Expr
@@ -232,8 +193,8 @@ func (m *Model) buildObjective() {
 			}
 		}
 		if len(luExprs) > 0 {
-			m.luMax = m.MILP.MaxEnvelope("lu.max", 1e9, luExprs...)
-			m.MILP.SetObjectiveCoef(m.luMax, weightGamma)
+			luMax := m.MILP.MaxEnvelope("lu.max", 1e9, luExprs...)
+			m.MILP.SetObjectiveCoef(luMax, weightGamma)
 		}
 	}
 }

@@ -53,7 +53,7 @@ func TestStraightStripExactLength(t *testing.T) {
 	c := twoBlockCircuit(180)
 	fixed := fixedTwoBlockLayout(t, c)
 	m, err := Build(c, Config{
-		FreeDevices:        []string{},
+		FreeStrips:         []string{"TL"},
 		Fixed:              fixed,
 		DefaultChainPoints: 3,
 	})
@@ -77,11 +77,8 @@ func TestStraightStripExactLength(t *testing.T) {
 	if vs := lay.Check(layout.CheckOptions{PinTolerance: 2}); len(vs) != 0 {
 		t.Errorf("violations: %v", vs)
 	}
-	if got := m.TotalBends(res.X); got != 0 {
-		t.Errorf("modeled bends = %d", got)
-	}
-	if mismatch, _ := m.UnmatchedLength(res.X, "TL"); mismatch > 1e-4 {
-		t.Errorf("modeled length mismatch = %g µm", mismatch)
+	if e := geom.AbsCoord(rs.LengthError(c.Tech.BendCompensation)); e > 10 {
+		t.Errorf("length error = %d nm", e)
 	}
 }
 
@@ -92,7 +89,7 @@ func TestLongerTargetForcesDetour(t *testing.T) {
 	c := twoBlockCircuit(240)
 	fixed := fixedTwoBlockLayout(t, c)
 	m, err := Build(c, Config{
-		FreeDevices:        []string{},
+		FreeStrips:         []string{"TL"},
 		Fixed:              fixed,
 		DefaultChainPoints: 4,
 	})
@@ -122,7 +119,7 @@ func TestInfeasibleTooShortTarget(t *testing.T) {
 	c := twoBlockCircuit(100)
 	fixed := fixedTwoBlockLayout(t, c)
 	m, err := Build(c, Config{
-		FreeDevices:        []string{},
+		FreeStrips:         []string{"TL"},
 		Fixed:              fixed,
 		DefaultChainPoints: 3,
 	})
@@ -144,7 +141,7 @@ func TestSoftLengthReportsMismatch(t *testing.T) {
 	c := twoBlockCircuit(100)
 	fixed := fixedTwoBlockLayout(t, c)
 	m, err := Build(c, Config{
-		FreeDevices:        []string{},
+		FreeStrips:         []string{"TL"},
 		Fixed:              fixed,
 		DefaultChainPoints: 3,
 		SoftLength:         true,
@@ -152,17 +149,15 @@ func TestSoftLengthReportsMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := m.MILP.SolveCtx(deadline(t, 20*time.Second), milp.SolveOptions{})
+	lay, res, err := m.SolveAndExtractCtx(deadline(t, 20*time.Second), milp.SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Status.HasSolution() {
 		t.Fatalf("status = %v", res.Status)
 	}
-	mismatch, err := m.UnmatchedLength(res.X, "TL")
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The straight route is 180 µm long, 80 µm over the target.
+	mismatch := geom.Microns(lay.Routed("TL").LengthError(c.Tech.BendCompensation))
 	if mismatch < 75 || mismatch > 85 {
 		t.Errorf("mismatch = %g µm, want ≈ 80", mismatch)
 	}
@@ -201,7 +196,7 @@ func TestFixTopologyKeepsDirectionsAndMatchesLength(t *testing.T) {
 	}
 
 	m, err := Build(c, Config{
-		FreeDevices:        []string{},
+		FreeStrips:         []string{"TL"},
 		Fixed:              fixed,
 		DefaultChainPoints: 4,
 		FixTopology:        true,
@@ -229,57 +224,15 @@ func TestFixTopologyKeepsDirectionsAndMatchesLength(t *testing.T) {
 	}
 }
 
-func TestFreePadLandsOnBoundary(t *testing.T) {
-	// One fixed device in the middle, one free pad, one strip of exactly the
-	// length from the device pin to the best boundary position. The pad must
-	// end on the layout boundary (Eq. 15).
-	c := netlist.NewCircuit("padtest", tech.Default90nm(), geom.FromMicrons(200), geom.FromMicrons(160))
-	d := netlist.NewDevice("M", netlist.Transistor, geom.FromMicrons(40), geom.FromMicrons(30))
-	d.AddPin("in", geom.PtMicrons(-20, 0), 0)
-	c.AddDevice(d)
-	c.AddDevice(netlist.NewPad("P", c.Tech.PadSize))
-	c.Connect("TL", "P", "p", "M", "in", geom.FromMicrons(80))
-
-	fixed := layout.New(c)
-	if err := fixed.Place("M", geom.PtMicrons(100, 80), geom.R0); err != nil {
-		t.Fatal(err)
-	}
-	m, err := Build(c, Config{
-		FreeDevices:        []string{"P"},
-		Fixed:              fixed,
-		DefaultChainPoints: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lay, res, err := m.SolveAndExtractCtx(deadline(t, 30*time.Second), milp.SolveOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Status.HasSolution() {
-		t.Fatalf("status = %v", res.Status)
-	}
-	pad := lay.Placed("P")
-	onBoundary := pad.Center.X == 0 || pad.Center.X == c.AreaWidth ||
-		pad.Center.Y == 0 || pad.Center.Y == c.AreaHeight
-	if !onBoundary {
-		t.Errorf("pad centre %v is not on the boundary", pad.Center)
-	}
-	rs := lay.Routed("TL")
-	if e := geom.AbsCoord(rs.LengthError(c.Tech.BendCompensation)); e > 10 {
-		t.Errorf("length error = %d nm", e)
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	c := twoBlockCircuit(180)
-	if _, err := Build(c, Config{FreeDevices: []string{"A"}}); err == nil {
+	fixed := fixedTwoBlockLayout(t, c)
+	if _, err := Build(c, Config{FreeStrips: []string{"TL"}}); err == nil {
 		t.Error("missing Fixed layout accepted")
 	}
-	if _, err := Build(c, Config{ChainPoints: map[string]int{"nope": 4}}); err == nil {
+	if _, err := Build(c, Config{ChainPoints: map[string]int{"nope": 4}, Fixed: fixed}); err == nil {
 		t.Error("unknown strip in ChainPoints accepted")
 	}
-	fixed := layout.New(c)
 	if _, err := Build(c, Config{FreeDevices: []string{"A", "ZZ"}, Fixed: fixed}); err == nil {
 		t.Error("unknown free device accepted")
 	}
@@ -287,8 +240,21 @@ func TestConfigValidation(t *testing.T) {
 		t.Error("unknown free strip accepted")
 	}
 	// Fixed devices without placements must be rejected at build time.
-	if _, err := Build(c, Config{FreeDevices: []string{}, Fixed: layout.New(c)}); err == nil {
+	if _, err := Build(c, Config{FreeStrips: []string{"TL"}, Fixed: layout.New(c)}); err == nil {
 		t.Error("missing fixed placement accepted")
+	}
+	// Pads stay where the Fixed layout has them.
+	c.AddDevice(netlist.NewPad("P", c.Tech.PadSize))
+	c.Connect("IN", "P", "p", "A", "p", geom.FromMicrons(40))
+	withPad := fixedTwoBlockLayout(t, c)
+	if err := withPad.Place("P", geom.PtMicrons(0, 100), geom.R0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Build(c, Config{FreeStrips: []string{"TL", "IN"}, Fixed: withPad}); err != nil {
+		t.Errorf("strips at a fixed pad rejected: %v", err)
+	}
+	if _, err := Build(c, Config{FreeDevices: []string{"P"}, FreeStrips: []string{"TL", "IN"}, Fixed: withPad}); err == nil {
+		t.Error("free pad accepted")
 	}
 }
 
@@ -328,7 +294,7 @@ func TestWarmDirections(t *testing.T) {
 func TestModelStats(t *testing.T) {
 	c := twoBlockCircuit(180)
 	fixed := fixedTwoBlockLayout(t, c)
-	m, err := Build(c, Config{FreeDevices: []string{}, Fixed: fixed, DefaultChainPoints: 3})
+	m, err := Build(c, Config{FreeStrips: []string{"TL"}, Fixed: fixed, DefaultChainPoints: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,11 +33,8 @@ type box struct {
 // device bodies and microstrip segments (Eq. 16–20), honouring the
 // exemptions for connected objects, the pair-radius pruning and the optional
 // overlap slack of phase 1.
-func (m *Model) buildOverlap() error {
-	boxes, err := m.collectBoxes()
-	if err != nil {
-		return err
-	}
+func (m *Model) buildOverlap() {
+	boxes := m.collectBoxes()
 	for i := 0; i < len(boxes); i++ {
 		for j := i + 1; j < len(boxes); j++ {
 			a, b := boxes[i], boxes[j]
@@ -91,7 +88,6 @@ func (m *Model) buildOverlap() error {
 			m.addSeparation(pair+".above", b.yhi, a.ylo, u[3], slackTerm)
 		}
 	}
-	return nil
 }
 
 // addSeparation adds "hi ≤ lo + M·u (+ slack)".
@@ -162,41 +158,35 @@ func overlapExempt(a, b box) bool {
 
 // collectBoxes builds the expanded bounding boxes of all devices and
 // segments.
-func (m *Model) collectBoxes() ([]box, error) {
+func (m *Model) collectBoxes() []box {
 	var out []box
 
-	// Device bodies. In blurred mode device geometries are excluded
-	// (Section 5.1); their space is reserved by the enlarged end-segment
-	// boxes instead.
-	if !m.Config.Blurred {
-		for _, d := range m.Circuit.Devices {
-			dv := m.devices[d.Name]
-			w, h := d.Dimensions(dv.orient)
-			halfW := geom.Microns(w)/2 + m.clearance
-			halfH := geom.Microns(h)/2 + m.clearance
-			bx := box{name: d.Name, kind: "device", seg: -1}
-			if dv.free {
-				cx, cy := m.centerExpr(dv)
-				bx.xlo = cx.Clone().AddConst(-halfW)
-				bx.xhi = cx.Clone().AddConst(halfW)
-				bx.ylo = cy.Clone().AddConst(-halfH)
-				bx.yhi = cy.Clone().AddConst(halfH)
-			} else {
-				r := d.BodyRect(dv.fixedCenter, dv.orient).Expand(m.Circuit.Tech.Clearance())
-				bx.xlo = milp.Constant(geom.Microns(r.Min.X))
-				bx.xhi = milp.Constant(geom.Microns(r.Max.X))
-				bx.ylo = milp.Constant(geom.Microns(r.Min.Y))
-				bx.yhi = milp.Constant(geom.Microns(r.Max.Y))
-				bx.isConst = true
-			}
-			if m.Config.Fixed != nil {
-				if pd := m.Config.Fixed.Placed(d.Name); pd != nil {
-					bx.warm = pd.BodyRect().Expand(m.Circuit.Tech.Clearance())
-					bx.hasWarm = true
-				}
-			}
-			out = append(out, bx)
+	// Device bodies.
+	for _, d := range m.Circuit.Devices {
+		dv := m.devices[d.Name]
+		w, h := d.Dimensions(dv.orient)
+		halfW := geom.Microns(w)/2 + m.clearance
+		halfH := geom.Microns(h)/2 + m.clearance
+		bx := box{name: d.Name, kind: "device", seg: -1}
+		if dv.free {
+			cx, cy := m.centerExpr(dv)
+			bx.xlo = cx.Clone().AddConst(-halfW)
+			bx.xhi = cx.Clone().AddConst(halfW)
+			bx.ylo = cy.Clone().AddConst(-halfH)
+			bx.yhi = cy.Clone().AddConst(halfH)
+		} else {
+			r := d.BodyRect(dv.fixedCenter, dv.orient).Expand(m.Circuit.Tech.Clearance())
+			bx.xlo = milp.Constant(geom.Microns(r.Min.X))
+			bx.xhi = milp.Constant(geom.Microns(r.Max.X))
+			bx.ylo = milp.Constant(geom.Microns(r.Min.Y))
+			bx.yhi = milp.Constant(geom.Microns(r.Max.Y))
+			bx.isConst = true
 		}
+		if pd := m.Config.Fixed.Placed(d.Name); pd != nil {
+			bx.warm = pd.BodyRect().Expand(m.Circuit.Tech.Clearance())
+			bx.hasWarm = true
+		}
+		out = append(out, bx)
 	}
 
 	// Microstrip segments.
@@ -262,20 +252,6 @@ func (m *Model) collectBoxes() ([]box, error) {
 				expandX.Add(s[geom.Up], half).Add(s[geom.Down], half)
 				expandY.Add(s[geom.Left], half).Add(s[geom.Right], half)
 			}
-			if m.Config.Blurred && (j == 0 || j == sv.n-2) {
-				// Figure 8: end segments of blurred strips reserve space for
-				// the device they will visualize later.
-				dev := terms[0]
-				if j == sv.n-2 {
-					dev = terms[1]
-				}
-				if d, err := m.Circuit.Device(dev); err == nil {
-					w, h := d.Dimensions(geom.R0)
-					reach := geom.Microns(geom.MaxCoord(w, h)) / 2
-					expandX.AddConst(reach)
-					expandY.AddConst(reach)
-				}
-			}
 			bx := box{
 				name: ms.Name, kind: "segment", strip: ms.Name, seg: j, terms: terms,
 				xlo:  milp.Term(exlo, 1).AddExpr(expandX, -1),
@@ -293,15 +269,12 @@ func (m *Model) collectBoxes() ([]box, error) {
 			out = append(out, bx)
 		}
 	}
-	return out, nil
+	return out
 }
 
 // warmStripRect returns the expanded bounding rectangle of a strip's route in
 // the Fixed layout, used for pair pruning of free strips.
 func (m *Model) warmStripRect(strip string) (geom.Rect, bool) {
-	if m.Config.Fixed == nil {
-		return geom.Rect{}, false
-	}
 	rs := m.Config.Fixed.Routed(strip)
 	if rs == nil || len(rs.Path.Points) == 0 {
 		return geom.Rect{}, false

@@ -39,7 +39,7 @@ func obstacleCircuit() (*netlist.Circuit, *layout.Layout) {
 func TestRouteAvoidsFixedObstacle(t *testing.T) {
 	c, fixed := obstacleCircuit()
 	m, err := Build(c, Config{
-		FreeDevices:        []string{},
+		FreeStrips:         []string{"TL"},
 		Fixed:              fixed,
 		DefaultChainPoints: 4,
 	})
@@ -83,7 +83,7 @@ func TestPairRadiusPrunesConstraints(t *testing.T) {
 		t.Fatal(err)
 	}
 	full, err := Build(c, Config{
-		FreeDevices:        []string{},
+		FreeStrips:         []string{"TL"},
 		Fixed:              fixed,
 		DefaultChainPoints: 4,
 	})
@@ -91,7 +91,7 @@ func TestPairRadiusPrunesConstraints(t *testing.T) {
 		t.Fatal(err)
 	}
 	pruned, err := Build(c, Config{
-		FreeDevices:        []string{},
+		FreeStrips:         []string{"TL"},
 		Fixed:              fixed,
 		DefaultChainPoints: 4,
 		PairRadius:         geom.FromMicrons(1), // prune almost everything
@@ -104,38 +104,6 @@ func TestPairRadiusPrunesConstraints(t *testing.T) {
 	}
 }
 
-func TestBlurredModeSolves(t *testing.T) {
-	// In blurred mode the devices are free, bodies are not modeled, strips
-	// join device centres and the target absorbs the centre-to-pin runs.
-	c, fixed := obstacleCircuit()
-	m, err := Build(c, Config{
-		Fixed:              fixed,
-		Blurred:            true,
-		SoftLength:         true,
-		OverlapSlack:       true,
-		DefaultChainPoints: 3,
-		Confinement:        geom.FromMicrons(60),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lay, res, err := m.SolveAndExtractCtx(deadline(t, 60*time.Second), milp.SolveOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Status.HasSolution() {
-		t.Fatalf("status = %v", res.Status)
-	}
-	if lay == nil || lay.Routed("TL") == nil {
-		t.Fatal("no route extracted")
-	}
-	// The blurred model has no device boxes, so the only boxes are the three
-	// segments of TL; adjacent ones are exempt, leaving at most one pair.
-	if m.overlapPairs > 1 {
-		t.Errorf("blurred model has %d overlap pairs, expected at most 1", m.overlapPairs)
-	}
-}
-
 func TestConfinementWindowsRestrictCoordinates(t *testing.T) {
 	c, fixed := obstacleCircuit()
 	// Route the strip in the fixed layout so confinement has a reference.
@@ -145,7 +113,7 @@ func TestConfinementWindowsRestrictCoordinates(t *testing.T) {
 		t.Fatal(err)
 	}
 	m, err := Build(c, Config{
-		FreeDevices:        []string{},
+		FreeStrips:         []string{"TL"},
 		Fixed:              fixed,
 		DefaultChainPoints: 4,
 		Confinement:        geom.FromMicrons(30),
@@ -178,7 +146,7 @@ func TestConfinementTooTightIsRejected(t *testing.T) {
 	// No route for TL in the fixed layout: confinement on chain points is
 	// then skipped, but a FixTopology request must fail cleanly.
 	_, err := Build(c, Config{
-		FreeDevices:        []string{},
+		FreeStrips:         []string{"TL"},
 		Fixed:              fixed,
 		DefaultChainPoints: 4,
 		FixTopology:        true,

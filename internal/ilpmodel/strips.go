@@ -5,7 +5,6 @@ import (
 
 	"rficlayout/internal/geom"
 	"rficlayout/internal/milp"
-	"rficlayout/internal/netlist"
 )
 
 // buildStrips creates the chain-point, direction, length and bend variables
@@ -17,13 +16,6 @@ func (m *Model) buildStrips() error {
 			free:  m.Config.stripFree(ms.Name),
 			width: geom.Microns(m.Circuit.Tech.StripWidth(ms.Width)),
 		}
-		sv.target = geom.Microns(ms.TargetLength)
-		if m.Config.Blurred {
-			// Eq. 23: the blurred strip absorbs the centre-to-pin runs of its
-			// two terminal devices.
-			sv.target += m.pinReach(ms.From) + m.pinReach(ms.To)
-		}
-
 		if !sv.free {
 			rs := m.Config.Fixed.Routed(ms.Name)
 			if rs == nil {
@@ -46,22 +38,6 @@ func (m *Model) buildStrips() error {
 	return nil
 }
 
-// pinReach returns the centre-to-pin Manhattan distance of a terminal's
-// device, which is the length increase L_s/L_e a blurred strip absorbs
-// (Figure 8). Unknown devices or pins contribute zero; the circuit has been
-// validated beforehand, so that only happens in malformed test fixtures.
-func (m *Model) pinReach(t netlist.Terminal) float64 {
-	d, err := m.Circuit.Device(t.Device)
-	if err != nil {
-		return 0
-	}
-	pin, err := d.Pin(t.Pin)
-	if err != nil {
-		return 0
-	}
-	return geom.Microns(geom.AbsCoord(pin.Offset.X) + geom.AbsCoord(pin.Offset.Y))
-}
-
 // buildFreeStrip creates the variables and constraints of one microstrip
 // whose geometry the solver may change.
 func (m *Model) buildFreeStrip(sv *stripVars) error {
@@ -74,10 +50,8 @@ func (m *Model) buildFreeStrip(sv *stripVars) error {
 	sv.x = make([]milp.Var, n)
 	sv.y = make([]milp.Var, n)
 	var warm []geom.Point
-	if m.Config.Fixed != nil {
-		if rs := m.Config.Fixed.Routed(name); rs != nil {
-			warm = rs.Path.Points
-		}
+	if rs := m.Config.Fixed.Routed(name); rs != nil {
+		warm = rs.Path.Points
 	}
 	for j := 0; j < n; j++ {
 		loX, hiX := 0.0, m.areaW
@@ -174,7 +148,6 @@ func (m *Model) buildFreeStrip(sv *stripVars) error {
 	if sv.topologyFixed {
 		sv.nbExpr.AddConst(float64(sv.fixedBends))
 	} else {
-		sv.bendT = make([]milp.Var, 0, segs-1)
 		for j := 1; j < segs; j++ {
 			prev := sv.dirs[j-1]
 			cur := sv.dirs[j]
@@ -196,25 +169,24 @@ func (m *Model) buildFreeStrip(sv *stripVars) error {
 			// Eq. 10: t = t_hv + t_vh (≤ 1 via binariness of t).
 			mdl.AddEQ(fmt.Sprintf("bend.%s.%d.sum", name, j),
 				milp.Term(t, 1).Add(thv, -1).Add(tvh, -1), 0)
-			sv.bendT = append(sv.bendT, t)
 			sv.nbExpr.Add(t, 1)
 		}
 	}
 
 	// Length accounting (Eq. 7 and 12).
-	sv.lengthExpr = milp.NewExpr()
+	length := milp.NewExpr()
 	for j := 0; j < segs; j++ {
-		sv.lengthExpr.Add(sv.segLen[j], 1)
+		length.Add(sv.segLen[j], 1)
 	}
-	sv.lengthExpr.AddExpr(sv.nbExpr, m.delta)
+	length.AddExpr(sv.nbExpr, m.delta)
 
+	target := geom.Microns(sv.ms.TargetLength)
 	if m.Config.SoftLength {
 		// Eq. 24: lu ≥ |target − leq|.
-		diff := sv.lengthExpr.Clone().AddConst(-sv.target)
-		sv.lu = mdl.AbsEnvelope(fmt.Sprintf("lu.%s", name), diff, m.areaW+m.areaH)
+		sv.lu = mdl.AbsEnvelope(fmt.Sprintf("lu.%s", name), length.AddConst(-target), m.areaW+m.areaH)
 	} else {
 		// Eq. 13: exact equivalent length.
-		mdl.AddEQ(fmt.Sprintf("len.%s.exact", name), sv.lengthExpr.Clone(), sv.target)
+		mdl.AddEQ(fmt.Sprintf("len.%s.exact", name), length, target)
 	}
 	return nil
 }
@@ -259,8 +231,7 @@ func warmDirections(pts []geom.Point) []geom.Direction {
 	return dirs
 }
 
-// buildConnections binds route endpoints to device pins (Eq. 14) or, in
-// blurred mode, to device centres.
+// buildConnections binds route endpoints to device pins (Eq. 14).
 func (m *Model) buildConnections() error {
 	// Declaration order, not map order: constraint order must be a pure
 	// function of the circuit (see buildObjective).
@@ -282,15 +253,9 @@ func (m *Model) buildConnections() error {
 			if dv == nil {
 				return fmt.Errorf("ilpmodel: microstrip %q references unknown device %q", sv.ms.Name, e.device)
 			}
-			var px, py *milp.Expr
-			var err error
-			if m.Config.Blurred {
-				px, py = m.centerExpr(dv)
-			} else {
-				px, py, err = m.pinExpr(dv, e.pin)
-				if err != nil {
-					return err
-				}
+			px, py, err := m.pinExpr(dv, e.pin)
+			if err != nil {
+				return err
 			}
 			cname := fmt.Sprintf("pin.%s.%d", sv.ms.Name, e.index)
 			m.MILP.AddEQ(cname+".x", milp.Term(sv.x[e.index], 1).AddExpr(px, -1), 0)

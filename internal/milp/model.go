@@ -269,19 +269,6 @@ func (m *Model) AbsEnvelope(name string, e *Expr, maxAbs float64) Var {
 	return u
 }
 
-// AddImpliedLE adds the big-M implication "z = 1 ⇒ e <= rhs":
-// e <= rhs + M·(1−z). With z = 0 the constraint is inactive.
-func (m *Model) AddImpliedLE(name string, z Var, e *Expr, rhs, bigM float64) {
-	// e + M·z <= rhs + M
-	m.AddLE(name, e.Clone().Add(z, bigM), rhs+bigM)
-}
-
-// AddImpliedGE adds the big-M implication "z = 1 ⇒ e >= rhs".
-func (m *Model) AddImpliedGE(name string, z Var, e *Expr, rhs, bigM float64) {
-	// e − M·z >= rhs − M
-	m.AddGE(name, e.Clone().Add(z, -bigM), rhs-bigM)
-}
-
 // MaxEnvelope creates a continuous variable that is constrained to be at
 // least each of the given expressions; minimizing it yields their maximum.
 // Used for n_b,max (Eq. 21) and l_u,max (Eq. 25).

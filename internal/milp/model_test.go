@@ -188,51 +188,6 @@ func TestMaxEnvelope(t *testing.T) {
 	}
 }
 
-func TestImpliedConstraints(t *testing.T) {
-	// z = 1 forces x <= 3; maximize x with z fixed to 1 and to 0.
-	const bigM = 100
-	for _, zval := range []float64{0, 1} {
-		m := NewModel()
-		x := m.AddContinuous("x", 0, 10)
-		z := m.AddBinary("z")
-		m.AddEQ("fixz", Term(z, 1), zval)
-		m.AddImpliedLE("imp", z, Term(x, 1), 3, bigM)
-		m.SetObjectiveCoef(x, -1)
-		res, err := m.SolveCtx(context.Background(), SolveOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := 10.0
-		if zval == 1 {
-			want = 3
-		}
-		if !res.Status.HasSolution() || math.Abs(res.X[x]-want) > 1e-6 {
-			t.Errorf("z=%g: x = %g, want %g", zval, res.X[x], want)
-		}
-	}
-
-	// z = 1 forces x >= 6; minimize x.
-	for _, zval := range []float64{0, 1} {
-		m := NewModel()
-		x := m.AddContinuous("x", 0, 10)
-		z := m.AddBinary("z")
-		m.AddEQ("fixz", Term(z, 1), zval)
-		m.AddImpliedGE("imp", z, Term(x, 1), 6, bigM)
-		m.SetObjectiveCoef(x, 1)
-		res, err := m.SolveCtx(context.Background(), SolveOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := 0.0
-		if zval == 1 {
-			want = 6
-		}
-		if !res.Status.HasSolution() || math.Abs(res.X[x]-want) > 1e-6 {
-			t.Errorf("z=%g: x = %g, want %g", zval, res.X[x], want)
-		}
-	}
-}
-
 func TestBinaryBoundsClampedOnAdd(t *testing.T) {
 	m := NewModel()
 	b := m.AddVar("b", -5, 9, Binary)

@@ -55,11 +55,10 @@ type Options struct {
 	// what lets benchmark harnesses run circuits whose strip solves do not
 	// converge while keeping the byte-identical determinism contract.
 	StripNodeLimit int
-	// Phase1NodeLimit, when positive, bounds the phase-1 global-adjustment
-	// branch-and-bound by explored node count, the same deterministic
-	// path-independent cutoff StripNodeLimit provides for the per-strip
-	// solves. The fuzz harness sets both so pathological circuits terminate
-	// at a reproducible point instead of a wall-clock-dependent one.
+	// Phase1NodeLimit is the node budget of the phase-1 solve. That model is
+	// a pure LP (TestPhase1ModelIsPureLP), so its search is the root node
+	// alone and no positive value binds. It only reaches Fingerprint, whose
+	// text keys the result cache.
 	Phase1NodeLimit int
 	// Workers bounds the worker pool that solves independent per-strip
 	// subproblems concurrently. Zero means GOMAXPROCS; one disables
@@ -453,8 +452,8 @@ func GenerateCtx(ctx context.Context, c *netlist.Circuit, opts Options) (*Result
 		return res
 	}
 
-	// Phase 1a: constructive placement and planar routing with blurred
-	// device clearances.
+	// Phase 1a: constructive signal-flow placement, pads on the boundary,
+	// planar L/Z routing.
 	current, err := Construct(c)
 	if err != nil {
 		return nil, err
@@ -468,14 +467,18 @@ func GenerateCtx(ctx context.Context, c *netlist.Circuit, opts Options) (*Result
 		return finish(current, "construct"), nil
 	}
 
-	// Phase 1b: global coordinate adjustment — soft lengths, penalized
-	// overlap, relative positions kept, topology fixed (Eq. 23–28).
+	// Phase 1b: global coordinate adjustment, one LP on the real device
+	// bodies and pins with the pads fixed — soft lengths, penalized overlap,
+	// relative positions kept, topology fixed (Eq. 24–28).
 	adjusted, err := globalAdjust(ctx, c, current, opts, spent)
 	if err != nil {
 		opts.logf("pilp: global adjustment failed: %v", err)
 	} else if adjusted != nil && Score(adjusted) <= Score(current) {
 		current = adjusted
 	}
+	// The phase is not blurred, but its label stays literal: it is the
+	// server's partial_phase wire value, and bench's batch workload looks
+	// the snapshot up by this name.
 	res.addSnapshot("phase1-blurred-routing", current, time.Since(start))
 	opts.logf("pilp: phase 1 done: %s", current.Metrics())
 	if err := ctx.Err(); err != nil {
@@ -543,25 +546,27 @@ func globalAdjust(ctx context.Context, c *netlist.Circuit, current *layout.Layou
 	return lay, nil
 }
 
-// phase1Model builds the phase-1 model: every non-pad device free, soft
-// lengths, penalized overlap, frozen topology and relative positions from the
-// constructed layout, generous confinement.
+// phase1Model builds the phase-1 model: every strip and non-pad device free,
+// soft lengths, penalized overlap, frozen topology and relative positions
+// from the constructed layout, generous confinement.
 func phase1Model(c *netlist.Circuit, current *layout.Layout, opts Options) (*ilpmodel.Model, error) {
 	chainPoints := map[string]int{}
+	var freeStrips, freeDevices []string
 	for _, ms := range c.Microstrips {
 		rs := current.Routed(ms.Name)
 		if rs == nil {
 			return nil, fmt.Errorf("pilp: strip %q missing from constructed layout", ms.Name)
 		}
 		chainPoints[ms.Name] = len(rs.Path.Points)
+		freeStrips = append(freeStrips, ms.Name)
 	}
-	freeDevices := []string{}
 	for _, d := range c.NonPadDevices() {
 		freeDevices = append(freeDevices, d.Name)
 	}
 	return ilpmodel.Build(c, ilpmodel.Config{
 		ChainPoints:       chainPoints,
 		FreeDevices:       freeDevices,
+		FreeStrips:        freeStrips,
 		Fixed:             current,
 		SoftLength:        true,
 		OverlapSlack:      true,
@@ -743,9 +748,6 @@ func stripModel(c *netlist.Circuit, current *layout.Layout, strips []string, cha
 			return nil, err
 		}
 		cpMap[strip] = len(resampled)
-	}
-	if freeDevices == nil {
-		freeDevices = []string{}
 	}
 	cfg := ilpmodel.Config{
 		ChainPoints: cpMap,

@@ -2,9 +2,12 @@
 // flow of Section 5 of the paper. The flow runs three phases on top of the
 // exact model in internal/ilpmodel:
 //
-//  1. planar routing with blurred devices — realized as a constructive
-//     signal-flow placement plus a global coordinate-adjustment model with
-//     soft lengths and penalized overlap (Eq. 23–28);
+//  1. planar routing — the paper blurs the devices here (Eq. 23); this flow
+//     does not. It places the devices along the signal flow, pads on the
+//     boundary, routes every strip with a planar L/Z shape, and then solves
+//     one global LP over that layout: real device bodies and pins, pads
+//     fixed where construction put them, soft lengths and penalized overlap
+//     (Eq. 24–28), topology and relative positions frozen;
 //  2. device visualization and overlap fixing — real device geometries and
 //     pins enter the model, coordinates are confined to τd windows around the
 //     phase-1 result, and every microstrip is driven to its exact equivalent
