@@ -48,7 +48,12 @@
 //	                             as a restricted model around a given layout:
 //	                             named strips and non-pad devices free, every
 //	                             other object fixed; no blurred mode, pads
-//	                             never free
+//	                             never free; non-overlap pairs skip exactly
+//	                             what layout.SpacingExempt exempts
+//	internal/layout              layouts, the design-rule check and export;
+//	                             owns the spacing rule (layout.Shape,
+//	                             SpacingExempt), which the check and the
+//	                             layout MILP share
 //	internal/milp                sequential branch-and-bound over 0-1 models,
 //	                             dive heuristic; child nodes warm-start the
 //	                             dual simplex from the parent basis and fall

@@ -6,10 +6,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"rficlayout/internal/circuits"
 	"rficlayout/internal/netlist"
 	"rficlayout/internal/pilp"
 )
@@ -107,6 +109,34 @@ func TestKeyStability(t *testing.T) {
 				t.Errorf("Key = %s, base = %s, wantSame=%v", got, baseKey, tt.wantSame)
 			}
 		})
+	}
+}
+
+// TestKeyPinned pins the bytes of the content address: the Dir tier keys
+// persistent entries by it and the cluster ring assigns owners by it, so a
+// change in the canonical circuit text or the option fingerprint silently
+// orphans every stored result and moves ownership. It hashes the keys of the
+// three testdata fixtures and the six Table 1 cells under default options.
+// Re-pin only on purpose, together with the "rficlayout-cache-v1" prefix.
+func TestKeyPinned(t *testing.T) {
+	var circs []*netlist.Circuit
+	for _, name := range []string{"mini.rfic", "twostage.rfic", "fuzzmin.rfic"} {
+		c, err := netlist.ParseFile(filepath.Join("..", "..", "testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		circs = append(circs, c)
+	}
+	for _, s := range circuits.Table1() {
+		circs = append(circs, circuits.Build(s), circuits.BuildSmallArea(s))
+	}
+	h := sha256.New()
+	for _, c := range circs {
+		fmt.Fprintln(h, Key(c, pilp.Options{}))
+	}
+	const want = "8cf8ce787df119576db4b94a46be4751e8d44185b21474823cfb7718b6acd1ca"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("cache keys hash to %s, want %s", got, want)
 	}
 }
 

@@ -39,25 +39,6 @@ func (r Rect) Width() Coord { return r.Max.X - r.Min.X }
 // Height returns the vertical extent.
 func (r Rect) Height() Coord { return r.Max.Y - r.Min.Y }
 
-// Area returns the rectangle area in nm².
-func (r Rect) Area() int64 { return int64(r.Width()) * int64(r.Height()) }
-
-// Center returns the centre point (rounded down for odd sizes).
-func (r Rect) Center() Point {
-	return Point{(r.Min.X + r.Max.X) / 2, (r.Min.Y + r.Max.Y) / 2}
-}
-
-// Empty reports whether the rectangle has no interior (zero or negative
-// extent along either axis).
-func (r Rect) Empty() bool {
-	return r.Max.X <= r.Min.X || r.Max.Y <= r.Min.Y
-}
-
-// Valid reports whether Min <= Max along both axes.
-func (r Rect) Valid() bool {
-	return r.Max.X >= r.Min.X && r.Max.Y >= r.Min.Y
-}
-
 // Eq reports whether two rectangles are identical.
 func (r Rect) Eq(s Rect) bool { return r.Min.Eq(s.Min) && r.Max.Eq(s.Max) }
 
@@ -99,22 +80,6 @@ func (r Rect) ContainsPoint(p Point) bool {
 func (r Rect) ContainsRect(s Rect) bool {
 	return s.Min.X >= r.Min.X && s.Max.X <= r.Max.X &&
 		s.Min.Y >= r.Min.Y && s.Max.Y <= r.Max.Y
-}
-
-// Intersect returns the intersection of r and s. When the rectangles do not
-// overlap the result is an empty but well-formed rectangle.
-func (r Rect) Intersect(s Rect) Rect {
-	out := Rect{
-		Min: Point{MaxCoord(r.Min.X, s.Min.X), MaxCoord(r.Min.Y, s.Min.Y)},
-		Max: Point{MinCoord(r.Max.X, s.Max.X), MinCoord(r.Max.Y, s.Max.Y)},
-	}
-	if out.Max.X < out.Min.X {
-		out.Max.X = out.Min.X
-	}
-	if out.Max.Y < out.Min.Y {
-		out.Max.Y = out.Min.Y
-	}
-	return out
 }
 
 // Union returns the smallest rectangle containing both r and s.

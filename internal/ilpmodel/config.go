@@ -10,6 +10,11 @@
 // overlap (Eq. 16–20). The objective minimizes the maximum and total bend
 // counts (Eq. 21 / 26).
 //
+// The non-overlap constraints express the spacing rule of Section 2.1, which
+// lives in internal/layout: a pair gets no constraint exactly when
+// layout.SpacingExempt exempts it, the predicate the design-rule check uses,
+// so the model and the check skip the same pairs.
+//
 // The model is expressed on top of internal/milp and solved by its
 // branch-and-bound engine. Every model is a restricted instance around a
 // previous layout, as in the progressive flow of internal/pilp: Config.Fixed

@@ -23,19 +23,21 @@ func (m *Model) ExtractLayout(x []float64) (*layout.Layout, error) {
 	}
 	l := layout.New(m.Circuit)
 
-	for name, dv := range m.devices {
-		var center geom.Point
+	// Declaration order, not map order: the first failure is the one
+	// reported, so it must not depend on map iteration.
+	for _, d := range m.Circuit.Devices {
+		dv := m.devices[d.Name]
+		center := dv.fixedCenter
 		if dv.free {
 			center = geom.Pt(roundUm(x[dv.x]), roundUm(x[dv.y]))
-		} else {
-			center = dv.fixedCenter
 		}
-		if err := l.Place(name, center, dv.orient); err != nil {
+		if err := l.Place(d.Name, center, dv.orient); err != nil {
 			return nil, err
 		}
 	}
 
-	for name, sv := range m.strips {
+	for _, ms := range m.Circuit.Microstrips {
+		sv := m.strips[ms.Name]
 		var pts []geom.Point
 		if sv.free {
 			var err error
@@ -46,7 +48,7 @@ func (m *Model) ExtractLayout(x []float64) (*layout.Layout, error) {
 		} else {
 			pts = append([]geom.Point(nil), sv.fixedPts...)
 		}
-		if err := l.Route(name, pts...); err != nil {
+		if err := l.Route(ms.Name, pts...); err != nil {
 			return nil, err
 		}
 	}

@@ -101,22 +101,25 @@ func (m *Model) Stats() string {
 }
 
 // buildDevices creates placement variables for free devices and records
-// fixed positions for the rest.
+// fixed positions for the rest. Every device takes its orientation from
+// Fixed when Fixed places it; the model never rotates a device.
 func (m *Model) buildDevices() error {
 	for _, d := range m.Circuit.Devices {
+		pd := m.Config.Fixed.Placed(d.Name)
 		dv := &deviceVars{
 			dev:    d,
 			orient: geom.R0,
 			free:   m.Config.deviceFree(d.Name),
 		}
+		if pd != nil {
+			dv.orient = pd.Orient
+		}
+		m.devices[d.Name] = dv
 		if !dv.free {
-			pd := m.Config.Fixed.Placed(d.Name)
 			if pd == nil {
 				return fmt.Errorf("ilpmodel: device %q is fixed but has no placement in the Fixed layout", d.Name)
 			}
 			dv.fixedCenter = pd.Center
-			dv.orient = pd.Orient
-			m.devices[d.Name] = dv
 			continue
 		}
 
@@ -125,21 +128,17 @@ func (m *Model) buildDevices() error {
 		halfH := geom.Microns(h) / 2
 		loX, hiX := halfW, m.areaW-halfW
 		loY, hiY := halfH, m.areaH-halfH
-		if m.Config.Confinement > 0 {
-			if pd := m.Config.Fixed.Placed(d.Name); pd != nil {
-				tau := geom.Microns(m.Config.Confinement)
-				cx, cy := geom.Microns(pd.Center.X), geom.Microns(pd.Center.Y)
-				loX, hiX = maxf(loX, cx-tau), minf(hiX, cx+tau)
-				loY, hiY = maxf(loY, cy-tau), minf(hiY, cy+tau)
-				dv.orient = pd.Orient
-			}
+		if m.Config.Confinement > 0 && pd != nil {
+			tau := geom.Microns(m.Config.Confinement)
+			cx, cy := geom.Microns(pd.Center.X), geom.Microns(pd.Center.Y)
+			loX, hiX = maxf(loX, cx-tau), minf(hiX, cx+tau)
+			loY, hiY = maxf(loY, cy-tau), minf(hiY, cy+tau)
 		}
 		if loX > hiX || loY > hiY {
 			return fmt.Errorf("ilpmodel: device %q has an empty feasible window", d.Name)
 		}
 		dv.x = m.MILP.AddContinuous("dev."+d.Name+".x", loX, hiX)
 		dv.y = m.MILP.AddContinuous("dev."+d.Name+".y", loY, hiY)
-		m.devices[d.Name] = dv
 	}
 	return nil
 }

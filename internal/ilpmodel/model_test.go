@@ -112,6 +112,38 @@ func TestLongerTargetForcesDetour(t *testing.T) {
 	}
 }
 
+func TestFreeDeviceKeepsFixedOrientation(t *testing.T) {
+	// B is rotated in Fixed and free without a confinement window: the model
+	// moves it but never rotates it, so the extracted layout keeps R180.
+	c := twoBlockCircuit(180)
+	fixed := fixedTwoBlockLayout(t, c)
+	if err := fixed.Place("B", geom.PtMicrons(260, 100), geom.R180); err != nil {
+		t.Fatal(err)
+	}
+	m, err := Build(c, Config{
+		FreeStrips:         []string{"TL"},
+		FreeDevices:        []string{"B"},
+		Fixed:              fixed,
+		DefaultChainPoints: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lay, res, err := m.SolveAndExtractCtx(deadline(t, 20*time.Second), milp.SolveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Status.HasSolution() {
+		t.Fatalf("status = %v", res.Status)
+	}
+	if got := lay.Placed("B").Orient; got != geom.R180 {
+		t.Errorf("B orientation = %v, want %v", got, geom.R180)
+	}
+	if vs := lay.Check(layout.CheckOptions{PinTolerance: 2}); len(vs) != 0 {
+		t.Errorf("violations: %v", vs)
+	}
+}
+
 func TestInfeasibleTooShortTarget(t *testing.T) {
 	// The pins are 180 µm apart but the target is only 100 µm: no planar
 	// rectilinear route can be shorter than the Manhattan pin distance, so

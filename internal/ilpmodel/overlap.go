@@ -4,23 +4,15 @@ import (
 	"fmt"
 
 	"rficlayout/internal/geom"
+	"rficlayout/internal/layout"
 	"rficlayout/internal/milp"
-	"rficlayout/internal/netlist"
 )
 
 // box is one rectangle participating in the non-overlap constraints of
 // Eq. 16–20. Its four expanded edges are linear expressions over model
 // variables (constants for fixed objects).
 type box struct {
-	name  string // owning object name
-	kind  string // "device" or "segment"
-	strip string // owning strip for segments
-	seg   int    // segment index within the strip, -1 for devices
-	terms [2]string
-	// endTerms lists the terminals this segment is directly adjacent to;
-	// end segments of two strips that meet at the same pin (T-junction) are
-	// exempt from the non-overlap constraint between each other.
-	endTerms []netlist.Terminal
+	shape layout.Shape // which device or segment it is, for SpacingExempt
 
 	xlo, xhi, ylo, yhi *milp.Expr
 
@@ -30,9 +22,10 @@ type box struct {
 }
 
 // buildOverlap creates the pairwise non-overlap constraints between all
-// device bodies and microstrip segments (Eq. 16–20), honouring the
-// exemptions for connected objects, the pair-radius pruning and the optional
-// overlap slack of phase 1.
+// device bodies and microstrip segments (Eq. 16–20), honouring the pair-radius
+// pruning and the optional overlap slack of phase 1. It skips the pairs the
+// spacing rule exempts, by the same layout.SpacingExempt the design-rule
+// check uses.
 func (m *Model) buildOverlap() {
 	boxes := m.collectBoxes()
 	for i := 0; i < len(boxes); i++ {
@@ -41,7 +34,7 @@ func (m *Model) buildOverlap() {
 			if a.isConst && b.isConst {
 				continue
 			}
-			if overlapExempt(a, b) {
+			if layout.SpacingExempt(a.shape, b.shape) {
 				continue
 			}
 			if m.Config.PairRadius > 0 && a.hasWarm && b.hasWarm {
@@ -50,7 +43,7 @@ func (m *Model) buildOverlap() {
 				}
 			}
 			m.overlapPairs++
-			pair := fmt.Sprintf("ovl.%s#%d.%s#%d", a.name, a.seg, b.name, b.seg)
+			pair := fmt.Sprintf("ovl.%s#%d.%s#%d", a.shape.Name(), a.shape.Seg, b.shape.Name(), b.shape.Seg)
 			var slackTerm *milp.Expr
 			if m.Config.OverlapSlack {
 				s := m.MILP.AddContinuous(pair+".slack", 0, m.areaW+m.areaH)
@@ -127,35 +120,6 @@ func bestSeparation(a, b geom.Rect) int {
 	return best
 }
 
-// overlapExempt mirrors the DRC exemptions: adjacent segments of the same
-// strip, end segments of two strips meeting at the same pin, and a strip's
-// segments against the devices it terminates on.
-func overlapExempt(a, b box) bool {
-	if a.kind == "segment" && b.kind == "segment" && a.strip == b.strip {
-		di := a.seg - b.seg
-		if di < 0 {
-			di = -di
-		}
-		return di <= 1
-	}
-	if a.kind == "segment" && b.kind == "segment" {
-		for _, ta := range a.endTerms {
-			for _, tb := range b.endTerms {
-				if ta == tb {
-					return true
-				}
-			}
-		}
-	}
-	if a.kind == "device" && b.kind == "segment" {
-		a, b = b, a
-	}
-	if a.kind == "segment" && b.kind == "device" {
-		return a.terms[0] == b.name || a.terms[1] == b.name
-	}
-	return false
-}
-
 // collectBoxes builds the expanded bounding boxes of all devices and
 // segments.
 func (m *Model) collectBoxes() []box {
@@ -167,7 +131,7 @@ func (m *Model) collectBoxes() []box {
 		w, h := d.Dimensions(dv.orient)
 		halfW := geom.Microns(w)/2 + m.clearance
 		halfH := geom.Microns(h)/2 + m.clearance
-		bx := box{name: d.Name, kind: "device", seg: -1}
+		bx := box{shape: layout.Shape{Device: d, Seg: -1}}
 		if dv.free {
 			cx, cy := m.centerExpr(dv)
 			bx.xlo = cx.Clone().AddConst(-halfW)
@@ -192,28 +156,20 @@ func (m *Model) collectBoxes() []box {
 	// Microstrip segments.
 	for _, ms := range m.Circuit.Microstrips {
 		sv := m.strips[ms.Name]
-		terms := [2]string{ms.From.Device, ms.To.Device}
 
 		if !sv.free {
 			segs := (geom.Polyline{Points: sv.fixedPts, Width: m.Circuit.Tech.StripWidth(ms.Width)}).Segments()
 			for k, seg := range segs {
 				r := seg.Rect().Expand(m.Circuit.Tech.Clearance())
-				bx := box{
-					name: ms.Name, kind: "segment", strip: ms.Name, seg: k, terms: terms,
+				out = append(out, box{
+					shape:   layout.Shape{Strip: ms, Seg: k, Segs: len(segs)},
 					xlo:     milp.Constant(geom.Microns(r.Min.X)),
 					xhi:     milp.Constant(geom.Microns(r.Max.X)),
 					ylo:     milp.Constant(geom.Microns(r.Min.Y)),
 					yhi:     milp.Constant(geom.Microns(r.Max.Y)),
 					isConst: true,
 					warm:    r, hasWarm: true,
-				}
-				if k == 0 {
-					bx.endTerms = append(bx.endTerms, ms.From)
-				}
-				if k == len(segs)-1 {
-					bx.endTerms = append(bx.endTerms, ms.To)
-				}
-				out = append(out, bx)
+				})
 			}
 			continue
 		}
@@ -252,21 +208,14 @@ func (m *Model) collectBoxes() []box {
 				expandX.Add(s[geom.Up], half).Add(s[geom.Down], half)
 				expandY.Add(s[geom.Left], half).Add(s[geom.Right], half)
 			}
-			bx := box{
-				name: ms.Name, kind: "segment", strip: ms.Name, seg: j, terms: terms,
-				xlo:  milp.Term(exlo, 1).AddExpr(expandX, -1),
-				xhi:  milp.Term(exhi, 1).AddExpr(expandX, 1),
-				ylo:  milp.Term(eylo, 1).AddExpr(expandY, -1),
-				yhi:  milp.Term(eyhi, 1).AddExpr(expandY, 1),
-				warm: warmRect, hasWarm: hasWarm,
-			}
-			if j == 0 {
-				bx.endTerms = append(bx.endTerms, ms.From)
-			}
-			if j == sv.n-2 {
-				bx.endTerms = append(bx.endTerms, ms.To)
-			}
-			out = append(out, bx)
+			out = append(out, box{
+				shape: layout.Shape{Strip: ms, Seg: j, Segs: sv.n - 1},
+				xlo:   milp.Term(exlo, 1).AddExpr(expandX, -1),
+				xhi:   milp.Term(exhi, 1).AddExpr(expandX, 1),
+				ylo:   milp.Term(eylo, 1).AddExpr(expandY, -1),
+				yhi:   milp.Term(eyhi, 1).AddExpr(expandY, 1),
+				warm:  warmRect, hasWarm: hasWarm,
+			})
 		}
 	}
 	return out

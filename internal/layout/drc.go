@@ -93,20 +93,61 @@ func (o CheckOptions) lengthTol() geom.Coord {
 	return 10
 }
 
-// shape is an internal helper: one rectangle participating in spacing checks.
-type shape struct {
-	name     string // owning object name
-	kind     string // "device" or "strip"
-	rect     geom.Rect
-	stripIdx int // segment index within the strip, -1 for devices
-	// terms lists the devices the owning strip terminates on, nil for
-	// devices.
-	terms []string
-	// endTerms lists the terminals (device.pin) this segment is directly
-	// adjacent to: the From terminal for the first segment, the To terminal
-	// for the last one. Two strips meeting at the same pin (a T-junction)
-	// are exempt from spacing/crossing checks between those end segments.
-	endTerms []netlist.Terminal
+// Shape identifies one rectangle under the spacing rule of Section 2.1: a
+// device body or one segment of a microstrip. The design-rule check and the
+// non-overlap constraints of the layout model (internal/ilpmodel, Eq. 16–20)
+// both decide through SpacingExempt which pairs the rule skips, so the model
+// separates exactly the pairs the check measures.
+type Shape struct {
+	Device *netlist.Device     // the device, for a device body
+	Strip  *netlist.Microstrip // the microstrip, for a segment
+	Seg    int                 // segment index within Strip, -1 for a device
+	Segs   int                 // number of segments of Strip
+	// Rect is the unexpanded rectangle the check measures; the model keeps
+	// its own variable box and leaves it zero.
+	Rect geom.Rect
+}
+
+// Name returns the name of the owning device or microstrip.
+func (s Shape) Name() string {
+	if s.Strip != nil {
+		return s.Strip.Name
+	}
+	return s.Device.Name
+}
+
+// SpacingExempt reports whether the spacing rule skips the pair: adjacent
+// segments of one microstrip (they share a chain point), end segments of two
+// microstrips that meet at the same pin (a T-junction), and a microstrip's
+// segments against the devices it terminates on (the strip must reach the
+// pin inside the device clearance). Two devices are never exempt.
+func SpacingExempt(a, b Shape) bool {
+	if a.Strip == nil {
+		a, b = b, a
+	}
+	switch {
+	case a.Strip == nil:
+		return false
+	case b.Strip == nil:
+		return a.Strip.From.Device == b.Device.Name || a.Strip.To.Device == b.Device.Name
+	case a.Strip.Name == b.Strip.Name:
+		return a.Seg-b.Seg <= 1 && b.Seg-a.Seg <= 1
+	default:
+		return meetAtPin(a, b)
+	}
+}
+
+// meetAtPin reports whether two segments of different microstrips are end
+// segments of both at one terminal pin. It compares the terminals in place,
+// because the check and the model ask it for every pair.
+func meetAtPin(a, b Shape) bool {
+	return a.Seg == 0 && b.endsAt(a.Strip.From) || a.Seg == a.Segs-1 && b.endsAt(a.Strip.To)
+}
+
+// endsAt reports whether the segment is an end segment of its microstrip at
+// the terminal.
+func (s Shape) endsAt(t netlist.Terminal) bool {
+	return s.Seg == 0 && s.Strip.From == t || s.Seg == s.Segs-1 && s.Strip.To == t
 }
 
 // Check runs the full design-rule check and returns all violations found.
@@ -216,95 +257,33 @@ func (l *Layout) checkEndpoints(rs *RoutedStrip, opts CheckOptions) []Violation 
 
 // collectShapes builds the list of rectangles participating in the spacing
 // check.
-func (l *Layout) collectShapes() []shape {
-	var shapes []shape
+func (l *Layout) collectShapes() []Shape {
+	var shapes []Shape
 	for _, pd := range l.PlacedDevices() {
-		shapes = append(shapes, shape{
-			name: pd.Device.Name, kind: "device", rect: pd.BodyRect(), stripIdx: -1,
-		})
+		shapes = append(shapes, Shape{Device: pd.Device, Seg: -1, Rect: pd.BodyRect()})
 	}
 	for _, rs := range l.RoutedStrips() {
-		terms := []string{rs.Strip.From.Device, rs.Strip.To.Device}
 		segs := rs.Path.Segments()
 		for i, seg := range segs {
-			s := shape{
-				name: rs.Strip.Name, kind: "strip", rect: seg.Rect(), stripIdx: i, terms: terms,
-			}
-			if i == 0 {
-				s.endTerms = append(s.endTerms, rs.Strip.From)
-			}
-			if i == len(segs)-1 {
-				s.endTerms = append(s.endTerms, rs.Strip.To)
-			}
-			shapes = append(shapes, s)
+			shapes = append(shapes, Shape{Strip: rs.Strip, Seg: i, Segs: len(segs), Rect: seg.Rect()})
 		}
 	}
 	return shapes
 }
 
-// shareJunction reports whether two end segments of different strips meet at
-// the same terminal pin (a T-junction), which exempts them from the spacing
-// and crossing rules between each other.
-func shareJunction(a, b shape) bool {
-	for _, ta := range a.endTerms {
-		for _, tb := range b.endTerms {
-			if ta == tb {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// spacingExempt reports whether the pair of shapes is exempt from the spacing
-// rule: segments of the same strip that are adjacent (they share a chain
-// point), and a strip's segments against the devices it terminates on (the
-// strip must reach the pin inside the device clearance).
-func spacingExempt(a, b shape) bool {
-	if a.kind == "strip" && b.kind == "strip" && a.name == b.name {
-		di := a.stripIdx - b.stripIdx
-		if di < 0 {
-			di = -di
-		}
-		return di <= 1
-	}
-	if a.kind == "strip" && b.kind == "strip" && shareJunction(a, b) {
-		return true
-	}
-	if a.kind == "device" && b.kind == "strip" {
-		a, b = b, a
-	}
-	if a.kind == "strip" && b.kind == "device" {
-		for _, t := range a.terms {
-			if t == b.name {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // checkSpacing enforces the 2·t spacing rule by expanding every shape by the
-// clearance and requiring expanded boxes not to overlap (Section 2.1).
+// clearance and requiring expanded boxes not to overlap (Section 2.1), except
+// for the pairs SpacingExempt skips. Each pair of objects is reported once.
 func (l *Layout) checkSpacing(clearance geom.Coord) []Violation {
 	shapes := l.collectShapes()
 	var out []Violation
 	reported := map[[2]string]bool{}
-	for i := 0; i < len(shapes); i++ {
-		for j := i + 1; j < len(shapes); j++ {
-			a, b := shapes[i], shapes[j]
-			if a.name == b.name && a.kind == b.kind && a.kind == "device" {
+	for i, a := range shapes {
+		for _, b := range shapes[i+1:] {
+			if SpacingExempt(a, b) || !a.Rect.Expand(clearance).Overlaps(b.Rect.Expand(clearance)) {
 				continue
 			}
-			if spacingExempt(a, b) {
-				continue
-			}
-			ra := a.rect.Expand(clearance)
-			rb := b.rect.Expand(clearance)
-			if !ra.Overlaps(rb) {
-				continue
-			}
-			key := [2]string{a.name, b.name}
+			key := [2]string{a.Name(), b.Name()}
 			if key[0] > key[1] {
 				key[0], key[1] = key[1], key[0]
 			}
@@ -312,10 +291,9 @@ func (l *Layout) checkSpacing(clearance geom.Coord) []Violation {
 				continue
 			}
 			reported[key] = true
-			gap := a.rect.Distance(b.rect)
 			out = append(out, Violation{
-				Kind: SpacingViolation, Subject: a.name, Other: b.name,
-				Description: fmt.Sprintf("gap %.3fµm < required %.3fµm", geom.Microns(gap), geom.Microns(2*clearance)),
+				Kind: SpacingViolation, Subject: a.Name(), Other: b.Name(),
+				Description: fmt.Sprintf("gap %.3fµm < required %.3fµm", geom.Microns(a.Rect.Distance(b.Rect)), geom.Microns(2*clearance)),
 			})
 		}
 	}
@@ -324,33 +302,19 @@ func (l *Layout) checkSpacing(clearance geom.Coord) []Violation {
 
 // checkCrossings enforces planarity: centrelines of different microstrips
 // must not intersect. End segments of two strips that meet at the same pin
-// (a T-junction) are allowed to touch there.
+// (a T-junction, the junction case of SpacingExempt) may touch there.
 func (l *Layout) checkCrossings() []Violation {
 	var out []Violation
 	strips := l.RoutedStrips()
-	for i := 0; i < len(strips); i++ {
-		segsI := strips[i].Path.Segments()
+	segs := make([][]geom.Segment, len(strips))
+	for i, rs := range strips {
+		segs[i] = rs.Path.Segments()
+	}
+	for i, a := range strips {
 		for j := i + 1; j < len(strips); j++ {
-			segsJ := strips[j].Path.Segments()
-			crossed := false
-			for si, segI := range segsI {
-				for sj, segJ := range segsJ {
-					if !geom.SegmentsIntersect(segI, segJ) {
-						continue
-					}
-					if junctionSegments(strips[i], si, len(segsI), strips[j], sj, len(segsJ)) {
-						continue
-					}
-					crossed = true
-					break
-				}
-				if crossed {
-					break
-				}
-			}
-			if crossed {
+			if crosses(a, segs[i], strips[j], segs[j]) {
 				out = append(out, Violation{
-					Kind: CrossingViolation, Subject: strips[i].Strip.Name, Other: strips[j].Strip.Name,
+					Kind: CrossingViolation, Subject: a.Strip.Name, Other: strips[j].Strip.Name,
 					Description: "microstrip centrelines intersect; planar routing is violated",
 				})
 			}
@@ -359,25 +323,14 @@ func (l *Layout) checkCrossings() []Violation {
 	return out
 }
 
-// junctionSegments reports whether segment si of strip a and segment sj of
-// strip b are both end segments meeting at a shared terminal pin.
-func junctionSegments(a *RoutedStrip, si, na int, b *RoutedStrip, sj, nb int) bool {
-	var aTerms, bTerms []netlist.Terminal
-	if si == 0 {
-		aTerms = append(aTerms, a.Strip.From)
-	}
-	if si == na-1 {
-		aTerms = append(aTerms, a.Strip.To)
-	}
-	if sj == 0 {
-		bTerms = append(bTerms, b.Strip.From)
-	}
-	if sj == nb-1 {
-		bTerms = append(bTerms, b.Strip.To)
-	}
-	for _, ta := range aTerms {
-		for _, tb := range bTerms {
-			if ta == tb {
+// crosses reports whether the centrelines of two microstrips, given with
+// their segments, intersect anywhere but where end segments of both meet at
+// a pin.
+func crosses(a *RoutedStrip, segsA []geom.Segment, b *RoutedStrip, segsB []geom.Segment) bool {
+	for i, sa := range segsA {
+		for j, sb := range segsB {
+			if geom.SegmentsIntersect(sa, sb) &&
+				!meetAtPin(Shape{Strip: a.Strip, Seg: i, Segs: len(segsA)}, Shape{Strip: b.Strip, Seg: j, Segs: len(segsB)}) {
 				return true
 			}
 		}

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"os"
 	"strconv"
 	"strings"
 
@@ -36,11 +35,6 @@ func Format(l *Layout) string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// WriteFile writes the layout to a file in the text format.
-func WriteFile(path string, l *Layout) error {
-	return os.WriteFile(path, []byte(Format(l)), 0o644)
 }
 
 // ParseLayout reads a layout file and binds it to the given circuit.
@@ -112,16 +106,6 @@ func ParseLayout(r io.Reader, c *netlist.Circuit) (*Layout, error) {
 		return nil, fmt.Errorf("layout: missing 'layout' header")
 	}
 	return l, nil
-}
-
-// ParseLayoutFile reads a layout file from disk.
-func ParseLayoutFile(path string, c *netlist.Circuit) (*Layout, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ParseLayout(f, c)
 }
 
 // ParseLayoutString reads a layout from an in-memory string.

@@ -42,25 +42,6 @@ func TestLayoutFormatParseRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLayoutWriteAndParseFile(t *testing.T) {
-	l := completeLayout(t)
-	fixTLOUTTarget(l.Circuit)
-	path := t.TempDir() + "/layout.rlay"
-	if err := WriteFile(path, l); err != nil {
-		t.Fatal(err)
-	}
-	parsed, err := ParseLayoutFile(path, l.Circuit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !parsed.Complete() {
-		t.Error("parsed layout incomplete")
-	}
-	if _, err := ParseLayoutFile(path+".missing", l.Circuit); err == nil {
-		t.Error("missing file accepted")
-	}
-}
-
 func TestParseLayoutErrors(t *testing.T) {
 	c := testCircuit()
 	cases := []struct {

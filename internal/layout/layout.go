@@ -2,7 +2,9 @@
 // devices, routed microstrips described by their chain points, design-rule
 // checking against the spacing / non-crossing / boundary / exact-length
 // requirements of the paper, bend counting and smoothing, quality metrics and
-// SVG / text export.
+// SVG / text export. It owns the spacing rule: SpacingExempt decides which
+// pairs of shapes the rule skips, for the design-rule check here and for the
+// non-overlap constraints of the layout MILP in internal/ilpmodel.
 package layout
 
 import (

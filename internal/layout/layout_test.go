@@ -165,7 +165,7 @@ func TestMetrics(t *testing.T) {
 	if m.String() == "" {
 		t.Error("empty metrics string")
 	}
-	if m.UsedBounds.Empty() {
+	if m.UsedBounds.Width() == 0 || m.UsedBounds.Height() == 0 {
 		t.Error("used bounds empty for a complete layout")
 	}
 }
@@ -190,7 +190,7 @@ func TestCloneIsIndependent(t *testing.T) {
 func TestUsedBoundsEmptyLayout(t *testing.T) {
 	l := New(testCircuit())
 	b := l.UsedBounds()
-	if !b.Empty() {
+	if !b.Eq(geom.Rect{}) {
 		t.Errorf("bounds of empty layout = %v", b)
 	}
 	if l.Complete() {
@@ -329,6 +329,53 @@ func TestCheckCrossingViolation(t *testing.T) {
 	vs := l.Check(CheckOptions{})
 	if CountViolations(vs, CrossingViolation) == 0 {
 		t.Errorf("expected crossing violation, got %v", vs)
+	}
+}
+
+func TestSpacingExempt(t *testing.T) {
+	c := testCircuit()
+	// TLJ leaves M1.gate, where TLIN ends, and ends at POUT.p, where TLOUT
+	// ends: two T-junctions. TLOUT leaves the other pin of M1.
+	c.Connect("TLJ", "M1", "gate", "POUT", "p", geom.FromMicrons(100))
+	dev := func(name string) Shape {
+		d, err := c.Device(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Shape{Device: d, Seg: -1}
+	}
+	seg := func(strip string, i, n int) Shape {
+		ms, err := c.Microstrip(strip)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Shape{Strip: ms, Seg: i, Segs: n}
+	}
+	cases := []struct {
+		name string
+		a, b Shape
+		want bool
+	}{
+		{"adjacent segments of one strip", seg("TLIN", 1, 3), seg("TLIN", 2, 3), true},
+		{"end segments at one pin", seg("TLIN", 2, 3), seg("TLJ", 0, 3), true},
+		{"one-segment strips at one pin", seg("TLIN", 0, 1), seg("TLJ", 0, 1), true},
+		{"strip against a device it ends on", seg("TLIN", 1, 3), dev("M1"), true},
+		{"strip against the pad it starts on", seg("TLIN", 1, 3), dev("PIN"), true},
+		{"non-adjacent segments of one strip", seg("TLIN", 0, 3), seg("TLIN", 2, 3), false},
+		{"two devices", dev("M1"), dev("PIN"), false},
+		{"strip against a device it does not end on", seg("TLIN", 1, 3), dev("POUT"), false},
+		{"middle segment at a shared pin", seg("TLIN", 1, 3), seg("TLJ", 0, 3), false},
+		{"end segments at two pins of one device", seg("TLIN", 2, 3), seg("TLOUT", 0, 3), false},
+		{"last segments at one pad pin", seg("TLJ", 2, 3), seg("TLOUT", 1, 2), true},
+		{"end segments at two different pins", seg("TLIN", 0, 3), seg("TLJ", 2, 3), false},
+	}
+	for _, tc := range cases {
+		if got := SpacingExempt(tc.a, tc.b); got != tc.want {
+			t.Errorf("%s: SpacingExempt = %v, want %v", tc.name, got, tc.want)
+		}
+		if got := SpacingExempt(tc.b, tc.a); got != tc.want {
+			t.Errorf("%s, swapped: SpacingExempt = %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 

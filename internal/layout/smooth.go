@@ -46,15 +46,6 @@ func SmoothPolyline(pl geom.Polyline, cut geom.Coord) []geom.Point {
 	return out
 }
 
-// SmoothedPathLength returns the Euclidean length of a smoothed point path.
-func SmoothedPathLength(pts []geom.Point) float64 {
-	total := 0.0
-	for i := 1; i < len(pts); i++ {
-		total += pts[i-1].EuclideanTo(pts[i])
-	}
-	return total
-}
-
 // DefaultCutLength returns the bend-smoothing cut length used for export and
 // RF simulation: 1.5× the strip width, the geometry for which the default
 // equivalent-length compensation δ was characterized.

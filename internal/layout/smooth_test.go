@@ -8,6 +8,15 @@ import (
 	"rficlayout/internal/geom"
 )
 
+// euclideanLength returns the length of a smoothed point path.
+func euclideanLength(pts []geom.Point) float64 {
+	total := 0.0
+	for i := 1; i < len(pts); i++ {
+		total += pts[i-1].EuclideanTo(pts[i])
+	}
+	return total
+}
+
 func TestSmoothPolylineStraight(t *testing.T) {
 	pl := geom.MustPolyline(10, geom.Pt(0, 0), geom.Pt(100, 0))
 	pts := SmoothPolyline(pl, 15)
@@ -30,7 +39,7 @@ func TestSmoothPolylineLShape(t *testing.T) {
 		}
 	}
 	// The smoothed path is shorter than the rectilinear one (diagonal cut).
-	if SmoothedPathLength(pts) >= float64(pl.Length()) {
+	if euclideanLength(pts) >= float64(pl.Length()) {
 		t.Error("smoothing did not shorten the path")
 	}
 }
@@ -82,7 +91,7 @@ func TestSmoothPolylinePreservesEndpointsProperty(t *testing.T) {
 			return false
 		}
 		// Smoothing never lengthens the path.
-		return SmoothedPathLength(sm) <= float64(pl.Length())+1e-9
+		return euclideanLength(sm) <= float64(pl.Length())+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -102,7 +111,7 @@ func TestSmoothedRouteAndDefaultCut(t *testing.T) {
 	// The diagonal shortcut across a 15 µm cut replaces 30 µm of path with
 	// 15·√2 ≈ 21.2 µm.
 	wantReduction := 2*15000.0 - 15000*math.Sqrt2
-	got := float64(rs.GeometricLength()) - SmoothedPathLength(pts)
+	got := float64(rs.GeometricLength()) - euclideanLength(pts)
 	if math.Abs(got-wantReduction) > 1 {
 		t.Errorf("smoothing reduction = %g nm, want %g nm", got, wantReduction)
 	}

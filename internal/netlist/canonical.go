@@ -1,10 +1,6 @@
 package netlist
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+import "sort"
 
 // Normalized returns a copy of the circuit with devices, pins and
 // microstrips in canonical (name-sorted) order. The progressive flow
@@ -28,8 +24,8 @@ func Normalized(c *Circuit) *Circuit {
 	return &cp
 }
 
-// Canonical renders the circuit in the text file format with every
-// order-insensitive section sorted: devices by name, pins by name within
+// Canonical renders the Normalized circuit with Format, so every
+// order-insensitive section is sorted: devices by name, pins by name within
 // their device, microstrips by name. Two circuits that differ only in
 // declaration order — or in incidental formatting of the source file —
 // produce byte-identical canonical text, which is what makes it suitable as
@@ -40,44 +36,5 @@ func Normalized(c *Circuit) *Circuit {
 // Canonical output is itself parseable by Parse and round-trips: parsing it
 // and canonicalizing again reproduces the same bytes.
 func Canonical(c *Circuit) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "circuit %s\n", c.Name)
-	fmt.Fprintf(&b, "area %s %s\n", um(c.AreaWidth), um(c.AreaHeight))
-	fmt.Fprintf(&b, "tech name=%s t=%s width=%s delta=%s pad=%s",
-		c.Tech.Name, um(c.Tech.GroundDistance), um(c.Tech.MicrostripWidth),
-		um(c.Tech.BendCompensation), um(c.Tech.PadSize))
-	if c.Tech.SpacingOverride > 0 {
-		fmt.Fprintf(&b, " spacing=%s", um(c.Tech.SpacingOverride))
-	}
-	b.WriteByte('\n')
-
-	devices := append([]*Device(nil), c.Devices...)
-	sort.Slice(devices, func(i, j int) bool { return devices[i].Name < devices[j].Name })
-	for _, d := range devices {
-		if d.IsPad() && len(d.Pins) == 1 && d.Pins[0].Name == "p" && d.Width == d.Height {
-			fmt.Fprintf(&b, "pad %s %s\n", d.Name, um(d.Width))
-			continue
-		}
-		fmt.Fprintf(&b, "device %s %s %s %s\n", d.Name, d.Type, um(d.Width), um(d.Height))
-		pins := append([]Pin(nil), d.Pins...)
-		sort.Slice(pins, func(i, j int) bool { return pins[i].Name < pins[j].Name })
-		for _, p := range pins {
-			fmt.Fprintf(&b, "pin %s %s %s %s", d.Name, p.Name, um(p.Offset.X), um(p.Offset.Y))
-			if p.SwapGroup != 0 {
-				fmt.Fprintf(&b, " swap=%d", p.SwapGroup)
-			}
-			b.WriteByte('\n')
-		}
-	}
-
-	strips := append([]*Microstrip(nil), c.Microstrips...)
-	sort.Slice(strips, func(i, j int) bool { return strips[i].Name < strips[j].Name })
-	for _, ms := range strips {
-		fmt.Fprintf(&b, "strip %s %s %s length=%s", ms.Name, ms.From, ms.To, um(ms.TargetLength))
-		if ms.Width > 0 {
-			fmt.Fprintf(&b, " width=%s", um(ms.Width))
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
+	return Format(Normalized(c))
 }

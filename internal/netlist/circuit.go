@@ -95,17 +95,6 @@ func (c *Circuit) rebuildIndex() {
 	}
 }
 
-// Pads returns the devices that are I/O pads.
-func (c *Circuit) Pads() []*Device {
-	var pads []*Device
-	for _, d := range c.Devices {
-		if d.IsPad() {
-			pads = append(pads, d)
-		}
-	}
-	return pads
-}
-
 // NonPadDevices returns the devices that are not pads.
 func (c *Circuit) NonPadDevices() []*Device {
 	var out []*Device

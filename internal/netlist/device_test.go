@@ -72,8 +72,8 @@ func TestDeviceDimensionsAndBody(t *testing.T) {
 	if body.Width() != geom.FromMicrons(30) || body.Height() != geom.FromMicrons(40) {
 		t.Errorf("body = %v", body)
 	}
-	if !body.Center().Eq(geom.PtMicrons(100, 100)) {
-		t.Errorf("body centre = %v", body.Center())
+	if !body.Eq(geom.RectFromCenter(geom.PtMicrons(100, 100), body.Width(), body.Height())) {
+		t.Errorf("body %v is not centred on (100, 100) µm", body)
 	}
 }
 

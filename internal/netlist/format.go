@@ -285,11 +285,6 @@ func Format(c *Circuit) string {
 	return b.String()
 }
 
-// WriteFile writes the circuit to a file in the text format.
-func WriteFile(path string, c *Circuit) error {
-	return os.WriteFile(path, []byte(Format(c)), 0o644)
-}
-
 // um renders a Coord as a compact micron string.
 func um(c geom.Coord) string {
 	return strconv.FormatFloat(geom.Microns(c), 'f', -1, 64)
