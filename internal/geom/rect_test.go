@@ -114,13 +114,29 @@ func TestSpacingViaExpandedBoxes(t *testing.T) {
 	}
 }
 
+func TestRectIntersectUnion(t *testing.T) {
+	a := R(0, 0, 10, 10)
+	b := R(5, 5, 15, 15)
+	shared := R(5, 5, 10, 10)
+	if !a.Overlaps(b) || !a.ContainsRect(shared) || !b.ContainsRect(shared) {
+		t.Errorf("%v and %v should share %v", a, b, shared)
+	}
+	if got := a.Union(b); !got.Eq(R(0, 0, 15, 15)) {
+		t.Errorf("union = %v", got)
+	}
+	disjoint := R(20, 20, 30, 30)
+	if a.Overlaps(disjoint) {
+		t.Errorf("%v and %v should not overlap", a, disjoint)
+	}
+	if got := a.Union(disjoint); !got.Eq(R(0, 0, 30, 30)) {
+		t.Errorf("disjoint union = %v", got)
+	}
+}
+
 func TestBoundingRectAndUnionAll(t *testing.T) {
 	r := BoundingRect(Pt(3, 5), Pt(-1, 2), Pt(10, -4))
 	if !r.Eq(R(-1, -4, 10, 5)) {
 		t.Errorf("BoundingRect = %v", r)
-	}
-	if got := R(0, 0, 10, 10).Union(R(5, 5, 15, 15)); !got.Eq(R(0, 0, 15, 15)) {
-		t.Errorf("union of overlapping rects = %v", got)
 	}
 	u := R(0, 0, 1, 1).Union(R(5, 5, 6, 6)).Union(R(-2, 0, 0, 3))
 	if !u.Eq(R(-2, 0, 6, 6)) {
