@@ -148,7 +148,7 @@ func runFigure7(ctx context.Context, opts pilp.Options, outDir string) bool {
 			fmt.Fprintln(os.Stderr, "rficbench:", err)
 			return false
 		}
-		fmt.Printf("%s: %s (violations %d) → %s\n", snap.Phase, snap.Metrics, snap.Violations, path)
+		fmt.Printf("%s: %s (violations %d) → %s\n", snap.Phase, snap.Layout.Metrics(), len(pilp.Violations(snap.Layout)), path)
 	}
 	return true
 }

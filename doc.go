@@ -49,16 +49,20 @@
 //	                             named strips and non-pad devices free, every
 //	                             other object fixed; no blurred mode, pads
 //	                             never free; non-overlap pairs skip exactly
-//	                             what layout.SpacingExempt exempts
+//	                             what layout.SpacingExempt exempts; a free
+//	                             strip's chain points come from
+//	                             DefaultChainPoints or its route in Fixed
 //	internal/layout              layouts, the design-rule check and export;
 //	                             owns the spacing rule (layout.Shape,
 //	                             SpacingExempt), which the check and the
 //	                             layout MILP share
-//	internal/milp                sequential branch-and-bound over 0-1 models,
-//	                             dive heuristic; child nodes warm-start the
-//	                             dual simplex from the parent basis and fall
-//	                             back to a cold solve when the basis is
-//	                             incompatible
+//	internal/milp                a 0-1 layer over lp.Problem: the model
+//	                             builder writes the Problem the search
+//	                             solves; sequential branch-and-bound over its
+//	                             0-1 columns, dive heuristic; child nodes
+//	                             warm-start the dual simplex from the parent
+//	                             basis and fall back to a cold solve when the
+//	                             basis is incompatible
 //	internal/lp                  bounded-variable primal + dual simplex. One
 //	                             driver (Dantzig pricing with a Bland
 //	                             anti-cycling fallback, ratio tests, phases,

@@ -49,7 +49,7 @@ func main() {
 	}
 	for _, snap := range res.Snapshots {
 		fmt.Printf("%-28s %s (violations %d, %.1fs)\n",
-			snap.Phase, snap.Metrics, snap.Violations, snap.Elapsed.Seconds())
+			snap.Phase, snap.Layout.Metrics(), len(pilp.Violations(snap.Layout)), snap.Elapsed.Seconds())
 	}
 	violations := pilp.Violations(res.Layout)
 	fmt.Printf("final DRC: %d violations\n", len(violations))

@@ -53,13 +53,12 @@ const (
 // Config controls which parts of the full Section-4 model are built and how
 // much freedom the instance has around the Fixed layout.
 type Config struct {
-	// DefaultChainPoints is the number of chain points n_i given to every
-	// microstrip that has no entry in ChainPoints. The minimum is 2 (a single
-	// straight segment); the paper's phase 1 fixes a small constant and later
-	// phases insert more where needed. Zero means 4.
+	// DefaultChainPoints, when at least 2 (a single straight segment), is
+	// the number of chain points n_i of every free microstrip. Below 2 each
+	// free strip keeps the point count of its route in Fixed, or gets 4
+	// when Fixed does not route it: the flow resamples a strip's route to
+	// the count it wants before building, so the route carries it.
 	DefaultChainPoints int
-	// ChainPoints overrides the chain-point count per microstrip name.
-	ChainPoints map[string]int
 
 	// FreeDevices and FreeStrips name the objects whose geometry the solver
 	// may change; nil names none. Every other object takes its position or
@@ -104,11 +103,11 @@ type Config struct {
 }
 
 func (c Config) chainPoints(strip string) int {
-	if n, ok := c.ChainPoints[strip]; ok && n >= 2 {
-		return n
-	}
 	if c.DefaultChainPoints >= 2 {
 		return c.DefaultChainPoints
+	}
+	if rs := c.Fixed.Routed(strip); rs != nil {
+		return len(rs.Path.Points)
 	}
 	return 4
 }
@@ -125,11 +124,6 @@ func (c Config) stripFree(name string) bool {
 func (c Config) validate(ckt *netlist.Circuit) error {
 	if c.Fixed == nil {
 		return fmt.Errorf("ilpmodel: configuration has no Fixed layout")
-	}
-	for name := range c.ChainPoints {
-		if _, err := ckt.Microstrip(name); err != nil {
-			return fmt.Errorf("ilpmodel: chain-point override for unknown microstrip %q", name)
-		}
 	}
 	for _, name := range c.FreeDevices {
 		d, err := ckt.Device(name)

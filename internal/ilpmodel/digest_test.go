@@ -24,10 +24,8 @@ func TestBuildDigestDeterministic(t *testing.T) {
 	strip := c.Microstrips[0].Name
 	configs := map[string]func() ilpmodel.Config{
 		"phase1": func() ilpmodel.Config {
-			chain := map[string]int{}
 			strips := []string{}
 			for _, ms := range c.Microstrips {
-				chain[ms.Name] = len(fixed.Routed(ms.Name).Path.Points)
 				strips = append(strips, ms.Name)
 			}
 			free := []string{}
@@ -35,14 +33,14 @@ func TestBuildDigestDeterministic(t *testing.T) {
 				free = append(free, d.Name)
 			}
 			return ilpmodel.Config{
-				ChainPoints: chain, FreeDevices: free, FreeStrips: strips, Fixed: fixed,
+				FreeDevices: free, FreeStrips: strips, Fixed: fixed,
 				SoftLength: true, OverlapSlack: true, FixTopology: true, RelativePositions: true,
 				Confinement: 120 * geom.Micron, PairRadius: pilp.DefaultPairRadius,
 			}
 		},
 		"strip": func() ilpmodel.Config {
 			return ilpmodel.Config{
-				ChainPoints: map[string]int{strip: 4}, FreeStrips: []string{strip}, Fixed: fixed, PairRadius: pilp.DefaultPairRadius,
+				DefaultChainPoints: 4, FreeStrips: []string{strip}, Fixed: fixed, PairRadius: pilp.DefaultPairRadius,
 			}
 		},
 	}

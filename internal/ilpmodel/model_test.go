@@ -262,8 +262,11 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := Build(c, Config{FreeStrips: []string{"TL"}}); err == nil {
 		t.Error("missing Fixed layout accepted")
 	}
-	if _, err := Build(c, Config{ChainPoints: map[string]int{"nope": 4}, Fixed: fixed}); err == nil {
-		t.Error("unknown strip in ChainPoints accepted")
+	// A free strip that Fixed does not route gets 4 chain points.
+	if m, err := Build(c, Config{FreeStrips: []string{"TL"}, Fixed: fixed}); err != nil {
+		t.Errorf("free strip without a Fixed route rejected: %v", err)
+	} else if n := m.strips["TL"].n; n != 4 {
+		t.Errorf("unrouted free strip has %d chain points, want 4", n)
 	}
 	if _, err := Build(c, Config{FreeDevices: []string{"A", "ZZ"}, Fixed: fixed}); err == nil {
 		t.Error("unknown free device accepted")
@@ -291,17 +294,20 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	cfg := Config{}
-	if cfg.chainPoints("any") != 4 {
-		t.Errorf("default chain points = %d", cfg.chainPoints("any"))
+	c := twoBlockCircuit(180)
+	cfg := Config{Fixed: fixedTwoBlockLayout(t, c)}
+	if cfg.chainPoints("TL") != 4 {
+		t.Errorf("default chain points = %d", cfg.chainPoints("TL"))
+	}
+	if err := cfg.Fixed.Route("TL", geom.PtMicrons(60, 100), geom.PtMicrons(150, 100), geom.PtMicrons(240, 100)); err != nil {
+		t.Fatal(err)
+	}
+	if cfg.chainPoints("TL") != 3 {
+		t.Errorf("chain points of a routed strip = %d, want its 3 route points", cfg.chainPoints("TL"))
 	}
 	cfg.DefaultChainPoints = 5
-	if cfg.chainPoints("any") != 5 {
+	if cfg.chainPoints("TL") != 5 {
 		t.Error("DefaultChainPoints not honoured")
-	}
-	cfg.ChainPoints = map[string]int{"x": 3}
-	if cfg.chainPoints("x") != 3 {
-		t.Error("per-strip chain points not honoured")
 	}
 }
 

@@ -233,9 +233,6 @@ type Solution struct {
 	Basis *Basis
 }
 
-// Value returns the solved value of variable v.
-func (s *Solution) Value(v int) float64 { return s.X[v] }
-
 // Options tunes the solver.
 type Options struct {
 	// RefactorEvery forces a basis-inverse refactorization every that many

@@ -68,8 +68,8 @@ func TestSimpleMaximizationAsMinimization(t *testing.T) {
 	if !approx(sol.Objective, -36) {
 		t.Errorf("objective = %g, want -36", sol.Objective)
 	}
-	if !approx(sol.Value(x), 2) || !approx(sol.Value(y), 6) {
-		t.Errorf("x=%g y=%g, want 2, 6", sol.Value(x), sol.Value(y))
+	if !approx(sol.X[x], 2) || !approx(sol.X[y], 6) {
+		t.Errorf("x=%g y=%g, want 2, 6", sol.X[x], sol.X[y])
 	}
 	checkFeasible(t, p, sol.X)
 }
@@ -148,8 +148,8 @@ func TestFreeVariables(t *testing.T) {
 	if sol.Status != StatusOptimal {
 		t.Fatalf("status = %v", sol.Status)
 	}
-	if !approx(sol.Value(x), -7) {
-		t.Errorf("x = %g, want -7", sol.Value(x))
+	if !approx(sol.X[x], -7) {
+		t.Errorf("x = %g, want -7", sol.X[x])
 	}
 }
 
@@ -164,8 +164,8 @@ func TestFreeVariableEquality(t *testing.T) {
 	if sol.Status != StatusOptimal {
 		t.Fatalf("status = %v", sol.Status)
 	}
-	if !approx(sol.Value(a), 3) || !approx(sol.Value(b), 1) {
-		t.Errorf("a=%g b=%g, want 3, 1", sol.Value(a), sol.Value(b))
+	if !approx(sol.X[a], 3) || !approx(sol.X[b], 1) {
+		t.Errorf("a=%g b=%g, want 3, 1", sol.X[a], sol.X[b])
 	}
 	if !approx(sol.Objective, 5) {
 		t.Errorf("objective = %g, want 5", sol.Objective)
@@ -229,8 +229,8 @@ func TestNoConstraintsBoundedByVarBounds(t *testing.T) {
 	if !approx(sol.Objective, -19) {
 		t.Errorf("objective = %g, want -19", sol.Objective)
 	}
-	if !approx(sol.Value(x), 1) || !approx(sol.Value(y), 7) {
-		t.Errorf("x=%g y=%g", sol.Value(x), sol.Value(y))
+	if !approx(sol.X[x], 1) || !approx(sol.X[y], 7) {
+		t.Errorf("x=%g y=%g", sol.X[x], sol.X[y])
 	}
 }
 
@@ -244,8 +244,8 @@ func TestFixedVariables(t *testing.T) {
 	if sol.Status != StatusOptimal {
 		t.Fatalf("status = %v", sol.Status)
 	}
-	if !approx(sol.Value(x), 4) || !approx(sol.Value(y), 6) {
-		t.Errorf("x=%g y=%g, want 4, 6", sol.Value(x), sol.Value(y))
+	if !approx(sol.X[x], 4) || !approx(sol.X[y], 6) {
+		t.Errorf("x=%g y=%g, want 4, 6", sol.X[x], sol.X[y])
 	}
 	checkFeasible(t, p, sol.X)
 }
@@ -270,12 +270,12 @@ func TestBoundOverrides(t *testing.T) {
 	x := p.AddVariable("x", 0, 10, -1)
 	p.AddConstraint("c", []Entry{{x, 1}}, LE, 8)
 	sol := solveOrFatal(t, p, Options{})
-	if !approx(sol.Value(x), 8) {
-		t.Fatalf("unrestricted x = %g, want 8", sol.Value(x))
+	if !approx(sol.X[x], 8) {
+		t.Fatalf("unrestricted x = %g, want 8", sol.X[x])
 	}
 	sol = solveOrFatal(t, p, Options{UpperOverride: map[int]float64{0: 3}})
-	if !approx(sol.Value(x), 3) {
-		t.Errorf("overridden x = %g, want 3", sol.Value(x))
+	if !approx(sol.X[x], 3) {
+		t.Errorf("overridden x = %g, want 3", sol.X[x])
 	}
 	sol = solveOrFatal(t, p, Options{LowerOverride: map[int]float64{0: 9}})
 	if sol.Status != StatusInfeasible {

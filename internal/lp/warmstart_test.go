@@ -230,8 +230,8 @@ func TestFlatFaceCanonicalVertex(t *testing.T) {
 	y := p.AddVariable("y", 0, 4, -1)
 	p.AddConstraint("cap", []Entry{{x, 1}, {y, 1}}, LE, 4)
 	sol := solveOrFatal(t, p, Options{})
-	if !approx(sol.Value(x), 0) || !approx(sol.Value(y), 4) {
-		t.Errorf("canonical vertex (%g, %g), want lex-least (0, 4)", sol.Value(x), sol.Value(y))
+	if !approx(sol.X[x], 0) || !approx(sol.X[y], 4) {
+		t.Errorf("canonical vertex (%g, %g), want lex-least (0, 4)", sol.X[x], sol.X[y])
 	}
 }
 

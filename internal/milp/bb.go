@@ -3,7 +3,9 @@ package milp
 import (
 	"container/heap"
 	"context"
+	"maps"
 	"math"
+	"slices"
 
 	"rficlayout/internal/lp"
 )
@@ -193,7 +195,7 @@ func (r *Result) betterIncumbent(obj float64, x []float64) bool {
 	if obj > r.Objective+1e-9 {
 		return false
 	}
-	return lexLess(x, r.X)
+	return slices.Compare(x, r.X) < 0
 }
 
 // mostFractional returns the binary variable whose relaxation value is
@@ -216,20 +218,6 @@ func mostFractional(x []float64, binaries []int, tol float64) int {
 		}
 	}
 	return branchVar
-}
-
-// lexLess is a strict lexicographic order on solution vectors.
-func lexLess(a, b []float64) bool {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
 }
 
 // node is one branch-and-bound subproblem: the bound overrides accumulated
@@ -284,12 +272,12 @@ const bbBatchSize = 16
 // of the model and the options alone. Equal-objective incumbents are ordered
 // lexicographically by solution vector as an extra guard.
 func (m *Model) SolveCtx(ctx context.Context, opts SolveOptions) (*Result, error) {
-	prob := m.toLP()
+	prob := &m.lp
 	res := &Result{Status: StatusNoSolution, Bound: math.Inf(-1), Objective: math.Inf(1)}
 
 	binaries := make([]int, 0, m.NumBinaries())
-	for j, t := range m.vtypes {
-		if t == Binary {
+	for j, b := range m.binary {
+		if b {
 			binaries = append(binaries, j)
 		}
 	}
@@ -431,26 +419,22 @@ search:
 			// child LP re-solves with a handful of dual pivots instead of a
 			// phase-1 cold start.
 			val := sol.X[branchVar]
-			down := &node{
-				lower: nd.lower, upper: copyWith(nd.upper, branchVar, math.Floor(val)),
-				bound: lpObj, basis: sol.Basis,
-			}
-			up := &node{
-				lower: copyWith(nd.lower, branchVar, math.Ceil(val)), upper: nd.upper,
-				bound: lpObj, basis: sol.Basis,
-			}
+			// Branches only ever tighten: floor/ceil of the current relaxation
+			// value is at least as tight as any earlier override of the
+			// variable.
+			down := &node{lower: nd.lower, upper: maps.Clone(nd.upper), bound: lpObj, basis: sol.Basis}
+			down.upper[branchVar] = math.Floor(val)
+			up := &node{lower: maps.Clone(nd.lower), upper: nd.upper, bound: lpObj, basis: sol.Basis}
+			up.lower[branchVar] = math.Ceil(val)
 			heap.Push(open, down)
 			heap.Push(open, up)
 
 			// Early stop on gap.
-			if res.X != nil {
-				gap := (res.Objective - res.Bound) / math.Max(1e-9, math.Abs(res.Objective))
-				if gap <= mipGap {
-					for _, rest := range batch[i+1:] {
-						heap.Push(open, rest)
-					}
-					break search
+			if res.X != nil && res.Gap() <= mipGap {
+				for _, rest := range batch[i+1:] {
+					heap.Push(open, rest)
 				}
+				break search
 			}
 		}
 	}
@@ -462,8 +446,7 @@ search:
 			res.Bound = res.Objective
 		} else if !timedOut {
 			// Stopped on gap.
-			gap := (res.Objective - res.Bound) / math.Max(1e-9, math.Abs(res.Objective))
-			if gap <= mipGap {
+			if res.Gap() <= mipGap {
 				res.Status = StatusOptimal
 			} else {
 				res.Status = StatusFeasible
@@ -492,8 +475,7 @@ search:
 // sequentially inside the root node, so its LP stats fold into res
 // deterministically.
 func (m *Model) dive(ctx context.Context, prob *lp.Problem, opts SolveOptions, res *Result, nd *node, x []float64, basis *lp.Basis, binaries []int) ([]float64, float64, bool) {
-	lower := copyMap(nd.lower)
-	upper := copyMap(nd.upper)
+	lower, upper := nd.lower, nd.upper
 	for iter := 0; iter <= len(binaries)+4; iter++ {
 		if ctx.Err() != nil {
 			return nil, 0, false
@@ -514,8 +496,8 @@ func (m *Model) dive(ctx context.Context, prob *lp.Problem, opts SolveOptions, r
 		rounded := math.Round(x[branchVar])
 		fixed := false
 		for _, v := range []float64{rounded, 1 - rounded} {
-			trialLower := copyMap(lower)
-			trialUpper := copyMap(upper)
+			trialLower := maps.Clone(lower)
+			trialUpper := maps.Clone(upper)
 			trialLower[branchVar] = v
 			trialUpper[branchVar] = v
 			lpOpts := lp.Options{LowerOverride: trialLower, UpperOverride: trialUpper}
@@ -554,25 +536,4 @@ func withoutFactor(b *lp.Basis) *lp.Basis {
 		return nil
 	}
 	return &lp.Basis{Basic: b.Basic, Status: b.Status}
-}
-
-func copyMap(src map[int]float64) map[int]float64 {
-	out := make(map[int]float64, len(src)+1)
-	for k, v := range src {
-		out[k] = v
-	}
-	return out
-}
-
-// copyWith clones the override map and sets key to value.
-func copyWith(src map[int]float64, key int, value float64) map[int]float64 {
-	out := make(map[int]float64, len(src)+1)
-	for k, v := range src {
-		out[k] = v
-	}
-	// Branches only ever tighten: the caller passes floor/ceil of the current
-	// relaxation value, which is always at least as tight as any previous
-	// override of the same variable.
-	out[key] = value
-	return out
 }

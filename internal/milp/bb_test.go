@@ -212,6 +212,35 @@ func TestGapAndBoundsOnOptimal(t *testing.T) {
 	}
 }
 
+// TestBetterIncumbent pins the incumbent order: a strictly better objective
+// wins, and objectives within 1e-9 tie, broken by the lexicographically
+// smaller solution vector so the adopted incumbent does not depend on the
+// order in which equal-quality solutions are found.
+func TestBetterIncumbent(t *testing.T) {
+	incumbent := []float64{1, 0, 2}
+	cases := []struct {
+		name string
+		obj  float64
+		x    []float64
+		want bool
+	}{
+		{"strictly better", 4, []float64{9, 9, 9}, true},
+		{"strictly worse", 6, []float64{0, 0, 0}, false},
+		{"tie, smaller vector", 5 + 1e-10, []float64{1, 0, 1}, true},
+		{"tie, larger vector", 5 - 1e-10, []float64{1, 1, 0}, false},
+		{"tie, equal vector", 5, []float64{1, 0, 2}, false},
+	}
+	for _, tc := range cases {
+		r := &Result{Objective: 5, X: incumbent}
+		if got := r.betterIncumbent(tc.obj, tc.x); got != tc.want {
+			t.Errorf("%s: betterIncumbent = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+	if !(&Result{}).betterIncumbent(1e9, []float64{5}) {
+		t.Error("first incumbent rejected")
+	}
+}
+
 func TestStatusStrings(t *testing.T) {
 	for _, s := range []Status{StatusOptimal, StatusFeasible, StatusInfeasible, StatusUnbounded, StatusNoSolution, Status(42)} {
 		if s.String() == "" {

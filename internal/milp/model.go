@@ -1,16 +1,18 @@
-// Package milp provides a mixed 0-1 linear programming model builder and a
-// sequential branch-and-bound solver over 0-1 models on top of the simplex
-// engine in internal/lp. Together they replace the commercial Gurobi
-// optimizer the paper uses: the layout models of internal/ilpmodel are pure
-// 0-1 MILPs, and the progressive flow in internal/pilp keeps each model small
-// enough for an exact branch-and-bound search whose node LPs warm-start from
-// their parent's basis. The flow gets its concurrency by solving many models
-// at once, so one search never spreads over several goroutines.
+// Package milp is a 0-1 layer over lp.Problem: a model builder that writes
+// its variables and rows straight into the lp.Problem it later solves, and a
+// sequential branch-and-bound search over that Problem's 0-1 columns, each
+// node an lp solve. Together with internal/lp it replaces the commercial
+// Gurobi optimizer the paper uses: the layout models of internal/ilpmodel are
+// pure 0-1 MILPs, and the progressive flow in internal/pilp keeps each model
+// small enough for an exact branch-and-bound search whose node LPs
+// warm-start from their parent's basis. The flow gets its concurrency by
+// solving many models at once, so one search never spreads over several
+// goroutines.
 //
-// Beyond plain variables and linear constraints the package offers the
-// linearization helpers the paper relies on (its reference [13]): products of
-// a binary and a bounded continuous expression, absolute-value envelopes,
-// big-M implications and maximum envelopes.
+// Beyond plain variables and linear constraints the package offers two of
+// the linearizations the paper relies on (its reference [13]):
+// absolute-value and maximum envelopes. ilpmodel writes its big-M
+// disjunctions as plain rows.
 package milp
 
 import (
@@ -22,27 +24,6 @@ import (
 
 	"rficlayout/internal/lp"
 )
-
-// VarType describes the integrality requirement of a variable.
-type VarType int
-
-// Variable types.
-const (
-	Continuous VarType = iota
-	Binary
-)
-
-// String implements fmt.Stringer.
-func (v VarType) String() string {
-	switch v {
-	case Continuous:
-		return "continuous"
-	case Binary:
-		return "binary"
-	default:
-		return fmt.Sprintf("VarType(%d)", int(v))
-	}
-}
 
 // Var is the index of a model variable.
 type Var int
@@ -100,9 +81,6 @@ func (e *Expr) Clone() *Expr {
 	return out
 }
 
-// Constant returns the constant part of the expression.
-func (e *Expr) ConstantPart() float64 { return e.constant }
-
 // Terms returns the variable terms sorted by variable index.
 func (e *Expr) Terms() []lp.Entry {
 	out := make([]lp.Entry, 0, len(e.terms))
@@ -115,34 +93,13 @@ func (e *Expr) Terms() []lp.Entry {
 	return out
 }
 
-// Eval evaluates the expression at the assignment x (indexed by variable).
-func (e *Expr) Eval(x []float64) float64 {
-	v := e.constant
-	for vr, c := range e.terms {
-		v += c * x[vr]
-	}
-	return v
-}
-
-// constraint is one stored linear constraint.
-type constraint struct {
-	name  string
-	row   []lp.Entry
-	sense lp.Sense
-	rhs   float64
-}
-
-// Model is a mixed 0-1 linear program under construction.
+// Model is a mixed 0-1 linear program under construction. It builds the
+// lp.Problem its search solves in place: a variable's index is its column
+// there, and binary[j] marks column j as a 0-1 variable.
 type Model struct {
-	names       []string
-	lower       []float64
-	upper       []float64
-	objective   []float64
-	vtypes      []VarType
-	constraints []constraint
+	lp          lp.Problem
+	binary      []bool
 	objConstant float64
-
-	auxCounter int
 }
 
 // NewModel returns an empty model.
@@ -152,73 +109,48 @@ func NewModel() *Model { return &Model{} }
 var Infinity = lp.Infinity
 
 // NumVars returns the number of variables declared so far.
-func (m *Model) NumVars() int { return len(m.names) }
+func (m *Model) NumVars() int { return m.lp.NumVariables() }
 
 // NumConstraints returns the number of constraints added so far.
-func (m *Model) NumConstraints() int { return len(m.constraints) }
+func (m *Model) NumConstraints() int { return m.lp.NumConstraints() }
 
 // NumBinaries returns the number of binary variables.
 func (m *Model) NumBinaries() int {
 	n := 0
-	for _, t := range m.vtypes {
-		if t == Binary {
+	for _, b := range m.binary {
+		if b {
 			n++
 		}
 	}
 	return n
 }
 
-// AddVar declares a variable and returns its handle.
-func (m *Model) AddVar(name string, lower, upper float64, vt VarType) Var {
-	if vt == Binary {
-		if lower < 0 {
-			lower = 0
-		}
-		if upper > 1 {
-			upper = 1
-		}
-	}
-	m.names = append(m.names, name)
-	m.lower = append(m.lower, lower)
-	m.upper = append(m.upper, upper)
-	m.objective = append(m.objective, 0)
-	m.vtypes = append(m.vtypes, vt)
-	return Var(len(m.names) - 1)
-}
-
 // AddContinuous declares a continuous variable.
 func (m *Model) AddContinuous(name string, lower, upper float64) Var {
-	return m.AddVar(name, lower, upper, Continuous)
+	m.binary = append(m.binary, false)
+	return Var(m.lp.AddVariable(name, lower, upper, 0))
 }
 
 // AddBinary declares a 0-1 variable.
 func (m *Model) AddBinary(name string) Var {
-	return m.AddVar(name, 0, 1, Binary)
+	m.binary = append(m.binary, true)
+	return Var(m.lp.AddVariable(name, 0, 1, 0))
 }
-
-// Name returns the name of variable v.
-func (m *Model) Name(v Var) string { return m.names[v] }
-
-// Bounds returns the declared bounds of variable v.
-func (m *Model) Bounds(v Var) (lower, upper float64) { return m.lower[v], m.upper[v] }
 
 // SetBounds replaces the bounds of variable v.
-func (m *Model) SetBounds(v Var, lower, upper float64) {
-	m.lower[v] = lower
-	m.upper[v] = upper
-}
+func (m *Model) SetBounds(v Var, lower, upper float64) { m.lp.SetBounds(int(v), lower, upper) }
 
 // SetObjectiveCoef sets the (minimization) objective coefficient of v.
-func (m *Model) SetObjectiveCoef(v Var, coef float64) { m.objective[v] = coef }
+func (m *Model) SetObjectiveCoef(v Var, coef float64) { m.lp.Variables[v].Cost = coef }
 
 // AddObjectiveCoef accumulates into the objective coefficient of v.
-func (m *Model) AddObjectiveCoef(v Var, coef float64) { m.objective[v] += coef }
+func (m *Model) AddObjectiveCoef(v Var, coef float64) { m.lp.Variables[v].Cost += coef }
 
 // AddObjectiveExpr accumulates a whole expression (with constant) into the
 // minimization objective.
 func (m *Model) AddObjectiveExpr(e *Expr, scale float64) {
 	for v, c := range e.terms {
-		m.objective[v] += scale * c
+		m.lp.Variables[v].Cost += scale * c
 	}
 	m.objConstant += scale * e.constant
 }
@@ -226,12 +158,7 @@ func (m *Model) AddObjectiveExpr(e *Expr, scale float64) {
 // AddConstraintExpr adds the constraint "expr sense rhs". The constant part
 // of the expression is moved to the right-hand side.
 func (m *Model) AddConstraintExpr(name string, e *Expr, sense lp.Sense, rhs float64) {
-	m.constraints = append(m.constraints, constraint{
-		name:  name,
-		row:   e.Terms(),
-		sense: sense,
-		rhs:   rhs - e.ConstantPart(),
-	})
+	m.lp.AddConstraint(name, e.Terms(), sense, rhs-e.constant)
 }
 
 // AddLE adds expr <= rhs.
@@ -249,19 +176,10 @@ func (m *Model) AddEQ(name string, e *Expr, rhs float64) {
 	m.AddConstraintExpr(name, e, lp.EQ, rhs)
 }
 
-// auxName generates a unique name for internally created variables.
-func (m *Model) auxName(prefix string) string {
-	m.auxCounter++
-	return fmt.Sprintf("%s#%d", prefix, m.auxCounter)
-}
-
 // AbsEnvelope creates a continuous variable u with u >= |e| (an upper
 // envelope of the absolute value of the expression). Minimizing u makes it
 // tight. This is how the unmatched-length bound l_u,i of Eq. 24 is modeled.
 func (m *Model) AbsEnvelope(name string, e *Expr, maxAbs float64) Var {
-	if name == "" {
-		name = m.auxName("abs")
-	}
 	u := m.AddContinuous(name, 0, maxAbs)
 	// u >= e   and   u >= −e
 	m.AddGE(name+".pos", Term(u, 1).AddExpr(e, -1), 0)
@@ -273,9 +191,6 @@ func (m *Model) AbsEnvelope(name string, e *Expr, maxAbs float64) Var {
 // least each of the given expressions; minimizing it yields their maximum.
 // Used for n_b,max (Eq. 21) and l_u,max (Eq. 25).
 func (m *Model) MaxEnvelope(name string, upper float64, exprs ...*Expr) Var {
-	if name == "" {
-		name = m.auxName("max")
-	}
 	v := m.AddContinuous(name, -Infinity, upper)
 	for i, e := range exprs {
 		m.AddGE(fmt.Sprintf("%s.ge%d", name, i), Term(v, 1).AddExpr(e, -1), 0)
@@ -286,9 +201,9 @@ func (m *Model) MaxEnvelope(name string, upper float64, exprs ...*Expr) Var {
 // Objective evaluates the full objective (including constant) at x.
 func (m *Model) Objective(x []float64) float64 {
 	v := m.objConstant
-	for j, c := range m.objective {
-		if c != 0 {
-			v += c * x[j]
+	for j, vr := range m.lp.Variables {
+		if vr.Cost != 0 {
+			v += vr.Cost * x[j]
 		}
 	}
 	return v
@@ -298,61 +213,49 @@ func (m *Model) Objective(x []float64) float64 {
 // requirement and constraint of the model within tol. It returns a
 // description of the first violation found.
 func (m *Model) CheckFeasible(x []float64, tol float64) (bool, string) {
-	if len(x) < len(m.names) {
-		return false, fmt.Sprintf("assignment has %d values for %d variables", len(x), len(m.names))
+	if len(x) < m.NumVars() {
+		return false, fmt.Sprintf("assignment has %d values for %d variables", len(x), m.NumVars())
 	}
-	for j := range m.names {
+	for j, vr := range m.lp.Variables {
 		v := x[j]
-		if v < m.lower[j]-tol || v > m.upper[j]+tol {
-			return false, fmt.Sprintf("variable %s = %g outside [%g, %g]", m.names[j], v, m.lower[j], m.upper[j])
+		if v < vr.Lower-tol || v > vr.Upper+tol {
+			return false, fmt.Sprintf("variable %s = %g outside [%g, %g]", vr.Name, v, vr.Lower, vr.Upper)
 		}
-		if m.vtypes[j] == Binary && math.Abs(v-math.Round(v)) > tol {
-			return false, fmt.Sprintf("variable %s = %g not integral", m.names[j], v)
+		if m.binary[j] && math.Abs(v-math.Round(v)) > tol {
+			return false, fmt.Sprintf("variable %s = %g not integral", vr.Name, v)
 		}
 	}
-	for _, c := range m.constraints {
+	for _, c := range m.lp.Constraints {
 		lhs := 0.0
-		for _, e := range c.row {
+		for _, e := range c.Row {
 			lhs += e.Coef * x[e.Var]
 		}
-		switch c.sense {
+		switch c.Sense {
 		case lp.LE:
-			if lhs > c.rhs+tol {
-				return false, fmt.Sprintf("constraint %s: %g <= %g violated", c.name, lhs, c.rhs)
+			if lhs > c.RHS+tol {
+				return false, fmt.Sprintf("constraint %s: %g <= %g violated", c.Name, lhs, c.RHS)
 			}
 		case lp.GE:
-			if lhs < c.rhs-tol {
-				return false, fmt.Sprintf("constraint %s: %g >= %g violated", c.name, lhs, c.rhs)
+			if lhs < c.RHS-tol {
+				return false, fmt.Sprintf("constraint %s: %g >= %g violated", c.Name, lhs, c.RHS)
 			}
 		case lp.EQ:
-			if math.Abs(lhs-c.rhs) > tol {
-				return false, fmt.Sprintf("constraint %s: %g == %g violated", c.name, lhs, c.rhs)
+			if math.Abs(lhs-c.RHS) > tol {
+				return false, fmt.Sprintf("constraint %s: %g == %g violated", c.Name, lhs, c.RHS)
 			}
 		}
 	}
 	return true, ""
 }
 
-// toLP converts the model into an lp.Problem sharing the same variable
-// indices.
-func (m *Model) toLP() *lp.Problem {
-	p := lp.NewProblem()
-	for j := range m.names {
-		p.AddVariable(m.names[j], m.lower[j], m.upper[j], m.objective[j])
-	}
-	for _, c := range m.constraints {
-		p.AddConstraint(c.name, c.row, c.sense, c.rhs)
-	}
-	return p
-}
-
 // Digest returns a SHA-256 over everything the solver reads from the model:
-// every variable in order (name, bounds, objective coefficient, type), every
-// constraint in order (name, row sorted by variable, sense, right-hand side)
-// and the objective constant. SolveCtx is a pure function of the model and
-// its options, so two models with equal digests solve to equal Results.
-// Floats hash by their bit patterns; counts prefix every variable-length
-// part, so no two distinct models share an encoding.
+// every variable of its lp.Problem in order (name, bounds, objective
+// coefficient, binary flag as 0/1), every constraint in order (name, row
+// sorted by variable, sense, right-hand side) and the objective constant.
+// SolveCtx is a pure function of the model and its options, so two models
+// with equal digests solve to equal Results. Floats hash by their bit
+// patterns; counts prefix every variable-length part, so no two distinct
+// models share an encoding.
 func (m *Model) Digest() [32]byte {
 	h := sha256.New()
 	buf := make([]byte, 0, 8192)
@@ -366,26 +269,30 @@ func (m *Model) Digest() [32]byte {
 		}
 	}
 
-	uvarint(uint64(len(m.names)))
-	for j, name := range m.names {
-		str(name)
-		f64(m.lower[j])
-		f64(m.upper[j])
-		f64(m.objective[j])
-		uvarint(uint64(m.vtypes[j]))
+	uvarint(uint64(len(m.lp.Variables)))
+	for j, v := range m.lp.Variables {
+		str(v.Name)
+		f64(v.Lower)
+		f64(v.Upper)
+		f64(v.Cost)
+		if m.binary[j] {
+			uvarint(1)
+		} else {
+			uvarint(0)
+		}
 		flush()
 	}
-	uvarint(uint64(len(m.constraints)))
-	for _, c := range m.constraints {
+	uvarint(uint64(len(m.lp.Constraints)))
+	for _, c := range m.lp.Constraints {
 		// AddConstraintExpr stores every row sorted by variable (Expr.Terms).
-		str(c.name)
-		uvarint(uint64(len(c.row)))
-		for _, e := range c.row {
+		str(c.Name)
+		uvarint(uint64(len(c.Row)))
+		for _, e := range c.Row {
 			uvarint(uint64(e.Var))
 			f64(e.Coef)
 		}
-		uvarint(uint64(c.sense))
-		f64(c.rhs)
+		uvarint(uint64(c.Sense))
+		f64(c.RHS)
 		flush()
 	}
 	f64(m.objConstant)

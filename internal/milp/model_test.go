@@ -8,32 +8,41 @@ import (
 	"rficlayout/internal/lp"
 )
 
+// eval evaluates e at the assignment x (indexed by variable).
+func eval(e *Expr, x []float64) float64 {
+	v := e.constant
+	for vr, c := range e.terms {
+		v += c * x[vr]
+	}
+	return v
+}
+
 func TestExprBasics(t *testing.T) {
 	e := NewExpr().Add(0, 2).Add(1, -3).AddConst(5)
 	x := []float64{4, 1}
-	if got := e.Eval(x); got != 2*4-3*1+5 {
+	if got := eval(e, x); got != 2*4-3*1+5 {
 		t.Errorf("Eval = %g", got)
 	}
 	e.Add(0, 1) // accumulate onto existing term
-	if got := e.Eval(x); got != 3*4-3*1+5 {
+	if got := eval(e, x); got != 3*4-3*1+5 {
 		t.Errorf("Eval after accumulate = %g", got)
 	}
 	clone := e.Clone()
 	clone.Add(1, 100)
-	if e.Eval(x) == clone.Eval(x) {
+	if eval(e, x) == eval(clone, x) {
 		t.Error("Clone is not independent")
 	}
 	sum := NewExpr().AddExpr(e, 2)
-	if got := sum.Eval(x); got != 2*e.Eval(x) {
+	if got := eval(sum, x); got != 2*eval(e, x) {
 		t.Errorf("AddExpr scale = %g", got)
 	}
-	if Term(Var(1), 4).Eval(x) != 4 {
+	if eval(Term(Var(1), 4), x) != 4 {
 		t.Error("Term wrong")
 	}
-	if Constant(7).Eval(x) != 7 {
+	if eval(Constant(7), x) != 7 {
 		t.Error("Constant wrong")
 	}
-	if NewExpr().Sub(0, 1).Eval(x) != -4 {
+	if eval(NewExpr().Sub(0, 1), x) != -4 {
 		t.Error("Sub wrong")
 	}
 	terms := e.Terms()
@@ -58,25 +67,18 @@ func TestModelVariableAccounting(t *testing.T) {
 	if m.NumVars() != 3 || m.NumBinaries() != 1 {
 		t.Errorf("NumVars=%d NumBinaries=%d", m.NumVars(), m.NumBinaries())
 	}
-	if m.Name(x) != "x" || m.vtypes[b] != Binary || m.vtypes[y] != Continuous {
+	if m.lp.Variables[x].Name != "x" || !m.binary[b] || m.binary[y] {
 		t.Error("names or types wrong")
 	}
-	lo, up := m.Bounds(b)
-	if lo != 0 || up != 1 {
-		t.Errorf("binary bounds = [%g, %g]", lo, up)
+	if v := m.lp.Variables[b]; v.Lower != 0 || v.Upper != 1 {
+		t.Errorf("binary bounds = [%g, %g]", v.Lower, v.Upper)
 	}
 	m.SetBounds(x, 1, 4)
-	lo, up = m.Bounds(x)
-	if lo != 1 || up != 4 {
-		t.Errorf("SetBounds = [%g, %g]", lo, up)
+	if v := m.lp.Variables[x]; v.Lower != 1 || v.Upper != 4 {
+		t.Errorf("SetBounds = [%g, %g]", v.Lower, v.Upper)
 	}
 	if m.Stats() == "" {
 		t.Error("empty stats")
-	}
-	for _, vt := range []VarType{Continuous, Binary, VarType(9)} {
-		if vt.String() == "" {
-			t.Error("empty VarType string")
-		}
 	}
 }
 
@@ -188,27 +190,25 @@ func TestMaxEnvelope(t *testing.T) {
 	}
 }
 
-func TestBinaryBoundsClampedOnAdd(t *testing.T) {
-	m := NewModel()
-	b := m.AddVar("b", -5, 9, Binary)
-	lo, up := m.Bounds(b)
-	if lo != 0 || up != 1 {
-		t.Errorf("binary bounds = [%g, %g], want [0, 1]", lo, up)
-	}
-}
-
-func TestToLPSharesIndices(t *testing.T) {
+// TestVarIndicesAddressProblem pins that a Var is its column in the
+// lp.Problem the search solves: bounds, costs and rows written through the
+// Model land at that index.
+func TestVarIndicesAddressProblem(t *testing.T) {
 	m := NewModel()
 	x := m.AddContinuous("x", 0, 4)
 	b := m.AddBinary("b")
 	m.SetObjectiveCoef(x, 1)
 	m.AddLE("c", Term(x, 1).Add(b, 2), 4)
-	p := m.toLP()
+	p := &m.lp
 	if p.NumVariables() != 2 || p.NumConstraints() != 1 {
 		t.Fatalf("lp size = %d vars, %d cons", p.NumVariables(), p.NumConstraints())
 	}
-	if p.Variables[int(x)].Name != "x" || p.Variables[int(b)].Upper != 1 {
+	if p.Variables[x].Name != "x" || p.Variables[x].Cost != 1 || p.Variables[b].Upper != 1 {
 		t.Error("lp variables not aligned with model variables")
+	}
+	row := p.Constraints[0].Row
+	if len(row) != 2 || row[0] != (lp.Entry{Var: int(x), Coef: 1}) || row[1] != (lp.Entry{Var: int(b), Coef: 2}) {
+		t.Errorf("row = %v", row)
 	}
 	if p.Constraints[0].Sense != lp.LE {
 		t.Error("constraint sense lost")
@@ -246,13 +246,13 @@ func TestDigestIdentifiesModel(t *testing.T) {
 		"lower bound":    func(m *Model) { m.SetBounds(0, 1, 10) },
 		"upper bound":    func(m *Model) { m.SetBounds(2, -2, 6) },
 		"cost":           func(m *Model) { m.SetObjectiveCoef(1, 0.25) },
-		"variable type":  func(m *Model) { m.vtypes[1] = Continuous },
-		"variable name":  func(m *Model) { m.names[0] = "y" },
-		"row name":       func(m *Model) { m.constraints[1].name = "link2" },
-		"coefficient":    func(m *Model) { m.constraints[0].row[0].Coef = 3 },
-		"row variable":   func(m *Model) { m.constraints[2].row[1].Var = 0 },
-		"sense":          func(m *Model) { m.constraints[0].sense = lp.GE },
-		"rhs":            func(m *Model) { m.constraints[2].rhs = 3 },
+		"variable type":  func(m *Model) { m.binary[1] = false },
+		"variable name":  func(m *Model) { m.lp.Variables[0].Name = "y" },
+		"row name":       func(m *Model) { m.lp.Constraints[1].Name = "link2" },
+		"coefficient":    func(m *Model) { m.lp.Constraints[0].Row[0].Coef = 3 },
+		"row variable":   func(m *Model) { m.lp.Constraints[2].Row[1].Var = 0 },
+		"sense":          func(m *Model) { m.lp.Constraints[0].Sense = lp.GE },
+		"rhs":            func(m *Model) { m.lp.Constraints[2].RHS = 3 },
 		"obj constant":   func(m *Model) { m.AddObjectiveExpr(Constant(1), 1) },
 		"extra variable": func(m *Model) { m.AddContinuous("z", 0, 1) },
 		"extra row":      func(m *Model) { m.AddLE("more", Term(0, 1), 9) },

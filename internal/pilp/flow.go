@@ -33,7 +33,8 @@ type Options struct {
 	// means 4.
 	ChainPoints int
 	// MaxChainPoints bounds chain-point insertion in the escalations of
-	// phases 2 and 3. Zero, or a value below ChainPoints, means 8.
+	// phases 2 and 3. Zero, or a value below ChainPoints, means the larger
+	// of 8 and ChainPoints.
 	MaxChainPoints int
 	// Confinement is the τd window of phases 2–3. Zero means
 	// DefaultConfinement (40 µm).
@@ -101,7 +102,7 @@ func (o Options) maxChainPoints() int {
 	if o.MaxChainPoints >= o.chainPoints() {
 		return o.MaxChainPoints
 	}
-	return 8
+	return max(8, o.chainPoints())
 }
 
 func (o Options) confinement() geom.Coord {
@@ -358,11 +359,9 @@ func (o Options) Fingerprint() string {
 // Snapshot records the layout state after one phase of the flow, mirroring
 // the per-phase snapshots of Figure 7.
 type Snapshot struct {
-	Phase      string
-	Layout     *layout.Layout
-	Metrics    layout.Metrics
-	Violations int
-	Elapsed    time.Duration
+	Phase   string
+	Layout  *layout.Layout
+	Elapsed time.Duration
 }
 
 // Result is the outcome of the progressive flow. The embedded Effort totals
@@ -516,13 +515,7 @@ func GenerateCtx(ctx context.Context, c *netlist.Circuit, opts Options) (*Result
 }
 
 func (r *Result) addSnapshot(phase string, l *layout.Layout, elapsed time.Duration) {
-	r.Snapshots = append(r.Snapshots, Snapshot{
-		Phase:      phase,
-		Layout:     l.Clone(),
-		Metrics:    l.Metrics(),
-		Violations: len(Violations(l)),
-		Elapsed:    elapsed,
-	})
+	r.Snapshots = append(r.Snapshots, Snapshot{Phase: phase, Layout: l.Clone(), Elapsed: elapsed})
 }
 
 // globalAdjust solves the phase-1 model: every non-pad device and every
@@ -547,24 +540,21 @@ func globalAdjust(ctx context.Context, c *netlist.Circuit, current *layout.Layou
 }
 
 // phase1Model builds the phase-1 model: every strip and non-pad device free,
-// soft lengths, penalized overlap, frozen topology and relative positions
-// from the constructed layout, generous confinement.
+// each strip with the chain points of its constructed route, soft lengths,
+// penalized overlap, frozen topology and relative positions from the
+// constructed layout, generous confinement.
 func phase1Model(c *netlist.Circuit, current *layout.Layout, opts Options) (*ilpmodel.Model, error) {
-	chainPoints := map[string]int{}
 	var freeStrips, freeDevices []string
 	for _, ms := range c.Microstrips {
-		rs := current.Routed(ms.Name)
-		if rs == nil {
+		if current.Routed(ms.Name) == nil {
 			return nil, fmt.Errorf("pilp: strip %q missing from constructed layout", ms.Name)
 		}
-		chainPoints[ms.Name] = len(rs.Path.Points)
 		freeStrips = append(freeStrips, ms.Name)
 	}
 	for _, d := range c.NonPadDevices() {
 		freeDevices = append(freeDevices, d.Name)
 	}
 	return ilpmodel.Build(c, ilpmodel.Config{
-		ChainPoints:       chainPoints,
 		FreeDevices:       freeDevices,
 		FreeStrips:        freeStrips,
 		Fixed:             current,
@@ -733,11 +723,11 @@ func solveStrips(ctx context.Context, c *netlist.Circuit, current *layout.Layout
 }
 
 // stripModel builds the exact model of solveStrips: the listed strips
-// resampled to chainPoints points and free, the listed devices free within
-// τd, everything else fixed where current has it.
+// resampled to chainPoints points and free (the model takes each free
+// strip's chain-point count from its resampled route), the listed devices
+// free within τd, everything else fixed where current has it.
 func stripModel(c *netlist.Circuit, current *layout.Layout, strips []string, chainPoints int, freeDevices []string, opts Options) (*ilpmodel.Model, error) {
 	warm := current.Clone()
-	cpMap := map[string]int{}
 	for _, strip := range strips {
 		rs := warm.Routed(strip)
 		if rs == nil {
@@ -747,10 +737,8 @@ func stripModel(c *netlist.Circuit, current *layout.Layout, strips []string, cha
 		if err := warm.Route(strip, resampled...); err != nil {
 			return nil, err
 		}
-		cpMap[strip] = len(resampled)
 	}
 	cfg := ilpmodel.Config{
-		ChainPoints: cpMap,
 		FreeStrips:  strips,
 		FreeDevices: freeDevices,
 		Fixed:       warm,

@@ -49,6 +49,11 @@ func TestOptionDefaults(t *testing.T) {
 	if o.chainPoints() != 4 || o.maxChainPoints() != 8 {
 		t.Error("chain point defaults wrong")
 	}
+	// A start above 8 without MaxChainPoints must still leave the phase-2
+	// and phase-3 escalations a chain-point count to solve.
+	if o := (Options{ChainPoints: 10}); o.maxChainPoints() != 10 {
+		t.Errorf("maxChainPoints with ChainPoints 10 = %d, want 10", o.maxChainPoints())
+	}
 	if o.confinement() != DefaultConfinement || o.pairRadius() != DefaultPairRadius {
 		t.Error("geometry defaults wrong")
 	}

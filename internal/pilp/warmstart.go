@@ -354,25 +354,6 @@ func clampDeviceCenter(c *netlist.Circuit, d *netlist.Device, o geom.Orientation
 	return geom.Pt(x, y)
 }
 
-// snapToBoundary moves a point to the closest point of the layout boundary.
-func snapToBoundary(c *netlist.Circuit, p geom.Point) geom.Point {
-	dLeft := p.X
-	dRight := c.AreaWidth - p.X
-	dBottom := p.Y
-	dTop := c.AreaHeight - p.Y
-	minD := geom.MinCoord(geom.MinCoord(dLeft, dRight), geom.MinCoord(dBottom, dTop))
-	switch minD {
-	case dLeft:
-		return geom.Pt(0, p.Y)
-	case dRight:
-		return geom.Pt(c.AreaWidth, p.Y)
-	case dBottom:
-		return geom.Pt(p.X, 0)
-	default:
-		return geom.Pt(p.X, c.AreaHeight)
-	}
-}
-
 // routeAll gives every microstrip a simple planar initial route: straight
 // where the pins are aligned, otherwise an L or Z shape chosen to avoid
 // crossing device bodies and previously routed strips where possible.
