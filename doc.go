@@ -70,9 +70,10 @@
 //	                             remembers the columns it rejected and skips
 //	                             them until a pivot touches them) over a sparse
 //	                             revised core: A in compressed sparse columns,
-//	                             B⁻¹ as an LU-style eta file — refactorized
-//	                             every RefactorEvery pivots or on drift,
-//	                             product-form update etas in between,
+//	                             B⁻¹ as an LU-style eta file that stores no
+//	                             +1 unit-column eta and no diagonal twice —
+//	                             refactorized every RefactorEvery pivots or
+//	                             on drift, product-form update etas between,
 //	                             FTRAN/BTRAN solves for columns, rows and
 //	                             pricing. The tests check it against a dense
 //	                             tableau oracle. Bases are exportable for warm

@@ -19,7 +19,10 @@
 // sparse column form, the basis inverse as an elimination-form LU
 // factorization held in product form (an eta sequence) with one product-form
 // eta appended per pivot, periodic refactorization, and FTRAN/BTRAN solves
-// producing tableau columns, pivot rows and reduced costs on demand. The
+// producing tableau columns, pivot rows and reduced costs on demand. The eta
+// file stores only what those solves read: no eta for a +1 slack or
+// artificial, and each pivot's diagonal once, apart from its off-diagonal
+// entries. The
 // tests run the same driver over a dense tableau (T = B⁻¹·A materialized in
 // full, every pivot a full elimination) as a reference oracle.
 //

@@ -67,16 +67,37 @@ func buildCSC(s *simplex) cscMatrix {
 
 // etaFile is a sequence of product-form eta matrices stored in flat arrays
 // (one shared arena, no per-eta allocation on the pivot path). Eta e differs
-// from the identity only in column rowOf[e]: the entries listed in
-// idx/val[start[e]:start[e+1]], with the diagonal element piv[e] at row
-// rowOf[e]. B = E_0·E_1·…·E_{k−1}, so FTRAN applies the inverses in creation
-// order and BTRAN in reverse.
+// from the identity only in column rowOf[e]: its diagonal element is piv[e],
+// and its off-diagonal entries are listed in idx/val[start[e]:start[e+1]],
+// which never name row rowOf[e] itself. B = E_0·E_1·…·E_{k−1}, so FTRAN
+// applies the inverses in creation order and BTRAN in reverse.
+//
+// The file holds only what FTRAN and BTRAN read. A +1 unit column (a slack,
+// or a +1 artificial) gets no eta: its eta is the identity, and applying it
+// (a division by +1, no off-diagonal entries) leaves every value, −0
+// included, bit for bit unchanged.
 type etaFile struct {
 	rowOf []int32
 	piv   []float64
 	start []int32
 	idx   []int32
 	val   []float64
+}
+
+// presized returns an empty eta file with room for as many etas and entries
+// as like (which may be nil) holds, so a build no larger than like grows no
+// slice.
+func presized(like *etaFile) *etaFile {
+	if like == nil {
+		return new(etaFile)
+	}
+	return &etaFile{
+		rowOf: make([]int32, 0, len(like.rowOf)),
+		piv:   make([]float64, 0, len(like.piv)),
+		start: make([]int32, 1, len(like.start)),
+		idx:   make([]int32, 0, len(like.idx)),
+		val:   make([]float64, 0, len(like.val)),
+	}
 }
 
 func (f *etaFile) reset() {
@@ -99,12 +120,12 @@ func (f *etaFile) count() int { return len(f.rowOf) }
 const etaDropTol = 1e-13
 
 // pushDense compresses the dense spike v into a new eta with pivot row r.
-// The pivot entry is always kept, whatever its magnitude.
+// The pivot entry is always kept in piv, whatever its magnitude.
 func (f *etaFile) pushDense(r int, v []float64) {
 	f.rowOf = append(f.rowOf, int32(r))
 	f.piv = append(f.piv, v[r])
 	for i, x := range v {
-		if i != r && math.Abs(x) <= etaDropTol {
+		if i == r || math.Abs(x) <= etaDropTol {
 			continue
 		}
 		f.idx = append(f.idx, int32(i))
@@ -113,12 +134,14 @@ func (f *etaFile) pushDense(r int, v []float64) {
 	f.start = append(f.start, int32(len(f.idx)))
 }
 
-// pushUnit appends an eta for a ±1 unit column at its home row.
+// pushUnit appends the eta of a −1 unit column at its home row; a +1 unit
+// column is the identity and gets none.
 func (f *etaFile) pushUnit(r int, piv float64) {
+	if piv == 1 {
+		return
+	}
 	f.rowOf = append(f.rowOf, int32(r))
 	f.piv = append(f.piv, piv)
-	f.idx = append(f.idx, int32(r))
-	f.val = append(f.val, piv)
 	f.start = append(f.start, int32(len(f.idx)))
 }
 
@@ -132,9 +155,7 @@ func (f *etaFile) ftran(x []float64) {
 		}
 		t := xr / f.piv[e]
 		for k := f.start[e]; k < f.start[e+1]; k++ {
-			if i := f.idx[k]; i != r {
-				x[i] -= f.val[k] * t
-			}
+			x[f.idx[k]] -= f.val[k] * t
 		}
 		x[r] = t
 	}
@@ -146,9 +167,7 @@ func (f *etaFile) btran(y []float64) {
 		r := f.rowOf[e]
 		acc := 0.0
 		for k := f.start[e]; k < f.start[e+1]; k++ {
-			if i := f.idx[k]; i != r {
-				acc += f.val[k] * y[i]
-			}
+			acc += f.val[k] * y[f.idx[k]]
 		}
 		y[r] = (y[r] - acc) / f.piv[e]
 	}
@@ -159,7 +178,9 @@ func (f *etaFile) btran(y []float64) {
 // factor, rebuilt by refactorize) extended by one update eta per pivot.
 // Tableau columns are FTRAN solves, pivot rows and reduced costs are BTRAN
 // solves followed by one pass over the matrix nonzeros — so pivot cost scales
-// with nnz(A) plus the eta-chain length instead of m·n.
+// with nnz(A) plus the eta-file size instead of m·n. A factor holds one eta
+// per structural basic column and per basic −1 artificial: the +1 slacks and
+// artificials, often half the basis, cost nothing.
 //
 // A factor is immutable once built: the final one of an optimal solve is
 // carried on the exported Basis, and a warm solve of the same problem adopts
@@ -313,13 +334,14 @@ func (c *sparseCore) markBasic() {
 // ascending index order pick their row by partial pivoting — the largest
 // partially-FTRANed magnitude among unassigned rows, lowest row on ties.
 // Returns false (old factorization untouched) when the basis is singular.
+// A build into a fresh arena is sized from the factor it replaces.
 func (c *sparseCore) refactorize() bool {
 	const pivTol = 1e-9
 	s := c.s
 	m := s.m
 
 	if c.spare == nil {
-		c.spare = new(etaFile)
+		c.spare = presized(c.factor)
 	}
 	nf := c.spare
 	nf.reset()
