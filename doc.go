@@ -41,8 +41,11 @@
 //	                             lengths → refinement; independent per-strip
 //	                             subproblems run concurrently; the phase-1
 //	                             adjustment is one global LP (no binaries);
-//	                             a per-flow memo answers repeated identical
-//	                             solves
+//	                             the phases run from one list (step, snapshot
+//	                             label, log format); phases 2 and 3 share one
+//	                             candidate pass (solve against a frozen base,
+//	                             graft in a fixed order); a per-flow memo
+//	                             answers repeated identical solves
 //	internal/ilpmodel            builds the layout MILP (device placement,
 //	                             chain-point routing, non-overlap, Eq. 1–28)
 //	                             as a restricted model around a given layout:

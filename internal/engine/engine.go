@@ -2,8 +2,8 @@
 // circuits are solved concurrently on a bounded worker pool, each job fully
 // isolated from the others. It is the serving-side entry point of the solver
 // stack (engine → pilp → ilpmodel → milp → lp) — cmd/rficgen and
-// cmd/rficbench drive it via their -parallel flag, and a future service
-// front-end can feed it straight from a request queue.
+// cmd/rficbench drive it via their -parallel flag, and internal/server feeds
+// it from its admission queue.
 package engine
 
 import (

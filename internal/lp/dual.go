@@ -29,6 +29,7 @@ func (s *simplex) runDual() Status {
 		if r < 0 {
 			return StatusOptimal
 		}
+		// The pivot row serves the ratio test and then the pivot itself.
 		prow := s.prowBuf
 		s.core.pivotRow(r, prow)
 		enter, ratio, ok := s.dualRatioTest(r, target, prow)
@@ -192,6 +193,7 @@ func (s *simplex) lexCanonicalize() bool {
 			// every memoised column stays valid.
 			s.applyBoundFlip(enter, dir, step, s.colBuf)
 		} else {
+			s.core.pivotRow(leaveRow, s.prowBuf)
 			s.pivot(enter, dir, leaveRow, bound, step, s.colBuf)
 			if s.fresh {
 				// The pivot rebuilt the factorization, which may also

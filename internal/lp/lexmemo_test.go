@@ -26,6 +26,7 @@ func restartLexCanonicalize(s *simplex) {
 		if leaveRow < 0 {
 			s.applyBoundFlip(enter, dir, step, s.colBuf)
 		} else {
+			s.core.pivotRow(leaveRow, s.prowBuf)
 			s.pivot(enter, dir, leaveRow, bound, step, s.colBuf)
 		}
 	}

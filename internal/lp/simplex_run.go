@@ -137,6 +137,7 @@ func (s *simplex) iterate() Status {
 			s.applyBoundFlip(enter, dir, step, alpha)
 			continue
 		}
+		s.core.pivotRow(leaveRow, s.prowBuf)
 		s.pivot(enter, dir, leaveRow, bound, step, alpha)
 	}
 }
@@ -288,11 +289,14 @@ func (s *simplex) applyBoundFlip(enter int, dir, step float64, alpha []float64) 
 // pivot performs a basis exchange: the entering column becomes basic in
 // leaveRow, the previous basic variable of that row leaves at the given
 // bound. alpha is the entering tableau column under the pre-pivot basis (the
-// one the ratio test ran on). The driver updates the basic values and the
-// reduced-cost row (one rank-one update from the pivot row) itself; the core
-// then installs the exchange — one appended eta, with a possible
-// refactorization. A core-side rebuild replaces beta and the row assignment,
-// so the reduced costs are recomputed from scratch when it happens.
+// one the ratio test ran on), and the caller has left that basis's tableau
+// row leaveRow in s.prowBuf: the dual simplex computed it for its ratio
+// test, the primal passes compute it just before the call. The driver
+// updates the basic values and the reduced-cost row (one rank-one update
+// from the pivot row) itself; the core then installs the exchange — one
+// appended eta, with a possible refactorization. A core-side rebuild
+// replaces beta and the row assignment, so the reduced costs are recomputed
+// from scratch when it happens.
 func (s *simplex) pivot(enter int, dir float64, leaveRow int, bound varStatus, step float64, alpha []float64) {
 	leaving := s.basis[leaveRow]
 
@@ -311,7 +315,6 @@ func (s *simplex) pivot(enter int, dir float64, leaveRow int, bound varStatus, s
 
 	// Pivot row under the pre-pivot basis, normalized by the pivot element.
 	prow := s.prowBuf
-	s.core.pivotRow(leaveRow, prow)
 	inv := 1 / prow[enter]
 	for j := 0; j < s.n; j++ {
 		prow[j] *= inv

@@ -19,8 +19,14 @@
 //     iteration budget is exhausted. Devices keep their constructed
 //     orientation.
 //
-// Each phase records a snapshot so the flow can be inspected the way
-// Figure 7 of the paper shows it.
+// GenerateCtx runs the phases after construction from one list (phases in
+// flow.go): each entry is a step, the label of the snapshot it records and
+// the format of the progress message it logs, so the flow can be inspected
+// the way Figure 7 of the paper shows it, and cancellation is checked in one
+// place. Phases 2 and 3 share one candidate pass: solveAll solves per-strip
+// candidates concurrently against a frozen copy of the layout
+// (solveCandidate), and each candidate's graft merges the strips and devices
+// it freed into the evolving layout in a fixed order.
 //
 // Every MILP solve of a flow goes through one call site, which memoises its
 // Result for the rest of the flow, keyed by the model's digest

@@ -182,11 +182,11 @@ type Effort struct {
 }
 
 // tally folds every MILP solve of one flow invocation and memoises their
-// results. GenerateCtx creates one per flow and hands it to the two solve
-// sites, globalAdjust and solveStrips, which concurrent strip workers share.
-// Every fold commutes — sums, and maxima for PeakEta and the gap — so the
-// totals are deterministic whenever the set of solves is (absent binding
-// time limits).
+// results. GenerateCtx creates one per flow and hands it to the flow's one
+// solve site, Options.solve, which concurrent strip workers share. Every
+// fold commutes — sums, and maxima for PeakEta and the gap — so the totals
+// are deterministic whenever the set of solves is (absent binding time
+// limits).
 type tally struct {
 	mu          sync.Mutex
 	effort      Effort
@@ -229,48 +229,49 @@ func (t *tally) add(r *milp.Result) {
 	}
 }
 
-// claim returns the memo's call for key and whether the caller leads it:
-// a leader solves and then settles the call, anyone else waits on it.
-func (t *tally) claim(key memoKey) (*memoCall, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if call, ok := t.memo[key]; ok {
-		return call, false
-	}
-	if t.memo == nil {
-		t.memo = map[memoKey]*memoCall{}
-	}
-	call := &memoCall{done: make(chan struct{})}
-	t.memo[key] = call
-	return call, true
-}
-
-// lead runs solve for the caller that claimed call, folds its Result and
-// publishes it to the callers waiting on call. A Result is kept for reuse
-// unless the solve failed or was cancelled: where a cancelled search stops
-// depends on the wall clock, while a finished or node-budgeted one is a pure
-// function of the model and the budget. The call is settled even when solve
-// panics, so no waiter blocks on it.
-func (t *tally) lead(key memoKey, call *memoCall, solve func() (*milp.Result, error)) (r *milp.Result, err error) {
-	defer func() {
-		t.add(r)
+// do returns the Result of the solve key names. The first caller of a key
+// runs solve, folds its Result and publishes it; a caller that finds the key
+// in flight waits for it, so which caller solves never depends on timing,
+// and counts one reused solve. A Result is kept for reuse unless the solve
+// failed or was cancelled: where a cancelled search stops depends on the
+// wall clock, while a finished or node-budgeted one is a pure function of
+// the model and the budget. A waiter whose leader's Result was not reusable
+// runs its own solve, as the next leader or behind one. The call is settled
+// even when solve panics, so no waiter blocks on it.
+func (t *tally) do(key memoKey, solve func() (*milp.Result, error)) (r *milp.Result, err error) {
+	for {
 		t.mu.Lock()
-		if err == nil && r != nil && !r.Cancelled {
-			call.res = r
-		} else {
-			delete(t.memo, key)
+		call, inFlight := t.memo[key]
+		if !inFlight {
+			if t.memo == nil {
+				t.memo = map[memoKey]*memoCall{}
+			}
+			call = &memoCall{done: make(chan struct{})}
+			t.memo[key] = call
 		}
 		t.mu.Unlock()
-		close(call.done)
-	}()
-	return solve()
-}
-
-// reuse counts one solve answered from the memo.
-func (t *tally) reuse() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.effort.Reused++
+		if !inFlight {
+			defer func() {
+				t.add(r)
+				t.mu.Lock()
+				if err == nil && r != nil && !r.Cancelled {
+					call.res = r
+				} else {
+					delete(t.memo, key)
+				}
+				t.mu.Unlock()
+				close(call.done)
+			}()
+			return solve()
+		}
+		<-call.done
+		if call.res != nil {
+			t.mu.Lock()
+			t.effort.Reused++
+			t.mu.Unlock()
+			return call.res, nil
+		}
+	}
 }
 
 // seal copies the totals into res.
@@ -285,47 +286,22 @@ func (t *tally) seal(res *Result) {
 // solve is the flow's one MILP solve: it bounds the branch and bound of m by
 // a deadline limit below ctx and by maxNodes explored nodes (zero means
 // milp's default), applies the warm-LP switch to every tree the flow
-// spawns, extracts the incumbent layout and folds the solve into spent.
-//
-// A model the flow has already solved under the same node budget is not
-// solved again: spent memoises each reusable Result by the model's digest,
-// and a caller that finds the same key in flight waits for it, so which
-// caller solves never depends on timing. The layout is always extracted by
-// this call's model, because the fixed geometry outside a model can differ
-// between two calls that build equal models.
+// spawns, answers a model already solved under the same node budget from
+// spent's memo, folds the solve into spent and extracts the incumbent layout
+// (nil when there is none). The layout is always extracted by this call's
+// model, because the fixed geometry outside a model can differ between two
+// calls that build equal models. Solves that run at once share one limit
+// under the flow's context, so a memo leader's deadline comes no later than
+// its waiters'.
 func (o Options) solve(ctx context.Context, m *ilpmodel.Model, limit time.Duration, maxNodes int, spent *tally) (*layout.Layout, *milp.Result, error) {
 	ctx, cancel := context.WithTimeout(ctx, limit)
 	defer cancel()
-	key := memoKey{m.MILP.Digest(), maxNodes}
-	for {
-		call, leader := spent.claim(key)
-		if leader {
-			result, err := spent.lead(key, call, func() (*milp.Result, error) {
-				return m.MILP.SolveCtx(ctx, milp.SolveOptions{
-					MaxNodes:      maxNodes,
-					DisableWarmLP: o.ColdLP,
-				})
-			})
-			if err != nil {
-				return nil, nil, err
-			}
-			return extract(m, result)
-		}
-		// Solves that run at once share one limit under the flow's context,
-		// so the leader's deadline comes no later than this call's.
-		<-call.done
-		if call.res != nil {
-			spent.reuse()
-			return extract(m, call.res)
-		}
-		// The leader's Result was not reusable: solve under this call's own
-		// context, as the next leader or behind one.
+	r, err := spent.do(memoKey{m.MILP.Digest(), maxNodes}, func() (*milp.Result, error) {
+		return m.MILP.SolveCtx(ctx, milp.SolveOptions{MaxNodes: maxNodes, DisableWarmLP: o.ColdLP})
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-}
-
-// extract returns the layout of the incumbent of r under m, nil when r has
-// none.
-func extract(m *ilpmodel.Model, r *milp.Result) (*layout.Layout, *milp.Result, error) {
 	if !r.Status.HasSolution() {
 		return nil, r, nil
 	}
@@ -377,8 +353,10 @@ type Result struct {
 	// real layouts — constructed, routed, DRC-checkable — just not carried
 	// through every remaining phase.
 	Partial bool
-	// PartialPhase names the last phase snapshot the partial layout reached
-	// ("construct" when cancellation hit before phase 1 finished). Empty when
+	// PartialPhase names the last phase the flow completed, whose snapshot
+	// ends Snapshots ("construct" when cancellation hit before phase 1
+	// completed). A phase during which the context fired did not complete,
+	// even when Layout already holds improvements it merged. Empty when
 	// Partial is false.
 	PartialPhase string
 	// MaxGap is the worst relative incumbent/bound gap across the MILP solves
@@ -407,13 +385,38 @@ func Score(l *layout.Layout) float64 {
 	return 1e6*float64(len(Violations(l))) + 100*float64(m.TotalBends) + geom.Microns(m.TotalLengthError)
 }
 
+// phases are the steps of the flow after construction, in order. Each step
+// returns the layout it reached, never scoring worse than the one it was
+// given; GenerateCtx snapshots and logs it under the phase's label and Logf
+// format. Tests cancel flows by matching these formats, so they stay literal.
+var phases = []struct {
+	label, logf string
+	step        func(context.Context, *netlist.Circuit, *layout.Layout, Options, *tally) *layout.Layout
+}{
+	// Phase 1b: global coordinate adjustment, one LP on the real device
+	// bodies and pins with the pads fixed — soft lengths, penalized overlap,
+	// relative positions kept, topology fixed (Eq. 24–28). The phase is not
+	// blurred, but its label stays literal: it is the server's partial_phase
+	// wire value, and bench's batch workload looks the snapshot up by this
+	// name.
+	{"phase1-blurred-routing", "pilp: phase 1 done: %s", adjust},
+	// Phase 2: device visualization and overlap fixing — per-strip exact
+	// length models against real device geometry.
+	{"phase2-overlap-fixing", "pilp: phase 2 done: %s", exactLengthPass},
+	// Phase 3: iterative refinement with chain-point deletion/insertion and
+	// device movement within τd.
+	{"phase3-refinement", "pilp: phase 3 done: %s", refine},
+}
+
 // GenerateCtx runs the full progressive flow under a context. Cancellation
 // stops the flow at the next solve boundary and returns the context error; a
 // context that is already cancelled returns promptly without solving
 // anything. With Options.AcceptPartial set, cancellation after the initial
 // construction instead returns the best layout reached so far with
 // Result.Partial set — anytime degradation: the caller trades refinement
-// quality for a guaranteed layout under its deadline.
+// quality for a guaranteed layout under its deadline. A phase during which
+// the context fired did not complete: it gets no snapshot, and
+// Result.PartialPhase names the phase before it.
 //
 // Determinism: the phase-2 and phase-3 per-strip subproblems are solved
 // concurrently on opts.Workers goroutines, but each subproblem starts from
@@ -438,19 +441,6 @@ func GenerateCtx(ctx context.Context, c *netlist.Circuit, opts Options) (*Result
 	spent := new(tally)
 	res := &Result{}
 
-	// finish seals the result with the flow-wide effort and gap totals; a
-	// non-empty phase marks it as an anytime partial stopped at that phase.
-	finish := func(l *layout.Layout, partialPhase string) *Result {
-		res.Layout = l
-		res.Runtime = time.Since(start)
-		spent.seal(res)
-		if partialPhase != "" {
-			res.Partial = true
-			res.PartialPhase = partialPhase
-		}
-		return res
-	}
-
 	// Phase 1a: constructive signal-flow placement, pads on the boundary,
 	// planar L/Z routing.
 	current, err := Construct(c)
@@ -458,64 +448,52 @@ func GenerateCtx(ctx context.Context, c *netlist.Circuit, opts Options) (*Result
 		return nil, err
 	}
 	opts.logf("pilp: constructed initial layout: %s", current.Metrics())
+	constructed := Snapshot{Phase: "construct", Layout: current, Elapsed: time.Since(start)}
+
+	for _, p := range phases {
+		if ctx.Err() != nil {
+			break
+		}
+		current = p.step(ctx, c, current, opts, spent)
+		if ctx.Err() == nil {
+			res.addSnapshot(p.label, current, time.Since(start))
+			opts.logf(p.logf, current.Metrics())
+		}
+	}
+
+	res.Layout = current
 	if err := ctx.Err(); err != nil {
 		if !opts.AcceptPartial {
 			return nil, err
 		}
-		res.addSnapshot("construct", current, time.Since(start))
-		return finish(current, "construct"), nil
-	}
-
-	// Phase 1b: global coordinate adjustment, one LP on the real device
-	// bodies and pins with the pads fixed — soft lengths, penalized overlap,
-	// relative positions kept, topology fixed (Eq. 24–28).
-	adjusted, err := globalAdjust(ctx, c, current, opts, spent)
-	if err != nil {
-		opts.logf("pilp: global adjustment failed: %v", err)
-	} else if adjusted != nil && Score(adjusted) <= Score(current) {
-		current = adjusted
-	}
-	// The phase is not blurred, but its label stays literal: it is the
-	// server's partial_phase wire value, and bench's batch workload looks
-	// the snapshot up by this name.
-	res.addSnapshot("phase1-blurred-routing", current, time.Since(start))
-	opts.logf("pilp: phase 1 done: %s", current.Metrics())
-	if err := ctx.Err(); err != nil {
-		if !opts.AcceptPartial {
-			return nil, err
+		// Construction is snapshotted only when no phase after it completed.
+		if len(res.Snapshots) == 0 {
+			res.addSnapshot(constructed.Phase, constructed.Layout, constructed.Elapsed)
 		}
-		return finish(current, "phase1-blurred-routing"), nil
+		res.Partial = true
+		res.PartialPhase = res.Snapshots[len(res.Snapshots)-1].Phase
 	}
-
-	// Phase 2: device visualization and overlap fixing — per-strip exact
-	// length models against real device geometry.
-	current = exactLengthPass(ctx, c, current, opts, spent)
-	res.addSnapshot("phase2-overlap-fixing", current, time.Since(start))
-	opts.logf("pilp: phase 2 done: %s", current.Metrics())
-	if err := ctx.Err(); err != nil {
-		if !opts.AcceptPartial {
-			return nil, err
-		}
-		return finish(current, "phase2-overlap-fixing"), nil
-	}
-
-	// Phase 3: iterative refinement with chain-point deletion/insertion and
-	// device movement within τd.
-	current = refine(ctx, c, current, opts, spent)
-	res.addSnapshot("phase3-refinement", current, time.Since(start))
-	opts.logf("pilp: phase 3 done: %s", current.Metrics())
-	if err := ctx.Err(); err != nil {
-		if !opts.AcceptPartial {
-			return nil, err
-		}
-		return finish(current, "phase3-refinement"), nil
-	}
-
-	return finish(current, ""), nil
+	res.Runtime = time.Since(start)
+	spent.seal(res)
+	return res, nil
 }
 
 func (r *Result) addSnapshot(phase string, l *layout.Layout, elapsed time.Duration) {
 	r.Snapshots = append(r.Snapshots, Snapshot{Phase: phase, Layout: l.Clone(), Elapsed: elapsed})
+}
+
+// adjust is phase 1's step: the global adjustment, kept when it scores no
+// worse than current.
+func adjust(ctx context.Context, c *netlist.Circuit, current *layout.Layout, opts Options, spent *tally) *layout.Layout {
+	adjusted, err := globalAdjust(ctx, c, current, opts, spent)
+	if err != nil {
+		opts.logf("pilp: global adjustment failed: %v", err)
+		return current
+	}
+	if Score(adjusted) <= Score(current) {
+		return adjusted
+	}
+	return current
 }
 
 // globalAdjust solves the phase-1 model: every non-pad device and every
@@ -567,6 +545,69 @@ func phase1Model(c *netlist.Circuit, current *layout.Layout, opts Options) (*ilp
 	})
 }
 
+// candidate is one precomputed improvement of phases 2 and 3: the layout a
+// per-strip solve reached and the strips and devices that solve freed, the
+// only geometry in which it can differ from the layout it was solved
+// against.
+type candidate struct {
+	layout  *layout.Layout
+	strips  []string
+	devices []string
+}
+
+// solveCandidate builds and solves an exact model in which the listed strips
+// (and optionally the listed devices, confined to τd) are free while the rest
+// of current stays fixed. It returns nil when no layout comes out. The
+// per-strip models are small, so their branch-and-bound runs single-worker:
+// concurrency comes from solving many strips at once (solveAll), not from
+// splitting one solve.
+func solveCandidate(ctx context.Context, c *netlist.Circuit, current *layout.Layout, strips []string, chainPoints int, devices []string, opts Options, spent *tally) *candidate {
+	m, err := stripModel(c, current, strips, chainPoints, devices, opts)
+	if err != nil {
+		opts.logf("pilp: model build for %v failed: %v", strips, err)
+		return nil
+	}
+	lay, _, err := opts.solve(ctx, m, opts.stripTimeLimit(), opts.StripNodeLimit, spent)
+	if err != nil || lay == nil {
+		return nil
+	}
+	return &candidate{layout: lay, strips: strips, devices: devices}
+}
+
+// solveAll runs solve(i) for every i below n on the worker pool. Each solve
+// must read only a frozen base layout, so the candidates do not depend on
+// the worker count; the caller merges them in index order.
+func solveAll(ctx context.Context, opts Options, n int, solve func(i int) *candidate) []*candidate {
+	out := make([]*candidate, n)
+	conc.ForEach(ctx, opts.workers(), n, func(i int) { out[i] = solve(i) })
+	return out
+}
+
+// graft merges the candidate into a possibly further-evolved layout: it
+// copies the placements of the freed devices and the routes of the freed
+// strips onto a clone of base and leaves base untouched. It returns nil for
+// a nil candidate and when a freed object is missing from the candidate or
+// cannot be placed or routed.
+func (cand *candidate) graft(base *layout.Layout) *layout.Layout {
+	if cand == nil {
+		return nil
+	}
+	out := base.Clone()
+	for _, name := range cand.devices {
+		pd := cand.layout.Placed(name)
+		if pd == nil || out.Place(name, pd.Center, pd.Orient) != nil {
+			return nil
+		}
+	}
+	for _, name := range cand.strips {
+		rs := cand.layout.Routed(name)
+		if rs == nil || out.Route(name, rs.Path.Points...) != nil {
+			return nil
+		}
+	}
+	return out
+}
+
 // exactLengthPass drives every microstrip to its exact equivalent length with
 // per-strip exact models, worst offenders first. The first solve attempt of
 // every strip is an independent subproblem against the same frozen base
@@ -593,80 +634,51 @@ func exactLengthPass(ctx context.Context, c *netlist.Circuit, current *layout.La
 	})
 
 	base := current
-	candidates := make([]*layout.Layout, len(strips))
-	conc.ForEach(ctx, opts.workers(), len(strips), func(i int) {
-		if lay, ok := solveStrips(ctx, c, base, []string{strips[i].Name}, opts.chainPoints(), nil, opts, spent); ok {
-			candidates[i] = lay
-		}
+	candidates := solveAll(ctx, opts, len(strips), func(i int) *candidate {
+		return solveCandidate(ctx, c, base, []string{strips[i].Name}, opts.chainPoints(), nil, opts, spent)
 	})
-
 	for i, ms := range strips {
-		if cand := candidates[i]; cand != nil {
-			// The candidate differs from the frozen base only in this strip's
-			// route: graft that route onto the evolving layout and keep it
-			// when the strip comes out clean without hurting the score.
-			if merged, ok := applyCandidate(current, cand, []string{ms.Name}, nil); ok {
-				if Score(merged) <= Score(current) && stripClean(merged, ms.Name) {
-					current = merged
-					continue
-				}
-			}
+		// Keep the candidate's route when the strip comes out clean without
+		// hurting the score.
+		if merged := candidates[i].graft(current); merged != nil && Score(merged) <= Score(current) && stripClean(merged, ms.Name) {
+			current = merged
+			continue
 		}
 		current = solveStripToTarget(ctx, c, current, ms.Name, opts, spent)
 	}
 	return current
 }
 
-// applyCandidate grafts the routes of the listed strips and the placements of
-// the listed devices from a solved candidate onto a clone of base. Candidates
-// are solved against a frozen snapshot of the layout; this is how their
-// changes are merged into the possibly further-evolved current layout.
-func applyCandidate(base, candidate *layout.Layout, strips, devices []string) (*layout.Layout, bool) {
-	out := base.Clone()
-	for _, name := range devices {
-		pd := candidate.Placed(name)
-		if pd == nil || out.Place(name, pd.Center, pd.Orient) != nil {
-			return nil, false
-		}
-	}
-	for _, name := range strips {
-		rs := candidate.Routed(name)
-		if rs == nil || out.Route(name, rs.Path.Points...) != nil {
-			return nil, false
-		}
-	}
-	return out, true
-}
-
 // solveStripToTarget re-solves a single strip (growing its chain points when
 // needed) until its exact length is met without new violations, keeping the
 // best layout found. When the strip alone cannot be fixed — typically because
 // a strip sharing the same pin blocks its detour corridor — the strips of the
-// whole junction are re-solved together.
+// whole junction are re-solved together, each solve from the best layout so
+// far.
 func solveStripToTarget(ctx context.Context, c *netlist.Circuit, current *layout.Layout, strip string, opts Options, spent *tally) *layout.Layout {
 	best := current
 	bestScore := Score(current)
-	adopt := func(candidate *layout.Layout, ok bool) bool {
-		if !ok {
-			return false
-		}
-		if s := Score(candidate); s < bestScore {
-			best, bestScore = candidate, s
-		}
-		return stripClean(candidate, strip)
-	}
-	for n := opts.chainPoints(); n <= opts.maxChainPoints(); n++ {
-		candidate, ok := solveStrips(ctx, c, current, []string{strip}, n, nil, opts, spent)
-		if adopt(candidate, ok) {
-			return best
-		}
-	}
-	if partners := junctionPartners(c, strip); len(partners) > 1 {
+	// escalate solves strips against *from at every chain-point count until
+	// strip comes out clean, which it reports. *from is read anew for every
+	// solve.
+	escalate := func(from **layout.Layout, strips []string) bool {
 		for n := opts.chainPoints(); n <= opts.maxChainPoints(); n++ {
-			candidate, ok := solveStrips(ctx, c, best, partners, n, nil, opts, spent)
-			if adopt(candidate, ok) {
-				return best
+			cand := solveCandidate(ctx, c, *from, strips, n, nil, opts, spent)
+			if cand == nil {
+				continue
 			}
+			if s := Score(cand.layout); s < bestScore {
+				best, bestScore = cand.layout, s
+			}
+			if stripClean(cand.layout, strip) {
+				return true
+			}
+		}
+		return false
+	}
+	if !escalate(&current, []string{strip}) {
+		if partners := junctionPartners(c, strip); len(partners) > 1 {
+			escalate(&best, partners)
 		}
 	}
 	return best
@@ -703,26 +715,7 @@ func stripClean(l *layout.Layout, strip string) bool {
 	return true
 }
 
-// solveStrips builds and solves an exact model in which the listed strips
-// (and optionally the listed devices, confined to τd) are free while the rest
-// of the layout stays fixed. It returns the extracted layout and whether a
-// solution was found. The per-strip models are small, so their
-// branch-and-bound runs single-worker: concurrency comes from solving many
-// strips at once, not from splitting one solve.
-func solveStrips(ctx context.Context, c *netlist.Circuit, current *layout.Layout, strips []string, chainPoints int, freeDevices []string, opts Options, spent *tally) (*layout.Layout, bool) {
-	m, err := stripModel(c, current, strips, chainPoints, freeDevices, opts)
-	if err != nil {
-		opts.logf("pilp: model build for %v failed: %v", strips, err)
-		return nil, false
-	}
-	lay, _, err := opts.solve(ctx, m, opts.stripTimeLimit(), opts.StripNodeLimit, spent)
-	if err != nil || lay == nil {
-		return nil, false
-	}
-	return lay, true
-}
-
-// stripModel builds the exact model of solveStrips: the listed strips
+// stripModel builds the exact model of solveCandidate: the listed strips
 // resampled to chainPoints points and free (the model takes each free
 // strip's chain-point count from its resampled route), the listed devices
 // free within τd, everything else fixed where current has it.
@@ -780,15 +773,6 @@ func resamplePath(pts []geom.Point, n int) []geom.Point {
 	return out
 }
 
-// refineCandidate is one precomputed phase-3 improvement: the solved layout
-// plus the strip and device names whose geometry it changed relative to the
-// frozen base it was solved against.
-type refineCandidate struct {
-	layout  *layout.Layout
-	strips  []string
-	devices []string
-}
-
 // refine is phase 3: chain points without bends are removed, strips that
 // still violate a rule get more chain points, and neighbouring devices may
 // move within τd. Each iteration dispatches the escalation of every troubled
@@ -841,45 +825,30 @@ func refine(ctx context.Context, c *netlist.Circuit, current *layout.Layout, opt
 		names := sortedKeys(trouble)
 		base := current
 		before := Score(base)
-		candidates := make([]*refineCandidate, len(names))
-		conc.ForEach(ctx, opts.workers(), len(names), func(i int) {
-			strip := names[i]
+		candidates := solveAll(ctx, opts, len(names), func(i int) *candidate {
 			for n := opts.chainPoints(); n <= opts.maxChainPoints(); n++ {
 				// First with only the strip free, then with its non-pad
 				// terminal devices (and their other strips) free within τd —
 				// the device-movement freedom of phase 3.
-				freed, devs := []string{strip}, []string(nil)
-				candidate, ok := solveStrips(ctx, c, base, freed, n, nil, opts, spent)
-				if !ok || Score(candidate) >= before {
-					freed, devs = neighbourhood(c, strip)
-					candidate, ok = solveStrips(ctx, c, base, freed, n, devs, opts, spent)
+				cand := solveCandidate(ctx, c, base, []string{names[i]}, n, nil, opts, spent)
+				if cand == nil || Score(cand.layout) >= before {
+					strips, devices := neighbourhood(c, names[i])
+					cand = solveCandidate(ctx, c, base, strips, n, devices, opts, spent)
 				}
-				if !ok {
-					continue
-				}
-				if Score(candidate) < before {
-					candidates[i] = &refineCandidate{layout: candidate, strips: freed, devices: devs}
-					return
+				if cand != nil && Score(cand.layout) < before {
+					return cand
 				}
 			}
+			return nil
 		})
 
 		improved := false
-		for i := range names {
-			rc := candidates[i]
-			if rc == nil {
-				continue
-			}
-			merged, ok := applyCandidate(current, rc.layout, rc.strips, rc.devices)
-			if !ok {
-				continue
-			}
-			if Score(merged) < Score(current) {
+		for _, cand := range candidates {
+			if merged := cand.graft(current); merged != nil && Score(merged) < Score(current) {
 				current = merged
 				improved = true
 			}
 		}
-
 		if !improved {
 			break
 		}

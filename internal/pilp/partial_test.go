@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"rficlayout/internal/layout"
+	"rficlayout/internal/netlist"
 )
 
 // cancelOn returns a Logf hook that cancels the context the first time a
@@ -72,6 +73,37 @@ func TestGenerateCtxPartialMidFlow(t *testing.T) {
 	}
 	if res.MaxGap < 0 {
 		t.Errorf("MaxGap = %v, want >= 0", res.MaxGap)
+	}
+}
+
+// TestGenerateCtxPartialDuringPhase1 cancels inside phase 1, before its LP
+// runs. Phase 1 then did not complete: the partial result names construct,
+// carries construct's snapshot alone and holds the constructed layout.
+func TestGenerateCtxPartialDuringPhase1(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	opts := fastOptions()
+	opts.AcceptPartial = true
+	opts.Logf = cancelOn("global adjustment model", cancel)
+
+	c := cascadeCircuit()
+	res, err := GenerateCtx(ctx, c, opts)
+	if err != nil {
+		t.Fatalf("AcceptPartial flow returned error: %v", err)
+	}
+	if !res.Partial || res.PartialPhase != "construct" {
+		t.Errorf("partial=%v phase=%q, want partial at construct", res.Partial, res.PartialPhase)
+	}
+	if len(res.Snapshots) != 1 || res.Snapshots[0].Phase != "construct" {
+		t.Fatalf("snapshots %+v, want construct's alone", res.Snapshots)
+	}
+	constructed, err := Construct(netlist.Normalized(c))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := layout.Format(constructed)
+	if layout.Format(res.Layout) != want || layout.Format(res.Snapshots[0].Layout) != want {
+		t.Error("partial layout or its snapshot differs from the constructed layout")
 	}
 }
 
