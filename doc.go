@@ -48,11 +48,15 @@
 //	                             answers repeated identical solves
 //	internal/ilpmodel            builds the layout MILP (device placement,
 //	                             chain-point routing, non-overlap, Eq. 1–28)
-//	                             as a restricted model around a given layout:
-//	                             named strips and non-pad devices free, every
-//	                             other object fixed; no blurred mode, pads
-//	                             never free; non-overlap pairs skip exactly
-//	                             what layout.SpacingExempt exempts; a free
+//	                             as a restricted model around a complete
+//	                             layout: named strips and non-pad devices
+//	                             free, every other object fixed; pads never
+//	                             free; two forms, the exact per-strip ILP and
+//	                             the phase-1 Global form (soft lengths,
+//	                             penalized overlap, topology and relative
+//	                             positions from the layout, no binaries);
+//	                             non-overlap pairs skip exactly what
+//	                             layout.SpacingExempt exempts; a free
 //	                             strip's chain points come from
 //	                             DefaultChainPoints or its route in Fixed
 //	internal/layout              layouts, the design-rule check and export;

@@ -33,8 +33,7 @@ func TestBuildDigestDeterministic(t *testing.T) {
 				free = append(free, d.Name)
 			}
 			return ilpmodel.Config{
-				FreeDevices: free, FreeStrips: strips, Fixed: fixed,
-				SoftLength: true, OverlapSlack: true, FixTopology: true, RelativePositions: true,
+				FreeDevices: free, FreeStrips: strips, Fixed: fixed, Global: true,
 				Confinement: 120 * geom.Micron, PairRadius: pilp.DefaultPairRadius,
 			}
 		},

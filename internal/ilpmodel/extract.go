@@ -127,7 +127,7 @@ func terminalPoint(l *layout.Layout, term netlist.Terminal) (geom.Point, error) 
 // segmentDirection reads the direction of segment j of a free strip from the
 // solution vector.
 func (m *Model) segmentDirection(sv *stripVars, x []float64, j int) geom.Direction {
-	if sv.topologyFixed {
+	if m.Config.Global {
 		return sv.fixedDirs[j]
 	}
 	best := geom.Right

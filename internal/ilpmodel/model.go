@@ -49,14 +49,12 @@ type stripVars struct {
 
 	fixedPts []geom.Point // used when !free
 
-	topologyFixed bool
-	fixedDirs     []geom.Direction // per segment, when topologyFixed
-	fixedBends    int              // constant bend count when topologyFixed
+	fixedDirs []geom.Direction // per segment (Global form)
 
-	dirs   [][4]milp.Var // per segment: Up, Down, Left, Right (free topology)
+	dirs   [][4]milp.Var // per segment: Up, Down, Left, Right (exact form)
 	segLen []milp.Var    // per segment length
 
-	lu     milp.Var // unmatched length bound (soft mode)
+	lu     milp.Var // unmatched length bound (Global form)
 	nbExpr *milp.Expr
 }
 
@@ -102,23 +100,17 @@ func (m *Model) Stats() string {
 
 // buildDevices creates placement variables for free devices and records
 // fixed positions for the rest. Every device takes its orientation from
-// Fixed when Fixed places it; the model never rotates a device.
+// Fixed; the model never rotates a device.
 func (m *Model) buildDevices() error {
 	for _, d := range m.Circuit.Devices {
 		pd := m.Config.Fixed.Placed(d.Name)
 		dv := &deviceVars{
 			dev:    d,
-			orient: geom.R0,
+			orient: pd.Orient,
 			free:   m.Config.deviceFree(d.Name),
-		}
-		if pd != nil {
-			dv.orient = pd.Orient
 		}
 		m.devices[d.Name] = dv
 		if !dv.free {
-			if pd == nil {
-				return fmt.Errorf("ilpmodel: device %q is fixed but has no placement in the Fixed layout", d.Name)
-			}
 			dv.fixedCenter = pd.Center
 			continue
 		}
@@ -128,7 +120,7 @@ func (m *Model) buildDevices() error {
 		halfH := geom.Microns(h) / 2
 		loX, hiX := halfW, m.areaW-halfW
 		loY, hiY := halfH, m.areaH-halfH
-		if m.Config.Confinement > 0 && pd != nil {
+		if m.Config.Confinement > 0 {
 			tau := geom.Microns(m.Config.Confinement)
 			cx, cy := geom.Microns(pd.Center.X), geom.Microns(pd.Center.Y)
 			loX, hiX = maxf(loX, cx-tau), minf(hiX, cx+tau)
@@ -163,9 +155,8 @@ func (m *Model) pinExpr(dv *deviceVars, pin string) (x, y *milp.Expr, err error)
 	return cx.AddConst(geom.Microns(off.X)), cy.AddConst(geom.Microns(off.Y)), nil
 }
 
-// buildObjective assembles Eq. 21 (hard-length form) or Eq. 26 (progressive
-// form with unmatched-length and overlap penalties added by the other build
-// steps).
+// buildObjective assembles Eq. 21 (exact form) or Eq. 26 (Global form, with
+// unmatched-length and overlap penalties added by the other build steps).
 func (m *Model) buildObjective() {
 	// Iterate strips in circuit declaration order, never map order: the
 	// envelope-constraint order shapes the simplex pivot sequence, and on a
@@ -182,7 +173,7 @@ func (m *Model) buildObjective() {
 	nbMax := m.MILP.MaxEnvelope("nb.max", 1e6, nbExprs...)
 	m.MILP.SetObjectiveCoef(nbMax, weightAlpha)
 
-	if m.Config.SoftLength {
+	if m.Config.Global {
 		var luExprs []*milp.Expr
 		for _, ms := range m.Circuit.Microstrips {
 			sv := m.strips[ms.Name]

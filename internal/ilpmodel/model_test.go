@@ -26,7 +26,8 @@ func twoBlockCircuit(targetUm float64) *netlist.Circuit {
 	return c
 }
 
-// fixedTwoBlockLayout places A and B at opposite ends of the area.
+// fixedTwoBlockLayout places A and B at opposite ends of the area and routes
+// TL straight between their pins over 3 chain points.
 func fixedTwoBlockLayout(t *testing.T, c *netlist.Circuit) *layout.Layout {
 	t.Helper()
 	l := layout.New(c)
@@ -34,6 +35,9 @@ func fixedTwoBlockLayout(t *testing.T, c *netlist.Circuit) *layout.Layout {
 		t.Fatal(err)
 	}
 	if err := l.Place("B", geom.PtMicrons(260, 100), geom.R0); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Route("TL", geom.PtMicrons(60, 100), geom.PtMicrons(150, 100), geom.PtMicrons(240, 100)); err != nil {
 		t.Fatal(err)
 	}
 	return l
@@ -168,15 +172,16 @@ func TestInfeasibleTooShortTarget(t *testing.T) {
 }
 
 func TestSoftLengthReportsMismatch(t *testing.T) {
-	// Same impossible 100 µm target, but with SoftLength the model stays
-	// feasible and reports the 80 µm shortfall (pins are 180 µm apart).
+	// Same impossible 100 µm target, but the Global form's soft length
+	// keeps the model feasible and reports the 80 µm shortfall (pins are
+	// 180 µm apart).
 	c := twoBlockCircuit(100)
 	fixed := fixedTwoBlockLayout(t, c)
 	m, err := Build(c, Config{
 		FreeStrips:         []string{"TL"},
 		Fixed:              fixed,
 		DefaultChainPoints: 3,
-		SoftLength:         true,
+		Global:             true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -196,10 +201,10 @@ func TestSoftLengthReportsMismatch(t *testing.T) {
 }
 
 func TestFixTopologyKeepsDirectionsAndMatchesLength(t *testing.T) {
-	// Give a warm route with an L topology (3 points) and fix it; the solver
-	// may only slide coordinates. Target length chosen to require moving the
-	// bend position: pins at (60,100) and (240,100); warm route goes up and
-	// over. With topology up-right-down... use 4 points: up, right, down.
+	// The Global form fixes the topology of the route in Fixed (up, right,
+	// down over 4 points); the solver may only slide coordinates, and the
+	// soft length reaches the target by moving the horizontal leg. A and B
+	// stay fixed.
 	c := netlist.NewCircuit("ltopo", tech.Default90nm(), geom.FromMicrons(300), geom.FromMicrons(200))
 	a := netlist.NewDevice("A", netlist.Capacitor, geom.FromMicrons(40), geom.FromMicrons(40))
 	a.AddPin("p", geom.PtMicrons(0, 20), 0)
@@ -231,7 +236,7 @@ func TestFixTopologyKeepsDirectionsAndMatchesLength(t *testing.T) {
 		FreeStrips:         []string{"TL"},
 		Fixed:              fixed,
 		DefaultChainPoints: 4,
-		FixTopology:        true,
+		Global:             true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -262,11 +267,8 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := Build(c, Config{FreeStrips: []string{"TL"}}); err == nil {
 		t.Error("missing Fixed layout accepted")
 	}
-	// A free strip that Fixed does not route gets 4 chain points.
-	if m, err := Build(c, Config{FreeStrips: []string{"TL"}, Fixed: fixed}); err != nil {
-		t.Errorf("free strip without a Fixed route rejected: %v", err)
-	} else if n := m.strips["TL"].n; n != 4 {
-		t.Errorf("unrouted free strip has %d chain points, want 4", n)
+	if _, err := Build(c, Config{FreeStrips: []string{"TL"}, Fixed: fixedTwoBlockLayout(t, twoBlockCircuit(180))}); err == nil {
+		t.Error("Fixed layout of another circuit accepted")
 	}
 	if _, err := Build(c, Config{FreeDevices: []string{"A", "ZZ"}, Fixed: fixed}); err == nil {
 		t.Error("unknown free device accepted")
@@ -278,11 +280,36 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := Build(c, Config{FreeStrips: []string{"TL"}, Fixed: layout.New(c)}); err == nil {
 		t.Error("missing fixed placement accepted")
 	}
+	// Free objects need their geometry in Fixed too, in either form.
+	unrouted := layout.New(c)
+	onlyB := layout.New(c)
+	for _, l := range []*layout.Layout{unrouted, onlyB} {
+		if err := l.Place("B", geom.PtMicrons(260, 100), geom.R0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := unrouted.Place("A", geom.PtMicrons(40, 100), geom.R0); err != nil {
+		t.Fatal(err)
+	}
+	if err := onlyB.Route("TL", geom.PtMicrons(60, 100), geom.PtMicrons(240, 100)); err != nil {
+		t.Fatal(err)
+	}
+	for _, global := range []bool{false, true} {
+		if _, err := Build(c, Config{FreeStrips: []string{"TL"}, Fixed: unrouted, Global: global}); err == nil {
+			t.Errorf("Global=%v: free strip without a Fixed route accepted", global)
+		}
+		if _, err := Build(c, Config{FreeDevices: []string{"A"}, Fixed: onlyB, Global: global}); err == nil {
+			t.Errorf("Global=%v: free device without a Fixed placement accepted", global)
+		}
+	}
 	// Pads stay where the Fixed layout has them.
 	c.AddDevice(netlist.NewPad("P", c.Tech.PadSize))
 	c.Connect("IN", "P", "p", "A", "p", geom.FromMicrons(40))
 	withPad := fixedTwoBlockLayout(t, c)
 	if err := withPad.Place("P", geom.PtMicrons(0, 100), geom.R0); err != nil {
+		t.Fatal(err)
+	}
+	if err := withPad.Route("IN", geom.PtMicrons(0, 100), geom.PtMicrons(60, 100)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Build(c, Config{FreeStrips: []string{"TL", "IN"}, Fixed: withPad}); err != nil {
@@ -296,12 +323,6 @@ func TestConfigValidation(t *testing.T) {
 func TestConfigDefaults(t *testing.T) {
 	c := twoBlockCircuit(180)
 	cfg := Config{Fixed: fixedTwoBlockLayout(t, c)}
-	if cfg.chainPoints("TL") != 4 {
-		t.Errorf("default chain points = %d", cfg.chainPoints("TL"))
-	}
-	if err := cfg.Fixed.Route("TL", geom.PtMicrons(60, 100), geom.PtMicrons(150, 100), geom.PtMicrons(240, 100)); err != nil {
-		t.Fatal(err)
-	}
 	if cfg.chainPoints("TL") != 3 {
 		t.Errorf("chain points of a routed strip = %d, want its 3 route points", cfg.chainPoints("TL"))
 	}

@@ -16,16 +16,14 @@ type box struct {
 
 	xlo, xhi, ylo, yhi *milp.Expr
 
-	warm    geom.Rect // expanded rectangle in the Fixed layout, for pruning
-	hasWarm bool
+	warm    geom.Rect // expanded rectangle in the Fixed layout
 	isConst bool
 }
 
 // buildOverlap creates the pairwise non-overlap constraints between all
-// device bodies and microstrip segments (Eq. 16–20), honouring the pair-radius
-// pruning and the optional overlap slack of phase 1. It skips the pairs the
-// spacing rule exempts, by the same layout.SpacingExempt the design-rule
-// check uses.
+// device bodies and microstrip segments (Eq. 16–20), honouring the
+// pair-radius pruning. It skips the pairs the spacing rule exempts, by the
+// same layout.SpacingExempt the design-rule check uses.
 func (m *Model) buildOverlap() {
 	boxes := m.collectBoxes()
 	for i := 0; i < len(boxes); i++ {
@@ -37,31 +35,28 @@ func (m *Model) buildOverlap() {
 			if layout.SpacingExempt(a.shape, b.shape) {
 				continue
 			}
-			if m.Config.PairRadius > 0 && a.hasWarm && b.hasWarm {
-				if a.warm.Distance(b.warm) > m.Config.PairRadius {
-					continue
-				}
+			if m.Config.PairRadius > 0 && a.warm.Distance(b.warm) > m.Config.PairRadius {
+				continue
 			}
 			m.overlapPairs++
 			pair := fmt.Sprintf("ovl.%s#%d.%s#%d", a.shape.Name(), a.shape.Seg, b.shape.Name(), b.shape.Seg)
-			var slackTerm *milp.Expr
-			if m.Config.OverlapSlack {
+			if m.Config.Global {
+				// Keep only the separation Fixed already realizes (or comes
+				// closest to realizing), relaxed by a penalized slack
+				// (Section 5.1 tolerates residual overlap): no disjunction
+				// binaries.
 				s := m.MILP.AddContinuous(pair+".slack", 0, m.areaW+m.areaH)
 				m.MILP.AddObjectiveCoef(s, weightEta)
-				slackTerm = milp.Term(s, 1)
-			}
-			if m.Config.RelativePositions && a.hasWarm && b.hasWarm {
-				// Keep only the separation the warm layout already realizes
-				// (or comes closest to realizing): no disjunction binaries.
+				slack := milp.Term(s, 1)
 				switch bestSeparation(a.warm, b.warm) {
 				case 0:
-					m.addHardSeparation(pair+".left", a.xhi, b.xlo, slackTerm)
+					m.addSlackSeparation(pair+".left", a.xhi, b.xlo, slack)
 				case 1:
-					m.addHardSeparation(pair+".right", b.xhi, a.xlo, slackTerm)
+					m.addSlackSeparation(pair+".right", b.xhi, a.xlo, slack)
 				case 2:
-					m.addHardSeparation(pair+".below", a.yhi, b.ylo, slackTerm)
+					m.addSlackSeparation(pair+".below", a.yhi, b.ylo, slack)
 				default:
-					m.addHardSeparation(pair+".above", b.yhi, a.ylo, slackTerm)
+					m.addSlackSeparation(pair+".above", b.yhi, a.ylo, slack)
 				}
 				continue
 			}
@@ -74,31 +69,23 @@ func (m *Model) buildOverlap() {
 			// Eq. 20: at least one separation case must be active.
 			m.MILP.AddLE(pair+".pick", sum, 3)
 			// Eq. 16–19: the four separation cases, each relaxable by its
-			// binary (and by the shared slack in phase 1).
-			m.addSeparation(pair+".left", a.xhi, b.xlo, u[0], slackTerm)
-			m.addSeparation(pair+".right", b.xhi, a.xlo, u[1], slackTerm)
-			m.addSeparation(pair+".below", a.yhi, b.ylo, u[2], slackTerm)
-			m.addSeparation(pair+".above", b.yhi, a.ylo, u[3], slackTerm)
+			// binary.
+			m.addSeparation(pair+".left", a.xhi, b.xlo, u[0])
+			m.addSeparation(pair+".right", b.xhi, a.xlo, u[1])
+			m.addSeparation(pair+".below", a.yhi, b.ylo, u[2])
+			m.addSeparation(pair+".above", b.yhi, a.ylo, u[3])
 		}
 	}
 }
 
-// addSeparation adds "hi ≤ lo + M·u (+ slack)".
-func (m *Model) addSeparation(name string, hi, lo *milp.Expr, u milp.Var, slack *milp.Expr) {
-	e := hi.Clone().AddExpr(lo, -1).Add(u, -m.bigM)
-	if slack != nil {
-		e.AddExpr(slack, -1)
-	}
-	m.MILP.AddLE(name, e, 0)
+// addSeparation adds "hi ≤ lo + M·u".
+func (m *Model) addSeparation(name string, hi, lo *milp.Expr, u milp.Var) {
+	m.MILP.AddLE(name, hi.Clone().AddExpr(lo, -1).Add(u, -m.bigM), 0)
 }
 
-// addHardSeparation adds "hi ≤ lo (+ slack)" with no relaxation binary.
-func (m *Model) addHardSeparation(name string, hi, lo *milp.Expr, slack *milp.Expr) {
-	e := hi.Clone().AddExpr(lo, -1)
-	if slack != nil {
-		e.AddExpr(slack, -1)
-	}
-	m.MILP.AddLE(name, e, 0)
+// addSlackSeparation adds "hi ≤ lo + slack" with no relaxation binary.
+func (m *Model) addSlackSeparation(name string, hi, lo, slack *milp.Expr) {
+	m.MILP.AddLE(name, hi.Clone().AddExpr(lo, -1).AddExpr(slack, -1), 0)
 }
 
 // bestSeparation returns which of the four separation cases (0 a-left-of-b,
@@ -131,7 +118,10 @@ func (m *Model) collectBoxes() []box {
 		w, h := d.Dimensions(dv.orient)
 		halfW := geom.Microns(w)/2 + m.clearance
 		halfH := geom.Microns(h)/2 + m.clearance
-		bx := box{shape: layout.Shape{Device: d, Seg: -1}}
+		bx := box{
+			shape: layout.Shape{Device: d, Seg: -1},
+			warm:  m.Config.Fixed.Placed(d.Name).BodyRect().Expand(m.Circuit.Tech.Clearance()),
+		}
 		if dv.free {
 			cx, cy := m.centerExpr(dv)
 			bx.xlo = cx.Clone().AddConst(-halfW)
@@ -139,16 +129,12 @@ func (m *Model) collectBoxes() []box {
 			bx.ylo = cy.Clone().AddConst(-halfH)
 			bx.yhi = cy.Clone().AddConst(halfH)
 		} else {
-			r := d.BodyRect(dv.fixedCenter, dv.orient).Expand(m.Circuit.Tech.Clearance())
+			r := bx.warm // a fixed device sits where Fixed has it
 			bx.xlo = milp.Constant(geom.Microns(r.Min.X))
 			bx.xhi = milp.Constant(geom.Microns(r.Max.X))
 			bx.ylo = milp.Constant(geom.Microns(r.Min.Y))
 			bx.yhi = milp.Constant(geom.Microns(r.Max.Y))
 			bx.isConst = true
-		}
-		if pd := m.Config.Fixed.Placed(d.Name); pd != nil {
-			bx.warm = pd.BodyRect().Expand(m.Circuit.Tech.Clearance())
-			bx.hasWarm = true
 		}
 		out = append(out, bx)
 	}
@@ -168,13 +154,13 @@ func (m *Model) collectBoxes() []box {
 					ylo:     milp.Constant(geom.Microns(r.Min.Y)),
 					yhi:     milp.Constant(geom.Microns(r.Max.Y)),
 					isConst: true,
-					warm:    r, hasWarm: true,
+					warm:    r,
 				})
 			}
 			continue
 		}
 
-		warmRect, hasWarm := m.warmStripRect(ms.Name)
+		warm := m.Config.Fixed.Routed(ms.Name).Path.Bounds().Expand(m.Circuit.Tech.Clearance())
 		for j := 0; j < sv.n-1; j++ {
 			// Envelope variables for the segment extent along each axis.
 			exlo := m.MILP.AddContinuous(fmt.Sprintf("env.%s.%d.xlo", ms.Name, j), 0, m.areaW)
@@ -197,7 +183,7 @@ func (m *Model) collectBoxes() []box {
 			expandX := milp.Constant(m.clearance)
 			expandY := milp.Constant(m.clearance)
 			switch {
-			case sv.topologyFixed:
+			case m.Config.Global:
 				if sv.fixedDirs[j].Vertical() {
 					expandX.AddConst(half)
 				} else {
@@ -214,19 +200,9 @@ func (m *Model) collectBoxes() []box {
 				xhi:   milp.Term(exhi, 1).AddExpr(expandX, 1),
 				ylo:   milp.Term(eylo, 1).AddExpr(expandY, -1),
 				yhi:   milp.Term(eyhi, 1).AddExpr(expandY, 1),
-				warm:  warmRect, hasWarm: hasWarm,
+				warm:  warm,
 			})
 		}
 	}
 	return out
-}
-
-// warmStripRect returns the expanded bounding rectangle of a strip's route in
-// the Fixed layout, used for pair pruning of free strips.
-func (m *Model) warmStripRect(strip string) (geom.Rect, bool) {
-	rs := m.Config.Fixed.Routed(strip)
-	if rs == nil || len(rs.Path.Points) == 0 {
-		return geom.Rect{}, false
-	}
-	return rs.Path.Bounds().Expand(m.Circuit.Tech.Clearance()), true
 }

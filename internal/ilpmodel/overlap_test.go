@@ -12,7 +12,8 @@ import (
 )
 
 // obstacleCircuit places a blocking capacitor directly between two connected
-// devices, so the straight route is not available.
+// devices, so the straight route is not available, and routes the strip
+// around it over 4 chain points.
 func obstacleCircuit() (*netlist.Circuit, *layout.Layout) {
 	c := netlist.NewCircuit("obstacle", tech.Default90nm(), geom.FromMicrons(300), geom.FromMicrons(220))
 	a := netlist.NewDevice("A", netlist.Capacitor, geom.FromMicrons(40), geom.FromMicrons(40))
@@ -33,6 +34,9 @@ func obstacleCircuit() (*netlist.Circuit, *layout.Layout) {
 	_ = l.Place("A", geom.PtMicrons(40, 110), geom.R0)
 	_ = l.Place("B", geom.PtMicrons(260, 110), geom.R0)
 	_ = l.Place("X", geom.PtMicrons(150, 110), geom.R0)
+	_ = l.Route("TL",
+		geom.PtMicrons(60, 110), geom.PtMicrons(60, 180),
+		geom.PtMicrons(240, 180), geom.PtMicrons(240, 110))
 	return c, l
 }
 
@@ -68,18 +72,13 @@ func TestRouteAvoidsFixedObstacle(t *testing.T) {
 
 func TestPairRadiusPrunesConstraints(t *testing.T) {
 	c, fixed := obstacleCircuit()
-	// Add a fixed device in the far corner and give the strip a warm route:
-	// with a small pair radius the far device's non-overlap constraints are
-	// dropped while everything near the strip is kept.
+	// Add a fixed device in the far corner: with a small pair radius the far
+	// device's non-overlap constraints are dropped while everything near the
+	// strip is kept.
 	far := netlist.NewDevice("FAR", netlist.Capacitor, geom.FromMicrons(30), geom.FromMicrons(30))
 	far.AddPin("p", geom.Pt(0, 0), 0)
 	c.AddDevice(far)
 	if err := fixed.Place("FAR", geom.PtMicrons(280, 20), geom.R0); err != nil {
-		t.Fatal(err)
-	}
-	if err := fixed.Route("TL",
-		geom.PtMicrons(60, 110), geom.PtMicrons(60, 180),
-		geom.PtMicrons(240, 180), geom.PtMicrons(240, 110)); err != nil {
 		t.Fatal(err)
 	}
 	full, err := Build(c, Config{
@@ -106,7 +105,8 @@ func TestPairRadiusPrunesConstraints(t *testing.T) {
 
 func TestConfinementWindowsRestrictCoordinates(t *testing.T) {
 	c, fixed := obstacleCircuit()
-	// Route the strip in the fixed layout so confinement has a reference.
+	// The Global form keeps the route's topology and its order against the
+	// blocker; confinement keeps every chain point near the route.
 	if err := fixed.Route("TL",
 		geom.PtMicrons(60, 110), geom.PtMicrons(60, 170),
 		geom.PtMicrons(240, 170), geom.PtMicrons(240, 110)); err != nil {
@@ -117,7 +117,7 @@ func TestConfinementWindowsRestrictCoordinates(t *testing.T) {
 		Fixed:              fixed,
 		DefaultChainPoints: 4,
 		Confinement:        geom.FromMicrons(30),
-		FixTopology:        true,
+		Global:             true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -141,17 +141,21 @@ func TestConfinementWindowsRestrictCoordinates(t *testing.T) {
 	}
 }
 
-func TestConfinementTooTightIsRejected(t *testing.T) {
+func TestGlobalRejectsRoutePointMismatch(t *testing.T) {
+	// The Global form pins each free strip's directions to its route in
+	// Fixed, so the route must have exactly the strip's chain points: the
+	// 4-point route of TL cannot seed 5 chain points.
 	c, fixed := obstacleCircuit()
-	// No route for TL in the fixed layout: confinement on chain points is
-	// then skipped, but a FixTopology request must fail cleanly.
 	_, err := Build(c, Config{
 		FreeStrips:         []string{"TL"},
 		Fixed:              fixed,
-		DefaultChainPoints: 4,
-		FixTopology:        true,
+		DefaultChainPoints: 5,
+		Global:             true,
 	})
 	if err == nil {
-		t.Error("FixTopology without a warm route should fail")
+		t.Error("the Global form accepted a 4-point route for 5 chain points")
+	}
+	if _, err := Build(c, Config{FreeStrips: []string{"TL"}, Fixed: fixed, DefaultChainPoints: 4, Global: true}); err != nil {
+		t.Errorf("the Global form rejected a matching route: %v", err)
 	}
 }

@@ -18,13 +18,9 @@ func (m *Model) buildStrips() error {
 		}
 		if !sv.free {
 			rs := m.Config.Fixed.Routed(ms.Name)
-			if rs == nil {
-				return fmt.Errorf("ilpmodel: microstrip %q is fixed but has no route in the Fixed layout", ms.Name)
-			}
 			sv.fixedPts = rs.Path.Points
 			sv.n = len(sv.fixedPts)
-			sv.fixedBends = rs.Path.Bends()
-			sv.nbExpr = milp.Constant(float64(sv.fixedBends))
+			sv.nbExpr = milp.Constant(float64(rs.Path.Bends()))
 			m.strips[ms.Name] = sv
 			continue
 		}
@@ -49,10 +45,7 @@ func (m *Model) buildFreeStrip(sv *stripVars) error {
 	// Chain point coordinates, optionally confined around the warm start.
 	sv.x = make([]milp.Var, n)
 	sv.y = make([]milp.Var, n)
-	var warm []geom.Point
-	if rs := m.Config.Fixed.Routed(name); rs != nil {
-		warm = rs.Path.Points
-	}
+	warm := m.Config.Fixed.Routed(name).Path.Points
 	for j := 0; j < n; j++ {
 		loX, hiX := 0.0, m.areaW
 		loY, hiY := 0.0, m.areaH
@@ -69,14 +62,13 @@ func (m *Model) buildFreeStrip(sv *stripVars) error {
 		sv.y[j] = mdl.AddContinuous(fmt.Sprintf("cp.%s.%d.y", name, j), loY, hiY)
 	}
 
-	// Topology handling.
-	sv.topologyFixed = m.Config.FixTopology
-	if sv.topologyFixed {
+	// The Global form pins the topology of the route in Fixed.
+	global := m.Config.Global
+	if global {
 		if len(warm) != n {
-			return fmt.Errorf("ilpmodel: FixTopology needs a warm route with %d points for %q, got %d", n, name, len(warm))
+			return fmt.Errorf("ilpmodel: the Global form needs a route with %d points for %q, got %d", n, name, len(warm))
 		}
 		sv.fixedDirs = warmDirections(warm)
-		sv.fixedBends = geom.Polyline{Points: warm, Width: 1}.Bends()
 	}
 
 	// Per-segment length variables. Each segment contributes four
@@ -84,7 +76,7 @@ func (m *Model) buildFreeStrip(sv *stripVars) error {
 	// selection forces all but one of them to zero, which is an equivalent
 	// linearization of Eq. 6.
 	sv.segLen = make([]milp.Var, segs)
-	if !sv.topologyFixed {
+	if !global {
 		sv.dirs = make([][4]milp.Var, segs)
 	}
 	maxLen := m.areaW + m.areaH
@@ -100,7 +92,7 @@ func (m *Model) buildFreeStrip(sv *stripVars) error {
 		mdl.AddEQ(fmt.Sprintf("seg.%s.%d.dy", name, j),
 			milp.Term(sv.y[j+1], 1).Sub(sv.y[j], 1).Add(dyp, -1).Add(dyn, 1), 0)
 
-		if sv.topologyFixed {
+		if global {
 			// Only the component along the fixed direction may be non-zero.
 			allowed := sv.fixedDirs[j]
 			for dir, v := range map[geom.Direction]milp.Var{
@@ -145,8 +137,8 @@ func (m *Model) buildFreeStrip(sv *stripVars) error {
 
 	// Bend detection (Eq. 8–11).
 	sv.nbExpr = milp.NewExpr()
-	if sv.topologyFixed {
-		sv.nbExpr.AddConst(float64(sv.fixedBends))
+	if global {
+		sv.nbExpr.AddConst(float64(geom.Polyline{Points: warm, Width: 1}.Bends()))
 	} else {
 		for j := 1; j < segs; j++ {
 			prev := sv.dirs[j-1]
@@ -181,7 +173,7 @@ func (m *Model) buildFreeStrip(sv *stripVars) error {
 	length.AddExpr(sv.nbExpr, m.delta)
 
 	target := geom.Microns(sv.ms.TargetLength)
-	if m.Config.SoftLength {
+	if global {
 		// Eq. 24: lu ≥ |target − leq|.
 		sv.lu = mdl.AbsEnvelope(fmt.Sprintf("lu.%s", name), length.AddConst(-target), m.areaW+m.areaH)
 	} else {

@@ -2,7 +2,8 @@ package lp
 
 import "math"
 
-// BasisStatus is the role of one column in an exported Basis.
+// BasisStatus is the role of one column, in the solver and in an exported
+// Basis.
 type BasisStatus int8
 
 // Column roles. Nonbasic columns sit at one of their bounds (or at zero when
@@ -69,15 +70,18 @@ func (f *basisFactor) adoptableBy(s *simplex, b *Basis) bool {
 }
 
 // compatible reports whether the basis dimensions match a problem with m
-// constraints and nStruct structural variables, every basic column is in
-// range and marked basic, no column is basic twice, and exactly the basic
-// columns carry BasisBasic.
+// constraints and nStruct structural variables, every status is one of the
+// four roles, every basic column is in range and marked basic, no column is
+// basic twice, and exactly the basic columns carry BasisBasic.
 func (b *Basis) compatible(m, nStruct int) bool {
 	if b == nil || len(b.Basic) != m || len(b.Status) != nStruct+m {
 		return false
 	}
 	basicStatuses := 0
 	for _, st := range b.Status {
+		if st < BasisAtLower || st > BasisBasic {
+			return false
+		}
 		if st == BasisBasic {
 			basicStatuses++
 		}
@@ -112,18 +116,7 @@ func (s *simplex) exportBasis() *Basis {
 	for i, j := range s.basis {
 		b.Basic[i] = int32(j)
 	}
-	for j := 0; j < s.nStruct+s.m; j++ {
-		switch s.status[j] {
-		case atLower:
-			b.Status[j] = BasisAtLower
-		case atUpper:
-			b.Status[j] = BasisAtUpper
-		case atFree:
-			b.Status[j] = BasisFree
-		case inBasis:
-			b.Status[j] = BasisBasic
-		}
-	}
+	copy(b.Status, s.status)
 	if c, ok := s.core.(*sparseCore); ok && s.fresh {
 		b.factor = c.carried()
 	}
@@ -145,24 +138,11 @@ func (s *simplex) installBasis(b *Basis) bool {
 	for i, c := range b.Basic {
 		s.basis[i] = int(c)
 	}
-	for j := 0; j < s.n; j++ {
-		var st varStatus
-		switch b.Status[j] {
-		case BasisAtLower:
-			st = atLower
-		case BasisAtUpper:
-			st = atUpper
-		case BasisFree:
-			st = atFree
-		case BasisBasic:
-			st = inBasis
-		default:
-			return false
+	for j, st := range b.Status {
+		if st != BasisBasic {
+			st = s.normalizeNonbasic(j, st)
 		}
 		s.status[j] = st
-		if st != inBasis {
-			s.status[j] = s.normalizeNonbasic(j, st)
-		}
 	}
 	// A warm start never has artificial columns, so the column set is final
 	// and the core can be stood up here.
@@ -181,29 +161,29 @@ func (s *simplex) installBasis(b *Basis) bool {
 // normalizeNonbasic reconciles an imported nonbasic status with the current
 // bounds: a bound the status refers to may have become infinite (or the
 // variable fixed) relative to the exporting solve.
-func (s *simplex) normalizeNonbasic(j int, st varStatus) varStatus {
+func (s *simplex) normalizeNonbasic(j int, st BasisStatus) BasisStatus {
 	lo, up := s.lower[j], s.upper[j]
 	if lo == up {
-		return atLower
+		return BasisAtLower
 	}
 	loInf := math.IsInf(lo, -1)
 	upInf := math.IsInf(up, 1)
 	switch st {
-	case atLower:
+	case BasisAtLower:
 		if loInf {
 			if upInf {
-				return atFree
+				return BasisFree
 			}
-			return atUpper
+			return BasisAtUpper
 		}
-	case atUpper:
+	case BasisAtUpper:
 		if upInf {
 			if loInf {
-				return atFree
+				return BasisFree
 			}
-			return atLower
+			return BasisAtLower
 		}
-	case atFree:
+	case BasisFree:
 		if !loInf || !upInf {
 			return initialStatus(lo, up)
 		}
@@ -218,20 +198,20 @@ func (s *simplex) normalizeNonbasic(j int, st varStatus) varStatus {
 func (s *simplex) dualFeasible() bool {
 	loose := 10 * tol
 	for j := 0; j < s.n; j++ {
-		if s.status[j] == inBasis || s.lower[j] == s.upper[j] {
+		if s.status[j] == BasisBasic || s.lower[j] == s.upper[j] {
 			continue
 		}
 		d := s.reduced[j]
 		switch s.status[j] {
-		case atLower:
+		case BasisAtLower:
 			if d < -loose {
 				return false
 			}
-		case atUpper:
+		case BasisAtUpper:
 			if d > loose {
 				return false
 			}
-		case atFree:
+		case BasisFree:
 			if math.Abs(d) > loose {
 				return false
 			}

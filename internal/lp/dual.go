@@ -66,20 +66,20 @@ func (s *simplex) runDual() Status {
 // violation, the bound value it must move to, and the status it leaves at —
 // or row −1 when the basis is primal-feasible. In anti-cycling mode the
 // lowest violating row wins instead of the worst one.
-func (s *simplex) chooseLeaving() (row int, target float64, bound varStatus) {
+func (s *simplex) chooseLeaving() (row int, target float64, bound BasisStatus) {
 	row = -1
 	worst := tol
 	for i := 0; i < s.m; i++ {
 		b := s.basis[i]
 		if v := s.lower[b] - s.beta[i]; v > worst {
-			row, target, bound = i, s.lower[b], atLower
+			row, target, bound = i, s.lower[b], BasisAtLower
 			if s.useBland {
 				return
 			}
 			worst = v
 		}
 		if v := s.beta[i] - s.upper[b]; v > worst {
-			row, target, bound = i, s.upper[b], atUpper
+			row, target, bound = i, s.upper[b], BasisAtUpper
 			if s.useBland {
 				return
 			}
@@ -103,7 +103,7 @@ func (s *simplex) dualRatioTest(r int, target float64, row []float64) (enter int
 	bestAbs := 0.0
 	for j := 0; j < s.n; j++ {
 		st := s.status[j]
-		if st == inBasis || s.lower[j] == s.upper[j] {
+		if st == BasisBasic || s.lower[j] == s.upper[j] {
 			continue
 		}
 		a := row[j]
@@ -115,11 +115,11 @@ func (s *simplex) dualRatioTest(r int, target float64, row []float64) (enter int
 		// only decrease; free columns move either way. With the numerator's
 		// sign fixed by `below`, eligibility reduces to the sign of a.
 		switch st {
-		case atLower:
+		case BasisAtLower:
 			if below != (a < 0) {
 				continue
 			}
-		case atUpper:
+		case BasisAtUpper:
 			if below != (a > 0) {
 				continue
 			}
@@ -222,18 +222,18 @@ func (s *simplex) lexCanonicalize() bool {
 // test fails in every allowed direction is remembered. A column that passes
 // the test but fails the ratio test is not: that test reads the basic values,
 // which bound flips move.
-func (s *simplex) findLexDescent(memo *lexMemo) (enter int, dir float64, leaveRow int, bound varStatus, step float64) {
+func (s *simplex) findLexDescent(memo *lexMemo) (enter int, dir float64, leaveRow int, bound BasisStatus, step float64) {
 	for j := 0; j < s.n; j++ {
 		if !s.lexEligible(j) || memo.has(j) {
 			continue
 		}
 		var dirs []float64
 		switch s.status[j] {
-		case atLower:
+		case BasisAtLower:
 			dirs = []float64{1}
-		case atUpper:
+		case BasisAtUpper:
 			dirs = []float64{-1}
-		case atFree:
+		case BasisFree:
 			dirs = []float64{1, -1}
 		}
 		alpha := s.colBuf
@@ -257,13 +257,13 @@ func (s *simplex) findLexDescent(memo *lexMemo) (enter int, dir float64, leaveRo
 			memo.reject(j, alpha)
 		}
 	}
-	return -1, 0, 0, atLower, 0
+	return -1, 0, 0, BasisAtLower, 0
 }
 
 // lexEligible reports whether column j may enter a lex move: nonbasic, not
 // fixed, with zero reduced cost.
 func (s *simplex) lexEligible(j int) bool {
-	return s.status[j] != inBasis && s.lower[j] != s.upper[j] && math.Abs(s.reduced[j]) <= tol
+	return s.status[j] != BasisBasic && s.lower[j] != s.upper[j] && math.Abs(s.reduced[j]) <= tol
 }
 
 // lexMemo remembers the columns findLexDescent rejected, once armed, that no

@@ -33,10 +33,10 @@ func restartLexCanonicalize(s *simplex) {
 	s.lexPivoting = false
 }
 
-func restartFindLexDescent(s *simplex) (enter int, dir float64, leaveRow int, bound varStatus, step float64) {
+func restartFindLexDescent(s *simplex) (enter int, dir float64, leaveRow int, bound BasisStatus, step float64) {
 	for j := 0; j < s.n; j++ {
 		st := s.status[j]
-		if st == inBasis || s.lower[j] == s.upper[j] {
+		if st == BasisBasic || s.lower[j] == s.upper[j] {
 			continue
 		}
 		if math.Abs(s.reduced[j]) > tol {
@@ -44,11 +44,11 @@ func restartFindLexDescent(s *simplex) (enter int, dir float64, leaveRow int, bo
 		}
 		var dirs []float64
 		switch st {
-		case atLower:
+		case BasisAtLower:
 			dirs = []float64{1}
-		case atUpper:
+		case BasisAtUpper:
 			dirs = []float64{-1}
-		case atFree:
+		case BasisFree:
 			dirs = []float64{1, -1}
 		}
 		alpha := s.colBuf
@@ -67,7 +67,7 @@ func restartFindLexDescent(s *simplex) (enter int, dir float64, leaveRow int, bo
 			return j, d, lr, b, stp
 		}
 	}
-	return -1, 0, 0, atLower, 0
+	return -1, 0, 0, BasisAtLower, 0
 }
 
 // restartSolve is SolveCtx with restartLexCanonicalize in place of the
@@ -203,41 +203,49 @@ func degenerateLP(rng *rand.Rand, nVars, nCons int) *Problem {
 	return p
 }
 
+// lexMemoCounts sums what lexMemoTrial observed: the tableau columns the
+// production pass and the restart scan computed, and the pivots of the warm
+// runs.
+type lexMemoCounts struct {
+	memoCols, restartCols, warmPivots int
+}
+
 // lexMemoMismatch solves p under opts with the production pass and with
 // restartLexCanonicalize, each on a column-counting core, and describes the
 // first difference in X, the basis, Iterations or Refactorizations ("" when
-// they agree bit for bit). It also returns both column counts.
-func lexMemoMismatch(p *Problem, opts Options) (diff string, memoCols, restartCols int, err error) {
-	got, err := SolveCtx(context.Background(), p, counted(opts, &memoCols))
+// they agree bit for bit). It adds both column counts to n and returns the
+// production solve's Iterations.
+func lexMemoMismatch(p *Problem, opts Options, n *lexMemoCounts) (diff string, iterations int, err error) {
+	got, err := SolveCtx(context.Background(), p, counted(opts, &n.memoCols))
 	if err != nil {
-		return "", 0, 0, err
+		return "", 0, err
 	}
-	want, err := restartSolve(p, counted(opts, &restartCols))
+	want, err := restartSolve(p, counted(opts, &n.restartCols))
 	if err != nil {
-		return "", 0, 0, err
+		return "", 0, err
 	}
 	switch {
 	case got.Status != want.Status:
-		return fmt.Sprintf("status %v, restart scan %v", got.Status, want.Status), memoCols, restartCols, nil
+		return fmt.Sprintf("status %v, restart scan %v", got.Status, want.Status), got.Iterations, nil
 	case got.Iterations != want.Iterations || got.Refactorizations != want.Refactorizations:
 		return fmt.Sprintf("%d iterations and %d refactorizations, restart scan %d and %d",
-			got.Iterations, got.Refactorizations, want.Iterations, want.Refactorizations), memoCols, restartCols, nil
+			got.Iterations, got.Refactorizations, want.Iterations, want.Refactorizations), got.Iterations, nil
 	case (got.Basis == nil) != (want.Basis == nil):
-		return fmt.Sprintf("basis exported %v, restart scan %v", got.Basis != nil, want.Basis != nil), memoCols, restartCols, nil
+		return fmt.Sprintf("basis exported %v, restart scan %v", got.Basis != nil, want.Basis != nil), got.Iterations, nil
 	}
 	for k := range want.X {
 		if math.Float64bits(got.X[k]) != math.Float64bits(want.X[k]) {
-			return fmt.Sprintf("X[%d] = %v, restart scan %v", k, got.X[k], want.X[k]), memoCols, restartCols, nil
+			return fmt.Sprintf("X[%d] = %v, restart scan %v", k, got.X[k], want.X[k]), got.Iterations, nil
 		}
 	}
 	if want.Basis != nil {
 		for i := range want.Basis.Basic {
 			if got.Basis.Basic[i] != want.Basis.Basic[i] {
-				return fmt.Sprintf("Basic[%d] = %d, restart scan %d", i, got.Basis.Basic[i], want.Basis.Basic[i]), memoCols, restartCols, nil
+				return fmt.Sprintf("Basic[%d] = %d, restart scan %d", i, got.Basis.Basic[i], want.Basis.Basic[i]), got.Iterations, nil
 			}
 		}
 	}
-	return "", memoCols, restartCols, nil
+	return "", got.Iterations, nil
 }
 
 // lexMemoCases are the core and refactorization settings every comparison
@@ -256,33 +264,49 @@ var lexMemoCases = []struct {
 // lexMemoTrial checks one seeded degenerate LP under every case: a cold
 // solve, then a warm solve of a bound-tightened child from its basis (the
 // branch-and-bound shape, reaching the descent through the dual simplex).
-func lexMemoTrial(t *testing.T, seed int64, nVars, nCons int, memoCols, restartCols *int) {
+// The child moves one variable one unit off its value in a reference root
+// solve, as a branch does, so the root basis is a warm start the dual must
+// repair.
+func lexMemoTrial(t *testing.T, seed int64, nVars, nCons int, n *lexMemoCounts) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	p := degenerateLP(rng, nVars, nCons)
 	j := rng.Intn(nVars)
-	child := map[int]float64{j: p.Variables[j].Lower + float64(rng.Intn(2))}
+	ref, err := SolveCtx(context.Background(), p, Options{})
+	if err != nil {
+		t.Fatalf("seed %d reference: %v", seed, err)
+	}
+	var lower, upper map[int]float64
+	if ref.Status == StatusOptimal {
+		switch x, v := ref.X[j], p.Variables[j]; {
+		case x+1 <= v.Upper:
+			lower = map[int]float64{j: x + 1}
+		case x-1 >= v.Lower:
+			upper = map[int]float64{j: x - 1}
+		}
+	}
 	for _, c := range lexMemoCases {
 		root, err := SolveCtx(context.Background(), p, c.opts)
 		if err != nil {
 			t.Fatalf("seed %d %s: %v", seed, c.name, err)
 		}
 		runs := []Options{c.opts}
-		if root.Basis != nil && !math.IsInf(child[j], -1) && child[j] <= p.Variables[j].Upper {
+		if root.Basis != nil && (lower != nil || upper != nil) {
 			warm := c.opts
-			warm.LowerOverride, warm.WarmBasis = child, root.Basis
+			warm.LowerOverride, warm.UpperOverride, warm.WarmBasis = lower, upper, root.Basis
 			runs = append(runs, warm)
 		}
 		for k, opts := range runs {
-			diff, mc, rc, err := lexMemoMismatch(p, opts)
+			diff, iterations, err := lexMemoMismatch(p, opts, n)
 			if err != nil {
 				t.Fatalf("seed %d %s run %d: %v", seed, c.name, k, err)
 			}
 			if diff != "" {
 				t.Fatalf("seed %d %s run %d (%d vars, %d rows): %s", seed, c.name, k, nVars, len(p.Constraints), diff)
 			}
-			*memoCols += mc
-			*restartCols += rc
+			if k > 0 {
+				n.warmPivots += iterations
+			}
 		}
 	}
 }
@@ -291,15 +315,19 @@ func lexMemoTrial(t *testing.T, seed int64, nVars, nCons int, memoCols, restartC
 // result. On seeded degenerate LPs, cold and warm, on the sparse core (also
 // with rebuilds inside the descent) and on the dense oracle, the production
 // pass returns the restart scan's X, basis, Iterations and Refactorizations
-// bit for bit — and computes fewer tableau columns, so the memo is exercised.
+// bit for bit — and computes fewer tableau columns, so the memo is exercised,
+// while the warm runs pivot, so the dual path is exercised too.
 func TestLexMemoMatchesRestartScan(t *testing.T) {
-	var memoCols, restartCols int
+	var n lexMemoCounts
 	for seed := int64(1); seed <= 400; seed++ {
-		lexMemoTrial(t, seed, 4+int(seed%13), 3+int(seed%11), &memoCols, &restartCols)
+		lexMemoTrial(t, seed, 4+int(seed%13), 3+int(seed%11), &n)
 	}
-	t.Logf("tableau columns: %d with the memo, %d with the restart scan", memoCols, restartCols)
-	if memoCols >= restartCols {
-		t.Errorf("the memo saved no tableau column: %d vs %d", memoCols, restartCols)
+	t.Logf("tableau columns: %d with the memo, %d with the restart scan; %d warm pivots", n.memoCols, n.restartCols, n.warmPivots)
+	if n.memoCols >= n.restartCols {
+		t.Errorf("the memo saved no tableau column: %d vs %d", n.memoCols, n.restartCols)
+	}
+	if n.warmPivots == 0 {
+		t.Error("no warm run pivoted; the warm comparison exercises nothing")
 	}
 }
 
@@ -308,7 +336,7 @@ func FuzzLexMemo(f *testing.F) {
 	f.Add(int64(1), uint8(6), uint8(4))
 	f.Add(int64(7), uint8(16), uint8(13))
 	f.Fuzz(func(t *testing.T, seed int64, nVars, nCons uint8) {
-		var memoCols, restartCols int
-		lexMemoTrial(t, seed, 1+int(nVars%24), 1+int(nCons%20), &memoCols, &restartCols)
+		var n lexMemoCounts
+		lexMemoTrial(t, seed, 1+int(nVars%24), 1+int(nCons%20), &n)
 	})
 }

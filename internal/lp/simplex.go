@@ -6,16 +6,6 @@ import (
 	"math"
 )
 
-// variable status codes used by the simplex.
-type varStatus int8
-
-const (
-	atLower varStatus = iota
-	atUpper
-	atFree // nonbasic free variable, parked at zero
-	inBasis
-)
-
 // simplex is the working state of one bounded-variable simplex solve (primal
 // cold start or dual warm start). The driver owns the problem data, bounds,
 // statuses, basic values and the incrementally maintained reduced-cost row;
@@ -35,10 +25,10 @@ type simplex struct {
 	core    tableauCore
 	newCore func(*simplex) tableauCore // Options.newCore, the test-only oracle hook
 
-	beta     []float64   // current values of basic variables, one per row
-	basis    []int       // basic column per row
-	status   []varStatus // status per column
-	reduced  []float64   // reduced cost per column for the active phase
+	beta     []float64     // current values of basic variables, one per row
+	basis    []int         // basic column per row
+	status   []BasisStatus // status per column
+	reduced  []float64     // reduced cost per column for the active phase
 	inPhase1 bool
 
 	colBuf  []float64 // length m: entering tableau column for the current pivot
@@ -234,7 +224,7 @@ func newSimplexBase(p *Problem, opts Options) (*simplex, error) {
 	}
 	s.n = total
 	s.artStart = total
-	s.status = make([]varStatus, total, total+m)
+	s.status = make([]BasisStatus, total, total+m)
 	return s, nil
 }
 
@@ -304,7 +294,7 @@ func newSimplex(p *Problem, opts Options) (*simplex, error) {
 		if need >= s.lower[j]-tol && need <= s.upper[j]+tol {
 			// Slack basis is feasible for this row.
 			s.basis[i] = j
-			s.status[j] = inBasis
+			s.status[j] = BasisBasic
 			continue
 		}
 		// Park the slack at its nearest bound and cover the residual with an
@@ -312,14 +302,14 @@ func newSimplex(p *Problem, opts Options) (*simplex, error) {
 		var slackVal float64
 		if need < s.lower[j] {
 			slackVal = s.lower[j]
-			s.status[j] = atLower
+			s.status[j] = BasisAtLower
 		} else {
 			slackVal = s.upper[j]
-			s.status[j] = atUpper
+			s.status[j] = BasisAtUpper
 		}
 		art := s.addArtificial(i, sign(need-slackVal))
 		s.basis[i] = art
-		s.status[art] = inBasis
+		s.status[art] = BasisBasic
 	}
 
 	// Phase-1 costs: 1 for artificials, 0 otherwise.
@@ -345,7 +335,7 @@ func (s *simplex) addArtificial(i int, sgn float64) int {
 	s.lower = append(s.lower, 0)
 	s.upper = append(s.upper, Infinity)
 	s.cost = append(s.cost, 0)
-	s.status = append(s.status, atLower)
+	s.status = append(s.status, BasisAtLower)
 	s.artRow = append(s.artRow, i)
 	s.artSign = append(s.artSign, sgn)
 	if s.artStart > j {
@@ -354,30 +344,30 @@ func (s *simplex) addArtificial(i int, sgn float64) int {
 	return j
 }
 
-func initialStatus(lo, up float64) varStatus {
+func initialStatus(lo, up float64) BasisStatus {
 	loFin := !math.IsInf(lo, -1)
 	upFin := !math.IsInf(up, 1)
 	switch {
 	case loFin && upFin:
 		if math.Abs(up) < math.Abs(lo) {
-			return atUpper
+			return BasisAtUpper
 		}
-		return atLower
+		return BasisAtLower
 	case loFin:
-		return atLower
+		return BasisAtLower
 	case upFin:
-		return atUpper
+		return BasisAtUpper
 	default:
-		return atFree
+		return BasisFree
 	}
 }
 
 // nonbasicValue returns the value a nonbasic column currently takes.
 func (s *simplex) nonbasicValue(j int) float64 {
 	switch s.status[j] {
-	case atLower:
+	case BasisAtLower:
 		return s.lower[j]
-	case atUpper:
+	case BasisAtUpper:
 		return s.upper[j]
 	default:
 		return 0

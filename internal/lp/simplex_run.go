@@ -27,8 +27,8 @@ func (s *simplex) run() Status {
 		// nonzero value during phase 2.
 		for j := s.artStart; j < s.n; j++ {
 			s.lower[j], s.upper[j] = 0, 0
-			if s.status[j] != inBasis {
-				s.status[j] = atLower
+			if s.status[j] != BasisBasic {
+				s.status[j] = BasisAtLower
 			}
 		}
 	}
@@ -154,24 +154,24 @@ func (s *simplex) chooseEntering() (int, float64) {
 	bestDir := 0.0
 	for j := 0; j < s.n; j++ {
 		st := s.status[j]
-		if st == inBasis {
+		if st == BasisBasic {
 			continue
 		}
-		if s.lower[j] == s.upper[j] && st != atFree {
+		if s.lower[j] == s.upper[j] && st != BasisFree {
 			continue // fixed variable can never move
 		}
 		d := s.reduced[j]
 		var score, dir float64
 		switch st {
-		case atLower:
+		case BasisAtLower:
 			if d < -tol {
 				score, dir = -d, 1
 			}
-		case atUpper:
+		case BasisAtUpper:
 			if d > tol {
 				score, dir = d, -1
 			}
-		case atFree:
+		case BasisFree:
 			if d < -tol {
 				score, dir = -d, 1
 			} else if d > tol {
@@ -197,13 +197,13 @@ func (s *simplex) chooseEntering() (int, float64) {
 // ratioTest determines how far the entering variable can move along its
 // tableau column alpha = B⁻¹·A_enter. It returns the blocking basic row (or
 // −1 for a bound flip of the entering variable itself), which bound the
-// leaving variable hits (atLower or atUpper), the step length, and ok=false
+// leaving variable hits (BasisAtLower or BasisAtUpper), the step length, and ok=false
 // when the problem is unbounded in that direction.
-func (s *simplex) ratioTest(enter int, dir float64, alpha []float64) (leaveRow int, bound varStatus, step float64, ok bool) {
+func (s *simplex) ratioTest(enter int, dir float64, alpha []float64) (leaveRow int, bound BasisStatus, step float64, ok bool) {
 	const pivTol = 1e-9
 	step = math.Inf(1)
 	leaveRow = -1
-	bound = atLower
+	bound = BasisAtLower
 
 	// The entering variable is limited by the distance to its own opposite
 	// bound (a bound flip).
@@ -219,21 +219,21 @@ func (s *simplex) ratioTest(enter int, dir float64, alpha []float64) (leaveRow i
 		b := s.basis[i]
 		delta := dir * a
 		var limit float64
-		var hit varStatus
+		var hit BasisStatus
 		if delta > 0 {
 			// Basic variable decreases toward its lower bound.
 			if math.IsInf(s.lower[b], -1) {
 				continue
 			}
 			limit = (s.beta[i] - s.lower[b]) / delta
-			hit = atLower
+			hit = BasisAtLower
 		} else {
 			// Basic variable increases toward its upper bound.
 			if math.IsInf(s.upper[b], 1) {
 				continue
 			}
 			limit = (s.upper[b] - s.beta[i]) / (-delta)
-			hit = atUpper
+			hit = BasisAtUpper
 		}
 		if limit < -tol {
 			limit = 0
@@ -260,7 +260,7 @@ func (s *simplex) ratioTest(enter int, dir float64, alpha []float64) (leaveRow i
 		}
 	}
 	if math.IsInf(step, 1) {
-		return -1, atLower, 0, false
+		return -1, BasisAtLower, 0, false
 	}
 	if step < 0 {
 		step = 0
@@ -279,9 +279,9 @@ func (s *simplex) applyBoundFlip(enter int, dir, step float64, alpha []float64) 
 		}
 	}
 	if dir > 0 {
-		s.status[enter] = atUpper
+		s.status[enter] = BasisAtUpper
 	} else {
-		s.status[enter] = atLower
+		s.status[enter] = BasisAtLower
 	}
 	s.fresh = false
 }
@@ -297,7 +297,7 @@ func (s *simplex) applyBoundFlip(enter int, dir, step float64, alpha []float64) 
 // appended eta, with a possible refactorization. A core-side rebuild
 // replaces beta and the row assignment, so the reduced costs are recomputed
 // from scratch when it happens.
-func (s *simplex) pivot(enter int, dir float64, leaveRow int, bound varStatus, step float64, alpha []float64) {
+func (s *simplex) pivot(enter int, dir float64, leaveRow int, bound BasisStatus, step float64, alpha []float64) {
 	leaving := s.basis[leaveRow]
 
 	// New value of the entering variable.
@@ -332,10 +332,10 @@ func (s *simplex) pivot(enter int, dir float64, leaveRow int, bound varStatus, s
 
 	// Book-keeping: statuses, basis, values.
 	s.basis[leaveRow] = enter
-	s.status[enter] = inBasis
+	s.status[enter] = BasisBasic
 	s.beta[leaveRow] = enterVal
 	if math.IsInf(s.lower[leaving], -1) && math.IsInf(s.upper[leaving], 1) {
-		s.status[leaving] = atFree
+		s.status[leaving] = BasisFree
 	} else {
 		s.status[leaving] = bound
 	}
@@ -354,7 +354,7 @@ func (s *simplex) extract() []float64 {
 		return x
 	}
 	for j := 0; j < s.nStruct && j < len(s.status); j++ {
-		if s.status[j] != inBasis {
+		if s.status[j] != BasisBasic {
 			x[j] = s.nonbasicValue(j)
 		}
 	}

@@ -112,6 +112,17 @@ func TestStaleBasisFallsBackCold(t *testing.T) {
 	if !approx(sol.Objective, cold.Objective) {
 		t.Errorf("fallback objective %g != cold %g", sol.Objective, cold.Objective)
 	}
+	// A nonbasic column with a status outside the four roles is rejected too.
+	status := append([]BasisStatus(nil), cold.Basis.Status...)
+	for j, st := range status {
+		if st != BasisBasic {
+			status[j] = BasisBasic + 1
+			break
+		}
+	}
+	if sol := solveOrFatal(t, p, Options{WarmBasis: &Basis{Basic: cold.Basis.Basic, Status: status}}); sol.WarmStarted {
+		t.Error("basis with an out-of-range status accepted")
+	}
 }
 
 func TestWarmStartSkipsPhase1Work(t *testing.T) {

@@ -517,31 +517,24 @@ func globalAdjust(ctx context.Context, c *netlist.Circuit, current *layout.Layou
 	return lay, nil
 }
 
-// phase1Model builds the phase-1 model: every strip and non-pad device free,
-// each strip with the chain points of its constructed route, soft lengths,
-// penalized overlap, frozen topology and relative positions from the
-// constructed layout, generous confinement.
+// phase1Model builds the phase-1 model, the Global form around the
+// constructed layout: every strip and non-pad device free, each strip with
+// the chain points of its constructed route, generous confinement.
 func phase1Model(c *netlist.Circuit, current *layout.Layout, opts Options) (*ilpmodel.Model, error) {
 	var freeStrips, freeDevices []string
 	for _, ms := range c.Microstrips {
-		if current.Routed(ms.Name) == nil {
-			return nil, fmt.Errorf("pilp: strip %q missing from constructed layout", ms.Name)
-		}
 		freeStrips = append(freeStrips, ms.Name)
 	}
 	for _, d := range c.NonPadDevices() {
 		freeDevices = append(freeDevices, d.Name)
 	}
 	return ilpmodel.Build(c, ilpmodel.Config{
-		FreeDevices:       freeDevices,
-		FreeStrips:        freeStrips,
-		Fixed:             current,
-		SoftLength:        true,
-		OverlapSlack:      true,
-		FixTopology:       true,
-		RelativePositions: true,
-		Confinement:       3 * opts.confinement(),
-		PairRadius:        opts.pairRadius(),
+		FreeDevices: freeDevices,
+		FreeStrips:  freeStrips,
+		Fixed:       current,
+		Global:      true,
+		Confinement: 3 * opts.confinement(),
+		PairRadius:  opts.pairRadius(),
 	})
 }
 
