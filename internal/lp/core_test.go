@@ -3,6 +3,7 @@ package lp
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -132,6 +133,132 @@ func TestSingularWarmBasisFallsBackCold(t *testing.T) {
 		}
 		if math.Abs(sol.Objective-ref.Objective) > 1e-9 {
 			t.Errorf("core %s: fallback objective %g, cold reference %g", tc.core, sol.Objective, ref.Objective)
+		}
+	}
+}
+
+// TestSingularBuildLeavesCoreIntact: a refactorization that finds its basic
+// set singular changes nothing the core or the driver reads, and leaves no
+// scratch behind that a later build could read. On a 70-row LP where x0 and
+// x1 have identical columns (rows 5 and 67, so a build's row pattern spans
+// two words), one core builds {x0, x3}, dirties its scratch with a pivot
+// row, then fails to build {x0, x1}: x1 FTRANs to a unit at row 67, which
+// x0 holds. The factor, the row assignment and the basic values stay as
+// they were. The same core then builds {x2, x3}, where x2 (rows 5 and 6)
+// has no entry at row 67, and that factor, row assignment and basic values
+// equal a fresh core's build of {x2, x3} bit for bit.
+func TestSingularBuildLeavesCoreIntact(t *testing.T) {
+	const m = 70
+	p := NewProblem()
+	x0 := p.AddVariable("x0", 0, 10, 0)
+	x1 := p.AddVariable("x1", 0, 10, 0)
+	x2 := p.AddVariable("x2", 0, 10, 0)
+	x3 := p.AddVariable("x3", 0, 10, 0)
+	for i := 0; i < m; i++ {
+		row := []Entry{{x3, float64(i%5 + 1)}}
+		switch i {
+		case 5:
+			row = append(row, Entry{x0, 2}, Entry{x1, 2}, Entry{x2, 0.5})
+		case 6:
+			row = append(row, Entry{x2, 1})
+		case 67:
+			row = append(row, Entry{x0, -3}, Entry{x1, -3})
+		}
+		p.AddConstraint(fmt.Sprintf("c%d", i), row, LE, float64(50+i))
+	}
+	// core returns a cold solver's sparse core on p.
+	core := func() *sparseCore {
+		s, err := newSimplex(p, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s.core.(*sparseCore)
+	}
+	// install makes a and b basic in rows 5 and 67, the other slacks basic
+	// in their own rows, and every nonbasic column sit at its upper bound,
+	// or at 0 for the slacks of rows 5 and 67.
+	install := func(c *sparseCore, a, b int) {
+		s := c.s
+		for j := range s.status {
+			s.status[j] = BasisAtUpper
+		}
+		for i := range s.basis {
+			s.basis[i] = s.nStruct + i
+		}
+		s.status[s.nStruct+5], s.status[s.nStruct+67] = BasisAtLower, BasisAtLower
+		s.basis[5], s.basis[67] = a, b
+		for _, j := range s.basis {
+			s.status[j] = BasisBasic
+		}
+	}
+
+	c := core()
+	install(c, x0, x3)
+	if !c.refactorize() {
+		t.Fatal("build of {x0, x3} reports a singular basis")
+	}
+	factor := c.factor
+	if factor.count() != 2 {
+		t.Fatalf("factor of {x0, x3} holds %d etas, want 2", factor.count())
+	}
+	c.pivotRow(67, c.s.prowBuf)
+	want := etaFile{
+		rowOf: slices.Clone(factor.rowOf),
+		piv:   slices.Clone(factor.piv),
+		start: slices.Clone(factor.start),
+		idx:   slices.Clone(factor.idx),
+		val:   slices.Clone(factor.val),
+	}
+	beta := slices.Clone(c.s.beta)
+
+	install(c, x0, x1)
+	basis := slices.Clone(c.s.basis)
+	if c.refactorize() {
+		t.Fatal("build of {x0, x1} succeeded on identical columns")
+	}
+	if c.factor != factor {
+		t.Fatal("singular build replaced the factor")
+	}
+	sameEtaFile(t, "factor after the singular build", c.factor, &want)
+	sameFloats(t, "basic values after the singular build", c.s.beta, beta)
+	if !slices.Equal(c.s.basis, basis) {
+		t.Fatalf("singular build moved the row assignment %v to %v", basis, c.s.basis)
+	}
+
+	fresh := core()
+	for _, k := range []*sparseCore{c, fresh} {
+		install(k, x2, x3)
+		if !k.refactorize() {
+			t.Fatal("build of {x2, x3} reports a singular basis")
+		}
+	}
+	sameEtaFile(t, "factor rebuilt after the singular build", c.factor, fresh.factor)
+	sameFloats(t, "basic values", c.s.beta, fresh.s.beta)
+	if !slices.Equal(c.s.basis, fresh.s.basis) {
+		t.Errorf("row assignment %v, fresh core %v", c.s.basis, fresh.s.basis)
+	}
+}
+
+// sameEtaFile fails t unless got and want hold the same etas bit for bit.
+func sameEtaFile(t *testing.T, what string, got, want *etaFile) {
+	t.Helper()
+	if !slices.Equal(got.rowOf, want.rowOf) || !slices.Equal(got.start, want.start) || !slices.Equal(got.idx, want.idx) {
+		t.Fatalf("%s: pivot rows %v, starts %v, entry rows %v; want %v, %v, %v",
+			what, got.rowOf, got.start, got.idx, want.rowOf, want.start, want.idx)
+	}
+	sameFloats(t, what+" piv", got.piv, want.piv)
+	sameFloats(t, what+" val", got.val, want.val)
+}
+
+// sameFloats fails t unless got and want are equal as Float64bits.
+func sameFloats(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: length %d, want %d", what, len(got), len(want))
+	}
+	for k := range want {
+		if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+			t.Fatalf("%s[%d] = %v, want %v", what, k, got[k], want[k])
 		}
 	}
 }

@@ -79,20 +79,24 @@ func (f *fullEtaFile) btran(y []float64) {
 
 // leanStats counts, over the factors the production core built, the basic
 // artificial columns of each sign, so a test can tell that both kinds of
-// unit eta were exercised.
+// unit eta were exercised, and the structural-column etas that pivot or
+// store an entry past row 63, outside the first word of the build's row
+// pattern.
 type leanStats struct {
 	plusArts, minusArts int
+	wideEtas            int
 }
 
 // fullCore is a test-only sparse core on the full eta file. The driver reads
 // its answers; beside it, it runs the production core (lean) on the same
-// calls and records in diff the first FTRAN or BTRAN output, row assignment
-// or basic value that differs from its own in any bit, the first lean eta
-// that stores its diagonal, and the first lean factor with an eta for a +1
-// unit column.
+// calls and records in diff the first FTRAN or BTRAN output, row assignment,
+// basic value or factor eta that differs from its own in any bit, the first
+// lean eta that stores its diagonal or lists its rows out of ascending order,
+// and the first lean factor with an eta for a +1 unit column.
 type fullCore struct {
 	lean    *sparseCore
 	factor  fullEtaFile
+	units   int // factor's leading etas, one per basic unit column
 	updates fullEtaFile
 	vecM    []float64 // length-m scratch for the lean core's answers
 	vecN    []float64 // length-n scratch for the lean core's answers
@@ -244,6 +248,7 @@ func (c *fullCore) rebuild(leanOK bool) bool {
 	}
 	c.sameBits("basic values", leanBeta, s.beta)
 	c.checkLean(c.lean.factor, "factor")
+	c.sameFactor()
 
 	// FTRAN and BTRAN of a probe with ±0 entries through both factors.
 	want, got := make([]float64, s.m), make([]float64, s.m)
@@ -291,19 +296,73 @@ func (c *fullCore) rebuild(leanOK bool) bool {
 	return true
 }
 
-// checkLean records a failure if an eta of f lists its own pivot row.
+// checkLean records a failure if an eta of f lists its own pivot row, or
+// lists its rows other than strictly ascending.
 func (c *fullCore) checkLean(f *etaFile, what string) {
 	for e, r := range f.rowOf {
 		for k := f.start[e]; k < f.start[e+1]; k++ {
 			if f.idx[k] == r {
 				c.fail("%s eta %d stores its diagonal at row %d", what, e, r)
 			}
+			if k > f.start[e] && f.idx[k] <= f.idx[k-1] {
+				c.fail("%s eta %d lists row %d after row %d", what, e, f.idx[k], f.idx[k-1])
+			}
 		}
 	}
 }
 
+// sameFactor records a failure unless the lean factor holds, in order, the
+// full factor's etas less the identity etas of +1 unit columns, each with
+// the same pivot row, the same pivot bits and the same sequence of
+// off-diagonal rows and value bits.
+func (c *fullCore) sameFactor() {
+	lean, full := c.lean.factor, &c.factor
+	e := 0
+	for fe, r := range full.rowOf {
+		if fe < c.units && full.piv[fe] == 1 {
+			continue
+		}
+		if e == lean.count() {
+			c.fail("lean factor ends before full eta %d (row %d)", fe, r)
+			return
+		}
+		if lean.rowOf[e] != r || math.Float64bits(lean.piv[e]) != math.Float64bits(full.piv[fe]) {
+			c.fail("lean eta %d pivots %v at row %d, full eta %d %v at row %d",
+				e, lean.piv[e], lean.rowOf[e], fe, full.piv[fe], r)
+			return
+		}
+		k := lean.start[e]
+		for fk := full.start[fe]; fk < full.start[fe+1]; fk++ {
+			if full.idx[fk] == r {
+				continue
+			}
+			if k == lean.start[e+1] || lean.idx[k] != full.idx[fk] ||
+				math.Float64bits(lean.val[k]) != math.Float64bits(full.val[fk]) {
+				c.fail("lean eta %d (row %d) differs from full eta %d at full row %d = %v",
+					e, r, fe, full.idx[fk], full.val[fk])
+				return
+			}
+			k++
+		}
+		if k != lean.start[e+1] {
+			c.fail("lean eta %d (row %d) has extra entry at row %d", e, r, lean.idx[k])
+			return
+		}
+		if fe >= c.units && (r >= 64 || k > lean.start[e] && lean.idx[k-1] >= 64) {
+			c.stats.wideEtas++
+		}
+		e++
+	}
+	if e != lean.count() {
+		c.fail("lean factor holds %d etas, full factor %d non-identity", lean.count(), e)
+	}
+}
+
 // build is the full eta file's refactorization, as sparseCore.refactorize
-// was before the file went lean: every basic unit column pushes an eta.
+// was before the file went lean and before its build tracked each column's
+// row pattern: every basic unit column pushes an eta, and every structural
+// column scans all m rows, once for its pivot and once to compress its eta.
+// It is the reference refactorize must match.
 func (c *fullCore) build() bool {
 	const pivTol = 1e-9
 	s := c.lean.s
@@ -314,10 +373,12 @@ func (c *fullCore) build() bool {
 	newBasis := make([]int, m)
 	c.lean.markBasic()
 	basicSet := c.lean.basicSet
+	units := 0
 	for j := s.nStruct; j < s.n; j++ {
 		if !basicSet[j] {
 			continue
 		}
+		units++
 		home := j - s.nStruct
 		piv := 1.0
 		if j >= s.artStart {
@@ -358,6 +419,7 @@ func (c *fullCore) build() bool {
 		newBasis[best] = j
 	}
 	c.factor = nf
+	c.units = units
 	c.updates.reset()
 	copy(s.basis, newBasis)
 
@@ -466,29 +528,40 @@ func leanEtaTrial(t *testing.T, seed int64, nVars, nCons int, stats *leanStats) 
 }
 
 // TestLeanEtaMatchesFull: the lean eta file — no identity etas, no stored
-// diagonals — changes no bit of any result. On seeded degenerate LPs, cold
-// and warm, every FTRAN and BTRAN output of the production core equals the
-// full eta file's as Float64bits, and so do whole-solve X and Objective. The
-// lean factors hold no diagonal entry and one eta per structural basic and
-// per −1 artificial, and the seeds build factors with artificials of both
-// signs.
+// diagonals — built by tracking each column's row pattern changes no bit of
+// any result. On seeded degenerate LPs, cold and warm, every FTRAN and BTRAN
+// output of the production core equals the full eta file's as Float64bits,
+// and so do whole-solve X and Objective. Every lean factor equals the
+// dense-scan full build eta by eta, less its identity etas; every lean eta
+// lists its rows strictly ascending, never its diagonal; and the seeds build
+// factors with artificials of both signs. The last block has 65 to 160 rows,
+// so the row pattern spans two or three words.
 func TestLeanEtaMatchesFull(t *testing.T) {
 	var stats leanStats
 	for seed := int64(1); seed <= 300; seed++ {
 		leanEtaTrial(t, seed, 4+int(seed%13), 3+int(seed%11), &stats)
 	}
-	t.Logf("basic artificials in built factors: %d at +1, %d at −1", stats.plusArts, stats.minusArts)
+	for seed := int64(301); seed <= 320; seed++ {
+		leanEtaTrial(t, seed, 6+int(seed%15), 65+int(seed*37%96), &stats)
+	}
+	t.Logf("basic artificials in built factors: %d at +1, %d at −1; %d etas past row 63",
+		stats.plusArts, stats.minusArts, stats.wideEtas)
 	if stats.plusArts == 0 || stats.minusArts == 0 {
 		t.Errorf("no factor held a basic artificial of each sign: %+v", stats)
 	}
+	if stats.wideEtas == 0 {
+		t.Errorf("no factor eta reached past row 63: %+v", stats)
+	}
 }
 
-// FuzzLeanEta is TestLeanEtaMatchesFull over fuzzed seeds and sizes.
+// FuzzLeanEta is TestLeanEtaMatchesFull over fuzzed seeds and sizes, up to
+// 160 rows so the row pattern can span three words.
 func FuzzLeanEta(f *testing.F) {
 	f.Add(int64(1), uint8(6), uint8(4))
 	f.Add(int64(7), uint8(16), uint8(13))
+	f.Add(int64(11), uint8(14), uint8(99))
 	f.Fuzz(func(t *testing.T, seed int64, nVars, nCons uint8) {
 		var stats leanStats
-		leanEtaTrial(t, seed, 1+int(nVars%24), 1+int(nCons%20), &stats)
+		leanEtaTrial(t, seed, 1+int(nVars%24), 1+int(nCons%160), &stats)
 	})
 }

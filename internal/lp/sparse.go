@@ -1,6 +1,9 @@
 package lp
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // cscMatrix stores the full column set of the solver form — structural
 // variables, slacks, artificials — in compressed sparse column layout.
@@ -134,6 +137,29 @@ func (f *etaFile) pushDense(r int, v []float64) {
 	f.start = append(f.start, int32(len(f.idx)))
 }
 
+// pushPattern is pushDense for a spike v whose nonzeros all lie in the rows
+// pattern marks: it visits those rows alone, in ascending order, so the eta
+// it stores is the one pushDense would. It also zeroes those rows of v and
+// clears pattern.
+func (f *etaFile) pushPattern(r int, v []float64, pattern []uint64) {
+	f.rowOf = append(f.rowOf, int32(r))
+	f.piv = append(f.piv, v[r])
+	for w, word := range pattern {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 | bits.TrailingZeros64(word)
+			x := v[i]
+			v[i] = 0
+			if i == r || math.Abs(x) <= etaDropTol {
+				continue
+			}
+			f.idx = append(f.idx, int32(i))
+			f.val = append(f.val, x)
+		}
+		pattern[w] = 0
+	}
+	f.start = append(f.start, int32(len(f.idx)))
+}
+
 // pushUnit appends the eta of a −1 unit column at its home row; a +1 unit
 // column is the identity and gets none.
 func (f *etaFile) pushUnit(r int, piv float64) {
@@ -156,6 +182,26 @@ func (f *etaFile) ftran(x []float64) {
 		t := xr / f.piv[e]
 		for k := f.start[e]; k < f.start[e+1]; k++ {
 			x[f.idx[k]] -= f.val[k] * t
+		}
+		x[r] = t
+	}
+}
+
+// ftranPattern is ftran that also marks in pattern every row it writes.
+// Only an eta's off-diagonal rows need marking: it writes its pivot row only
+// when that row is already nonzero, hence already marked.
+func (f *etaFile) ftranPattern(x []float64, pattern []uint64) {
+	for e := 0; e < len(f.rowOf); e++ {
+		r := f.rowOf[e]
+		xr := x[r]
+		if xr == 0 {
+			continue
+		}
+		t := xr / f.piv[e]
+		for k := f.start[e]; k < f.start[e+1]; k++ {
+			i := f.idx[k]
+			x[i] -= f.val[k] * t
+			pattern[i>>6] |= 1 << (uint32(i) & 63)
 		}
 		x[r] = t
 	}
@@ -198,6 +244,7 @@ type sparseCore struct {
 	// Scratch, sized once per solve and reused by every refactorization.
 	spare    *etaFile  // factorization under construction (swapped in on success)
 	work     []float64 // dense length-m scratch for FTRAN/BTRAN vectors
+	pattern  []uint64  // ⌈m/64⌉ words: rows a build's column spike has written
 	rhs      []float64 // dense length-m scratch for refactorized basic values
 	assigned []bool    // length m: row already holds a pivot
 	newBasis []int     // length m: row assignment under construction
@@ -215,6 +262,7 @@ func newSparseCore(s *simplex, mat cscMatrix) *sparseCore {
 		s:        s,
 		mat:      mat,
 		work:     make([]float64, s.m),
+		pattern:  make([]uint64, (s.m+63)/64),
 		rhs:      make([]float64, s.m),
 		assigned: make([]bool, s.m),
 		newBasis: make([]int, s.m),
@@ -338,7 +386,6 @@ func (c *sparseCore) markBasic() {
 func (c *sparseCore) refactorize() bool {
 	const pivTol = 1e-9
 	s := c.s
-	m := s.m
 
 	if c.spare == nil {
 		c.spare = presized(c.factor)
@@ -369,30 +416,43 @@ func (c *sparseCore) refactorize() bool {
 		assigned[home] = true
 		newBasis[home] = j
 	}
-	// Structural columns by partial pivoting over the unassigned rows.
-	work := c.work
+	// Structural columns by partial pivoting over the unassigned rows. A
+	// column's spike marks in pattern every row its scatter and FTRAN write;
+	// the other rows hold +0, so the pivot search and the compression visit
+	// the marked rows alone. Both go in ascending row order, as a dense scan
+	// would: the search breaks ties by row, and BTRAN sums an eta's entries
+	// in stored order. Each push leaves work zero and pattern clear again.
+	work, pattern := c.work, c.pattern
+	clear(work) // pivotRow and reducedCosts leave it dirty
+	mat := &c.mat
 	for j := 0; j < s.nStruct; j++ {
 		if !basicSet[j] {
 			continue
 		}
-		for i := range work {
-			work[i] = 0
+		for k := mat.ptr[j]; k < mat.ptr[j+1]; k++ {
+			i := mat.idx[k]
+			work[i] = mat.val[k]
+			pattern[i>>6] |= 1 << (uint32(i) & 63)
 		}
-		c.scatterColumn(j, work)
-		nf.ftran(work)
+		nf.ftranPattern(work, pattern)
 		best, bestAbs := -1, pivTol
-		for r := 0; r < m; r++ {
-			if assigned[r] {
-				continue
-			}
-			if a := math.Abs(work[r]); a > bestAbs {
-				best, bestAbs = r, a
+		for w, word := range pattern {
+			for ; word != 0; word &= word - 1 {
+				r := w<<6 | bits.TrailingZeros64(word)
+				if assigned[r] {
+					continue
+				}
+				if a := math.Abs(work[r]); a > bestAbs {
+					best, bestAbs = r, a
+				}
 			}
 		}
 		if best < 0 {
+			clear(work)
+			clear(pattern)
 			return false
 		}
-		nf.pushDense(best, work)
+		nf.pushPattern(best, work, pattern)
 		assigned[best] = true
 		newBasis[best] = j
 	}
