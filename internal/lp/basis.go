@@ -32,7 +32,8 @@ const (
 // problem's constraint rows in place between the two solves is not allowed.
 // Any other solve — another problem, or a Basis assembled from the exported
 // fields, such as &Basis{Basic: b.Basic, Status: b.Status}, which drops the
-// factorization — rebuilds it from the raw data.
+// factorization — rebuilds it from the raw data. WithoutFactor drops it too,
+// but keeps its size, so that the rebuild can size its arena at once.
 //
 // A Basis is read-only, to the solver and to its holder: the solver never
 // writes it, so one Basis may seed many concurrent solves, and its exported
@@ -41,7 +42,16 @@ type Basis struct {
 	Basic  []int32       // basic column per row, len == number of constraints
 	Status []BasisStatus // per column, len == variables + constraints
 
-	factor *basisFactor // nil unless exported by a sparse-core solve
+	factor    *basisFactor // nil unless exported by a sparse-core solve
+	luEntries int          // off-diagonal entries of the exported factor
+}
+
+// WithoutFactor returns b without the factorization it carries, for a holder
+// that keeps b long enough for that memory to matter. A warm start from the
+// result rebuilds the factorization, sized by the entry count of the one
+// dropped (the rebuild is bit for bit the same factorization).
+func (b *Basis) WithoutFactor() *Basis {
+	return &Basis{Basic: b.Basic, Status: b.Status, luEntries: b.luEntries}
 }
 
 // basisFactor is the factorization an optimal sparse-core solve finished
@@ -119,6 +129,7 @@ func (s *simplex) exportBasis() *Basis {
 	copy(b.Status, s.status)
 	if c, ok := s.core.(*sparseCore); ok && s.fresh {
 		b.factor = c.carried()
+		b.luEntries = len(c.factor.idx)
 	}
 	return b
 }
@@ -151,8 +162,13 @@ func (s *simplex) installBasis(b *Basis) bool {
 		f = nil
 	}
 	s.initCore(f)
-	if f == nil && !s.refactorize() {
-		return false
+	if f == nil {
+		if c, ok := s.core.(*sparseCore); ok {
+			c.warmEntries = b.luEntries
+		}
+		if !s.refactorize() {
+			return false
+		}
 	}
 	s.computeReducedCosts()
 	return s.dualFeasible()

@@ -22,6 +22,15 @@ type tableauCore interface {
 	// column writes the current tableau column T_j = B⁻¹·A_j into dst, which
 	// has length m and arbitrary prior contents.
 	column(j int, dst []float64)
+	// stamp names the core's current state for columnSince: the number of
+	// update etas since the last build for a core with an update chain.
+	stamp() int
+	// columnSince brings dst, which holds column j's tableau values as
+	// column computed them when stamp() read since (up to the sign of a
+	// zero), to the current tableau column T_j. No build may lie between.
+	// The sparse core applies only the update etas added since; cores
+	// without an update chain recompute the column.
+	columnSince(j int, dst []float64, since int)
 	// pivotRow writes row r of the current tableau B⁻¹·A into dst, which has
 	// length n and arbitrary prior contents.
 	pivotRow(r int, dst []float64)

@@ -303,3 +303,51 @@ func TestCoresAgreeOnIllConditioned(t *testing.T) {
 		}
 	}
 }
+
+// TestBuildCSCSumsDuplicates: repeated (row, variable) entries reach the
+// column-major matrix summed in declaration order, as the dense oracle's raw
+// rows sum them, with each column's rows strictly ascending; an entry that
+// sums to zero stays as an explicit zero, and the slack and artificial
+// columns follow the structural ones.
+func TestBuildCSCSumsDuplicates(t *testing.T) {
+	p := NewProblem()
+	for j := 0; j < 3; j++ {
+		p.AddVariable(fmt.Sprintf("x%d", j), 0, 10, 1)
+	}
+	p.AddConstraint("a", []Entry{{0, 1}, {2, -1}, {0, 2.5}, {0, 0.1}}, LE, 4)
+	p.AddConstraint("b", []Entry{{1, 3}, {0, 0.1}, {1, 0.2}, {0, 0.3}}, GE, 2)
+	p.AddConstraint("c", []Entry{{2, 1}, {1, 7}, {2, -1}}, EQ, 3)
+	s, err := newSimplex(p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mat := buildCSC(s)
+	if len(mat.ptr) != s.n+1 {
+		t.Fatalf("%d column pointers for %d columns", len(mat.ptr), s.n)
+	}
+	raw := make([][]float64, s.m)
+	for i := range raw {
+		raw[i] = make([]float64, s.n)
+		s.rawRow(i, raw[i])
+	}
+	for j := 0; j < s.n; j++ {
+		want := 0
+		for i := range raw {
+			if raw[i][j] != 0 || j == 2 && i == 2 {
+				want++
+			}
+		}
+		if got := int(mat.ptr[j+1] - mat.ptr[j]); got != want {
+			t.Errorf("column %d holds %d entries, want %d", j, got, want)
+		}
+		for k := mat.ptr[j]; k < mat.ptr[j+1]; k++ {
+			i := mat.idx[k]
+			if k > mat.ptr[j] && i <= mat.idx[k-1] {
+				t.Errorf("column %d lists row %d after row %d", j, i, mat.idx[k-1])
+			}
+			if math.Float64bits(mat.val[k]) != math.Float64bits(raw[i][j]) {
+				t.Errorf("column %d row %d = %v, raw row %v", j, i, mat.val[k], raw[i][j])
+			}
+		}
+	}
+}

@@ -30,6 +30,13 @@ func (c *denseCore) column(j int, dst []float64) {
 	}
 }
 
+// stamp is constant: the tableau holds no update chain to resume along.
+func (c *denseCore) stamp() int { return 0 }
+
+// columnSince recomputes the column: the elimination keeps every column of
+// the tableau current.
+func (c *denseCore) columnSince(j int, dst []float64, _ int) { c.column(j, dst) }
+
 func (c *denseCore) pivotRow(r int, dst []float64) {
 	copy(dst, c.tableau[r])
 }

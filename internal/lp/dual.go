@@ -1,6 +1,9 @@
 package lp
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // runDual executes the bounded-variable dual simplex from an installed,
 // dual-feasible basis: while some basic variable violates a bound, the worst
@@ -162,8 +165,9 @@ func (s *simplex) dualRatioTest(r int, target float64, row []float64) (enter int
 //
 // Every scan restarts at column 0, but from the second scan on, the columns
 // an earlier scan rejected and no move has touched since are skipped without
-// an FTRAN (see lexMemo): the scan returns exactly the move a full rescan
-// would.
+// an FTRAN, and a rejected column a move has touched resumes its FTRAN from
+// the values it had then (see lexMemo): the scan returns exactly the move a
+// full rescan would.
 //
 // The context is checked before every move rather than every
 // cancelCheckEvery pivots, because one move can scan every column with an
@@ -190,14 +194,14 @@ func (s *simplex) lexCanonicalize() bool {
 		s.iterations++
 		if leaveRow < 0 {
 			// A bound flip changes neither the basis nor the factorization:
-			// every memoised column stays valid.
+			// every remembered entry stays as it is.
 			s.applyBoundFlip(enter, dir, step, s.colBuf)
 		} else {
 			s.core.pivotRow(leaveRow, s.prowBuf)
 			s.pivot(enter, dir, leaveRow, bound, step, s.colBuf)
 			if s.fresh {
 				// The pivot rebuilt the factorization, which may also
-				// permute the rows: no remembered column survives.
+				// permute the rows: no remembered entry survives.
 				memo.clear()
 			} else {
 				memo.pivoted(leaveRow)
@@ -218,13 +222,20 @@ func (s *simplex) lexCanonicalize() bool {
 // order, for a bounded move whose direction lexicographically decreases the
 // structural solution vector; the first such move wins (Bland's entering
 // rule for the implicit lex objective). A column memo remembers as rejected
-// is skipped after the reduced-cost check, and a column whose lexDescending
-// test fails in every allowed direction is remembered. A column that passes
-// the test but fails the ratio test is not: that test reads the basic values,
-// which bound flips move.
+// is skipped after the reduced-cost check if no pivot has touched it since;
+// if one has, its remembered values are brought up to date through the
+// update etas added since instead of a whole FTRAN. A column whose
+// lexDescending test fails in every allowed direction is remembered (again),
+// with its values. A column that passes the test is not, even when it fails
+// the ratio test (that test reads the basic values, which bound flips move),
+// and its stale entry, if any, is forgotten.
 func (s *simplex) findLexDescent(memo *lexMemo) (enter int, dir float64, leaveRow int, bound BasisStatus, step float64) {
 	for j := 0; j < s.n; j++ {
-		if !s.lexEligible(j) || memo.has(j) {
+		if !s.lexEligible(j) {
+			continue
+		}
+		k := memo.entry(j)
+		if k >= 0 && !memo.stale(k) {
 			continue
 		}
 		var dirs []float64
@@ -237,7 +248,11 @@ func (s *simplex) findLexDescent(memo *lexMemo) (enter int, dir float64, leaveRo
 			dirs = []float64{1, -1}
 		}
 		alpha := s.colBuf
-		s.core.column(j, alpha)
+		if k >= 0 {
+			s.core.columnSince(j, alpha, memo.restore(k, alpha))
+		} else {
+			s.core.column(j, alpha)
+		}
 		descends := false
 		for _, d := range dirs {
 			if !s.lexDescending(j, d, alpha) {
@@ -251,10 +266,13 @@ func (s *simplex) findLexDescent(memo *lexMemo) (enter int, dir float64, leaveRo
 			if lr < 0 && stp <= tol {
 				continue // zero-width bound flip changes nothing
 			}
+			memo.forget(j)
 			return j, d, lr, b, stp
 		}
-		if !descends {
-			memo.reject(j, alpha)
+		if descends {
+			memo.forget(j)
+		} else {
+			memo.reject(j, alpha, s.core.stamp())
 		}
 	}
 	return -1, 0, 0, BasisAtLower, 0
@@ -266,34 +284,63 @@ func (s *simplex) lexEligible(j int) bool {
 	return s.status[j] != BasisBasic && s.lower[j] != s.upper[j] && math.Abs(s.reduced[j]) <= tol
 }
 
-// lexMemo remembers the columns findLexDescent rejected, once armed, that no
-// pivot has touched since, with the rows where each one's tableau column is
-// exactly nonzero, so a later scan can skip them without an FTRAN.
+// lexMemo remembers the columns findLexDescent rejected, once armed: for
+// each, the rows where its tableau column was exactly nonzero, its values
+// there, and the core's stamp when they were taken. An entry is fresh while
+// no pivot has touched its column since, and a later scan skips it without
+// an FTRAN; a stale entry gives that scan a head start on one.
 //
 // Skipping is exact. A pivot in row r appends one eta, and FTRAN skips that
 // eta wherever the column it solves is zero in row r, so a column zero there
 // comes out bit for bit as before. The basis changed only in row r, which
 // lexDescending passes over for that column, so the rejection stands. (The
 // dense test oracle's elimination leaves such a column unchanged too, up to
-// the sign of a zero, which lexDescending ignores.) A pivot therefore drops
-// the columns nonzero in its row; a rebuild drops them all.
+// the sign of a zero, which lexDescending ignores.) A pivot therefore makes
+// the entries nonzero in its row stale.
 //
-// Bitset storage goes only to columns actually rejected, and a dropped
-// column's bitset is reused by the next rejection.
+// Resuming is exact too. FTRAN applies the factor and then the update etas
+// strictly in sequence, and a rejected column's values are those of the
+// factor and the stamp's first update etas. Taking them through the etas
+// added since (tableauCore.columnSince) gives a whole FTRAN's values bit for
+// bit, except that a row restored as +0 may come out +0 where a whole FTRAN
+// leaves −0: lexDescending, ratioTest, pivot and pushDense all ignore the
+// sign of a zero. A rebuild starts a new factor and chain, so it clears
+// the memo.
+//
+// Entry storage goes only to columns actually rejected. A forgotten
+// column's entry stays unused until the memo is cleared; after that, the
+// entries, their bitsets and their value slices' capacity are reused.
 type lexMemo struct {
-	words int        // bitset words per column, ⌈m/64⌉
-	held  []uint64   // bit j: column j is remembered; nil until armed
-	live  []lexEntry // the remembered columns
-	free  []int32    // bitsets of dropped columns, for reuse
-	bits  []uint64   // the bitsets, words each: live's and free's
+	words   int        // bitset words per entry, ⌈m/64⌉
+	slot    []int32    // per column: 1 + its entry, 0 for none; nil until armed
+	entries []lexEntry // one per rejected column since the last clear
+	fresh   []int32    // the entries no pivot has touched since
+	bits    []uint64   // the bitsets, words each, one per entry
 }
 
-// lexEntry is one remembered column and the index of its row bitset.
-type lexEntry struct{ col, set int32 }
+// lexEntry is one remembered column: its nonzero values in ascending row
+// order (the rows its bitset marks), the core stamp they belong to, and
+// whether a pivot has touched the column since.
+type lexEntry struct {
+	col   int32
+	stale bool
+	stamp int
+	vals  []float64
+}
 
-func (mm *lexMemo) armed() bool { return mm.held != nil }
+func (mm *lexMemo) armed() bool { return mm.slot != nil }
 
-func (mm *lexMemo) has(j int) bool { return mm.armed() && mm.held[j>>6]&(1<<(j&63)) != 0 }
+// entry returns column j's entry, or −1 when j is not remembered.
+func (mm *lexMemo) entry(j int) int {
+	if !mm.armed() {
+		return -1
+	}
+	return int(mm.slot[j]) - 1
+}
+
+func (mm *lexMemo) stale(k int) bool { return mm.entries[k].stale }
+
+func (mm *lexMemo) rows(k int) []uint64 { return mm.bits[k*mm.words : (k+1)*mm.words] }
 
 // arm makes the memo remember the rejections from here on. Nearly every
 // column a later scan rejects is eligible now, so sizing the arenas for those
@@ -306,68 +353,108 @@ func (mm *lexMemo) arm(s *simplex) {
 		}
 	}
 	mm.words = (s.m + 63) / 64
-	mm.held = make([]uint64, (s.n+63)/64)
-	mm.live = make([]lexEntry, 0, eligible)
+	mm.slot = make([]int32, s.n)
+	mm.entries = make([]lexEntry, 0, eligible)
+	mm.fresh = make([]int32, 0, eligible)
 	mm.bits = make([]uint64, 0, eligible*mm.words)
 }
 
-// reject remembers column j, whose tableau column is alpha, once armed.
-func (mm *lexMemo) reject(j int, alpha []float64) {
+// reject remembers column j, whose tableau column at core stamp stamp is
+// alpha, once armed, as a fresh entry: in place of its stale one if it has
+// one.
+func (mm *lexMemo) reject(j int, alpha []float64, stamp int) {
 	if !mm.armed() {
 		return
 	}
-	var k int32
-	if n := len(mm.free); n > 0 {
-		k, mm.free = mm.free[n-1], mm.free[:n-1]
-	} else {
-		k = int32(len(mm.live))
-		mm.bits = append(mm.bits, make([]uint64, mm.words)...)
+	k := int(mm.slot[j]) - 1
+	if k < 0 {
+		k = len(mm.entries)
+		if k*mm.words < len(mm.bits) {
+			mm.entries = mm.entries[:k+1] // an entry from before the last clear
+		} else {
+			mm.entries = append(mm.entries, lexEntry{})
+			mm.bits = append(mm.bits, make([]uint64, mm.words)...)
+		}
+		mm.slot[j] = int32(k + 1)
 	}
-	rows := mm.bits[int(k)*mm.words : int(k+1)*mm.words]
+	rows := mm.rows(k)
+	nnz := 0
 	for w := range rows {
-		// One word at a time, kept in a register: this loop runs once per
-		// rejected column over all m rows.
+		// One word at a time, kept in a register, and without a branch:
+		// this loop runs once per rejected column over all m rows. With the
+		// sign cleared, x is nonzero exactly where a is, and then x|−x has
+		// its top bit set.
 		var word uint64
 		for i, a := range alpha[w<<6 : min(w<<6+64, len(alpha))] {
-			if a != 0 {
-				word |= 1 << i
-			}
+			x := math.Float64bits(a) &^ (1 << 63)
+			word |= (x | -x) >> 63 << i
 		}
 		rows[w] = word
+		nnz += bits.OnesCount64(word)
 	}
-	mm.held[j>>6] |= 1 << (j & 63)
-	mm.live = append(mm.live, lexEntry{int32(j), k})
-}
-
-// pivoted drops the columns a pivot in row r may have changed: those nonzero
-// in row r. The pivot's own columns need no check: the entering one passed
-// its test, so it was never remembered, and the leaving one was basic.
-func (mm *lexMemo) pivoted(r int) {
-	w, bit := r>>6, uint64(1)<<(r&63)
-	kept := mm.live[:0]
-	for _, e := range mm.live {
-		if mm.bits[int(e.set)*mm.words+w]&bit == 0 {
-			kept = append(kept, e)
-		} else {
-			mm.drop(e)
+	e := &mm.entries[k]
+	if cap(e.vals) < nnz {
+		e.vals = make([]float64, nnz)
+	}
+	vals := e.vals[:nnz]
+	n := 0
+	for w, word := range rows {
+		for ; word != 0; word &= word - 1 {
+			vals[n] = alpha[w<<6|bits.TrailingZeros64(word)]
+			n++
 		}
 	}
-	mm.live = kept
+	*e = lexEntry{col: int32(j), stamp: stamp, vals: vals}
+	mm.fresh = append(mm.fresh, int32(k))
 }
 
-// clear drops every remembered column.
-func (mm *lexMemo) clear() {
-	for _, e := range mm.live {
-		mm.drop(e)
+// restore writes entry k's column, +0 in the rows it does not mark, into
+// dst and returns the stamp the values belong to.
+func (mm *lexMemo) restore(k int, dst []float64) int {
+	clear(dst)
+	e := &mm.entries[k]
+	n := 0
+	for w, word := range mm.rows(k) {
+		for ; word != 0; word &= word - 1 {
+			dst[w<<6|bits.TrailingZeros64(word)] = e.vals[n]
+			n++
+		}
 	}
-	mm.live = mm.live[:0]
+	return e.stamp
 }
 
-// drop forgets e's column and frees its bitset; the caller removes e from
-// live.
-func (mm *lexMemo) drop(e lexEntry) {
-	mm.held[e.col>>6] &^= 1 << (e.col & 63)
-	mm.free = append(mm.free, e.set)
+// pivoted marks stale the fresh entries a pivot in row r may have changed:
+// those nonzero in row r. The pivot's own columns need no check: the
+// entering one passed its test, so it was forgotten, and the leaving one was
+// basic.
+func (mm *lexMemo) pivoted(r int) {
+	w, bit := r>>6, uint64(1)<<(r&63)
+	kept := mm.fresh[:0]
+	for _, k := range mm.fresh {
+		if mm.bits[int(k)*mm.words+w]&bit == 0 {
+			kept = append(kept, k)
+		} else {
+			mm.entries[k].stale = true
+		}
+	}
+	mm.fresh = kept
+}
+
+// forget drops column j's entry, if it has one (a stale one: a scan never
+// reads a fresh entry's column).
+func (mm *lexMemo) forget(j int) {
+	if mm.armed() {
+		mm.slot[j] = 0
+	}
+}
+
+// clear forgets every remembered column.
+func (mm *lexMemo) clear() {
+	for _, e := range mm.entries {
+		mm.slot[e.col] = 0
+	}
+	mm.entries = mm.entries[:0]
+	mm.fresh = mm.fresh[:0]
 }
 
 // lexDescending reports whether moving the entering column (tableau column

@@ -81,10 +81,11 @@ func (f *fullEtaFile) btran(y []float64) {
 // artificial columns of each sign, so a test can tell that both kinds of
 // unit eta were exercised, and the structural-column etas that pivot or
 // store an entry past row 63, outside the first word of the build's row
-// pattern.
+// pattern, and the resumed columns held against a whole FTRAN.
 type leanStats struct {
 	plusArts, minusArts int
 	wideEtas            int
+	resumes             int // lex-pass columns resumed along the update chain
 }
 
 // fullCore is a test-only sparse core on the full eta file. The driver reads
@@ -158,6 +159,32 @@ func (c *fullCore) column(j int, dst []float64) {
 	c.ftran(dst)
 	c.lean.column(j, c.vecM)
 	c.sameBits(fmt.Sprintf("FTRAN of column %d", j), c.vecM, dst)
+}
+
+func (c *fullCore) stamp() int { return c.lean.stamp() }
+
+// columnSince resumes the lean core's column j from dst, the values it had
+// at stamp since, and holds the result against the full eta file's whole
+// FTRAN of column j, which it leaves in dst. The two must agree bit for bit
+// but for the sign of a zero: dst's unrecorded rows are +0 where a whole
+// FTRAN may have left −0.
+func (c *fullCore) columnSince(j int, dst []float64, since int) {
+	c.stats.resumes++
+	resumed := c.vecM
+	copy(resumed, dst)
+	c.lean.columnSince(j, resumed, since)
+	for i := range dst {
+		dst[i] = 0
+	}
+	c.lean.scatterColumn(j, dst)
+	c.ftran(dst)
+	for i, want := range dst {
+		if got := resumed[i]; math.Float64bits(got) != math.Float64bits(want) && (got != 0 || want != 0) {
+			c.fail("column %d resumed from update eta %d of %d, row %d: lean %v (%#x), full %v (%#x)",
+				j, since, c.lean.stamp(), i, got, math.Float64bits(got), want, math.Float64bits(want))
+			return
+		}
+	}
 }
 
 func (c *fullCore) pivotRow(r int, dst []float64) {
@@ -531,11 +558,13 @@ func leanEtaTrial(t *testing.T, seed int64, nVars, nCons int, stats *leanStats) 
 // diagonals — built by tracking each column's row pattern changes no bit of
 // any result. On seeded degenerate LPs, cold and warm, every FTRAN and BTRAN
 // output of the production core equals the full eta file's as Float64bits,
-// and so do whole-solve X and Objective. Every lean factor equals the
-// dense-scan full build eta by eta, less its identity etas; every lean eta
-// lists its rows strictly ascending, never its diagonal; and the seeds build
-// factors with artificials of both signs. The last block has 65 to 160 rows,
-// so the row pattern spans two or three words.
+// and so do whole-solve X and Objective; every column the canonicalization
+// pass resumes along the update chain equals a whole FTRAN up to the sign of
+// a zero. Every lean factor equals the dense-scan full build eta by eta,
+// less its identity etas; every lean eta lists its rows strictly ascending,
+// never its diagonal; and the seeds build factors with artificials of both
+// signs. The last block has 65 to 160 rows, so the row pattern spans two or
+// three words.
 func TestLeanEtaMatchesFull(t *testing.T) {
 	var stats leanStats
 	for seed := int64(1); seed <= 300; seed++ {
@@ -544,13 +573,16 @@ func TestLeanEtaMatchesFull(t *testing.T) {
 	for seed := int64(301); seed <= 320; seed++ {
 		leanEtaTrial(t, seed, 6+int(seed%15), 65+int(seed*37%96), &stats)
 	}
-	t.Logf("basic artificials in built factors: %d at +1, %d at −1; %d etas past row 63",
-		stats.plusArts, stats.minusArts, stats.wideEtas)
+	t.Logf("basic artificials in built factors: %d at +1, %d at −1; %d etas past row 63; %d resumed columns",
+		stats.plusArts, stats.minusArts, stats.wideEtas, stats.resumes)
 	if stats.plusArts == 0 || stats.minusArts == 0 {
 		t.Errorf("no factor held a basic artificial of each sign: %+v", stats)
 	}
 	if stats.wideEtas == 0 {
 		t.Errorf("no factor eta reached past row 63: %+v", stats)
+	}
+	if stats.resumes == 0 {
+		t.Errorf("no lex-pass column was resumed: %+v", stats)
 	}
 }
 

@@ -114,20 +114,42 @@ func restartSolve(p *Problem, opts Options) (*Solution, error) {
 	return sol, nil
 }
 
-// countingCore counts the tableau columns its core computes.
+// countingCore counts the tableau columns its core computes whole and the
+// ones it resumes, among those the resumes that cross more than one update
+// eta and the ones that restore a value past row 63, outside the first word
+// of the memo's bitset.
 type countingCore struct {
 	tableauCore
-	n *int
+	n *columnCounts
+}
+
+// columnCounts is what a countingCore counts.
+type columnCounts struct {
+	whole, resumed, multi, wide int
 }
 
 func (c countingCore) column(j int, dst []float64) {
-	*c.n++
+	c.n.whole++
 	c.tableauCore.column(j, dst)
+}
+
+func (c countingCore) columnSince(j int, dst []float64, since int) {
+	c.n.resumed++
+	if c.stamp()-since > 1 {
+		c.n.multi++
+	}
+	for _, a := range dst[min(64, len(dst)):] {
+		if a != 0 {
+			c.n.wide++
+			break
+		}
+	}
+	c.tableauCore.columnSince(j, dst, since)
 }
 
 // counted returns opts with its core (the sparse one unless opts already
 // names the dense oracle) wrapped to count tableau columns into n.
-func counted(opts Options, n *int) Options {
+func counted(opts Options, n *columnCounts) Options {
 	base := opts.newCore
 	if base == nil {
 		base = func(s *simplex) tableauCore { return newSparseCore(s, buildCSC(s)) }
@@ -207,7 +229,8 @@ func degenerateLP(rng *rand.Rand, nVars, nCons int) *Problem {
 // production pass and the restart scan computed, and the pivots of the warm
 // runs.
 type lexMemoCounts struct {
-	memoCols, restartCols, warmPivots int
+	memo, restart columnCounts
+	warmPivots    int
 }
 
 // lexMemoMismatch solves p under opts with the production pass and with
@@ -216,11 +239,11 @@ type lexMemoCounts struct {
 // they agree bit for bit). It adds both column counts to n and returns the
 // production solve's Iterations.
 func lexMemoMismatch(p *Problem, opts Options, n *lexMemoCounts) (diff string, iterations int, err error) {
-	got, err := SolveCtx(context.Background(), p, counted(opts, &n.memoCols))
+	got, err := SolveCtx(context.Background(), p, counted(opts, &n.memo))
 	if err != nil {
 		return "", 0, err
 	}
-	want, err := restartSolve(p, counted(opts, &n.restartCols))
+	want, err := restartSolve(p, counted(opts, &n.restart))
 	if err != nil {
 		return "", 0, err
 	}
@@ -315,28 +338,42 @@ func lexMemoTrial(t *testing.T, seed int64, nVars, nCons int, n *lexMemoCounts) 
 // result. On seeded degenerate LPs, cold and warm, on the sparse core (also
 // with rebuilds inside the descent) and on the dense oracle, the production
 // pass returns the restart scan's X, basis, Iterations and Refactorizations
-// bit for bit — and computes fewer tableau columns, so the memo is exercised,
-// while the warm runs pivot, so the dual path is exercised too.
+// bit for bit — and computes fewer whole tableau columns, so the memo is
+// exercised; it resumes columns across several update etas, past row 63
+// too (the last block has 65 to 160 rows, so the memo's bitsets span two or
+// three words); and the warm runs pivot, so the dual path is exercised too.
 func TestLexMemoMatchesRestartScan(t *testing.T) {
 	var n lexMemoCounts
 	for seed := int64(1); seed <= 400; seed++ {
 		lexMemoTrial(t, seed, 4+int(seed%13), 3+int(seed%11), &n)
 	}
-	t.Logf("tableau columns: %d with the memo, %d with the restart scan; %d warm pivots", n.memoCols, n.restartCols, n.warmPivots)
-	if n.memoCols >= n.restartCols {
-		t.Errorf("the memo saved no tableau column: %d vs %d", n.memoCols, n.restartCols)
+	for seed := int64(401); seed <= 420; seed++ {
+		lexMemoTrial(t, seed, 6+int(seed%15), 65+int(seed*37%96), &n)
+	}
+	t.Logf("tableau columns: %d whole and %d resumed (%d across several update etas, %d past row 63) with the memo, %d with the restart scan; %d warm pivots",
+		n.memo.whole, n.memo.resumed, n.memo.multi, n.memo.wide, n.restart.whole, n.warmPivots)
+	if n.memo.whole >= n.restart.whole {
+		t.Errorf("the memo saved no tableau column: %d vs %d", n.memo.whole, n.restart.whole)
+	}
+	if n.memo.multi == 0 {
+		t.Errorf("no column resumed across more than one update eta: %+v", n.memo)
+	}
+	if n.memo.wide == 0 {
+		t.Errorf("no resumed column held a value past row 63: %+v", n.memo)
 	}
 	if n.warmPivots == 0 {
 		t.Error("no warm run pivoted; the warm comparison exercises nothing")
 	}
 }
 
-// FuzzLexMemo is TestLexMemoMatchesRestartScan over fuzzed seeds and sizes.
+// FuzzLexMemo is TestLexMemoMatchesRestartScan over fuzzed seeds and sizes,
+// up to 160 rows so the memo's bitsets can span three words.
 func FuzzLexMemo(f *testing.F) {
 	f.Add(int64(1), uint8(6), uint8(4))
 	f.Add(int64(7), uint8(16), uint8(13))
+	f.Add(int64(11), uint8(14), uint8(99))
 	f.Fuzz(func(t *testing.T, seed int64, nVars, nCons uint8) {
 		var n lexMemoCounts
-		lexMemoTrial(t, seed, 1+int(nVars%24), 1+int(nCons%20), &n)
+		lexMemoTrial(t, seed, 1+int(nVars%24), 1+int(nCons%160), &n)
 	})
 }

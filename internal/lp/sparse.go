@@ -21,38 +21,50 @@ type cscMatrix struct {
 // artificial columns have been added. Duplicate (row, variable) entries are
 // summed in declaration order, matching the dense test oracle's raw rows.
 func buildCSC(s *simplex) cscMatrix {
-	// Bucket the structural entries column by column. Rows are visited in
-	// ascending order, so each bucket's rows are non-decreasing and duplicate
-	// entries of one row sit adjacent.
-	type rv struct {
-		row  int32
-		coef float64
-	}
-	buckets := make([][]rv, s.nStruct)
-	nnz := 0
-	for i, c := range s.prob.Constraints {
+	// Count the structural entries of each column, then place them column
+	// by column. Rows are visited in ascending order, so each column's rows
+	// are non-decreasing and duplicate entries of one row sit adjacent.
+	// pos[j] is where column j's next entry goes, so once all are placed it
+	// is where column j ends.
+	pos := make([]int32, s.nStruct+1)
+	for _, c := range s.prob.Constraints {
 		for _, e := range c.Row {
-			buckets[e.Var] = append(buckets[e.Var], rv{int32(i), e.Coef})
-			nnz++
+			pos[e.Var+1]++
 		}
 	}
+	for j := 0; j < s.nStruct; j++ {
+		pos[j+1] += pos[j]
+	}
+	nnz := int(pos[s.nStruct])
+	units := s.n - s.nStruct
 	mat := cscMatrix{
 		ptr: make([]int32, 0, s.n+1),
-		idx: make([]int32, 0, nnz+s.n-s.nStruct),
-		val: make([]float64, 0, nnz+s.n-s.nStruct),
+		idx: make([]int32, nnz, nnz+units),
+		val: make([]float64, nnz, nnz+units),
 	}
+	for i, c := range s.prob.Constraints {
+		for _, e := range c.Row {
+			k := pos[e.Var]
+			mat.idx[k], mat.val[k] = int32(i), e.Coef
+			pos[e.Var]++
+		}
+	}
+	// Sum the duplicates, compacting in place: an entry never moves past
+	// where it was placed.
 	mat.ptr = append(mat.ptr, 0)
+	k, from := 0, 0
 	for j := 0; j < s.nStruct; j++ {
-		for _, e := range buckets[j] {
-			if k := len(mat.idx); k > int(mat.ptr[j]) && mat.idx[k-1] == e.row {
-				mat.val[k-1] += e.coef
+		for ; from < int(pos[j]); from++ {
+			if k > int(mat.ptr[j]) && mat.idx[k-1] == mat.idx[from] {
+				mat.val[k-1] += mat.val[from]
 				continue
 			}
-			mat.idx = append(mat.idx, e.row)
-			mat.val = append(mat.val, e.coef)
+			mat.idx[k], mat.val[k] = mat.idx[from], mat.val[from]
+			k++
 		}
-		mat.ptr = append(mat.ptr, int32(len(mat.idx)))
+		mat.ptr = append(mat.ptr, int32(k))
 	}
+	mat.idx, mat.val = mat.idx[:k], mat.val[:k]
 	// One +1 slack per constraint.
 	for i := 0; i < s.m; i++ {
 		mat.idx = append(mat.idx, int32(i))
@@ -87,20 +99,20 @@ type etaFile struct {
 	val   []float64
 }
 
-// presized returns an empty eta file with room for as many etas and entries
-// as like (which may be nil) holds, so a build no larger than like grows no
-// slice.
-func presized(like *etaFile) *etaFile {
-	if like == nil {
-		return new(etaFile)
+// reserve empties f and gives it room for at least etas etas and entries
+// off-diagonal entries, so that a build or update chain no larger grows no
+// slice. Room f already has is kept.
+func (f *etaFile) reserve(etas, entries int) {
+	if cap(f.rowOf) < etas {
+		f.rowOf = make([]int32, 0, etas)
+		f.piv = make([]float64, 0, etas)
+		f.start = make([]int32, 1, etas+1)
 	}
-	return &etaFile{
-		rowOf: make([]int32, 0, len(like.rowOf)),
-		piv:   make([]float64, 0, len(like.piv)),
-		start: make([]int32, 1, len(like.start)),
-		idx:   make([]int32, 0, len(like.idx)),
-		val:   make([]float64, 0, len(like.val)),
+	if cap(f.idx) < entries {
+		f.idx = make([]int32, 0, entries)
+		f.val = make([]float64, 0, entries)
 	}
+	f.reset()
 }
 
 func (f *etaFile) reset() {
@@ -172,8 +184,14 @@ func (f *etaFile) pushUnit(r int, piv float64) {
 }
 
 // ftran solves B·x' = x in place: x ← E_{k−1}⁻¹·…·E_0⁻¹·x.
-func (f *etaFile) ftran(x []float64) {
-	for e := 0; e < len(f.rowOf); e++ {
+func (f *etaFile) ftran(x []float64) { f.ftranFrom(x, 0) }
+
+// ftranFrom applies the inverses of etas from, from+1, …, k−1 to x in place.
+// The etas apply strictly in sequence, so a vector taken through the first
+// from etas by one call comes out of this one as one whole ftran would
+// leave it.
+func (f *etaFile) ftranFrom(x []float64, from int) {
+	for e := from; e < len(f.rowOf); e++ {
 		r := f.rowOf[e]
 		xr := x[r]
 		if xr == 0 {
@@ -241,6 +259,8 @@ type sparseCore struct {
 	updates  etaFile  // one product-form eta per pivot since the last build
 	peak     int      // longest update chain seen between refactorizations
 
+	warmEntries int // a warm start's factor entries, as its Basis reported them
+
 	// Scratch, sized once per solve and reused by every refactorization.
 	spare    *etaFile  // factorization under construction (swapped in on success)
 	work     []float64 // dense length-m scratch for FTRAN/BTRAN vectors
@@ -268,7 +288,8 @@ func newSparseCore(s *simplex, mat cscMatrix) *sparseCore {
 		newBasis: make([]int, s.m),
 		basicSet: make([]bool, s.n),
 	}
-	c.updates.reset()
+	// A chain holds at most refresh etas; one eta holds at most m entries.
+	c.updates.reserve(s.refresh, s.m)
 	return c
 }
 
@@ -300,6 +321,14 @@ func (c *sparseCore) column(j int, dst []float64) {
 	}
 	c.scatterColumn(j, dst)
 	c.ftran(dst)
+}
+
+func (c *sparseCore) stamp() int { return c.updates.count() }
+
+// columnSince takes dst, column j as column left it when the update chain
+// held since etas, through the etas added since.
+func (c *sparseCore) columnSince(_ int, dst []float64, since int) {
+	c.updates.ftranFrom(dst, since)
 }
 
 func (c *sparseCore) pivotRow(r int, dst []float64) {
@@ -382,16 +411,16 @@ func (c *sparseCore) markBasic() {
 // ascending index order pick their row by partial pivoting — the largest
 // partially-FTRANed magnitude among unassigned rows, lowest row on ties.
 // Returns false (old factorization untouched) when the basis is singular.
-// A build into a fresh arena is sized from the factor it replaces.
+// The arena the build fills is sized first (see buildSize).
 func (c *sparseCore) refactorize() bool {
 	const pivTol = 1e-9
 	s := c.s
 
 	if c.spare == nil {
-		c.spare = presized(c.factor)
+		c.spare = new(etaFile)
 	}
 	nf := c.spare
-	nf.reset()
+	nf.reserve(c.buildSize())
 	assigned, newBasis, basicSet := c.assigned, c.newBasis, c.basicSet
 	for i := range assigned {
 		assigned[i] = false
@@ -470,6 +499,30 @@ func (c *sparseCore) refactorize() bool {
 	copy(s.basis, newBasis)
 	c.deriveBeta()
 	return true
+}
+
+// buildSize estimates the etas and entries of the factor refactorize is
+// about to build for the current basic set: one eta per structural column
+// and per −1 artificial, and for entries the largest of the current
+// factor's count, the count the warm start's Basis reported for this basic
+// set and the structural columns' nonzeros (fill-in can take a build past
+// the last).
+func (c *sparseCore) buildSize() (etas, entries int) {
+	s := c.s
+	for _, j := range s.basis {
+		switch {
+		case j < s.nStruct:
+			etas++
+			entries += int(c.mat.ptr[j+1] - c.mat.ptr[j])
+		case j >= s.artStart && s.artSign[j-s.artStart] < 0:
+			etas++
+		}
+	}
+	entries = max(entries, c.warmEntries)
+	if c.factor != nil {
+		entries = max(entries, len(c.factor.idx))
+	}
+	return etas, entries
 }
 
 // adopt installs lu, a factorization another solve of the same problem built

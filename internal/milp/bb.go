@@ -530,10 +530,11 @@ func (m *Model) dive(ctx context.Context, prob *lp.Problem, opts SolveOptions, r
 // to the next step right away. A factor on a queued node would stay resident
 // until the node is dequeued — across a whole refinement model's tree, more
 // memory than the saved rebuilds are worth — so every other basis keeps only
-// its exported fields, and the child that warm-starts from it rebuilds.
+// its exported fields and its factorization's size, and the child that
+// warm-starts from it rebuilds.
 func withoutFactor(b *lp.Basis) *lp.Basis {
 	if b == nil {
 		return nil
 	}
-	return &lp.Basis{Basic: b.Basic, Status: b.Status}
+	return b.WithoutFactor()
 }
