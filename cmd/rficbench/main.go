@@ -144,7 +144,7 @@ func runFigure7(ctx context.Context, opts pilp.Options, outDir string) bool {
 	}
 	for i, snap := range res.Snapshots {
 		path := filepath.Join(outDir, fmt.Sprintf("figure7_%d_%s.svg", i+1, snap.Phase))
-		if err := layout.SaveSVG(path, snap.Layout, layout.SVGOptions{ShowLabels: true, Title: snap.Phase}); err != nil {
+		if err := layout.SaveSVG(path, snap.Layout, snap.Phase); err != nil {
 			fmt.Fprintln(os.Stderr, "rficbench:", err)
 			return false
 		}

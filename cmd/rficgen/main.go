@@ -182,7 +182,7 @@ func main() {
 			}
 		}
 		if *svgPath != "" {
-			if err := layout.SaveSVG(*svgPath, lay, layout.SVGOptions{ShowLabels: true, Title: circuit.Name}); err != nil {
+			if err := layout.SaveSVG(*svgPath, lay, circuit.Name); err != nil {
 				fatal(err)
 			}
 		}

@@ -45,7 +45,7 @@ func main() {
 		}
 		fmt.Println(report.LayoutSummary("p-ilp  ", res.Layout, time.Since(start)))
 		name := fmt.Sprintf("lna94_pilp_small=%v.svg", small)
-		if err := layout.SaveSVG(name, res.Layout, layout.SVGOptions{ShowLabels: true, Title: "94 GHz LNA (P-ILP)"}); err != nil {
+		if err := layout.SaveSVG(name, res.Layout, "94 GHz LNA (P-ILP)"); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Println("wrote", name)

@@ -1,6 +1,8 @@
 package layout
 
 import (
+	"encoding/xml"
+	"io"
 	"strings"
 	"testing"
 
@@ -89,7 +91,7 @@ func TestWriteSVG(t *testing.T) {
 	l := completeLayout(t)
 	fixTLOUTTarget(l.Circuit)
 	var sb strings.Builder
-	if err := WriteSVG(&sb, l, SVGOptions{ShowLabels: true, Title: "chain layout"}); err != nil {
+	if err := WriteSVG(&sb, l, "chain layout"); err != nil {
 		t.Fatal(err)
 	}
 	svg := sb.String()
@@ -98,27 +100,52 @@ func TestWriteSVG(t *testing.T) {
 			t.Errorf("SVG missing %q", want)
 		}
 	}
-	// Without labels the device names are absent.
-	sb.Reset()
-	if err := WriteSVG(&sb, l, SVGOptions{}); err != nil {
+}
+
+// TestWriteSVGEscapesNames renders a layout whose title, device and strip
+// names hold XML's special characters, as the netlist parser accepts them,
+// and requires the SVG to decode as XML with every name intact.
+func TestWriteSVGEscapesNames(t *testing.T) {
+	l := completeLayout(t)
+	l.Placed("M1").Device.Name = `M&<1>"`
+	l.Routed("TLIN").Strip.Name = `T&"in"<>`
+	title := `R&D <lna> "x"`
+	var sb strings.Builder
+	if err := WriteSVG(&sb, l, title); err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(sb.String(), ">M1<") {
-		t.Error("labels rendered although disabled")
+	text := map[string]bool{}
+	dec := xml.NewDecoder(strings.NewReader(sb.String()))
+	for {
+		tok, err := dec.Token()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatalf("SVG is not well-formed XML: %v\n%s", err, sb.String())
+		}
+		if cd, ok := tok.(xml.CharData); ok {
+			text[string(cd)] = true
+		}
+	}
+	for _, want := range []string{title, `M&<1>"`, `T&"in"<>`} {
+		if !text[want] {
+			t.Errorf("decoded SVG has no text %q", want)
+		}
 	}
 }
 
 func TestSaveSVG(t *testing.T) {
 	l := completeLayout(t)
 	path := t.TempDir() + "/layout.svg"
-	if err := SaveSVG(path, l, SVGOptions{Scale: 2}); err != nil {
+	if err := SaveSVG(path, l, ""); err != nil {
 		t.Fatal(err)
 	}
 	parsed, err := ParseLayoutString(Format(l), l.Circuit)
 	if err != nil || parsed == nil {
 		t.Fatal("sanity re-parse failed")
 	}
-	if err := SaveSVG("/nonexistent-dir/x.svg", l, SVGOptions{}); err == nil {
+	if err := SaveSVG("/nonexistent-dir/x.svg", l, ""); err == nil {
 		t.Error("expected error for unwritable path")
 	}
 }

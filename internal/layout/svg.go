@@ -2,35 +2,21 @@ package layout
 
 import (
 	"fmt"
+	"html"
 	"io"
 	"os"
 
 	"rficlayout/internal/geom"
 )
 
-// SVGOptions tunes SVG rendering.
-type SVGOptions struct {
-	// Scale is pixels per micron; zero means 1.
-	Scale float64
-	// ShowLabels draws device and strip names.
-	ShowLabels bool
-	// Title is an optional figure caption rendered above the layout.
-	Title string
-}
-
-func (o SVGOptions) scale() float64 {
-	if o.Scale > 0 {
-		return o.Scale
-	}
-	return 1
-}
-
-// WriteSVG renders the layout as an SVG drawing: the layout area outline,
-// device bodies (pads hatched), pin markers and the smoothed microstrip
-// centrelines, mirroring the style of the layout figures in the paper.
-func WriteSVG(w io.Writer, l *Layout, opts SVGOptions) error {
-	s := opts.scale()
-	um := func(c geom.Coord) float64 { return geom.Microns(c) * s }
+// WriteSVG renders the layout as an SVG drawing at one pixel per micron:
+// the layout area outline, device bodies (pads hatched), pin markers, the
+// smoothed microstrip centrelines and every device and strip name, mirroring
+// the style of the layout figures in the paper. A non-empty title is a
+// caption above the layout. The title and the names are XML-escaped, so any
+// name the netlist parser accepts yields well-formed SVG.
+func WriteSVG(w io.Writer, l *Layout, title string) error {
+	um := geom.Microns
 	// SVG has y growing downward; flip so the layout origin is bottom-left.
 	flipY := func(c geom.Coord) float64 { return um(l.Circuit.AreaHeight - c) }
 
@@ -38,7 +24,7 @@ func WriteSVG(w io.Writer, l *Layout, opts SVGOptions) error {
 	width := um(l.Circuit.AreaWidth) + 2*margin
 	height := um(l.Circuit.AreaHeight) + 2*margin
 	titleSpace := 0.0
-	if opts.Title != "" {
+	if title != "" {
 		titleSpace = 24
 	}
 
@@ -52,9 +38,9 @@ func WriteSVG(w io.Writer, l *Layout, opts SVGOptions) error {
 	printf(`<svg xmlns="http://www.w3.org/2000/svg" width="%.1f" height="%.1f" viewBox="0 0 %.1f %.1f">`+"\n",
 		width, height+titleSpace, width, height+titleSpace)
 	printf(`<rect width="100%%" height="100%%" fill="white"/>` + "\n")
-	if opts.Title != "" {
+	if title != "" {
 		printf(`<text x="%.1f" y="16" font-family="sans-serif" font-size="14" text-anchor="middle">%s</text>`+"\n",
-			width/2, opts.Title)
+			width/2, html.EscapeString(title))
 	}
 	printf(`<g transform="translate(%.1f,%.1f)">`+"\n", margin, margin+titleSpace)
 
@@ -80,11 +66,9 @@ func WriteSVG(w io.Writer, l *Layout, opts SVGOptions) error {
 			}
 			printf(`<circle cx="%.2f" cy="%.2f" r="1.6" fill="#c03030"/>`+"\n", um(pos.X), flipY(pos.Y))
 		}
-		if opts.ShowLabels {
-			c := pd.Center
-			printf(`<text x="%.2f" y="%.2f" font-family="sans-serif" font-size="8" text-anchor="middle">%s</text>`+"\n",
-				um(c.X), flipY(c.Y), pd.Device.Name)
-		}
+		c := pd.Center
+		printf(`<text x="%.2f" y="%.2f" font-family="sans-serif" font-size="8" text-anchor="middle">%s</text>`+"\n",
+			um(c.X), flipY(c.Y), html.EscapeString(pd.Device.Name))
 	}
 
 	// Microstrips: smoothed centrelines drawn with the strip width.
@@ -102,26 +86,24 @@ func WriteSVG(w io.Writer, l *Layout, opts SVGOptions) error {
 			path += fmt.Sprintf("%s %.2f %.2f ", cmd, um(p.X), flipY(p.Y))
 		}
 		printf(`<path d="%s" fill="none" stroke="#3a7d44" stroke-width="%.2f" stroke-linejoin="round" stroke-linecap="round" opacity="0.85"/>`+"\n",
-			path, geom.Microns(rs.Path.Width)*s)
-		if opts.ShowLabels {
-			mid := pts[len(pts)/2]
-			printf(`<text x="%.2f" y="%.2f" font-family="sans-serif" font-size="7" fill="#205528">%s</text>`+"\n",
-				um(mid.X), flipY(mid.Y)-2, rs.Strip.Name)
-		}
+			path, um(rs.Path.Width))
+		mid := pts[len(pts)/2]
+		printf(`<text x="%.2f" y="%.2f" font-family="sans-serif" font-size="7" fill="#205528">%s</text>`+"\n",
+			um(mid.X), flipY(mid.Y)-2, html.EscapeString(rs.Strip.Name))
 	}
 
 	printf("</g>\n</svg>\n")
 	return err
 }
 
-// SaveSVG writes the SVG rendering to a file.
-func SaveSVG(path string, l *Layout, opts SVGOptions) error {
+// SaveSVG writes WriteSVG's rendering, captioned with title, to a file.
+func SaveSVG(path string, l *Layout, title string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	if err := WriteSVG(f, l, opts); err != nil {
+	if err := WriteSVG(f, l, title); err != nil {
 		return err
 	}
 	return f.Close()

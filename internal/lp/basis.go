@@ -47,10 +47,14 @@ type Basis struct {
 }
 
 // WithoutFactor returns b without the factorization it carries, for a holder
-// that keeps b long enough for that memory to matter. A warm start from the
-// result rebuilds the factorization, sized by the entry count of the one
-// dropped (the rebuild is bit for bit the same factorization).
+// that keeps b long enough for that memory to matter; a nil b yields nil. A
+// warm start from the result rebuilds the factorization, sized by the entry
+// count of the one dropped (the rebuild is bit for bit the same
+// factorization).
 func (b *Basis) WithoutFactor() *Basis {
+	if b == nil {
+		return nil
+	}
 	return &Basis{Basic: b.Basic, Status: b.Status, luEntries: b.luEntries}
 }
 

@@ -76,6 +76,9 @@ func restartSolve(p *Problem, opts Options) (*Solution, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	if emptyBounds(p, opts) {
+		return &Solution{Status: StatusInfeasible, X: make([]float64, len(p.Variables))}, nil
+	}
 	var s *simplex
 	var status Status
 	if opts.WarmBasis != nil {
@@ -83,7 +86,7 @@ func restartSolve(p *Problem, opts Options) (*Solution, error) {
 		if err != nil {
 			return nil, err
 		}
-		if !ws.forcedInfeasible && ws.installBasis(opts.WarmBasis) {
+		if ws.installBasis(opts.WarmBasis) {
 			s = ws
 			if status = s.runDual(); status == StatusOptimal {
 				status = s.iterate()
@@ -97,7 +100,7 @@ func restartSolve(p *Problem, opts Options) (*Solution, error) {
 		}
 		status = s.run()
 	}
-	if status == StatusOptimal && !s.forcedInfeasible {
+	if status == StatusOptimal {
 		if !s.fresh {
 			s.refactorize()
 		}
@@ -108,7 +111,7 @@ func restartSolve(p *Problem, opts Options) (*Solution, error) {
 		}
 	}
 	sol := &Solution{Status: status, X: s.extract(), Iterations: s.iterations, Refactorizations: s.refactorizations}
-	if status == StatusOptimal && !s.forcedInfeasible {
+	if status == StatusOptimal {
 		sol.Basis = s.exportBasis()
 	}
 	return sol, nil

@@ -34,11 +34,6 @@ type simplex struct {
 	colBuf  []float64 // length m: entering tableau column for the current pivot
 	prowBuf []float64 // length n: pivot row for the current pivot
 
-	// forcedInfeasible marks a subproblem whose bound overrides were
-	// contradictory (lower > upper); it is reported as infeasible without
-	// running any pivots.
-	forcedInfeasible bool
-
 	artStart int       // first artificial column index (== n when none)
 	artRow   []int     // row of each artificial column
 	artSign  []float64 // raw-row coefficient of each artificial column
@@ -90,6 +85,9 @@ func SolveCtx(ctx context.Context, p *Problem, opts Options) (*Solution, error) 
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	if emptyBounds(p, opts) {
+		return &Solution{Status: StatusInfeasible, X: make([]float64, len(p.Variables))}, nil
+	}
 	var s *simplex
 	var status Status
 	warm := false
@@ -98,9 +96,7 @@ func SolveCtx(ctx context.Context, p *Problem, opts Options) (*Solution, error) 
 		if err != nil {
 			return nil, err
 		}
-		if ws.forcedInfeasible {
-			s, status = ws, StatusInfeasible
-		} else if ws.installBasis(opts.WarmBasis) {
+		if ws.installBasis(opts.WarmBasis) {
 			if ctx != nil && ctx.Done() != nil {
 				ws.ctx = ctx
 			}
@@ -124,7 +120,7 @@ func SolveCtx(ctx context.Context, p *Problem, opts Options) (*Solution, error) 
 		}
 		status = s.run()
 	}
-	if status == StatusOptimal && !s.forcedInfeasible {
+	if status == StatusOptimal {
 		// Refactorize before canonicalizing so every descent decision reads
 		// a tableau that is a pure function of the basic set rather than of
 		// the pivot path that reached it, then again after so the reported
@@ -151,7 +147,7 @@ func SolveCtx(ctx context.Context, p *Problem, opts Options) (*Solution, error) 
 	if s.core != nil {
 		sol.PeakEta = s.core.peakEta()
 	}
-	if status == StatusOptimal && !s.forcedInfeasible {
+	if status == StatusOptimal {
 		sol.Basis = s.exportBasis()
 	}
 	if status == StatusOptimal || status == StatusIterLimit || status == StatusCancelled {
@@ -164,6 +160,35 @@ func SolveCtx(ctx context.Context, p *Problem, opts Options) (*Solution, error) 
 		sol.Objective = math.Inf(-1)
 	}
 	return sol, nil
+}
+
+// emptyBounds reports whether the bound overrides leave some variable with
+// its lower bound above its upper one: a branch made that variable's domain
+// empty, so the subproblem is infeasible without a pivot. Override keys
+// outside the variable range are ignored, as the solver ignores them.
+func emptyBounds(p *Problem, opts Options) bool {
+	for _, overrides := range []map[int]float64{opts.LowerOverride, opts.UpperOverride} {
+		for j := range overrides {
+			if j >= 0 && j < len(p.Variables) {
+				if lo, up := opts.bounds(j, p.Variables[j]); lo > up {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
+// bounds returns variable j's bounds under the overrides.
+func (o Options) bounds(j int, v Variable) (lo, up float64) {
+	lo, up = v.Lower, v.Upper
+	if ov, ok := o.LowerOverride[j]; ok {
+		lo = ov
+	}
+	if ov, ok := o.UpperOverride[j]; ok {
+		up = ov
+	}
+	return lo, up
 }
 
 // newSimplexBase loads the shared solver form — bounds, costs and the raw
@@ -188,25 +213,7 @@ func newSimplexBase(p *Problem, opts Options) (*simplex, error) {
 	s.upper = make([]float64, total, total+m)
 	s.cost = make([]float64, total, total+m)
 	for j, v := range p.Variables {
-		lo, up := v.Lower, v.Upper
-		if opts.LowerOverride != nil {
-			if o, ok := opts.LowerOverride[j]; ok {
-				lo = o
-			}
-		}
-		if opts.UpperOverride != nil {
-			if o, ok := opts.UpperOverride[j]; ok {
-				up = o
-			}
-		}
-		if lo > up {
-			// A branch made the variable empty; the subproblem is trivially
-			// infeasible. Signal it through a contradictory fixed bound that
-			// the caller sees as StatusInfeasible without running pivots.
-			return &simplex{m: 0, n: 0, nStruct: nStruct, forcedInfeasible: true}, nil
-		}
-		s.lower[j] = lo
-		s.upper[j] = up
+		s.lower[j], s.upper[j] = opts.bounds(j, v)
 		s.cost[j] = v.Cost
 	}
 	for i, c := range p.Constraints {
@@ -266,8 +273,8 @@ func (s *simplex) refactorize() bool {
 // phase-1 cost 1 cover the rest.
 func newSimplex(p *Problem, opts Options) (*simplex, error) {
 	s, err := newSimplexBase(p, opts)
-	if err != nil || s.forcedInfeasible {
-		return s, err
+	if err != nil {
+		return nil, err
 	}
 	m, nStruct := s.m, s.nStruct
 

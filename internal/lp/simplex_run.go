@@ -5,9 +5,6 @@ import "math"
 // run executes phase 1 (drive artificial infeasibility to zero) and phase 2
 // (optimize the real objective), returning the final status.
 func (s *simplex) run() Status {
-	if s.forcedInfeasible {
-		return StatusInfeasible
-	}
 	if s.m == 0 && s.n == 0 {
 		return StatusOptimal
 	}
@@ -350,9 +347,6 @@ func (s *simplex) pivot(enter int, dir float64, leaveRow int, bound BasisStatus,
 // extract returns the structural variable values of the current basis.
 func (s *simplex) extract() []float64 {
 	x := make([]float64, s.nStruct)
-	if s.forcedInfeasible {
-		return x
-	}
 	for j := 0; j < s.nStruct && j < len(s.status); j++ {
 		if s.status[j] != BasisBasic {
 			x[j] = s.nonbasicValue(j)

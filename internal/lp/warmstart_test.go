@@ -78,19 +78,36 @@ func TestWarmStartDetectsInfeasibleChild(t *testing.T) {
 	}
 }
 
+// TestWarmStartContradictoryBounds checks the solve of a subproblem whose
+// overrides put a lower bound above its upper one, cold and warm: it is
+// infeasible at once, with all-zero X, zero counters, no basis and no warm
+// start.
 func TestWarmStartContradictoryBounds(t *testing.T) {
 	p := branchProblem()
 	root := solveOrFatal(t, p, Options{})
-	sol := solveOrFatal(t, p, Options{
-		LowerOverride: map[int]float64{0: 7},
-		UpperOverride: map[int]float64{0: 3},
-		WarmBasis:     root.Basis,
-	})
-	if sol.Status != StatusInfeasible {
-		t.Fatalf("status = %v, want infeasible", sol.Status)
-	}
-	if sol.WarmStarted {
-		t.Error("trivially infeasible subproblem reported WarmStarted")
+	for _, warm := range []*Basis{nil, root.Basis} {
+		sol := solveOrFatal(t, p, Options{
+			LowerOverride: map[int]float64{0: 7},
+			UpperOverride: map[int]float64{0: 3},
+			WarmBasis:     warm,
+		})
+		if sol.Status != StatusInfeasible {
+			t.Fatalf("warm=%v: status = %v, want infeasible", warm != nil, sol.Status)
+		}
+		if sol.WarmStarted {
+			t.Errorf("warm=%v: trivially infeasible subproblem reported WarmStarted", warm != nil)
+		}
+		if len(sol.X) != len(p.Variables) {
+			t.Errorf("warm=%v: len(X) = %d, want %d", warm != nil, len(sol.X), len(p.Variables))
+		}
+		for j, x := range sol.X {
+			if x != 0 {
+				t.Errorf("warm=%v: X[%d] = %g, want 0", warm != nil, j, x)
+			}
+		}
+		if sol.Iterations != 0 || sol.Refactorizations != 0 || sol.PeakEta != 0 || sol.Objective != 0 || sol.Basis != nil {
+			t.Errorf("warm=%v: solution %+v, want zero counters, objective and basis", warm != nil, sol)
+		}
 	}
 }
 

@@ -229,7 +229,7 @@ type node struct {
 	// basis is the parent's optimal LP basis (shared, read-only): the child
 	// differs by one bound, so it is usually still dual-feasible and the LP
 	// warm-starts from it. Nil means a cold solve. It never carries the
-	// parent's LU factorization (see withoutFactor).
+	// parent's LU factorization (see the node loop in SolveCtx).
 	basis *lp.Basis
 }
 
@@ -341,12 +341,15 @@ search:
 				return nil, err
 			}
 			// Only the root's factorization is handed on, to the dive; the
-			// children of every node queue with the factor-less basis. sol
-			// drops the factor here so the dive's first step can release it:
+			// children of every node queue with the factor-less basis, since
+			// a factor on a queued node stays resident until it is dequeued:
+			// across a refinement model's tree, more memory than the saved
+			// rebuilds are worth. sol drops the factor here so the dive's
+			// first step can release it:
 			// holding it through the whole dive raised the refine workload's
 			// median RSS by 8% on a 2-CPU host.
 			factored := sol.Basis
-			sol.Basis = withoutFactor(sol.Basis)
+			sol.Basis = sol.Basis.WithoutFactor()
 			res.LP.count(sol, !opts.DisableWarmLP && nd.basis != nil)
 			switch sol.Status {
 			case lp.StatusCancelled:
@@ -523,18 +526,4 @@ func (m *Model) dive(ctx context.Context, prob *lp.Problem, opts SolveOptions, r
 		}
 	}
 	return nil, 0, false
-}
-
-// withoutFactor returns b without the LU factorization an lp solve attaches
-// to the bases it exports. Only the dive chain hands factorizations on, each
-// to the next step right away. A factor on a queued node would stay resident
-// until the node is dequeued — across a whole refinement model's tree, more
-// memory than the saved rebuilds are worth — so every other basis keeps only
-// its exported fields and its factorization's size, and the child that
-// warm-starts from it rebuilds.
-func withoutFactor(b *lp.Basis) *lp.Basis {
-	if b == nil {
-		return nil
-	}
-	return b.WithoutFactor()
 }

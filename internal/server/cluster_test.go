@@ -336,10 +336,12 @@ func TestReadyzLifecycle(t *testing.T) {
 }
 
 // TestAdmissionRejectionRetryAfterAndWaiterRelease fills the queue and checks
-// two things about the 503 that comes back: it carries a Retry-After hint,
-// and the rejected job's waiter refcount drops to zero (the creator's slot is
-// released, so a rejected job can never pin cancellation bookkeeping — the
-// regression the forwarding path would turn into a leaked remote solve).
+// three things about the 503 that comes back: it carries a Retry-After hint,
+// polling /v1/jobs for the rejected job answers the same 503 with the same
+// hint, and the rejected job's waiter refcount drops to zero (the creator's
+// slot is released, so a rejected job can never pin cancellation bookkeeping
+// — the regression the forwarding path would turn into a leaked remote
+// solve).
 func TestAdmissionRejectionRetryAfterAndWaiterRelease(t *testing.T) {
 	release := make(chan struct{})
 	blocking := func(ctx context.Context, job engine.Job, logf func(string, ...interface{})) engine.Result {
@@ -387,6 +389,15 @@ func TestAdmissionRejectionRetryAfterAndWaiterRelease(t *testing.T) {
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("503 rejection carries no Retry-After header")
+	}
+	poll, err := http.Get(ts.URL + "/v1/jobs/" + sr.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	poll.Body.Close()
+	if poll.StatusCode != http.StatusServiceUnavailable || poll.Header.Get("Retry-After") == "" {
+		t.Errorf("polling the rejected job = %d with Retry-After %q, want 503 with a hint",
+			poll.StatusCode, poll.Header.Get("Retry-After"))
 	}
 	j, ok := s.jobs.get(sr.ID)
 	if !ok {

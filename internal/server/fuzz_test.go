@@ -21,10 +21,12 @@ import (
 // timeout and async query values through handleSolve. A stub solver answers
 // every admitted job with an empty layout, so the request decoding, cache
 // keying, admission and response paths run without a real solve. No input
-// may panic (the server's panics counter stays zero) or hang it, and every
-// response must carry one of the statuses the endpoint documents. The corpus
-// is seeded with the repository's example circuits and the malformed-request
-// cases of TestSolveMalformedRequests.
+// may panic (the server's panics counter stays zero) or hang it, every
+// response must carry one of the statuses the endpoint documents, and every
+// 503 must carry Retry-After. Each 202's job is then polled through
+// handleJob once it is done, under the same two rules. The corpus is seeded
+// with the repository's example circuits and the malformed-request cases of
+// TestSolveMalformedRequests.
 //
 //	go test -run '^$' -fuzz FuzzSolveRequest -fuzztime 10s ./internal/server
 func FuzzSolveRequest(f *testing.F) {
@@ -83,15 +85,24 @@ func FuzzSolveRequest(f *testing.F) {
 			s.handleSolve(rec, req)
 		}()
 		wait(handled, "handleSolve")
-		if !allowed[rec.Code] {
-			t.Fatalf("status %d not in the allowed set: %s", rec.Code, rec.Body.String())
+		checkStatus := func(what string, rec *httptest.ResponseRecorder) {
+			if !allowed[rec.Code] {
+				t.Fatalf("%s: status %d not in the allowed set: %s", what, rec.Code, rec.Body.String())
+			}
+			if rec.Code == http.StatusServiceUnavailable && rec.Header().Get("Retry-After") == "" {
+				t.Fatalf("%s: 503 without Retry-After: %s", what, rec.Body.String())
+			}
 		}
+		checkStatus("handleSolve", rec)
 		// An async job finishes in the background; wait for it so a panic
-		// there is charged to this input, not a later one.
+		// there is charged to this input, not a later one, then poll it.
 		var sr solveResponse
 		if rec.Code == http.StatusAccepted && json.Unmarshal(rec.Body.Bytes(), &sr) == nil {
 			if j, ok := s.jobs.get(sr.ID); ok {
 				wait(j.done, "async job "+sr.ID)
+				poll := httptest.NewRecorder()
+				s.handleJob(poll, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+sr.ID, nil))
+				checkStatus("handleJob "+sr.ID, poll)
 			}
 		}
 		if n := s.panics.Load(); n != 0 {

@@ -12,6 +12,23 @@
 //	GET  /healthz         liveness plus queue/worker/cache/cluster counters
 //	GET  /readyz          routing readiness: ready / draining / not_ready
 //
+// Status rule. A job's response records its HTTP status once, where the
+// outcome is decided, and leaves through writeResult:
+//
+//	200  done solve, cache hit, in-flight job; /healthz; a ready /readyz
+//	202  async solve admitted, or joined to one in flight
+//	400  malformed netlist, timeout, async or accept_partial value, or job ID
+//	404  unknown or evicted job
+//	405  wrong method
+//	413  netlist over the body limit
+//	500  solve failed, panicked or returned no layout
+//	503  admission or shutdown rejection (wraps errUnavailable); a draining
+//	     or not-ready /readyz
+//	504  deadline or cancellation (errors.Is finds a context error), or a
+//	     sync request whose own wait ran out first
+//
+// writeJSON adds a Retry-After hint to every 503.
+//
 // With a cluster configured (internal/cluster), solves whose content address
 // is owned by a remote peer are forwarded there and answered from the owner's
 // cache-affine tier; an unreachable owner degrades to a local solve.
@@ -76,10 +93,25 @@ type Config struct {
 	Cluster *cluster.Cluster
 }
 
-// retryAfterHint is the Retry-After value sent with every 503 rejection,
-// telling well-behaved clients (the peer client included) how long to back
-// off before retrying.
+// retryAfterHint is the Retry-After value sent with every 503, telling
+// well-behaved clients (the peer client included) how long to back off
+// before retrying.
 const retryAfterHint = time.Second
+
+// errUnavailable is wrapped by every admission and shutdown rejection: the
+// job never ran, so a retry after the hint may succeed.
+var errUnavailable = errors.New("unavailable")
+
+// rejection wraps errUnavailable under its own text.
+type rejection string
+
+func (r rejection) Error() string { return string(r) }
+func (r rejection) Unwrap() error { return errUnavailable }
+
+const (
+	errQueueFull    rejection = "admission queue full, retry later"
+	errShuttingDown rejection = "server shutting down"
+)
 
 func (c Config) workers() int {
 	if c.Workers > 0 {
@@ -240,27 +272,37 @@ func (s *Server) Close() {
 	}
 }
 
-// admit enqueues a job unless the queue is full or the server is closing.
-func (s *Server) admit(j *job) error {
+// fenced runs enqueue under closeMu's read lock unless Close has flipped
+// closed: after Close no job can enter the queue (and sit "queued" forever)
+// and no forward can start (so wg.Wait cannot race a late wg.Add).
+func (s *Server) fenced(enqueue func() error) error {
 	s.closeMu.RLock()
 	defer s.closeMu.RUnlock()
 	if s.closed {
-		return fmt.Errorf("server shutting down")
+		return errShuttingDown
 	}
-	// Injected admission failure: same retryable 503 surface as a full queue,
-	// so chaos schedules exercise the client retry path without real load.
-	if faultinject.Fired(faultinject.PointServerAdmit) {
-		s.rejected.Add(1)
-		return fmt.Errorf("admission queue full, retry later")
-	}
-	select {
-	case s.queue <- j:
-		s.jobs.add(j)
-		return nil
-	default:
-		s.rejected.Add(1)
-		return fmt.Errorf("admission queue full, retry later")
-	}
+	return enqueue()
+}
+
+// admit enqueues a job unless the queue is full or the server is closing.
+func (s *Server) admit(j *job) error {
+	return s.fenced(func() error {
+		// Injected admission failure: same retryable 503 surface as a full
+		// queue, so chaos schedules exercise the client retry path without
+		// real load.
+		if faultinject.Fired(faultinject.PointServerAdmit) {
+			s.rejected.Add(1)
+			return errQueueFull
+		}
+		select {
+		case s.queue <- j:
+			s.jobs.add(j)
+			return nil
+		default:
+			s.rejected.Add(1)
+			return errQueueFull
+		}
+	})
 }
 
 // worker pulls admitted jobs off the queue until the server closes.
@@ -356,12 +398,25 @@ func (s *Server) finishJob(j *job, resp *solveResponse) {
 // first: a woken client may retry at once, and a retry that still found the
 // job would join it and get its answer back — for a failed job, the same
 // failure again, however often it retries. finishJob wraps it with the
-// solved/failed counters; the admission-rejection path calls it directly
-// because rejections are counted by the rejected counter alone.
+// solved/failed counters; reject calls it directly because rejections are
+// counted by the rejected counter alone.
 func (s *Server) completeJob(j *job, resp *solveResponse) {
 	s.dropInflight(j)
 	j.finish(resp)
 	s.jobs.markFinished(j.id)
+}
+
+// reject finishes a job that admission or the close fence turned away, and
+// returns its failed response. Singleflight followers may have joined the
+// job meanwhile: finishing it wakes sync followers with the rejection
+// instead of leaving them on done, and registering it lets async followers'
+// polls find the rejection rather than a permanent 404.
+func (s *Server) reject(j *job, err error) *solveResponse {
+	s.jobs.add(j)
+	resp := failedResponse(j, err)
+	s.completeJob(j, resp)
+	j.cancel()
+	return resp
 }
 
 // coalesceGrace is how far a joiner's deadline may outlive the leader's and
@@ -468,9 +523,9 @@ type solveResponse struct {
 	Owner    string `json:"owner,omitempty"`
 	Degraded bool   `json:"degraded,omitempty"`
 
-	// code, when non-zero, is the HTTP status this response must be served
-	// with — admission rejections carry 503 so singleflight followers see
-	// the same retryable status as the leader instead of a generic 500.
+	// code is the HTTP status this response is served with; zero means 200.
+	// failedResponse sets it where the failure happens, so singleflight
+	// followers and /v1/jobs polls answer with the status of the outcome.
 	code int
 }
 
@@ -527,12 +582,23 @@ func buildStats(c *netlist.Circuit, l *layout.Layout, elapsed time.Duration, eff
 	return stats
 }
 
+// failedResponse records a job's failure under its HTTP status: 503 for an
+// admission or shutdown rejection, 504 for a deadline or cancellation, 500
+// for anything else.
 func failedResponse(j *job, err error) *solveResponse {
+	code := http.StatusInternalServerError
+	switch {
+	case errors.Is(err, errUnavailable):
+		code = http.StatusServiceUnavailable
+	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
+		code = http.StatusGatewayTimeout
+	}
 	return &solveResponse{
 		ID:      j.id,
 		Circuit: j.circuit.Name,
 		Status:  string(statusFailed),
 		Error:   err.Error(),
+		code:    code,
 	}
 }
 
@@ -574,13 +640,9 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			timeout = d
 		}
 	}
-	async := false
-	switch arg := r.URL.Query().Get("async"); arg {
-	case "", "0", "false":
-	case "1", "true":
-		async = true
-	default:
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid async flag %q", arg))
+	async, err := queryFlag(r.URL.Query(), "async")
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 
@@ -590,12 +652,8 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// 504. The flag is excluded from the option fingerprint, so it shares the
 	// cache key — and the singleflight key — with full-quality requests; a
 	// partial result is never written to the cache.
-	switch arg := r.URL.Query().Get("accept_partial"); arg {
-	case "", "0", "false":
-	case "1", "true":
-		opts.AcceptPartial = true
-	default:
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid accept_partial flag %q", arg))
+	if opts.AcceptPartial, err = queryFlag(r.URL.Query(), "accept_partial"); err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	key := cache.Key(circuit, opts)
@@ -620,7 +678,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			// cache is an optimization, never a correctness dependency.
 			if l, err := layout.ParseLayoutString(string(entry.Layout), circuit); err == nil {
 				s.cacheHits.Add(1)
-				writeJSON(w, http.StatusOK, cachedResponse(circuit, entry, l))
+				writeResult(w, cachedResponse(circuit, entry, l))
 				return
 			}
 		}
@@ -676,26 +734,15 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		admitErr = s.admit(j)
 	}
 	if admitErr != nil {
-		// Followers may have joined this job between joinInflight and the
-		// failed admit: finish it (which also drops it from the inflight
-		// index) so sync followers wake with the rejection instead of
-		// hanging on done, and register it so async followers' polls find
-		// the rejection rather than a permanent 404. Rejections count under
-		// the rejected counter only (admit incremented it), not failed, and
-		// carry 503 so followers answer with the leader's retryable status.
 		// The creator's own waiter slot (attached by joinInflight) is
 		// released here — without this, a rejected job's refcount never
 		// reaches zero, which matters once followers can join remote-owned
 		// leaders whose cancellation is driven by that refcount.
-		s.jobs.add(j)
-		resp := failedResponse(j, admitErr)
-		resp.code = http.StatusServiceUnavailable
-		s.completeJob(j, resp)
+		resp := s.reject(j, admitErr)
 		if !async {
 			s.releaseWaiter(j)
 		}
-		cancel()
-		s.writeResult(w, resp)
+		writeResult(w, resp)
 		return
 	}
 
@@ -706,19 +753,15 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	s.awaitJob(w, r, j, nil)
 }
 
-// startForward launches the peer-forward goroutine for a remote-owned job.
-// It mirrors admit's close fencing: after Close has flipped closed, no new
-// forward can start, so wg.Wait() cannot race a late wg.Add.
+// startForward launches the peer-forward goroutine for a remote-owned job,
+// behind the same close fence as admit.
 func (s *Server) startForward(j *job, owner cluster.Peer) error {
-	s.closeMu.RLock()
-	defer s.closeMu.RUnlock()
-	if s.closed {
-		return fmt.Errorf("server shutting down")
-	}
-	s.jobs.add(j)
-	s.wg.Add(1)
-	go s.runForward(j, owner)
-	return nil
+	return s.fenced(func() error {
+		s.jobs.add(j)
+		s.wg.Add(1)
+		go s.runForward(j, owner)
+		return nil
+	})
 }
 
 // runForward drives one remote-owned job: forward to the owner (Cluster.Forward
@@ -744,11 +787,10 @@ func (s *Server) runForward(j *job, owner cluster.Peer) {
 	body, err := cl.Forward(j.ctx, owner, j.key, j.body, query)
 	if err == nil {
 		var resp solveResponse
-		if jerr := json.Unmarshal(body, &resp); jerr == nil && resp.Layout != "" {
+		if err = json.Unmarshal(body, &resp); err == nil && resp.Layout != "" {
 			resp.ID = j.id
 			resp.Proxied = true
 			resp.Owner = owner.Name
-			resp.code = 0
 			if cl.ShouldAudit(j.key) && !resp.Partial {
 				s.auditProxied(j, owner, &resp)
 			}
@@ -756,9 +798,8 @@ func (s *Server) runForward(j *job, owner cluster.Peer) {
 			j.cancel()
 			s.finishJob(j, &resp)
 			return
-		} else {
-			err = fmt.Errorf("owner %s returned an unusable response (%v)", owner.Name, jerr)
 		}
+		err = fmt.Errorf("owner %s returned an unusable response (%v)", owner.Name, err)
 	}
 	if cerr := j.ctx.Err(); cerr != nil {
 		// The client went away (or the deadline fired) while forwarding:
@@ -777,10 +818,7 @@ func (s *Server) runForward(j *job, owner cluster.Peer) {
 	j.degraded = true
 	s.cfg.logf("server: degraded: job %s owner %s unreachable, solving locally: %v", j.id, owner.Name, err)
 	if aerr := s.admit(j); aerr != nil {
-		j.cancel()
-		resp := failedResponse(j, aerr)
-		resp.code = http.StatusServiceUnavailable
-		s.completeJob(j, resp)
+		s.reject(j, aerr)
 	}
 }
 
@@ -796,8 +834,7 @@ func (s *Server) auditProxied(j *job, owner cluster.Peer, resp *solveResponse) {
 		// Inconclusive (cancelled mid-solve, or the local solve failed):
 		// count the audit, alarm nothing — a broken local node must not
 		// accuse a healthy owner.
-		cl := s.cfg.Cluster
-		cl.CountAudit(true)
+		s.cfg.Cluster.CountAudit(true)
 		s.cfg.logf("server: audit of job %s inconclusive: %v", j.id, res.Err)
 		return
 	}
@@ -834,41 +871,30 @@ func (s *Server) awaitJob(w http.ResponseWriter, r *http.Request, j *job, limit 
 	}
 	select {
 	case <-j.done:
-		s.writeResult(w, j.snapshot())
+		writeResult(w, j.snapshot())
 	case <-limitDone:
 		// The shared solve may have finished in the same instant; prefer
 		// its result over a spurious timeout.
 		select {
 		case <-j.done:
-			s.writeResult(w, j.snapshot())
+			writeResult(w, j.snapshot())
 		default:
 			writeError(w, http.StatusGatewayTimeout, "request timed out before the shared solve finished: "+limit.Err().Error())
 		}
 	case <-r.Context().Done():
 		writeError(w, http.StatusGatewayTimeout, "request cancelled before the solve finished: "+r.Context().Err().Error())
 	case <-s.base.Done():
-		s.writeUnavailable(w, "server shutting down")
+		writeError(w, http.StatusServiceUnavailable, errShuttingDown.Error())
 	}
 }
 
-// writeResult serves a finished job's response under its HTTP status. Every
-// 503 leaving the server — direct rejections, follower-visible rejection
-// snapshots, shutdown — carries a Retry-After hint so well-behaved clients
-// (the peer client included) back off instead of hammering a node that just
-// shed load.
-func (s *Server) writeResult(w http.ResponseWriter, resp *solveResponse) {
-	code := statusCodeFor(resp)
-	if code == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", cluster.RetryAfter(retryAfterHint))
+// writeResult serves a job's response under the status it recorded.
+func writeResult(w http.ResponseWriter, resp *solveResponse) {
+	code := resp.code
+	if code == 0 {
+		code = http.StatusOK
 	}
 	writeJSON(w, code, resp)
-}
-
-// writeUnavailable is the 503-with-Retry-After error path for rejections that
-// never made a job.
-func (s *Server) writeUnavailable(w http.ResponseWriter, msg string) {
-	w.Header().Set("Retry-After", cluster.RetryAfter(retryAfterHint))
-	writeError(w, http.StatusServiceUnavailable, msg)
 }
 
 // cachedResponse rebuilds a full solve response from a cache entry and its
@@ -884,23 +910,6 @@ func cachedResponse(c *netlist.Circuit, entry cache.Entry, l *layout.Layout) *so
 		Layout:   string(entry.Layout),
 		Stats:    buildStats(c, l, entry.Runtime, entry.Effort),
 	}
-}
-
-// statusCodeFor maps a finished job to its HTTP status: an explicit code
-// wins, deadline and cancellation failures surface as 504, other solver
-// failures as 500.
-func statusCodeFor(resp *solveResponse) int {
-	if resp.code != 0 {
-		return resp.code
-	}
-	if resp.Status == string(statusDone) {
-		return http.StatusOK
-	}
-	if strings.Contains(resp.Error, context.DeadlineExceeded.Error()) ||
-		strings.Contains(resp.Error, context.Canceled.Error()) {
-		return http.StatusGatewayTimeout
-	}
-	return http.StatusInternalServerError
 }
 
 // handleJob serves GET /v1/jobs/{id}.
@@ -919,12 +928,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Sprintf("unknown job %q", id))
 		return
 	}
-	resp := j.snapshot()
-	code := http.StatusOK
-	if resp.Status == string(statusFailed) {
-		code = statusCodeFor(resp)
-	}
-	writeJSON(w, code, resp)
+	writeResult(w, j.snapshot())
 }
 
 // healthResponse is the /healthz document. CacheHits/CacheMisses count this
@@ -1015,8 +1019,14 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// writeJSON sends v under code. A 503 gets a Retry-After hint so
+// well-behaved clients (the peer client included) back off instead of
+// hammering a node that just shed load.
 func writeJSON(w http.ResponseWriter, code int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
+	if code == http.StatusServiceUnavailable {
+		w.Header().Set("Retry-After", cluster.RetryAfter(retryAfterHint))
+	}
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
@@ -1030,4 +1040,17 @@ type errorResponse struct {
 
 func writeError(w http.ResponseWriter, code int, msg string) {
 	writeJSON(w, code, errorResponse{Error: msg})
+}
+
+// queryFlag parses the boolean query parameter name: empty, "0" or "false"
+// is false, "1" or "true" is true, and anything else is an error.
+func queryFlag(q url.Values, name string) (bool, error) {
+	switch arg := q.Get(name); arg {
+	case "", "0", "false":
+		return false, nil
+	case "1", "true":
+		return true, nil
+	default:
+		return false, fmt.Errorf("invalid %s flag %q", name, arg)
+	}
 }

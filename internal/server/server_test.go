@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -186,6 +187,9 @@ func TestSolveMalformedRequests(t *testing.T) {
 	})
 }
 
+// TestSolveDeadlineExceeded checks that a solve the deadline ended answers
+// 504, and that the status comes from the error's chain, not its text: a
+// solver failure that only mentions a context error answers 500.
 func TestSolveDeadlineExceeded(t *testing.T) {
 	_, ts := startServer(t, fastConfig())
 	resp, sr := postSolve(t, ts.URL+"/v1/solve?timeout=1ns", tinyNetlist)
@@ -194,6 +198,17 @@ func TestSolveDeadlineExceeded(t *testing.T) {
 	}
 	if sr.Status != "failed" || !strings.Contains(sr.Error, "deadline exceeded") {
 		t.Errorf("response = %+v, want failed with deadline error", sr)
+	}
+
+	mentions := func(ctx context.Context, job engine.Job, logf func(string, ...interface{})) engine.Result {
+		return engine.Result{ID: job.ID, Err: errors.New("gave up: context canceled upstream")}
+	}
+	s := newWithSolver(fastConfig(), mentions)
+	ts2 := httptest.NewServer(s.Handler())
+	t.Cleanup(func() { ts2.Close(); s.Close() })
+	resp, sr = postSolve(t, ts2.URL+"/v1/solve", tinyNetlist)
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Errorf("solver error naming a context error: status %d (%+v), want 500", resp.StatusCode, sr)
 	}
 }
 
