@@ -1,6 +1,9 @@
 package lp
 
-import "math"
+import (
+	"math"
+	"sync/atomic"
+)
 
 // BasisStatus is the role of one column, in the solver and in an exported
 // Basis.
@@ -35,15 +38,18 @@ const (
 // factorization — rebuilds it from the raw data. WithoutFactor drops it too,
 // but keeps its size, so that the rebuild can size its arena at once.
 //
-// A Basis is read-only, to the solver and to its holder: the solver never
-// writes it, so one Basis may seed many concurrent solves, and its exported
-// fields must not be modified after export.
+// A holder done with a Basis may Release it, which hands the factorization's
+// memory back to the Problem's workspace for later solves to build into.
+//
+// A Basis is read-only to the solver and, but for Release, to its holder:
+// the solver never writes it, so one Basis may seed many concurrent solves,
+// and its exported fields must not be modified after export.
 type Basis struct {
 	Basic  []int32       // basic column per row, len == number of constraints
 	Status []BasisStatus // per column, len == variables + constraints
 
-	factor    *basisFactor // nil unless exported by a sparse-core solve
-	luEntries int          // off-diagonal entries of the exported factor
+	factor    atomic.Pointer[basisFactor] // nil unless exported by a sparse-core solve, or once released
+	luEntries int                         // off-diagonal entries of the exported factor
 }
 
 // WithoutFactor returns b without the factorization it carries, for a holder
@@ -58,14 +64,70 @@ func (b *Basis) WithoutFactor() *Basis {
 	return &Basis{Basic: b.Basic, Status: b.Status, luEntries: b.luEntries}
 }
 
+// Release drops the factorization b carries, for a holder that will not
+// warm-start from b again, and hands its memory back to the workspace of the
+// Problem that built it once nothing else uses it: no other Basis carries
+// it (a warm solve that makes no pivot exports the factorization it
+// adopted) and no running solve has adopted it. A warm start from b after
+// Release rebuilds the factorization, as from WithoutFactor, and so may a
+// solve that raced with it; either way every result is the same, bar the
+// Refactorizations count. Release is safe to call concurrently with solves
+// reading b and more than once; a nil b is a no-op.
+func (b *Basis) Release() {
+	if b == nil {
+		return
+	}
+	f := b.factor.Swap(nil)
+	if f == nil || f.refs.Add(-1) != 0 {
+		return
+	}
+	if ws := f.prob.ws.Swap(nil); ws != nil {
+		f.recycle(ws)
+		f.prob.ws.Store(ws)
+	}
+}
+
 // basisFactor is the factorization an optimal sparse-core solve finished
-// with, carried on its exported Basis. Every field is shared with that solve,
-// which has ended, and is read-only from then on.
+// with, carried on its exported Basis. Every field but refs is shared with
+// that solve, which has ended, and is read-only from then on.
+//
+// refs counts the Bases that carry f and the running solves that adopted
+// it. When it reaches zero nothing can reach lu or rows any more (a solve
+// adopts only after raising a nonzero count, and basisFactors are never
+// reused), so both go back to prob's workspace. The matrix is never
+// recycled: the factorizations of later solves that adopted f share it.
 type basisFactor struct {
 	prob *Problem
 	mat  cscMatrix // structural and slack columns
 	lu   *etaFile  // the factorization, no update etas
 	rows []int     // basic column per row: lu's row assignment
+	refs atomic.Int32
+}
+
+// acquire takes a reference on f for an adopting solve, unless f was
+// already given up.
+func (f *basisFactor) acquire() bool {
+	for n := f.refs.Load(); n > 0; n = f.refs.Load() {
+		if f.refs.CompareAndSwap(n, n+1) {
+			return true
+		}
+	}
+	return false
+}
+
+// drop gives up an adopting solve's reference on f, recycling f into ws,
+// the workspace of the solve (of f's Problem), if that was the last one.
+func (f *basisFactor) drop(ws *workspace) {
+	if f.refs.Add(-1) == 0 {
+		f.recycle(ws)
+	}
+}
+
+// recycle files f's factor arena and row assignment in ws once nothing
+// reaches f.
+func (f *basisFactor) recycle(ws *workspace) {
+	ws.putFactor(f.lu)
+	put(&ws.basis, f.rows)
 }
 
 // adoptableBy reports whether solver s may adopt f for the imported basis b:
@@ -86,8 +148,9 @@ func (f *basisFactor) adoptableBy(s *simplex, b *Basis) bool {
 // compatible reports whether the basis dimensions match a problem with m
 // constraints and nStruct structural variables, every status is one of the
 // four roles, every basic column is in range and marked basic, no column is
-// basic twice, and exactly the basic columns carry BasisBasic.
-func (b *Basis) compatible(m, nStruct int) bool {
+// basic twice, and exactly the basic columns carry BasisBasic. Its scratch
+// comes from ws.
+func (b *Basis) compatible(m, nStruct int, ws *workspace) bool {
 	if b == nil || len(b.Basic) != m || len(b.Status) != nStruct+m {
 		return false
 	}
@@ -103,7 +166,8 @@ func (b *Basis) compatible(m, nStruct int) bool {
 	if basicStatuses != m {
 		return false
 	}
-	seen := make([]bool, nStruct+m)
+	seen := take(&ws.seen, nStruct+m, nStruct+m)
+	defer put(&ws.seen, seen)
 	for _, c := range b.Basic {
 		if c < 0 || int(c) >= nStruct+m || seen[c] || b.Status[c] != BasisBasic {
 			return false
@@ -132,7 +196,7 @@ func (s *simplex) exportBasis() *Basis {
 	}
 	copy(b.Status, s.status)
 	if c, ok := s.core.(*sparseCore); ok && s.fresh {
-		b.factor = c.carried()
+		b.factor.Store(c.carried())
 		b.luEntries = len(c.factor.idx)
 	}
 	return b
@@ -146,10 +210,10 @@ func (s *simplex) exportBasis() *Basis {
 // deterministic refactorization, or the resulting reduced costs are not
 // dual-feasible; the caller then falls back to a cold primal solve.
 func (s *simplex) installBasis(b *Basis) bool {
-	if !b.compatible(s.m, s.nStruct) {
+	if !b.compatible(s.m, s.nStruct, s.ws) {
 		return false
 	}
-	s.basis = make([]int, s.m)
+	s.basis = take(&s.ws.basis, s.m, s.m)
 	for i, c := range b.Basic {
 		s.basis[i] = int(c)
 	}
@@ -161,8 +225,8 @@ func (s *simplex) installBasis(b *Basis) bool {
 	}
 	// A warm start never has artificial columns, so the column set is final
 	// and the core can be stood up here.
-	f := b.factor
-	if !f.adoptableBy(s, b) {
+	f := b.factor.Load()
+	if !f.adoptableBy(s, b) || !f.acquire() {
 		f = nil
 	}
 	s.initCore(f)

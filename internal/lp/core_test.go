@@ -168,7 +168,7 @@ func TestSingularBuildLeavesCoreIntact(t *testing.T) {
 	}
 	// core returns a cold solver's sparse core on p.
 	core := func() *sparseCore {
-		s, err := newSimplex(p, Options{})
+		s, err := newSimplex(p, Options{}, new(workspace))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -317,7 +317,7 @@ func TestBuildCSCSumsDuplicates(t *testing.T) {
 	p.AddConstraint("a", []Entry{{0, 1}, {2, -1}, {0, 2.5}, {0, 0.1}}, LE, 4)
 	p.AddConstraint("b", []Entry{{1, 3}, {0, 0.1}, {1, 0.2}, {0, 0.3}}, GE, 2)
 	p.AddConstraint("c", []Entry{{2, 1}, {1, 7}, {2, -1}}, EQ, 3)
-	s, err := newSimplex(p, Options{})
+	s, err := newSimplex(p, Options{}, new(workspace))
 	if err != nil {
 		t.Fatal(err)
 	}

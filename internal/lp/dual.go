@@ -197,7 +197,11 @@ func (s *simplex) lexCanonicalize() bool {
 			// every remembered entry stays as it is.
 			s.applyBoundFlip(enter, dir, step, s.colBuf)
 		} else {
-			s.core.pivotRow(leaveRow, s.prowBuf)
+			// pivot reads the row only for the reduced-cost update, which a
+			// column entering at reduced cost exactly zero skips.
+			if s.reduced[enter] != 0 {
+				s.core.pivotRow(leaveRow, s.prowBuf)
+			}
 			s.pivot(enter, dir, leaveRow, bound, step, s.colBuf)
 			if s.fresh {
 				// The pivot rebuilt the factorization, which may also

@@ -494,7 +494,7 @@ func leanEtaMismatch(p *Problem, opts Options, stats *leanStats) (string, error)
 	case got.Status != want.Status:
 		return fmt.Sprintf("status %v, full eta file %v", got.Status, want.Status), nil
 	case got.Iterations != want.Iterations ||
-		got.Refactorizations != want.Refactorizations && (opts.WarmBasis == nil || opts.WarmBasis.factor == nil):
+		got.Refactorizations != want.Refactorizations && (opts.WarmBasis == nil || opts.WarmBasis.factor.Load() == nil):
 		return fmt.Sprintf("%d iterations and %d refactorizations, full eta file %d and %d",
 			got.Iterations, got.Refactorizations, want.Iterations, want.Refactorizations), nil
 	case math.Float64bits(got.Objective) != math.Float64bits(want.Objective):

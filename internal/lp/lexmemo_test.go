@@ -82,7 +82,7 @@ func restartSolve(p *Problem, opts Options) (*Solution, error) {
 	var s *simplex
 	var status Status
 	if opts.WarmBasis != nil {
-		ws, err := newSimplexBase(p, opts)
+		ws, err := newSimplexBase(p, opts, new(workspace))
 		if err != nil {
 			return nil, err
 		}
@@ -95,7 +95,7 @@ func restartSolve(p *Problem, opts Options) (*Solution, error) {
 	}
 	if s == nil {
 		var err error
-		if s, err = newSimplex(p, opts); err != nil {
+		if s, err = newSimplex(p, opts, new(workspace)); err != nil {
 			return nil, err
 		}
 		status = s.run()

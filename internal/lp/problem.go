@@ -40,12 +40,15 @@
 // problem agree not just on the objective but on the solution vector itself.
 // A factorization is a pure function of the basic set, so an exported Basis
 // carries its solve's final one and a warm start of the same problem adopts
-// it instead of rebuilding it.
+// it instead of rebuilding it. The solves of one Problem recycle one
+// another's memory through a workspace the Problem holds, and
+// Basis.Release hands a dropped factorization's arena back to it.
 package lp
 
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 )
 
 // Infinity is the bound value meaning "unbounded" in that direction.
@@ -107,10 +110,14 @@ type Constraint struct {
 //
 // Build it with NewProblem / AddVariable / AddConstraint and pass it to
 // SolveCtx. A Problem can be solved repeatedly with different bound overrides,
-// which is how the branch-and-bound solver explores its tree.
+// which is how the branch-and-bound solver explores its tree; those solves
+// recycle one another's memory through the Problem, so a Problem must not be
+// copied by value.
 type Problem struct {
 	Variables   []Variable
 	Constraints []Constraint
+
+	ws atomic.Pointer[workspace] // the solves' recycled memory; nil while a solve holds it
 }
 
 // NewProblem returns an empty problem.

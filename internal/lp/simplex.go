@@ -16,7 +16,8 @@ type simplex struct {
 	m, n    int // constraint and total column counts (structural + slack + artificial)
 	nStruct int // structural variable count
 
-	prob *Problem // raw problem data, for refactorization
+	prob *Problem   // raw problem data, for refactorization
+	ws   *workspace // where the solve's buffers come from and return to
 
 	lower, upper []float64 // bounds per column
 	cost         []float64 // phase-2 cost per column
@@ -81,6 +82,14 @@ func (s *simplex) cancelled() bool {
 // a deterministic refactorization — so the two report identical solutions.
 // A warm start from a Basis exported by a solve of the same problem adopts
 // the factorization that Basis carries instead of building its own.
+//
+// The solve's private memory comes from a workspace p holds: the solves of
+// one Problem, the nodes of one branch-and-bound search, reuse one another's
+// scratch, update chains and dropped factor arenas instead of allocating
+// their own (what the returned Solution and Basis reach is never reused; see
+// Basis.Release). A concurrent solve of p that finds the workspace taken
+// allocates as if it had none, so p may still be solved from many
+// goroutines at once.
 func SolveCtx(ctx context.Context, p *Problem, opts Options) (*Solution, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -88,30 +97,34 @@ func SolveCtx(ctx context.Context, p *Problem, opts Options) (*Solution, error) 
 	if emptyBounds(p, opts) {
 		return &Solution{Status: StatusInfeasible, X: make([]float64, len(p.Variables))}, nil
 	}
+	ws := p.claimWorkspace()
+	defer p.ws.Store(ws)
 	var s *simplex
 	var status Status
 	warm := false
 	if opts.WarmBasis != nil {
-		ws, err := newSimplexBase(p, opts)
+		w, err := newSimplexBase(p, opts, ws)
 		if err != nil {
 			return nil, err
 		}
-		if ws.installBasis(opts.WarmBasis) {
+		if w.installBasis(opts.WarmBasis) {
 			if ctx != nil && ctx.Done() != nil {
-				ws.ctx = ctx
+				w.ctx = ctx
 			}
-			s, warm = ws, true
+			s, warm = w, true
 			status = s.runDual()
 			if status == StatusOptimal {
 				// Polish: a dual-optimal basis is primal-optimal up to
 				// tolerance; the primal loop confirms (usually zero pivots).
 				status = s.iterate()
 			}
+		} else {
+			w.release(nil) // the cold solver reuses what it took
 		}
 	}
 	if s == nil {
 		var err error
-		s, err = newSimplex(p, opts)
+		s, err = newSimplex(p, opts, ws)
 		if err != nil {
 			return nil, err
 		}
@@ -159,6 +172,7 @@ func SolveCtx(ctx context.Context, p *Problem, opts Options) (*Solution, error) 
 	} else if status == StatusUnbounded {
 		sol.Objective = math.Inf(-1)
 	}
+	s.release(sol.Basis)
 	return sol, nil
 }
 
@@ -194,24 +208,32 @@ func (o Options) bounds(j int, v Variable) (lo, up float64) {
 // newSimplexBase loads the shared solver form — bounds, costs and the raw
 // tableau rows with one slack column per constraint — without committing to a
 // starting basis. The cold constructor adds the phase-1 artificial start on
-// top; the warm path installs an imported basis instead.
-func newSimplexBase(p *Problem, opts Options) (*simplex, error) {
+// top; the warm path installs an imported basis instead. The solver draws its
+// buffers from ws.
+func newSimplexBase(p *Problem, opts Options, ws *workspace) (*simplex, error) {
 	m := len(p.Constraints)
 	nStruct := len(p.Variables)
-	s := &simplex{
+	s := ws.sim
+	ws.sim = nil
+	if s == nil {
+		s = new(simplex)
+	}
+	*s = simplex{
 		m:       m,
 		nStruct: nStruct,
 		prob:    p,
+		ws:      ws,
 		refresh: opts.refactorEvery(),
 		newCore: opts.newCore,
 	}
 	s.maxIter = maxIterations(m, nStruct)
 
-	// Column bounds and costs: structural variables then slacks.
+	// Column bounds and costs: structural variables then slacks, with room
+	// for one artificial per row.
 	total := nStruct + m
-	s.lower = make([]float64, total, total+m)
-	s.upper = make([]float64, total, total+m)
-	s.cost = make([]float64, total, total+m)
+	s.lower = take(&ws.lower, total, total+m)
+	s.upper = take(&ws.upper, total, total+m)
+	s.cost = take(&ws.cost, total, total+m)
 	for j, v := range p.Variables {
 		s.lower[j], s.upper[j] = opts.bounds(j, v)
 		s.cost[j] = v.Cost
@@ -231,7 +253,9 @@ func newSimplexBase(p *Problem, opts Options) (*simplex, error) {
 	}
 	s.n = total
 	s.artStart = total
-	s.status = make([]BasisStatus, total, total+m)
+	s.status = take(&ws.status, total, total+m)
+	s.artRow = take(&ws.artRow, 0, 0)
+	s.artSign = take(&ws.artSign, 0, 0)
 	return s, nil
 }
 
@@ -241,14 +265,15 @@ func newSimplexBase(p *Problem, opts Options) (*simplex, error) {
 // only) the core shares f's matrix and adopts its factorization, which also
 // derives the basic values; otherwise the caller must refactorize next.
 func (s *simplex) initCore(f *basisFactor) {
-	s.colBuf = make([]float64, s.m)
-	s.prowBuf = make([]float64, s.n)
+	s.colBuf = take(&s.ws.colBuf, s.m, s.m)
+	s.prowBuf = take(&s.ws.prowBuf, s.n, s.n)
+	s.beta = take(&s.ws.beta, s.m, s.m)
 	switch {
 	case s.newCore != nil:
 		s.core = s.newCore(s)
 	case f != nil:
 		c := newSparseCore(s, f.mat)
-		c.adopt(f.lu)
+		c.adopt(f)
 		s.core = c
 		s.fresh = true
 	default:
@@ -270,9 +295,9 @@ func (s *simplex) refactorize() bool {
 
 // newSimplex builds the cold-start solver: nonbasic structural variables park
 // at a bound, the slack basis covers what it can, and artificial columns with
-// phase-1 cost 1 cover the rest.
-func newSimplex(p *Problem, opts Options) (*simplex, error) {
-	s, err := newSimplexBase(p, opts)
+// phase-1 cost 1 cover the rest. The solver draws its buffers from ws.
+func newSimplex(p *Problem, opts Options, ws *workspace) (*simplex, error) {
+	s, err := newSimplexBase(p, opts, ws)
 	if err != nil {
 		return nil, err
 	}
@@ -286,7 +311,8 @@ func newSimplex(p *Problem, opts Options) (*simplex, error) {
 
 	// Compute the slack value each row needs, and introduce artificials for
 	// rows where that value violates the slack bounds.
-	rhs := make([]float64, m)
+	rhs := take(&ws.rhs, m, m)
+	defer put(&ws.rhs, rhs)
 	for i, c := range p.Constraints {
 		acc := 0.0
 		for _, e := range c.Row {
@@ -294,7 +320,7 @@ func newSimplex(p *Problem, opts Options) (*simplex, error) {
 		}
 		rhs[i] = c.RHS - acc
 	}
-	s.basis = make([]int, m)
+	s.basis = take(&ws.basis, m, m)
 	for i := 0; i < m; i++ {
 		j := nStruct + i
 		need := rhs[i]
@@ -320,7 +346,7 @@ func newSimplex(p *Problem, opts Options) (*simplex, error) {
 	}
 
 	// Phase-1 costs: 1 for artificials, 0 otherwise.
-	s.phase1Cost = make([]float64, s.n)
+	s.phase1Cost = take(&ws.phase1Cost, s.n, s.n)
 	for j := s.artStart; j < s.n; j++ {
 		s.phase1Cost[j] = 1
 	}

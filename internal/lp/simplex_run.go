@@ -59,8 +59,8 @@ func (s *simplex) activeCost() []float64 {
 // nonzeros).
 func (s *simplex) computeReducedCosts() {
 	c := s.activeCost()
-	if s.reduced == nil || len(s.reduced) != s.n {
-		s.reduced = make([]float64, s.n)
+	if len(s.reduced) != s.n {
+		s.reduced = take(&s.ws.reduced, s.n, s.n)
 	}
 	s.core.reducedCosts(c, s.reduced)
 	for _, j := range s.basis {
@@ -287,13 +287,14 @@ func (s *simplex) applyBoundFlip(enter int, dir, step float64, alpha []float64) 
 // leaveRow, the previous basic variable of that row leaves at the given
 // bound. alpha is the entering tableau column under the pre-pivot basis (the
 // one the ratio test ran on), and the caller has left that basis's tableau
-// row leaveRow in s.prowBuf: the dual simplex computed it for its ratio
-// test, the primal passes compute it just before the call. The driver
-// updates the basic values and the reduced-cost row (one rank-one update
-// from the pivot row) itself; the core then installs the exchange — one
-// appended eta, with a possible refactorization. A core-side rebuild
-// replaces beta and the row assignment, so the reduced costs are recomputed
-// from scratch when it happens.
+// row leaveRow in s.prowBuf unless the entering reduced cost is exactly
+// zero: the dual simplex computed it for its ratio test, the primal passes
+// compute it just before the call. The driver updates the basic values and
+// the reduced-cost row (one rank-one update from the pivot row, a no-op
+// for a zero entering reduced cost) itself; the core then installs the
+// exchange — one appended eta, with a possible refactorization. A core-side
+// rebuild replaces beta and the row assignment, so the reduced costs are
+// recomputed from scratch when it happens.
 func (s *simplex) pivot(enter int, dir float64, leaveRow int, bound BasisStatus, step float64, alpha []float64) {
 	leaving := s.basis[leaveRow]
 
@@ -310,17 +311,15 @@ func (s *simplex) pivot(enter int, dir float64, leaveRow int, bound BasisStatus,
 		}
 	}
 
-	// Pivot row under the pre-pivot basis, normalized by the pivot element.
-	prow := s.prowBuf
-	inv := 1 / prow[enter]
-	for j := 0; j < s.n; j++ {
-		prow[j] *= inv
-	}
-	prow[enter] = 1
-
-	// Rank-one update of the reduced costs.
-	dEnter := s.reduced[enter]
-	if dEnter != 0 {
+	// Rank-one update of the reduced costs from the pivot row under the
+	// pre-pivot basis, normalized by the pivot element.
+	if dEnter := s.reduced[enter]; dEnter != 0 {
+		prow := s.prowBuf
+		inv := 1 / prow[enter]
+		for j := 0; j < s.n; j++ {
+			prow[j] *= inv
+		}
+		prow[enter] = 1
 		for j := 0; j < s.n; j++ {
 			s.reduced[j] -= dEnter * prow[j]
 		}

@@ -20,13 +20,16 @@ type cscMatrix struct {
 // buildCSC assembles the matrix from the raw problem rows, after any
 // artificial columns have been added. Duplicate (row, variable) entries are
 // summed in declaration order, matching the dense test oracle's raw rows.
+// Its arrays come from the solve's workspace.
 func buildCSC(s *simplex) cscMatrix {
+	ws := s.ws
 	// Count the structural entries of each column, then place them column
 	// by column. Rows are visited in ascending order, so each column's rows
 	// are non-decreasing and duplicate entries of one row sit adjacent.
 	// pos[j] is where column j's next entry goes, so once all are placed it
 	// is where column j ends.
-	pos := make([]int32, s.nStruct+1)
+	pos := take(&ws.pos, s.nStruct+1, s.nStruct+1)
+	defer put(&ws.pos, pos)
 	for _, c := range s.prob.Constraints {
 		for _, e := range c.Row {
 			pos[e.Var+1]++
@@ -38,9 +41,9 @@ func buildCSC(s *simplex) cscMatrix {
 	nnz := int(pos[s.nStruct])
 	units := s.n - s.nStruct
 	mat := cscMatrix{
-		ptr: make([]int32, 0, s.n+1),
-		idx: make([]int32, nnz, nnz+units),
-		val: make([]float64, nnz, nnz+units),
+		ptr: take(&ws.mat.ptr, 0, s.n+1),
+		idx: take(&ws.mat.idx, nnz, nnz+units),
+		val: take(&ws.mat.val, nnz, nnz+units),
 	}
 	for i, c := range s.prob.Constraints {
 		for _, e := range c.Row {
@@ -254,10 +257,14 @@ type sparseCore struct {
 	s   *simplex
 	mat cscMatrix
 
-	factor   *etaFile // LU factorization of the last build (or the adopted one)
-	borrowed bool     // factor belongs to another solve's Basis: never recycle it
-	updates  etaFile  // one product-form eta per pivot since the last build
-	peak     int      // longest update chain seen between refactorizations
+	factor  *etaFile // LU factorization of the last build (or the adopted one)
+	updates etaFile  // one product-form eta per pivot since the last build
+	peak    int      // longest update chain seen between refactorizations
+
+	// lent is the carried factorization the core adopted, nil for none: mat
+	// is its matrix for the whole solve, and factor its factor until a build
+	// replaces it. The core holds one of its references until the solve ends.
+	lent *basisFactor
 
 	warmEntries int // a warm start's factor entries, as its Basis reported them
 
@@ -277,21 +284,36 @@ type sparseCore struct {
 // from the raw data before anything else reads it.
 const updateDriftTol = 1e-7
 
+// newSparseCore stands up a core on mat for s, drawing its scratch and its
+// update chain from the solve's workspace.
 func newSparseCore(s *simplex, mat cscMatrix) *sparseCore {
-	c := &sparseCore{
+	ws := s.ws
+	c := ws.core
+	ws.core = nil
+	if c == nil {
+		c = new(sparseCore)
+	}
+	words := (s.m + 63) / 64
+	*c = sparseCore{
 		s:        s,
 		mat:      mat,
-		work:     make([]float64, s.m),
-		pattern:  make([]uint64, (s.m+63)/64),
-		rhs:      make([]float64, s.m),
-		assigned: make([]bool, s.m),
-		newBasis: make([]int, s.m),
-		basicSet: make([]bool, s.n),
+		updates:  ws.updates,
+		work:     take(&ws.work, s.m, s.m),
+		pattern:  take(&ws.pattern, words, words),
+		rhs:      take(&ws.coreRHS, s.m, s.m),
+		assigned: take(&ws.assigned, s.m, s.m),
+		newBasis: take(&ws.newBasis, s.m, s.m),
+		basicSet: take(&ws.basicSet, s.n, s.n),
 	}
+	ws.updates = etaFile{}
 	// A chain holds at most refresh etas; one eta holds at most m entries.
 	c.updates.reserve(s.refresh, s.m)
 	return c
 }
+
+// borrowed reports whether factor is the adopted one, which belongs to the
+// Bases that carry it: the core never recycles it.
+func (c *sparseCore) borrowed() bool { return c.lent != nil && c.factor == c.lent.lu }
 
 func (c *sparseCore) peakEta() int { return c.peak }
 
@@ -417,7 +439,7 @@ func (c *sparseCore) refactorize() bool {
 	s := c.s
 
 	if c.spare == nil {
-		c.spare = new(etaFile)
+		c.spare = s.ws.factor()
 	}
 	nf := c.spare
 	nf.reserve(c.buildSize())
@@ -489,12 +511,12 @@ func (c *sparseCore) refactorize() bool {
 	// Commit: swap in the fresh factorization (recycling the old one as
 	// scratch unless it is borrowed), clear the update chain, install the
 	// (possibly permuted) row assignment, and re-derive the basic values.
+	borrowed := c.borrowed()
 	old := c.factor
 	c.factor, c.spare = nf, nil
-	if !c.borrowed {
+	if !borrowed {
 		c.spare = old
 	}
-	c.borrowed = false
 	c.updates.reset()
 	copy(s.basis, newBasis)
 	c.deriveBeta()
@@ -525,13 +547,14 @@ func (c *sparseCore) buildSize() (etas, entries int) {
 	return etas, entries
 }
 
-// adopt installs lu, a factorization another solve of the same problem built
-// for exactly the driver's basic set and row assignment, in place of a
-// build. refactorize is a pure function of that basic set and the matrix, so
-// lu is bit for bit what it would build; only the basic values depend on this
-// solve's bounds and statuses, and they are derived here.
-func (c *sparseCore) adopt(lu *etaFile) {
-	c.factor, c.borrowed = lu, true
+// adopt installs f's factor, a factorization another solve of the same
+// problem built for exactly the driver's basic set and row assignment, in
+// place of a build; the caller has taken a reference on f for the core.
+// refactorize is a pure function of that basic set and the matrix, so the
+// factor is bit for bit what it would build; only the basic values depend on
+// this solve's bounds and statuses, and they are derived here.
+func (c *sparseCore) adopt(f *basisFactor) {
+	c.factor, c.lent = f.lu, f
 	c.markBasic()
 	c.deriveBeta()
 }
@@ -558,21 +581,24 @@ func (c *sparseCore) deriveBeta() {
 		}
 	}
 	c.ftran(rhs)
-	if len(s.beta) != m {
-		s.beta = make([]float64, m)
-	}
 	copy(s.beta, rhs)
 }
 
-// carried returns the factorization to attach to an exported Basis: the
-// current factor with no update etas on top, the matrix truncated to the
-// structural and slack columns (artificials never appear in an exported
-// basis), and the row assignment. Nothing is copied; the solve is over.
+// carried returns the factorization to attach to an exported Basis, holding
+// one reference for it: the current factor with no update etas on top, the
+// matrix truncated to the structural and slack columns (artificials never
+// appear in an exported basis), and the row assignment. Nothing is copied;
+// the solve is over. A core still on the factor it adopted (nothing moved
+// since) returns the adopted factorization itself.
 func (c *sparseCore) carried() *basisFactor {
+	if c.borrowed() {
+		c.lent.refs.Add(1)
+		return c.lent
+	}
 	s := c.s
 	cols := s.nStruct + s.m
 	end := c.mat.ptr[cols]
-	return &basisFactor{
+	f := &basisFactor{
 		prob: s.prob,
 		mat: cscMatrix{
 			ptr: c.mat.ptr[: cols+1 : cols+1],
@@ -582,4 +608,6 @@ func (c *sparseCore) carried() *basisFactor {
 		lu:   c.factor,
 		rows: s.basis,
 	}
+	f.refs.Store(1)
+	return f
 }

@@ -322,7 +322,7 @@ func TestWarmColdBitIdentical(t *testing.T) {
 func TestRefactorizationCounter(t *testing.T) {
 	p := branchProblem()
 	cold := solveOrFatal(t, p, Options{})
-	if cold.Basis == nil || cold.Basis.factor == nil {
+	if cold.Basis == nil || cold.Basis.factor.Load() == nil {
 		t.Fatal("optimal solve exported no factorization")
 	}
 	plain := &Basis{Basic: cold.Basis.Basic, Status: cold.Basis.Status}
@@ -410,7 +410,7 @@ func TestWarmFactorReuseBitIdentical(t *testing.T) {
 		if root.Status != StatusOptimal || root.Basis == nil {
 			continue
 		}
-		if root.Basis.factor == nil {
+		if root.Basis.factor.Load() == nil {
 			t.Fatalf("trial %d: optimal sparse solve exported no factorization", trial)
 		}
 
